@@ -51,7 +51,7 @@ HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
         "--restarts must be in [1, 64], got " + std::to_string(restarts));
   }
   config.restarts = static_cast<std::size_t>(restarts);
-  config.no_parallel_restarts = args.get_bool("no-parallel-restarts", false);
+  config.sequential_restarts = args.get_bool("no-parallel-restarts", false);
   if (!args.program().empty()) {
     const std::string& program = args.program();
     const auto slash = program.find_last_of('/');
@@ -139,10 +139,7 @@ core::EvaluationConfig HarnessConfig::evaluation() const {
   eval.zoo.mlp.max_iterations = nn_iterations;
   eval.zoo.mlp.weight_decay = 1e-6;
   eval.zoo.mlp.restarts = restarts;
-  if (no_parallel_restarts) {
-    eval.zoo.mlp.parallel_restarts = false;
-    eval.zoo.mlp.fused_restarts = false;
-  }
+  if (sequential_restarts) eval.zoo.mlp.fused_restarts = false;
   return eval;
 }
 

@@ -10,8 +10,9 @@
 //   --restarts=N        SCG restarts per network fit, in [1, 64] (default
 //                       1; the winner is the lowest-loss restart, fused
 //                       into batched kernels unless disabled)
-//   --no-parallel-restarts  keep restarts off the worker pool AND off the
-//                       fused batched path (the historical serial loop)
+//   --no-parallel-restarts  train restarts one at a time through the
+//                       sequential reference loop instead of the fused
+//                       batched path (bit-identical either way)
 //   --sweep-scale=N     multiply the campaign sweep N-fold (cloned targets)
 //   --jobs-sweep=LIST   comma-separated jobs values to re-run the campaign
 //                       at (bench_perf_pipeline; emits jobs_scaling JSON)
@@ -75,11 +76,11 @@ struct HarnessConfig {
   std::string jobs_sweep;
   /// --restarts=N: SCG restarts per network fit, validated into [1, 64].
   /// Per-restart RNG streams make the result independent of how the
-  /// restarts are executed (sequential, pooled, or fused).
+  /// restarts are executed (sequential or fused).
   std::size_t restarts = 1;
-  /// --no-parallel-restarts: pin fits to the historical serial restart
-  /// loop (no pool fan-out, no fused batched kernels).
-  bool no_parallel_restarts = false;
+  /// --no-parallel-restarts: pin fits to the sequential reference restart
+  /// loop (no fused batched kernels).
+  bool sequential_restarts = false;
 
   static HarnessConfig from_cli(const CliArgs& args);
 

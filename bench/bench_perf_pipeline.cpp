@@ -810,7 +810,6 @@ int main(int argc, char** argv) {
   core::EvaluationConfig zoo_serial_config = zoo_config;
   zoo_serial_config.zoo.mlp.restarts = zoo_race_restarts;
   zoo_serial_config.zoo.mlp.fused_restarts = false;
-  zoo_serial_config.zoo.mlp.parallel_restarts = false;
   zoo_serial_config.validation.parallel = false;
   pre_arm = obs::Registry::global().snapshot();
   arm_start_ns = obs::trace_now_ns();

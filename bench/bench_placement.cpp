@@ -41,7 +41,7 @@
 #include "bench_common.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "sched/cluster.hpp"
+#include "sched/placement_policy.hpp"
 #include "serve/demo_fleet.hpp"
 #include "serve/event_sim.hpp"
 #include "serve/placement_service.hpp"

@@ -1,7 +1,7 @@
 // Dynamic cluster scenario: a stream of jobs arrives at a 4-node cluster
 // of 12-core machines; placement policies are compared on slowdown,
 // queueing delay, makespan, and energy — with every node's contention
-// re-solved as membership changes (sched/cluster.hpp).
+// re-solved as membership changes (serve/event_sim.hpp).
 //
 // Usage: ./build/examples/cluster_batch [--jobs=60] [--nodes=4]
 //        [--interarrival=20]
@@ -11,7 +11,9 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/methodology.hpp"
-#include "sched/cluster.hpp"
+#include "sched/placement_policy.hpp"
+#include "serve/event_sim.hpp"
+#include "serve/placement_service.hpp"
 
 int main(int argc, char** argv) {
   using namespace coloc;
@@ -41,15 +43,22 @@ int main(int argc, char** argv) {
           {core::ModelTechnique::kNeuralNetwork, core::FeatureSet::kF},
           zoo);
 
-  sched::ClusterConfig config;
+  // The simulator requires AppId i to be catalog[i], so the service
+  // registers the suite in catalog order.
+  const std::vector<sim::ApplicationSpec> catalog = sim::benchmark_suite();
+  serve::PlacementService service(&predictor);
+  for (const sim::ApplicationSpec& spec : catalog) {
+    service.register_app(campaign.baselines.at(spec.name));
+  }
+  serve::EventSimConfig config;
   config.node = machine;
   config.nodes = num_nodes;
   config.pstate_index = 0;
-  sched::ClusterSimulator cluster(config, &library, &predictor,
-                                  &campaign.baselines);
+  serve::EventSimulator cluster(config, &library, catalog, &service,
+                                &campaign.baselines);
 
-  const auto jobs = sched::make_job_stream(sim::benchmark_suite(), num_jobs,
-                                           interarrival, /*seed=*/11);
+  const std::vector<serve::Job> jobs = serve::make_job_stream(
+      catalog.size(), num_jobs, interarrival, /*seed=*/11);
   std::printf("simulating %zu jobs on %zu nodes "
               "(mean interarrival %.0f s)\n\n",
               jobs.size(), num_nodes, interarrival);
@@ -57,11 +66,8 @@ int main(int argc, char** argv) {
   TextTable table("Dynamic placement policies compared");
   table.set_columns({"policy", "mean slowdown", "max slowdown",
                      "mean wait (s)", "makespan (s)", "energy (MJ)"});
-  for (sched::PlacementPolicy policy :
-       {sched::PlacementPolicy::kFirstFit,
-        sched::PlacementPolicy::kLeastLoaded,
-        sched::PlacementPolicy::kInterferenceAware}) {
-    const sched::ClusterOutcome outcome = cluster.run(jobs, policy);
+  for (sched::PlacementPolicy policy : sched::all_placement_policies()) {
+    const serve::ReplayOutcome outcome = cluster.replay(jobs, policy);
     table.add_row({to_string(policy),
                    TextTable::num(outcome.mean_slowdown, 3),
                    TextTable::num(outcome.max_slowdown, 3),
@@ -72,8 +78,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf(
       "first-fit consolidates hardest (least energy, most interference),\n"
-      "least-loaded spreads (least interference, most energy), and the\n"
+      "least-loaded spreads (least interference, most energy), the\n"
       "model-driven policy picks co-residents that tolerate each other —\n"
-      "the interference-aware scheduling the paper's Section VI proposes.\n");
+      "the interference-aware scheduling the paper's Section VI proposes —\n"
+      "and dvfs-aware also picks each node's most efficient P-state that\n"
+      "still meets its residents' deadlines.\n");
   return 0;
 }

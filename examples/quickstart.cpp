@@ -22,9 +22,9 @@
 //   --restarts=N           SCG restarts per MLP fit, in [1, 64] (default 1;
 //                          the winner is the lowest-loss restart, trained
 //                          through the fused batched kernels)
-//   --no-parallel-restarts pin fits to the historical serial restart loop
-//                          (no pool fan-out, no fused batched kernels);
-//                          the result is bit-identical either way
+//   --no-parallel-restarts pin fits to the sequential reference restart
+//                          loop (no fused batched kernels); the result is
+//                          bit-identical either way
 //
 // Robustness flags (see the Robustness section in README.md):
 //   --fault-rate=P         inject measurement faults at rate P (also
@@ -142,10 +142,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   zoo.mlp.restarts = static_cast<std::size_t>(restarts);
-  if (args.get_bool("no-parallel-restarts", false)) {
-    zoo.mlp.parallel_restarts = false;
+  if (args.get_bool("no-parallel-restarts", false))
     zoo.mlp.fused_restarts = false;
-  }
   const core::ModelId model_id{core::ModelTechnique::kNeuralNetwork,
                                core::FeatureSet::kF};
 

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "linalg/fast_math.hpp"
 #include "ml/scg.hpp"
 
@@ -18,9 +17,9 @@ namespace {
 // Per-thread batch scratch, reused across every loss_and_gradient /
 // forward_all call on this thread (SCG evaluates the objective hundreds of
 // times per fit; reallocating an m x hidden activations matrix each time
-// would dominate small-batch evaluations). Thread-locality keeps parallel
-// restarts and parallel validation partitions isolated; the buffers carry
-// no state between calls — every element is overwritten before use.
+// would dominate small-batch evaluations). Thread-locality keeps fits on
+// parallel validation partitions isolated; the buffers carry no state
+// between calls — every element is overwritten before use.
 struct BatchScratch {
   linalg::Matrix activations;  // m x hidden: pre-activations, then tanh
   linalg::Matrix w1t;          // inputs x hidden: W1 transposed for the GEMM
@@ -281,9 +280,8 @@ MlpRegressor MlpRegressor::fit(const linalg::Matrix& x,
 
   // Default route: the fused batched multi-restart path (bit-identical;
   // see mlp_fused.cpp). The sequential loop below is kept as the reference
-  // arm — options.fused_restarts = false or COLOC_FUSED_RESTARTS=0 pins it.
-  if (options.fused_restarts && fused_path_enabled())
-    return fit_fused(x, y, options);
+  // arm — options.fused_restarts = false pins it.
+  if (options.fused_restarts) return fit_fused(x, y, options);
 
   linalg::Matrix design = x;
   Standardizer scaler = Standardizer::fit(design);
@@ -302,8 +300,7 @@ MlpRegressor MlpRegressor::fit(const linalg::Matrix& x,
   // One self-contained training run. Restart 0 draws from Rng(options.seed)
   // exactly as a single fit always has; restart k > 0 uses an independent
   // stream hashed from (seed, k). Every attempt is a pure function of its
-  // index, so the set of results — and the winner — cannot depend on
-  // thread count or completion order.
+  // index, which is what lets fit_fused reproduce this loop bit for bit.
   auto run_attempt = [&](std::size_t attempt) -> AttemptResult {
     std::uint64_t seed = options.seed;
     if (attempt != 0) {
@@ -335,26 +332,13 @@ MlpRegressor MlpRegressor::fit(const linalg::Matrix& x,
     return AttemptResult{std::move(net), final_loss, res.iterations};
   };
 
-  std::vector<std::optional<AttemptResult>> results(restarts);
-  const bool parallel = options.parallel_restarts && restarts > 1 &&
-                        global_pool().size() > 1 && !on_worker_thread();
-  if (parallel) {
-    parallel_for(
-        global_pool(), restarts,
-        [&](std::size_t attempt) { results[attempt] = run_attempt(attempt); },
-        1);
-  } else {
-    for (std::size_t attempt = 0; attempt < restarts; ++attempt)
-      results[attempt] = run_attempt(attempt);
-  }
-
   // Strict < scans attempts in index order: ties go to the lowest index.
-  std::size_t best = 0;
+  AttemptResult winner = run_attempt(0);
   for (std::size_t attempt = 1; attempt < restarts; ++attempt) {
-    if (results[attempt]->loss < results[best]->loss) best = attempt;
+    AttemptResult candidate = run_attempt(attempt);
+    if (candidate.loss < winner.loss) winner = std::move(candidate);
   }
 
-  AttemptResult& winner = *results[best];
   MlpRegressor model(std::move(winner.net), std::move(scaler),
                      std::move(target));
   model.training_loss_ = winner.loss;

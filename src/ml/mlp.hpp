@@ -27,16 +27,11 @@ struct MlpOptions {
   /// k > 0 uses an independent stream derived from (seed, k), so results
   /// do not depend on how many restarts run or in what order.
   std::size_t restarts = 1;
-  /// Run restarts concurrently on global_pool(). Results are identical
-  /// either way (per-restart RNG streams; ties broken by lowest restart
-  /// index); the flag exists so tests can pin the serial path.
-  bool parallel_restarts = true;
   /// Train all restarts through the fused batched-SCG path: one stacked
   /// GEMM per layer serves every live restart per iteration, with
   /// converged restarts masked out of the batch. Bit-identical to the
   /// sequential restart loop at any restart count (see DESIGN §13); set
-  /// false (or COLOC_FUSED_RESTARTS=0 process-wide) to pin the sequential
-  /// reference path.
+  /// false to pin the sequential reference path.
   bool fused_restarts = true;
 };
 
@@ -118,10 +113,6 @@ class MlpRegressor final : public Regressor {
   static MlpRegressor fit_fused(const linalg::Matrix& x,
                                 std::span<const double> y,
                                 const MlpOptions& options = {});
-
-  /// Process-wide kill switch for the fused path: false when
-  /// COLOC_FUSED_RESTARTS is set to 0/off/false/no, true otherwise.
-  static bool fused_path_enabled();
 
   double predict(std::span<const double> features) const override;
   /// Batched inference: standardizes the design matrix once and runs the

@@ -22,10 +22,8 @@
 //    once per call — a pure permutation of where each independently
 //    accumulated element is stored, with no arithmetic consequence.
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -339,7 +337,12 @@ class FusedEvaluator {
     const bool blocked =
         inputs_ >= 1 && inputs_ <= 8 && m * wide <= kBlockedBackwardLimit;
     if (blocked) {
-      da_.resize(m * wide);
+      // One spare row past m: GCC 12's x86-64-v4 clone of
+      // gw1t_chunk<8, 4> loads each row's four d_a columns together with
+      // the next row's and permutes the second half away, so on the last
+      // row it reads up to one row past the end. Without the spare row
+      // that read faults whenever the buffer ends at an unmapped page.
+      da_.resize((m + 1) * wide);
       backward_row_sweep(act_.data().data(), errs_.data().data(),
                          w2_s_.data(), fwd_slot_.data(), g_b2_.data(),
                          d_out_.data(), g_w2_.data(), g_b1_.data(),
@@ -416,16 +419,6 @@ class FusedEvaluator {
 };
 
 }  // namespace
-
-bool MlpRegressor::fused_path_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("COLOC_FUSED_RESTARTS");
-    if (env == nullptr) return true;
-    const std::string v(env);
-    return !(v == "0" || v == "off" || v == "false" || v == "no");
-  }();
-  return on;
-}
 
 MlpRegressor MlpRegressor::fit_fused(const linalg::Matrix& x,
                                      std::span<const double> y,

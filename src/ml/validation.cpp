@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -53,18 +52,6 @@ struct ValidationMetrics {
     return metrics;
   }
 };
-
-/// False when COLOC_DESIGN_MEMO is set to 0/off/false/no. Re-read on every
-/// batch call (once per repeated_subsampling_validation_batch, never in a
-/// hot loop) so tests can flip the gate in-process — same transparency
-/// discipline as the profile memo: the memo is an invisible optimization,
-/// results are byte-identical with it disabled.
-bool design_memo_enabled() {
-  const char* env = std::getenv("COLOC_DESIGN_MEMO");
-  if (!env) return true;
-  const std::string v(env);
-  return !(v == "0" || v == "off" || v == "false" || v == "no");
-}
 
 std::size_t effective_jobs(const ValidationOptions& options) {
   if (!options.parallel) return 1;
@@ -192,8 +179,9 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
   // instead of rebuilding it per job. Keying is EXACT (a byte serialization
   // of columns + seed + holdout fraction + usable-row count + partition, so
   // no hash-collision risk); store::digest64 of that key is the displayable
-  // FNV-1a digest. Disable with COLOC_DESIGN_MEMO=0 — results are
-  // byte-identical either way because the gather is deterministic.
+  // FNV-1a digest. The memo is invisible: the gather is deterministic, so
+  // a shared copy is byte-identical to a job gathering its own (tested
+  // against each job validated alone).
   struct GatheredSplit {
     SplitIndices split;
     linalg::Matrix x_train, x_test;
@@ -201,7 +189,6 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
   };
   std::mutex memo_mutex;
   std::unordered_map<std::string, std::shared_ptr<const GatheredSplit>> memo;
-  const bool memo_on = design_memo_enabled();
 
   auto run_task = [&](std::size_t t) {
     const TaskRef ref = tasks[t];
@@ -219,19 +206,19 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
         static_cast<std::uint64_t>(ref.partition) * 0x61c88647ULL;
     std::shared_ptr<const GatheredSplit> gathered;
     std::string key;
-    if (memo_on) {
-      key.reserve((state.job->columns.size() + 4) * sizeof(std::uint64_t));
-      auto append_u64 = [&key](std::uint64_t v) {
-        key.append(reinterpret_cast<const char*>(&v), sizeof v);
-      };
-      for (std::size_t col : state.job->columns) append_u64(col);
-      append_u64(options.seed);
-      std::uint64_t holdout_bits = 0;
-      std::memcpy(&holdout_bits, &options.holdout_fraction,
-                  sizeof holdout_bits);
-      append_u64(holdout_bits);
-      append_u64(usable.size());
-      append_u64(ref.partition);
+    key.reserve((state.job->columns.size() + 4) * sizeof(std::uint64_t));
+    auto append_u64 = [&key](std::uint64_t v) {
+      key.append(reinterpret_cast<const char*>(&v), sizeof v);
+    };
+    for (std::size_t col : state.job->columns) append_u64(col);
+    append_u64(options.seed);
+    std::uint64_t holdout_bits = 0;
+    std::memcpy(&holdout_bits, &options.holdout_fraction,
+                sizeof holdout_bits);
+    append_u64(holdout_bits);
+    append_u64(usable.size());
+    append_u64(ref.partition);
+    {
       std::lock_guard<std::mutex> lock(memo_mutex);
       auto it = memo.find(key);
       if (it != memo.end()) gathered = it->second;
@@ -245,15 +232,11 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
       fresh->y_train = gather(state.y_full, fresh->split.train);
       fresh->x_test = gather_rows(state.x_full, fresh->split.test);
       fresh->y_test = gather(state.y_full, fresh->split.test);
-      if (memo_on) {
-        metrics.memo_misses.inc();
-        std::lock_guard<std::mutex> lock(memo_mutex);
-        // First writer wins; a racing duplicate is dropped and both tasks
-        // keep byte-identical copies either way.
-        gathered = memo.emplace(key, fresh).first->second;
-      } else {
-        gathered = fresh;
-      }
+      metrics.memo_misses.inc();
+      std::lock_guard<std::mutex> lock(memo_mutex);
+      // First writer wins; a racing duplicate is dropped and both tasks
+      // keep byte-identical copies either way.
+      gathered = memo.emplace(key, fresh).first->second;
     }
     const SplitIndices& split = gathered->split;
     const linalg::Matrix& x_train = gathered->x_train;

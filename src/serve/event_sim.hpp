@@ -1,11 +1,11 @@
 // Cluster-scale discrete-event replay driven by the placement service.
 //
-// sched::ClusterSimulator proves the policies out at small scale, but its
-// run loop rescans every node's residents to find the next completion —
-// O(nodes x residents) per step, hopeless at a million arrivals. This
-// simulator replays the same physics (processor-sharing progress at the
-// contention fixed point, package energy while residents are present)
-// through an event heap:
+// Jobs arrive over time, run co-located on multicore nodes, and finish.
+// Between events each resident progresses at the instruction rate of its
+// node's contention fixed point (processor sharing), and a node draws
+// package energy while residents are present. Rescanning every node's
+// residents for the next completion would cost O(nodes x residents) per
+// step, so the replay runs on an event heap:
 //
 //   * Completions live in a min-heap ordered by (time, seq). Each node
 //     carries an epoch counter; any membership change bumps it, so stale
@@ -20,10 +20,9 @@
 //     score_candidates() for the predicted-slowdown cost of every feasible
 //     node in one batched model query.
 //
-// kDvfsAware gets its full semantics here: it places like
-// kInterferenceAware, then re-picks the chosen node's P-state with
-// sched::choose_pstate_for_deadline against the job's deadline — per-node
-// DVFS the fixed-P-state ClusterSimulator cannot express.
+// kDvfsAware places like kInterferenceAware, then re-picks the chosen
+// node's P-state with sched::choose_pstate_for_deadline against the job's
+// deadline, so every node runs at its own P-state.
 //
 // Replays are deterministic: no wall clock, no randomness beyond the seeded
 // job stream, and all caches are pure memoization. The same jobs + seed
@@ -39,7 +38,7 @@
 #include <vector>
 
 #include "core/features.hpp"
-#include "sched/cluster.hpp"
+#include "sched/placement_policy.hpp"
 #include "serve/placement_service.hpp"
 #include "sim/app_model.hpp"
 #include "sim/contention.hpp"

@@ -13,6 +13,9 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
+/// Initial hash-table reservation for the score memo.
+constexpr std::size_t kExpectedCacheEntries = 1 << 15;
+
 inline std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
   // Hash the value one byte at a time so every bit lands in the mix.
   for (int i = 0; i < 8; ++i) {
@@ -63,7 +66,7 @@ PlacementService::PlacementService(const core::ColocationPredictor* predictor,
           "placement_predict_seconds")) {
   COLOC_CHECK_MSG(predictor_ != nullptr, "placement service needs a predictor");
   if (options_.enable_score_cache) {
-    score_cache_.reserve(options_.expected_cache_entries);
+    score_cache_.reserve(kExpectedCacheEntries);
   }
 }
 
@@ -244,8 +247,8 @@ void PlacementService::score_candidates(AppId target,
     COLOC_CHECK_MSG(candidates[i] < nodes_.size(), "node index out of range");
     const NodeState& node = nodes_[candidates[i]];
     if (node.members.empty()) {
-      // Run-alone placement: cost 1.0 by convention (matches
-      // ClusterSimulator), no model query needed.
+      // Run-alone placement: cost 1.0 by convention (a job alone runs
+      // at slowdown 1), no model query needed.
       out_cost[i] = 1.0;
       continue;
     }

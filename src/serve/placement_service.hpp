@@ -51,8 +51,6 @@ struct ServiceOptions {
   /// Memoize placement scores per (target, P-state, node membership).
   /// Purely an optimization: answers are identical with the cache off.
   bool enable_score_cache = true;
-  /// Initial hash-table reservation for the score memo.
-  std::size_t expected_cache_entries = 1 << 15;
 };
 
 /// Loads the model `id` out of a zoo bundle and wraps it as a deployable
@@ -112,10 +110,10 @@ class PlacementService {
   /// Interference-aware placement cost of putting `target` on each
   /// candidate: the target's predicted slowdown there plus the summed
   /// predicted slowdown of the residents it would join (the
-  /// ClusterSimulator::kInterferenceAware objective). An empty node costs
-  /// exactly 1.0 without touching the model. `pstates[i]` is candidate
-  /// i's node P-state (per-node DVFS); the single-P-state overload
-  /// broadcasts one value. Cache misses across all candidates are
+  /// sched::PlacementPolicy::kInterferenceAware objective). An empty node
+  /// costs exactly 1.0 without touching the model. `pstates[i]` is
+  /// candidate i's node P-state (per-node DVFS); the single-P-state
+  /// overload broadcasts one value. Cache misses across all candidates are
   /// assembled into ONE batched predict_into call.
   void score_candidates(AppId target,
                         std::span<const std::uint32_t> candidates,

@@ -224,13 +224,9 @@ MissRatioCurve AppMrcLibrary::profile_one(const ApplicationSpec& app,
   // The curve is a pure function of (trace shape, seed, horizon); the
   // process-wide memo dedups the repeated profiling jobs sweep campaigns
   // issue (every arm builds its own AppMrcLibrary).
-  const bool memo_on = ProfileMemo::enabled();
-  std::string memo_key;
-  if (memo_on) {
-    memo_key = ProfileMemo::key(app.trace, seed, n);
-    MissRatioCurve cached;
-    if (ProfileMemo::global().lookup(memo_key, &cached)) return cached;
-  }
+  const std::string memo_key = ProfileMemo::key(app.trace, seed, n);
+  MissRatioCurve cached;
+  if (ProfileMemo::global().lookup(memo_key, &cached)) return cached;
 
   const auto profile_start = std::chrono::steady_clock::now();
   TraceGenerator gen(app.trace, seed);
@@ -252,7 +248,7 @@ MissRatioCurve AppMrcLibrary::profile_one(const ApplicationSpec& app,
       .observe(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              profile_start)
                    .count());
-  if (memo_on) ProfileMemo::global().store(memo_key, curve);
+  ProfileMemo::global().store(memo_key, curve);
   return curve;
 }
 

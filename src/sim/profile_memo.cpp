@@ -1,7 +1,6 @@
 #include "sim/profile_memo.hpp"
 
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/metrics.hpp"
@@ -37,16 +36,6 @@ void append_double(std::string& out, double v) {
 ProfileMemo& ProfileMemo::global() {
   static ProfileMemo memo;
   return memo;
-}
-
-bool ProfileMemo::enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("COLOC_PROFILE_MEMO");
-    if (env == nullptr) return true;
-    const std::string v(env);
-    return !(v == "0" || v == "off" || v == "false" || v == "no");
-  }();
-  return on;
 }
 
 std::string ProfileMemo::key(const TraceSpec& spec, std::uint64_t seed,

@@ -16,10 +16,9 @@
 // into the memo. Sharded mutexes keep concurrent profile_all() cheap.
 //
 // Transparency discipline matches the solve/score caches: the memo is an
-// invisible optimization — set COLOC_PROFILE_MEMO=0 (or "off"/"false") to
-// disable it and recompute every profile; results must be byte-identical
-// either way. sim_profile_memo_{hits,misses}_total counters are bumped
-// only when the memo is enabled.
+// invisible optimization — a served curve must be byte-identical to a
+// recomputed one (tested against a cleared memo).
+// sim_profile_memo_{hits,misses}_total count every lookup.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +35,6 @@ class ProfileMemo {
  public:
   /// The process-wide instance used by AppMrcLibrary.
   static ProfileMemo& global();
-
-  /// False when COLOC_PROFILE_MEMO is set to 0/off/false. Read once per
-  /// process (first call).
-  static bool enabled();
 
   /// Exact serialized key for a profiling job.
   static std::string key(const TraceSpec& spec, std::uint64_t seed,

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -200,7 +201,64 @@ TEST_F(EventSimTest, CoLocationSlowsJobsDown) {
   EXPECT_EQ(out.deadline_miss_rate, 0.0);  // slack 3.0 is generous here
 }
 
-TEST_F(EventSimTest, OutcomeAggregatesMatchPerJobRecords) {
+TEST_F(EventSimTest, SlowdownNeverBelowOneUnderAnyPolicy) {
+  // Co-location and lower P-states can only slow a job down relative to
+  // running alone at the reference P-state. The stream oversubscribes the
+  // fleet, so every policy also exercises the queue.
+  const std::vector<Job> jobs =
+      make_job_stream(4, 120, mean_service_time() / 16.0, 23);
+  for (const sched::PlacementPolicy policy : sched::all_placement_policies()) {
+    SCOPED_TRACE(sched::to_string(policy));
+    const ReplayOutcome out = replay_fresh(jobs, policy, predictor_);
+    bool queued = false;
+    for (std::size_t i = 0; i < out.jobs.size(); ++i) {
+      EXPECT_GE(out.jobs[i].slowdown, 1.0 - 1e-9) << i;
+      queued = queued || out.jobs[i].start_s > out.jobs[i].arrival_s;
+    }
+    EXPECT_TRUE(queued) << "the stream must exhaust the fleet's cores";
+  }
+}
+
+TEST_F(EventSimTest, MeanSlowdownGrowsWithCoRunnerCount) {
+  // k simultaneous copies of the hungriest app on one node: each added
+  // co-runner adds LLC and DRAM pressure, so the mean slowdown must not
+  // fall as k grows to the core count.
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(1), library_, tiny_suite(), &service,
+                     &campaign_->baselines);
+  double previous = 0.0;
+  for (std::size_t k = 1; k <= tiny_machine().cores; ++k) {
+    const std::vector<Job> jobs(k, Job{0, 0.0});
+    const ReplayOutcome out =
+        sim.replay(jobs, sched::PlacementPolicy::kFirstFit);
+    EXPECT_GE(out.mean_slowdown, previous) << "k=" << k;
+    previous = out.mean_slowdown;
+  }
+}
+
+TEST_F(EventSimTest, AloneTimeNeverFallsAtSlowerPStates) {
+  // P0 is the fastest state; every step down the table lowers the clock,
+  // so no application may run alone faster than at the previous state.
+  PlacementService service = make_service(predictor_);
+  const std::size_t num_pstates = tiny_machine().pstates.size();
+  std::vector<std::vector<double>> alone(num_pstates);
+  for (std::size_t p = 0; p < num_pstates; ++p) {
+    EventSimConfig config = sim_config(1);
+    config.pstate_index = p;
+    EventSimulator sim(config, library_, tiny_suite(), &service);
+    for (AppId app = 0; app < tiny_suite().size(); ++app) {
+      alone[p].push_back(sim.alone_time(app));
+    }
+  }
+  for (std::size_t p = 1; p < num_pstates; ++p) {
+    for (std::size_t app = 0; app < alone[p].size(); ++app) {
+      EXPECT_GE(alone[p][app], alone[p - 1][app])
+          << tiny_suite()[app].name << " at P" << p;
+    }
+  }
+}
+
+TEST_F(EventSimTest, OutcomeAggregatesMatchPerJobOutcomes) {
   PlacementService service = make_service(predictor_);
   EventSimulator sim(sim_config(2), library_, tiny_suite(), &service,
                      &campaign_->baselines);
@@ -313,6 +371,169 @@ TEST_F(EventSimTest, MisalignedCatalogRejected) {
   std::swap(shuffled[0], shuffled[1]);
   EXPECT_THROW(EventSimulator(sim_config(2), library_, shuffled, &service,
                               &campaign_->baselines),
+               coloc::runtime_error);
+}
+
+// Small hand-built cluster scenarios: a handful of jobs on one to four
+// nodes, where the expected placement and queueing can be read off the
+// inputs. Same fixture as EventSimTest.
+class ClusterTest : public EventSimTest {};
+
+TEST_F(ClusterTest, PolicyNames) {
+  // The tokens label every replay row and are the --policy CLI values.
+  EXPECT_EQ(sched::to_string(sched::PlacementPolicy::kFirstFit), "first-fit");
+  EXPECT_EQ(sched::to_string(sched::PlacementPolicy::kLeastLoaded),
+            "least-loaded");
+  EXPECT_EQ(sched::to_string(sched::PlacementPolicy::kInterferenceAware),
+            "interference-aware");
+  EXPECT_EQ(sched::to_string(sched::PlacementPolicy::kDvfsAware),
+            "dvfs-aware");
+}
+
+TEST_F(ClusterTest, SingleJobRunsAtBaselineSpeed) {
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(2), library_, tiny_suite(), &service);
+  const ReplayOutcome out =
+      sim.replay({{3, 0.0}}, sched::PlacementPolicy::kFirstFit);
+  ASSERT_EQ(out.jobs.size(), 1u);
+  EXPECT_NEAR(out.jobs[0].slowdown, 1.0, 1e-6);
+  EXPECT_NEAR(out.makespan_s, out.jobs[0].finish_s, 1e-9);
+  EXPECT_EQ(out.mean_wait_s, 0.0);
+}
+
+TEST_F(ClusterTest, AllJobsComplete) {
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(2), library_, tiny_suite(), &service);
+  const ReplayOutcome out = sim.replay(make_job_stream(4, 12, 10.0, 1),
+                                       sched::PlacementPolicy::kLeastLoaded);
+  ASSERT_EQ(out.jobs.size(), 12u);
+  for (const JobOutcome& job : out.jobs) {
+    EXPECT_GE(job.start_s, job.arrival_s);
+    EXPECT_GT(job.finish_s, job.start_s);
+    EXPECT_GE(job.slowdown, 0.999);
+    EXPECT_LT(job.node, 2u);
+  }
+  EXPECT_GT(out.total_energy_j, 0.0);
+}
+
+TEST_F(ClusterTest, CoLocatedJobsSlowDown) {
+  // Four copies of the hungriest app arriving together on one node must
+  // interfere.
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(1), library_, tiny_suite(), &service);
+  const std::vector<Job> jobs(4, Job{0, 0.0});
+  const ReplayOutcome out =
+      sim.replay(jobs, sched::PlacementPolicy::kFirstFit);
+  EXPECT_GT(out.mean_slowdown, 1.05);
+}
+
+TEST_F(ClusterTest, QueueingHappensWhenCoresExhausted) {
+  // 1 node x 4 cores, 6 simultaneous jobs: exactly two must wait.
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(1), library_, tiny_suite(), &service);
+  const std::vector<Job> jobs(6, Job{3, 0.0});
+  const ReplayOutcome out =
+      sim.replay(jobs, sched::PlacementPolicy::kFirstFit);
+  std::size_t waited = 0;
+  for (const JobOutcome& job : out.jobs) {
+    if (job.start_s > job.arrival_s) ++waited;
+  }
+  EXPECT_EQ(waited, 2u);
+  EXPECT_GT(out.mean_wait_s, 0.0);
+}
+
+TEST_F(ClusterTest, LeastLoadedSpreadsAcrossNodes) {
+  // One job per node: nobody shares a node, so each runs at slowdown 1.
+  const std::vector<Job> jobs(4, Job{0, 0.0});
+  const ReplayOutcome out = replay_fresh(
+      jobs, sched::PlacementPolicy::kLeastLoaded, predictor_);
+  std::set<std::uint32_t> used;
+  for (const JobOutcome& job : out.jobs) {
+    used.insert(job.node);
+    EXPECT_NEAR(job.slowdown, 1.0, 1e-9);
+  }
+  EXPECT_EQ(used.size(), 4u);
+}
+
+TEST_F(ClusterTest, FirstFitPacksOneNode) {
+  const std::vector<Job> jobs(4, Job{1, 0.0});
+  const ReplayOutcome out =
+      replay_fresh(jobs, sched::PlacementPolicy::kFirstFit, predictor_);
+  for (const JobOutcome& job : out.jobs) EXPECT_EQ(job.node, 0u);
+}
+
+TEST_F(ClusterTest, InterferenceAwareBeatsFirstFitOnSlowdown) {
+  // A mix of hungry and quiet jobs arriving in two bursts on 3 nodes.
+  std::vector<Job> jobs;
+  for (int burst = 0; burst < 2; ++burst) {
+    for (AppId app = 0; app < tiny_suite().size(); ++app) {
+      jobs.push_back(Job{app, burst * 50.0});
+    }
+  }
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(3), library_, tiny_suite(), &service);
+  const ReplayOutcome aware =
+      sim.replay(jobs, sched::PlacementPolicy::kInterferenceAware);
+  const ReplayOutcome blind =
+      sim.replay(jobs, sched::PlacementPolicy::kFirstFit);
+  EXPECT_LE(aware.mean_slowdown, blind.mean_slowdown + 1e-9);
+}
+
+TEST_F(ClusterTest, InterferenceAwareNeedsPredictor) {
+  // Interference-aware placement scores nodes through the service, which
+  // cannot exist without a predictor; the DVFS leg also needs baselines.
+  EXPECT_THROW(PlacementService(nullptr), coloc::runtime_error);
+  PlacementService service = make_service(predictor_);
+  EventSimulator sim(sim_config(2), library_, tiny_suite(), &service);
+  EXPECT_THROW(sim.replay({{0, 0.0}}, sched::PlacementPolicy::kDvfsAware),
+               coloc::runtime_error);
+}
+
+TEST_F(ClusterTest, EmptyJobListYieldsEmptyOutcome) {
+  const ReplayOutcome out =
+      replay_fresh({}, sched::PlacementPolicy::kFirstFit, predictor_);
+  EXPECT_TRUE(out.jobs.empty());
+  EXPECT_EQ(out.makespan_s, 0.0);
+  EXPECT_EQ(out.total_energy_j, 0.0);
+}
+
+TEST_F(ClusterTest, JobStreamGeneratorProperties) {
+  const std::vector<Job> jobs = make_job_stream(4, 10, 5.0, 7);
+  ASSERT_EQ(jobs.size(), 10u);
+  EXPECT_EQ(jobs[0].arrival_s, 0.0);  // the stream opens at t = 0
+  for (std::size_t i = 1; i < jobs.size(); ++i) {
+    EXPECT_GE(jobs[i].arrival_s, jobs[i - 1].arrival_s);
+  }
+  for (const Job& job : jobs) EXPECT_LT(job.app, 4u);
+  // Deterministic per seed.
+  const std::vector<Job> again = make_job_stream(4, 10, 5.0, 7);
+  EXPECT_EQ(jobs[9].app, again[9].app);
+  EXPECT_EQ(jobs[9].arrival_s, again[9].arrival_s);
+  // An empty catalog or a negative mean gap is rejected.
+  EXPECT_THROW(make_job_stream(0, 10, 5.0, 7), coloc::runtime_error);
+  EXPECT_THROW(make_job_stream(4, 10, -1.0, 7), coloc::runtime_error);
+}
+
+TEST_F(ClusterTest, ZeroInterarrivalMeansSimultaneous) {
+  const std::vector<Job> jobs = make_job_stream(4, 5, 0.0, 1);
+  ASSERT_EQ(jobs.size(), 5u);
+  for (const Job& job : jobs) EXPECT_EQ(job.arrival_s, 0.0);
+}
+
+TEST_F(ClusterTest, InvalidConfigRejected) {
+  PlacementService service = make_service(predictor_);
+  EXPECT_THROW(EventSimulator(sim_config(0), library_, tiny_suite(),
+                              &service),
+               coloc::runtime_error);
+  EventSimConfig bad_pstate = sim_config(1);
+  bad_pstate.pstate_index = tiny_machine().pstates.size();
+  EXPECT_THROW(EventSimulator(bad_pstate, library_, tiny_suite(), &service),
+               coloc::runtime_error);
+  EXPECT_THROW(EventSimulator(sim_config(1), nullptr, tiny_suite(),
+                              &service),
+               coloc::runtime_error);
+  EXPECT_THROW(EventSimulator(sim_config(1), library_, tiny_suite(),
+                              nullptr),
                coloc::runtime_error);
 }
 

@@ -95,33 +95,6 @@ TEST(MlpBatchedTest, PredictAllMatchesPerRowPredict) {
     ASSERT_EQ(batched[r], model.predict(queries.row(r))) << "row " << r;
 }
 
-TEST(MlpBatchedTest, ParallelRestartsMatchSerialRestarts) {
-  // Each restart is a pure function of (seed, restart index), so the
-  // trained model must be identical whether restarts run on the pool or
-  // inline — and regardless of how many workers the host has.
-  Rng rng(109);
-  const linalg::Matrix x = random_matrix(48, 5, rng);
-  std::vector<double> y(x.rows());
-  for (std::size_t r = 0; r < x.rows(); ++r)
-    y[r] = x(r, 1) * x(r, 2) - 0.5 * x(r, 4);
-
-  MlpOptions serial;
-  serial.hidden_units = 6;
-  serial.max_iterations = 120;
-  serial.restarts = 3;
-  serial.parallel_restarts = false;
-  MlpOptions parallel = serial;
-  parallel.parallel_restarts = true;
-
-  const MlpRegressor a = MlpRegressor::fit(x, y, serial);
-  const MlpRegressor b = MlpRegressor::fit(x, y, parallel);
-  ASSERT_EQ(a.training_loss(), b.training_loss());
-  const auto pa = a.network().parameters();
-  const auto pb = b.network().parameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) ASSERT_EQ(pa[i], pb[i]);
-}
-
 TEST(MlpBatchedTest, FusedRestartsBitIdenticalToSequential) {
   // The fused trainer stacks every restart's weight plane into batched
   // GEMMs; it must reproduce the sequential restart loop bit for bit at
@@ -140,7 +113,6 @@ TEST(MlpBatchedTest, FusedRestartsBitIdenticalToSequential) {
     sequential.max_iterations = 90;
     sequential.restarts = restarts;
     sequential.fused_restarts = false;
-    sequential.parallel_restarts = false;
     MlpOptions fused = sequential;
     fused.fused_restarts = true;
 
@@ -173,7 +145,6 @@ TEST(MlpBatchedTest, FusedEarlyStopMaskingMatchesSequential) {
   sequential.gradient_tolerance = 1e-3;  // loose: restarts stop early
   sequential.restarts = 5;
   sequential.fused_restarts = false;
-  sequential.parallel_restarts = false;
   MlpOptions fused = sequential;
   fused.fused_restarts = true;
 

@@ -233,13 +233,11 @@ TEST(ParallelZoo, FusedMultiRestartZooIdenticalToSequentialLoop) {
   sequential_config.zoo.mlp.max_iterations = 60;
   sequential_config.zoo.mlp.restarts = 3;
   sequential_config.zoo.mlp.fused_restarts = false;
-  sequential_config.zoo.mlp.parallel_restarts = false;
 
   EvaluationConfig fused_config = sequential_config;
   fused_config.validation.parallel = true;
   fused_config.validation.jobs = 4;
   fused_config.zoo.mlp.fused_restarts = true;
-  fused_config.zoo.mlp.parallel_restarts = true;
 
   const EvaluationSuite sequential =
       evaluate_model_zoo(campaign.dataset, sequential_config);

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/app_model.hpp"
 #include "sim/mrc.hpp"
 
@@ -133,16 +134,30 @@ TEST(ProfileMemo, ClearEmptiesAllShards) {
 }
 
 TEST(ProfileMemo, TransparentThroughAppMrcLibrary) {
-  // The second library's profile is served from the process-wide memo (when
-  // enabled) or recomputed (when COLOC_PROFILE_MEMO=0); either way the
-  // curve must be bit-identical to the first library's freshly computed one.
+  // A curve served from the process-wide memo must be bit-identical to the
+  // same profile recomputed from scratch after the memo is cleared.
   ApplicationSpec app = find_application("canneal");
   app.profile_references = 200'000;  // keep the test fast
-  AppMrcLibrary first;
-  first.profile_all({app}, 77);
-  AppMrcLibrary second;
-  second.profile_all({app}, 77);
-  EXPECT_TRUE(curves_bit_identical(first.curve(app), second.curve(app)));
+  auto& registry = obs::Registry::global();
+  const obs::Counter& hits = registry.counter("sim_profile_memo_hits_total");
+  const obs::Counter& misses =
+      registry.counter("sim_profile_memo_misses_total");
+
+  AppMrcLibrary warm;
+  warm.profile_all({app}, 77);  // leaves the entry in the memo
+  const std::uint64_t hits_before = hits.value();
+  AppMrcLibrary served;
+  served.profile_all({app}, 77);
+  EXPECT_EQ(hits.value() - hits_before, 1u);
+
+  ProfileMemo::global().clear();
+  const std::uint64_t misses_before = misses.value();
+  AppMrcLibrary recomputed;
+  recomputed.profile_all({app}, 77);
+  EXPECT_EQ(misses.value() - misses_before, 1u);
+
+  EXPECT_TRUE(
+      curves_bit_identical(served.curve(app), recomputed.curve(app)));
 }
 
 }  // namespace

@@ -32,7 +32,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
-#include "sched/cluster.hpp"
+#include "sched/placement_policy.hpp"
 #include "serve/demo_fleet.hpp"
 #include "serve/event_sim.hpp"
 #include "serve/placement_service.hpp"
