@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/manifest.hpp"
 
 namespace coloc::fault {
 
@@ -123,11 +124,7 @@ FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {
 
 std::uint64_t FaultPlan::mix(std::string_view cell_key, std::uint64_t attempt,
                              std::uint64_t salt) const {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ config_.seed;
-  for (char c : cell_key) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ULL;  // FNV-1a step
-  }
+  std::uint64_t h = obs::fnv1a64(cell_key, obs::kFnv1aBasis ^ config_.seed);
   h ^= attempt * 0x9e3779b97f4a7c15ULL;
   h ^= salt * 0x2545f4914f6cdd1dULL;
   return splitmix64(h);

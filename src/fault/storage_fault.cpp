@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 
 namespace coloc::fault {
@@ -120,11 +121,7 @@ StorageFaultPlan::StorageFaultPlan(StorageFaultPlanConfig config)
 std::uint64_t StorageFaultPlan::mix(std::string_view path,
                                     std::uint64_t op_index,
                                     std::uint64_t salt) const {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ config_.seed;
-  for (char c : path) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ULL;  // FNV-1a step
-  }
+  std::uint64_t h = obs::fnv1a64(path, obs::kFnv1aBasis ^ config_.seed);
   h ^= op_index * 0x9e3779b97f4a7c15ULL;
   h ^= salt * 0x2545f4914f6cdd1dULL;
   return splitmix64(h);

@@ -3,17 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/memo.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -32,8 +30,6 @@ struct ValidationMetrics {
   obs::Histogram& partition_seconds;
   obs::Gauge& last_test_mpe;
   obs::Counter& rows_skipped;
-  obs::Counter& memo_hits;
-  obs::Counter& memo_misses;
 
   static ValidationMetrics& get() {
     auto& registry = obs::Registry::global();
@@ -46,8 +42,6 @@ struct ValidationMetrics {
         registry.histogram("validation_partition_seconds"),
         registry.gauge("validation_last_test_mpe"),
         registry.counter("validation_rows_skipped_total"),
-        registry.counter("validation_design_memo_hits_total"),
-        registry.counter("validation_design_memo_misses_total"),
     };
     return metrics;
   }
@@ -176,19 +170,20 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
   // job-independent, so jobs over the same feature columns (e.g. the linear
   // and MLP arms of one feature set) gather the exact same train/test split
   // from byte-identical x_full matrices. The memo shares one gathered copy
-  // instead of rebuilding it per job. Keying is EXACT (a byte serialization
-  // of columns + seed + holdout fraction + usable-row count + partition, so
-  // no hash-collision risk); store::digest64 of that key is the displayable
-  // FNV-1a digest. The memo is invisible: the gather is deterministic, so
-  // a shared copy is byte-identical to a job gathering its own (tested
-  // against each job validated alone).
+  // instead of rebuilding it per job. It is an ExactMemo keyed on a byte
+  // serialization of columns + seed + holdout fraction + usable-row count +
+  // partition, so no hash collision can alias two splits. The memo is
+  // invisible: the gather is deterministic, so a shared copy is
+  // byte-identical to a job gathering its own (tested against each job
+  // validated alone).
   struct GatheredSplit {
     SplitIndices split;
     linalg::Matrix x_train, x_test;
     std::vector<double> y_train, y_test;
   };
-  std::mutex memo_mutex;
-  std::unordered_map<std::string, std::shared_ptr<const GatheredSplit>> memo;
+  ExactMemo<std::shared_ptr<const GatheredSplit>> memo(
+      "validation_design_memo_hits_total",
+      "validation_design_memo_misses_total");
 
   auto run_task = [&](std::size_t t) {
     const TaskRef ref = tasks[t];
@@ -204,39 +199,25 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
     const std::uint64_t seed =
         options.seed * 0x9e3779b97f4a7c15ULL +
         static_cast<std::uint64_t>(ref.partition) * 0x61c88647ULL;
-    std::shared_ptr<const GatheredSplit> gathered;
     std::string key;
     key.reserve((state.job->columns.size() + 4) * sizeof(std::uint64_t));
-    auto append_u64 = [&key](std::uint64_t v) {
-      key.append(reinterpret_cast<const char*>(&v), sizeof v);
-    };
-    for (std::size_t col : state.job->columns) append_u64(col);
-    append_u64(options.seed);
-    std::uint64_t holdout_bits = 0;
-    std::memcpy(&holdout_bits, &options.holdout_fraction,
-                sizeof holdout_bits);
-    append_u64(holdout_bits);
-    append_u64(usable.size());
-    append_u64(ref.partition);
-    {
-      std::lock_guard<std::mutex> lock(memo_mutex);
-      auto it = memo.find(key);
-      if (it != memo.end()) gathered = it->second;
-    }
-    if (gathered) {
-      metrics.memo_hits.inc();
-    } else {
+    for (std::size_t col : state.job->columns) memo_key::append_u64(key, col);
+    memo_key::append_u64(key, options.seed);
+    memo_key::append_double(key, options.holdout_fraction);
+    memo_key::append_u64(key, usable.size());
+    memo_key::append_u64(key, ref.partition);
+    std::shared_ptr<const GatheredSplit> gathered =
+        memo.lookup(key).value_or(nullptr);
+    if (!gathered) {
       auto fresh = std::make_shared<GatheredSplit>();
       fresh->split = random_split(usable.size(), options.holdout_fraction, seed);
       fresh->x_train = gather_rows(state.x_full, fresh->split.train);
       fresh->y_train = gather(state.y_full, fresh->split.train);
       fresh->x_test = gather_rows(state.x_full, fresh->split.test);
       fresh->y_test = gather(state.y_full, fresh->split.test);
-      metrics.memo_misses.inc();
-      std::lock_guard<std::mutex> lock(memo_mutex);
       // First writer wins; a racing duplicate is dropped and both tasks
       // keep byte-identical copies either way.
-      gathered = memo.emplace(key, fresh).first->second;
+      gathered = memo.store(std::move(key), std::move(fresh));
     }
     const SplitIndices& split = gathered->split;
     const linalg::Matrix& x_train = gathered->x_train;

@@ -31,8 +31,8 @@
 
 namespace coloc::obs {
 
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::string_view data, std::uint64_t basis) {
+  std::uint64_t h = basis;
   for (char c : data) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;

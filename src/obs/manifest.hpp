@@ -20,10 +20,16 @@
 
 namespace coloc::obs {
 
+/// The FNV-1a 64-bit offset basis.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
 /// FNV-1a 64-bit hash; stable across platforms, used to fingerprint the
 /// (deterministically rendered) metrics JSON so two manifests can assert
-/// "same metrics" without shipping the whole snapshot twice.
-std::uint64_t fnv1a64(std::string_view data);
+/// "same metrics" without shipping the whole snapshot twice. Passing a
+/// previous result as `basis` continues the hash over more bytes:
+/// fnv1a64("ab") == fnv1a64("b", fnv1a64("a")).
+std::uint64_t fnv1a64(std::string_view data,
+                      std::uint64_t basis = kFnv1aBasis);
 
 /// Cumulative user+system CPU seconds of this process from
 /// /proc/self/stat, or -1 when unavailable (non-Linux platforms).

@@ -15,17 +15,6 @@ namespace coloc::serve {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-inline std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 constexpr double kTimeEps = 1e-9;
 
 }  // namespace
@@ -66,6 +55,8 @@ EventSimulator::EventSimulator(EventSimConfig config,
   COLOC_CHECK_MSG(config_.nodes >= 1, "event sim needs at least one node");
   COLOC_CHECK_MSG(config_.pstate_index < config_.node.pstates.size(),
                   "P-state index out of range");
+  COLOC_CHECK_MSG(config_.node.pstates.size() <= 256,
+                  "event sim supports at most 256 P-states");
   sim::validate(config_.node);
   COLOC_CHECK_MSG(!catalog_.empty(), "event sim needs a job catalog");
   for (std::size_t i = 0; i < catalog_.size(); ++i) {
@@ -79,21 +70,20 @@ EventSimulator::EventSimulator(EventSimConfig config,
       baseline_by_app_.push_back(&baselines_->at(spec.name));
     }
   }
+  const double ghz = config_.node.pstates[config_.pstate_index].frequency_ghz;
+  alone_time_s_.reserve(catalog_.size());
+  for (const sim::ApplicationSpec& spec : catalog_) {
+    const std::vector<sim::ScheduledApp> alone = {
+        sim::ScheduledApp{&spec, &library_->curve(spec)}};
+    const sim::ContentionSolution solution =
+        sim::solve_contention(config_.node, ghz, alone, config_.contention);
+    alone_time_s_.push_back(solution.apps[0].execution_time_s);
+  }
 }
 
-double EventSimulator::alone_time(AppId app) {
-  auto it = alone_time_cache_.find(app);
-  if (it != alone_time_cache_.end()) return it->second;
-  COLOC_CHECK_MSG(app < catalog_.size(), "AppId out of range");
-  const sim::ApplicationSpec& spec = catalog_[app];
-  std::vector<sim::ScheduledApp> apps = {
-      sim::ScheduledApp{&spec, &library_->curve(spec)}};
-  const sim::ContentionSolution solution = sim::solve_contention(
-      config_.node, config_.node.pstates[config_.pstate_index].frequency_ghz,
-      apps, config_.contention);
-  const double t = solution.apps[0].execution_time_s;
-  alone_time_cache_.emplace(app, t);
-  return t;
+double EventSimulator::alone_time(AppId app) const {
+  COLOC_CHECK_MSG(app < alone_time_s_.size(), "AppId out of range");
+  return alone_time_s_[app];
 }
 
 void EventSimulator::advance_node(NodeState& node, double now) {
@@ -115,9 +105,8 @@ void EventSimulator::resolve_node(NodeState& node, std::uint32_t node_index,
     node.pstate = config_.pstate_index;  // idle nodes return to the default
     return;
   }
-  std::uint64_t key = fnv_step(kFnvOffset, node.pstate);
-  for (const Resident& r : node.residents) key = fnv_step(key, r.app);
-
+  const std::uint64_t key =
+      std::uint64_t{service_->membership_id(node_index)} << 8 | node.pstate;
   auto it = rate_cache_.find(key);
   if (it != rate_cache_.end()) {
     ++outcome.rate_cache_hits;

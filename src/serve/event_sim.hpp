@@ -11,10 +11,10 @@
 //     carries an epoch counter; any membership change bumps it, so stale
 //     completion events pop and are discarded in O(log E) instead of being
 //     searched for. Only the touched node is re-solved.
-//   * Contention fixed points are memoized by (P-state, ordered member
-//     AppIds) — a bounded application catalog means a long replay revisits
-//     the same co-locations constantly, so steady-state membership changes
-//     cost a hash lookup, not a solver run.
+//   * Contention fixed points are memoized by (P-state, the service's
+//     interned membership id) — a bounded application catalog means a long
+//     replay revisits the same co-locations constantly, so steady-state
+//     membership changes cost a table lookup, not a solver run.
 //   * Placement questions go to the PlacementService: the scheduler's view
 //     of the fleet is mirrored there, and interference-aware policies ask
 //     score_candidates() for the predicted-slowdown cost of every feasible
@@ -111,8 +111,9 @@ class EventSimulator {
   ReplayOutcome replay(const std::vector<Job>& jobs,
                        sched::PlacementPolicy policy);
 
-  /// Run-alone execution time at config.pstate_index (memoized).
-  double alone_time(AppId app);
+  /// Run-alone execution time at config.pstate_index (solved once per
+  /// catalog app at construction).
+  double alone_time(AppId app) const;
 
  private:
   struct Resident {
@@ -163,12 +164,12 @@ class EventSimulator {
   std::priority_queue<Event, std::vector<Event>, EventAfter> heap_;
   std::uint64_t next_seq_ = 0;
 
-  /// Fixed-point memo keyed by an FNV-1a mix of (P-state, ordered member
-  /// AppIds); values are instruction rates aligned with the sorted resident
-  /// order. Same collision-probability tradeoff as the service's score
-  /// memo (~1e-12 for bounded catalogs vs a 2^64 key space).
+  /// Fixed-point memo keyed by membership_id << 8 | P-state. The service
+  /// mirrors every add/remove before resolve_node runs, so the id names
+  /// exactly the resident multiset; values are instruction rates aligned
+  /// with the sorted resident order.
   std::unordered_map<std::uint64_t, std::vector<double>> rate_cache_;
-  std::unordered_map<AppId, double> alone_time_cache_;
+  std::vector<double> alone_time_s_;  // indexed by AppId
 
   // Per-replay query scratch (allocation-free steady state).
   std::vector<std::uint32_t> candidate_scratch_;

@@ -10,20 +10,13 @@ namespace coloc::serve {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 /// Initial hash-table reservation for the score memo.
 constexpr std::size_t kExpectedCacheEntries = 1 << 15;
 
-inline std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
-  // Hash the value one byte at a time so every bit lands in the mix.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
+/// Score-key field widths: the target AppId sits above 8 P-state bits and
+/// below the 32-bit membership id.
+constexpr std::size_t kMaxApps = std::size_t{1} << 24;
+constexpr std::size_t kMaxMemberships = std::size_t{1} << 32;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -76,6 +69,8 @@ AppId PlacementService::register_app(const core::BaselineProfile& profile) {
   COLOC_CHECK_MSG(!profile.execution_time_s.empty(),
                   "baseline profile for '" + profile.app_name +
                       "' has no P-state times");
+  COLOC_CHECK_MSG(apps_.size() < kMaxApps,
+                  "placement catalog is full (2^24 apps)");
   AppEntry entry;
   entry.name = profile.app_name;
   entry.time_s = profile.execution_time_s;
@@ -131,15 +126,23 @@ void PlacementService::refresh_aggregates(NodeState& node) {
   node.mem_sum = 0.0;
   node.cmca_sum = 0.0;
   node.cains_sum = 0.0;
-  std::uint64_t h = kFnvOffset;
   for (AppId member : node.members) {
     const AppEntry& entry = apps_[member];
     node.mem_sum += entry.mem;
     node.cmca_sum += entry.cmca;
     node.cains_sum += entry.cains;
-    h = fnv_step(h, member);
   }
-  node.membership_hash = h;
+  membership_scratch_.assign(
+      reinterpret_cast<const char*>(node.members.data()),
+      node.members.size() * sizeof(AppId));
+  auto it = membership_ids_.find(membership_scratch_);
+  if (it == membership_ids_.end()) {
+    COLOC_CHECK_MSG(membership_ids_.size() < kMaxMemberships,
+                    "placement service ran out of membership ids (2^32)");
+    const auto id = static_cast<std::uint32_t>(membership_ids_.size());
+    it = membership_ids_.emplace(membership_scratch_, id).first;
+  }
+  node.membership = it->second;
 }
 
 void PlacementService::add_resident(std::size_t node, AppId app) {
@@ -169,6 +172,11 @@ std::size_t PlacementService::occupancy(std::size_t node) const {
 const std::vector<AppId>& PlacementService::members(std::size_t node) const {
   COLOC_CHECK_MSG(node < nodes_.size(), "node index out of range");
   return nodes_[node].members;
+}
+
+std::uint32_t PlacementService::membership_id(std::size_t node) const {
+  COLOC_CHECK_MSG(node < nodes_.size(), "node index out of range");
+  return nodes_[node].membership;
 }
 
 void PlacementService::assemble_row(const AppEntry& subject,
@@ -252,8 +260,8 @@ void PlacementService::score_candidates(AppId target,
       out_cost[i] = 1.0;
       continue;
     }
-    std::uint64_t key = fnv_step(node.membership_hash, target);
-    key = fnv_step(key, pstates[i]);
+    const std::uint64_t key = std::uint64_t{node.membership} << 32 |
+                              std::uint64_t{target} << 8 | pstates[i];
     if (options_.enable_score_cache) {
       auto it = score_cache_.find(key);
       if (it != score_cache_.end()) {

@@ -15,13 +15,16 @@
 //      per-(node-membership) feature-assembly cache. Assembling the
 //      feature row for "app A joins node N" is then O(columns), not
 //      O(residents): the co-app aggregates are already materialized.
+//      Each distinct sorted membership is also interned to a dense
+//      32-bit id, so equal memberships share one id however they were
+//      reached and distinct ones never do.
 //   3. score_candidates() answers the scheduler's real question — the
 //      interference-aware placement cost of putting a target on each
 //      candidate node — through one batched predict_into call over all
-//      assembled rows, with a memo table keyed by (target, P-state, node
-//      membership): under a bounded application catalog the same
-//      co-location recurs millions of times in a long replay, so the
-//      steady state is pure hash lookups.
+//      assembled rows, with a memo table keyed exactly by (membership id,
+//      target, P-state) packed into one integer: under a bounded
+//      application catalog the same co-location recurs millions of times
+//      in a long replay, so the steady state is pure table lookups.
 //
 // Everything is deterministic: scores are pure functions of (model bytes,
 // target, membership, P-state), caches only skip recomputation, and two
@@ -74,7 +77,7 @@ class PlacementService {
 
   /// Interns an application's baseline characterization. Ids are assigned
   /// sequentially in registration order; re-registering a known name
-  /// returns its existing id.
+  /// returns its existing id. The catalog holds fewer than 2^24 apps.
   AppId register_app(const core::BaselineProfile& profile);
   /// Registers a whole baseline library (name-sorted map order, so id
   /// assignment is deterministic).
@@ -96,6 +99,10 @@ class PlacementService {
   std::size_t occupancy(std::size_t node) const;
   /// Current membership, sorted by AppId (canonical form).
   const std::vector<AppId>& members(std::size_t node) const;
+  /// Interned id of the node's current membership: equal sorted
+  /// memberships share one id, distinct ones never do. Ids live as long as
+  /// the service; reset_fleet and clear_score_cache keep them.
+  std::uint32_t membership_id(std::size_t node) const;
 
   // -- query hot path -----------------------------------------------------
 
@@ -153,7 +160,7 @@ class PlacementService {
     double mem_sum = 0.0;
     double cmca_sum = 0.0;
     double cains_sum = 0.0;
-    std::uint64_t membership_hash = 0;  // FNV-1a over sorted members
+    std::uint32_t membership = 0;  // interned id of `members`
   };
 
   void refresh_aggregates(NodeState& node);
@@ -168,12 +175,13 @@ class PlacementService {
   std::vector<AppEntry> apps_;
   std::unordered_map<std::string, AppId> ids_;
   std::vector<NodeState> nodes_;
+  /// Sorted membership bytes -> interned id.
+  std::unordered_map<std::string, std::uint32_t> membership_ids_;
+  std::string membership_scratch_;
 
-  /// Score memo keyed by a 64-bit FNV-1a mix of (target, P-state, sorted
-  /// membership). A collision would silently alias two co-locations, but
-  /// with the bounded catalogs this serves (thousands of distinct keys
-  /// against a 2^64 space) the probability is ~1e-12 — accepted and
-  /// documented rather than paying for full-key storage on the hot path.
+  /// Score memo keyed by membership << 32 | target << 8 | P-state. Each
+  /// field fits its bits (ids < 2^32, apps < 2^24, P-states < 2^8), so
+  /// distinct co-locations never share a key.
   std::unordered_map<std::uint64_t, double> score_cache_;
 
   // Reusable query scratch (grown once, then allocation-free).

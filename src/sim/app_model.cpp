@@ -5,6 +5,7 @@
 #include <chrono>
 #include <mutex>
 #include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -224,9 +225,10 @@ MissRatioCurve AppMrcLibrary::profile_one(const ApplicationSpec& app,
   // The curve is a pure function of (trace shape, seed, horizon); the
   // process-wide memo dedups the repeated profiling jobs sweep campaigns
   // issue (every arm builds its own AppMrcLibrary).
-  const std::string memo_key = ProfileMemo::key(app.trace, seed, n);
-  MissRatioCurve cached;
-  if (ProfileMemo::global().lookup(memo_key, &cached)) return cached;
+  std::string memo_key = ProfileMemo::key(app.trace, seed, n);
+  if (auto cached = ProfileMemo::global().lookup(memo_key)) {
+    return *std::move(cached);
+  }
 
   const auto profile_start = std::chrono::steady_clock::now();
   TraceGenerator gen(app.trace, seed);
@@ -248,8 +250,7 @@ MissRatioCurve AppMrcLibrary::profile_one(const ApplicationSpec& app,
       .observe(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              profile_start)
                    .count());
-  ProfileMemo::global().store(memo_key, curve);
-  return curve;
+  return ProfileMemo::global().store(std::move(memo_key), std::move(curve));
 }
 
 }  // namespace coloc::sim

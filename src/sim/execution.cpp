@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -13,8 +14,6 @@ struct SimMetrics {
   obs::Counter& runs;
   obs::Counter& instructions;
   obs::Counter& contention_solves;
-  obs::Counter& cache_hits;
-  obs::Counter& cache_misses;
 
   static SimMetrics& get() {
     auto& registry = obs::Registry::global();
@@ -22,26 +21,18 @@ struct SimMetrics {
         registry.counter("sim_runs_total"),
         registry.counter("sim_instructions_total"),
         registry.counter("sim_contention_solves_total"),
-        registry.counter("sim_solve_cache_hits_total"),
-        registry.counter("sim_solve_cache_misses_total"),
     };
     return metrics;
   }
 };
-
-std::uint64_t hash_string(std::uint64_t h, const std::string& s) {
-  for (char c : s) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ULL;  // FNV-1a step
-  }
-  return h;
-}
 }  // namespace
 
 Simulator::Simulator(MachineConfig machine, AppMrcLibrary* library,
                      MeasurementOptions options)
     : machine_(std::move(machine)), library_(library),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      solve_cache_("sim_solve_cache_hits_total",
+                   "sim_solve_cache_misses_total") {
   COLOC_CHECK_MSG(library_ != nullptr, "simulator needs an MRC library");
   validate(machine_);
 }
@@ -50,10 +41,10 @@ std::uint64_t Simulator::run_seed(const ApplicationSpec& target,
                                   const std::vector<ApplicationSpec>& coapps,
                                   std::size_t pstate_index,
                                   std::uint64_t repetition) const {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ options_.seed;
-  h = hash_string(h, machine_.name);
-  h = hash_string(h, target.name);
-  for (const auto& c : coapps) h = hash_string(h, c.name);
+  std::uint64_t h =
+      obs::fnv1a64(machine_.name, obs::kFnv1aBasis ^ options_.seed);
+  h = obs::fnv1a64(target.name, h);
+  for (const auto& c : coapps) h = obs::fnv1a64(c.name, h);
   h ^= pstate_index * 0x9e3779b97f4a7c15ULL;
   h ^= repetition * 0x2545f4914f6cdd1dULL;
   return h;
@@ -63,44 +54,26 @@ ContentionSolution Simulator::solve(const std::vector<ApplicationSpec>& apps,
                                     std::size_t pstate_index) const {
   COLOC_CHECK_MSG(pstate_index < machine_.pstates.size(),
                   "P-state index out of range");
-  SimMetrics& metrics = SimMetrics::get();
 
-  // Memo key: P-state plus the ordered app-name sequence (\x1f-separated;
-  // the separator cannot appear in app names). Order-exact on purpose —
-  // see the solve() contract in execution.hpp.
-  std::string key = std::to_string(pstate_index);
-  for (const auto& app : apps) {
-    key.push_back('\x1f');
-    key.append(app.name);
-  }
-  CacheShard& shard =
-      solve_cache_[std::hash<std::string>{}(key) % kCacheShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      metrics.cache_hits.inc();
-      return it->second;
-    }
-  }
-  metrics.cache_misses.inc();
+  // Memo key: P-state plus the ordered, length-prefixed app names.
+  // Order-exact on purpose — see the solve() contract in execution.hpp.
+  std::string key;
+  memo_key::append_u64(key, pstate_index);
+  for (const auto& app : apps) memo_key::append_string(key, app.name);
+  if (auto cached = solve_cache_.lookup(key)) return *std::move(cached);
 
   obs::ScopedSpan span("sim/solve_contention", "sim");
-  metrics.contention_solves.inc();
+  SimMetrics::get().contention_solves.inc();
   std::vector<ScheduledApp> scheduled;
   scheduled.reserve(apps.size());
   for (const auto& app : apps) {
     scheduled.push_back(
         ScheduledApp{&app, &library_->curve(app)});
   }
-  ContentionSolution solution =
+  return solve_cache_.store(
+      std::move(key),
       solve_contention(machine_, machine_.pstates[pstate_index].frequency_ghz,
-                       scheduled, options_.contention);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.emplace(key, solution);
-  }
-  return solution;
+                       scheduled, options_.contention));
 }
 
 RunMeasurement Simulator::measure(const ApplicationSpec& target,

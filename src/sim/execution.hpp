@@ -8,13 +8,11 @@
 // measurements.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/memo.hpp"
 #include "common/rng.hpp"
 #include "sim/app_model.hpp"
 #include "sim/contention.hpp"
@@ -96,15 +94,16 @@ class Simulator : public MeasurementSource {
                                std::uint64_t repetition = 0) override;
 
   /// Direct access to the noise-free solver (diagnostics, ablations).
-  /// Memoized: repeated requests for the same (P-state, app sequence)
-  /// return a copy of the first solution instead of re-running the
-  /// fixed-point iteration. Hits/misses are counted in the obs registry
-  /// (sim_solve_cache_{hits,misses}_total). The cache key is the ORDERED
-  /// app-name sequence, not a sorted multiset: the solver's reductions
-  /// iterate in input order, so a canonicalized key could return a
-  /// bit-different solution for a reordered request. The machine, MRC
-  /// library, and contention options are fixed at construction, so cached
-  /// entries never need invalidation for the simulator's lifetime.
+  /// Memoized in an ExactMemo: repeated requests for the same (P-state,
+  /// app sequence) return a copy of the first solution instead of
+  /// re-running the fixed-point iteration. Hits/misses are counted in the
+  /// obs registry (sim_solve_cache_{hits,misses}_total). The key is the
+  /// P-state plus the ORDERED, length-prefixed app names, not a sorted
+  /// multiset: the solver's reductions iterate in input order, so a
+  /// canonicalized key could return a bit-different solution for a
+  /// reordered request. The machine, MRC library, and contention options
+  /// are fixed at construction, so cached entries never need invalidation
+  /// for the simulator's lifetime.
   ContentionSolution solve(const std::vector<ApplicationSpec>& apps,
                            std::size_t pstate_index) const;
 
@@ -121,16 +120,8 @@ class Simulator : public MeasurementSource {
   MachineConfig machine_;
   AppMrcLibrary* library_;  // not owned
   MeasurementOptions options_;
-
-  // Mutex-striped solve memoization (the machine is implicit: one cache
-  // per Simulator). Striping keeps concurrent validation/campaign threads
-  // from serializing on a single lock; each key hashes to one shard.
-  static constexpr std::size_t kCacheShards = 8;
-  struct CacheShard {
-    std::mutex mutex;
-    std::unordered_map<std::string, ContentionSolution> entries;
-  };
-  mutable std::array<CacheShard, kCacheShards> solve_cache_;
+  // One memo per Simulator, so the machine is implicit in every key.
+  mutable ExactMemo<ContentionSolution> solve_cache_;
 };
 
 }  // namespace coloc::sim

@@ -1,37 +1,10 @@
 #include "sim/profile_memo.hpp"
 
-#include <bit>
-#include <cstring>
-
-#include "obs/metrics.hpp"
-
 namespace coloc::sim {
 
-namespace {
-struct MemoMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-
-  static MemoMetrics& get() {
-    auto& registry = obs::Registry::global();
-    static MemoMetrics metrics{
-        registry.counter("sim_profile_memo_hits_total"),
-        registry.counter("sim_profile_memo_misses_total"),
-    };
-    return metrics;
-  }
-};
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out.append(buf, sizeof(buf));
-}
-
-void append_double(std::string& out, double v) {
-  append_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-}  // namespace
+ProfileMemo::ProfileMemo()
+    : ExactMemo("sim_profile_memo_hits_total",
+                "sim_profile_memo_misses_total") {}
 
 ProfileMemo& ProfileMemo::global() {
   static ProfileMemo memo;
@@ -40,6 +13,8 @@ ProfileMemo& ProfileMemo::global() {
 
 std::string ProfileMemo::key(const TraceSpec& spec, std::uint64_t seed,
                              std::size_t horizon) {
+  using memo_key::append_double;
+  using memo_key::append_u64;
   // Every field below shapes the generated address stream; spec.name does
   // not, so two identically-shaped apps share one profile.
   std::string key;
@@ -59,53 +34,6 @@ std::string ProfileMemo::key(const TraceSpec& spec, std::uint64_t seed,
     append_double(key, p.mix.pointer);
   }
   return key;
-}
-
-std::uint64_t ProfileMemo::digest(const std::string& key) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : key) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ULL;  // FNV-1a step
-  }
-  return h;
-}
-
-bool ProfileMemo::lookup(const std::string& key, MissRatioCurve* out) {
-  MemoMetrics& metrics = MemoMetrics::get();
-  Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      *out = it->second;
-      metrics.hits.inc();
-      return true;
-    }
-  }
-  metrics.misses.inc();
-  return false;
-}
-
-void ProfileMemo::store(const std::string& key, const MissRatioCurve& curve) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.entries.emplace(key, curve);
-}
-
-void ProfileMemo::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.clear();
-  }
-}
-
-std::size_t ProfileMemo::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.entries.size();
-  }
-  return total;
 }
 
 }  // namespace coloc::sim

@@ -194,6 +194,14 @@ TEST(MetricsDoc, RoundTripsThroughJsonExport) {
   EXPECT_GE(q->histogram.quantile(0.99), 4.0);
 }
 
+TEST(Fnv1a64, KnownAnswersAndChaining) {
+  EXPECT_EQ(obs::fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(obs::fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(obs::fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  // A previous result as the basis continues the hash.
+  EXPECT_EQ(obs::fnv1a64("ab"), obs::fnv1a64("b", obs::fnv1a64("a")));
+}
+
 TEST(Manifest, RoundTripsThroughJsonFile) {
   obs::Registry registry;
   registry.gauge("stage_wall_seconds", {{"stage", "validation"}}).set(1.25);

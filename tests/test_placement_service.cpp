@@ -1,13 +1,15 @@
 // PlacementService: the zoo-backed batched query front-end (DESIGN.md §12).
 // The properties under test: catalog interning is deterministic, the
 // feature-assembly mirror reproduces ColocationPredictor::predict_time,
-// score_candidates matches a hand-assembled interference cost, the score
-// memo is a transparent optimization, and bundle-reloaded predictors
-// answer bit-identically.
+// score_candidates matches a hand-assembled interference cost, membership
+// ids are exact, the score memo is a transparent optimization (also for
+// memberships whose hashes collide), and bundle-reloaded predictors answer
+// bit-identically.
 #include "serve/placement_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -206,6 +208,117 @@ TEST_F(PlacementServiceTest, ScoreCacheIsTransparent) {
   cached.remove_resident(1, cached.id_of("hog"));
   cached.score_candidates(target, candidates, 0, again);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(again[i], a[i]) << i;
+}
+
+TEST_F(PlacementServiceTest, MembershipIdsAreExact) {
+  PlacementService service = make_service();
+  service.reset_fleet(3);
+  const std::uint32_t empty = service.membership_id(0);
+  EXPECT_EQ(service.membership_id(2), empty);
+  const AppId hog = service.id_of("hog");
+  const AppId quiet = service.id_of("quiet");
+  const AppId light = service.id_of("light");
+
+  // {hog, quiet, quiet} reached by different add/remove orders.
+  service.add_resident(0, hog);
+  service.add_resident(0, quiet);
+  service.add_resident(0, quiet);
+  service.add_resident(1, quiet);
+  service.add_resident(1, light);
+  service.add_resident(1, quiet);
+  service.add_resident(1, hog);
+  service.remove_resident(1, light);
+  const std::uint32_t hqq = service.membership_id(0);
+  EXPECT_EQ(service.membership_id(1), hqq);
+
+  // Distinct same-size memberships get distinct ids.
+  std::set<std::uint32_t> ids = {hqq};
+  const std::vector<std::vector<AppId>> others = {
+      {hog, hog, quiet}, {hog, quiet, light}, {quiet, quiet, light},
+      {hog, hog, hog}};
+  for (const std::vector<AppId>& members : others) {
+    service.reset_fleet(3);
+    for (AppId app : members) service.add_resident(2, app);
+    ids.insert(service.membership_id(2));
+  }
+  EXPECT_EQ(ids.size(), 1 + others.size());
+
+  // Ids outlive fleet resets and score-memo clears.
+  service.clear_score_cache();
+  service.reset_fleet(2);
+  EXPECT_EQ(service.membership_id(0), empty);
+  service.add_resident(1, quiet);
+  service.add_resident(1, hog);
+  service.add_resident(1, quiet);
+  EXPECT_EQ(service.membership_id(1), hqq);
+}
+
+TEST_F(PlacementServiceTest, CollidingMembershipsScoreIndependently) {
+  // Two distinct 5-app memberships whose 64-bit FNV-1a membership hash
+  // (8 little-endian bytes per sorted AppId, the key the score memo once
+  // used) is the same, 0xfc3b202b9c39bd9f. They were found by a parallel
+  // Pollard-rho search with distinguished points: each 64-bit walk state
+  // encodes 5 strictly increasing AppIds as 13/13/13/13/12-bit gaps, an
+  // injective map, so a collision of the walk is a collision of two real
+  // memberships; it took between 2^32 and 2^33 hash evaluations.
+  const std::vector<AppId> a = {7424, 13281, 14660, 14929, 16202};
+  const std::vector<AppId> b = {3013, 8204, 15368, 15715, 17301};
+
+  // A synthetic catalog that covers both: perturbed copies of the campaign
+  // baselines, so every feature stays inside the training range.
+  std::vector<core::BaselineProfile> catalog;
+  const std::size_t apps = 17302;
+  catalog.reserve(apps);
+  std::vector<const core::BaselineProfile*> seeds;
+  for (const auto& [name, profile] : campaign_->baselines) {
+    seeds.push_back(&profile);
+  }
+  for (std::size_t i = 0; i < apps; ++i) {
+    core::BaselineProfile p = *seeds[i % seeds.size()];
+    p.app_name = "synthetic-" + std::to_string(i);
+    for (double& t : p.execution_time_s) t *= 1.0 + 1e-3 * (i % 101);
+    p.memory_intensity *= 1.0 + 1e-3 * (i % 89);
+    p.cm_per_ca *= 1.0 + 1e-3 * (i % 83);
+    p.ca_per_ins *= 1.0 + 1e-3 * (i % 79);
+    catalog.push_back(std::move(p));
+  }
+  const auto make = [&] {
+    PlacementService service(predictor_);
+    for (const core::BaselineProfile& p : catalog) service.register_app(p);
+    return service;
+  };
+  const AppId target = 42;
+  const auto fresh_cost = [&](const std::vector<AppId>& members) {
+    PlacementService service = make();
+    service.reset_fleet(1);
+    for (AppId app : members) service.add_resident(0, app);
+    double cost = 0.0;
+    service.score_candidates(target, std::vector<std::uint32_t>{0}, 0,
+                             {&cost, 1});
+    return cost;
+  };
+  const double fresh_a = fresh_cost(a);
+  const double fresh_b = fresh_cost(b);
+  ASSERT_NE(fresh_a, fresh_b);
+
+  PlacementService service = make();
+  service.reset_fleet(2);
+  for (AppId app : a) service.add_resident(0, app);
+  for (AppId app : b) service.add_resident(1, app);
+  EXPECT_NE(service.membership_id(0), service.membership_id(1));
+  // Separate calls, so node 1 is looked up after node 0's entry exists.
+  double cost_a = 0.0, cost_b = 0.0;
+  service.score_candidates(target, std::vector<std::uint32_t>{0}, 0,
+                           {&cost_a, 1});
+  service.score_candidates(target, std::vector<std::uint32_t>{1}, 0,
+                           {&cost_b, 1});
+  EXPECT_EQ(cost_a, fresh_a);
+  EXPECT_EQ(cost_b, fresh_b);
+  // Both answered from the memo now.
+  std::vector<double> both(2);
+  service.score_candidates(target, std::vector<std::uint32_t>{0, 1}, 0, both);
+  EXPECT_EQ(both[0], fresh_a);
+  EXPECT_EQ(both[1], fresh_b);
 }
 
 TEST_F(PlacementServiceTest, PerCandidatePStatesMatchScalarOverload) {

@@ -86,53 +86,6 @@ TEST(ProfileMemoKey, IgnoresApplicationName) {
   EXPECT_EQ(ProfileMemo::key(a, 1, 1000), ProfileMemo::key(b, 1, 1000));
 }
 
-TEST(ProfileMemoKey, DigestIsStablePerKey) {
-  const std::string k1 = ProfileMemo::key(demo_spec(), 1, 1000);
-  const std::string k2 = ProfileMemo::key(demo_spec(), 2, 1000);
-  EXPECT_EQ(ProfileMemo::digest(k1), ProfileMemo::digest(k1));
-  EXPECT_NE(ProfileMemo::digest(k1), ProfileMemo::digest(k2));
-}
-
-TEST(ProfileMemo, StoreLookupRoundTripIsExact) {
-  ProfileMemo memo;
-  const MissRatioCurve curve = MissRatioCurve::from_points(
-      {64, 128, 256}, {0.51234567891234, 0.2503, 0.125});
-  const std::string key = ProfileMemo::key(demo_spec(), 3, 500);
-
-  MissRatioCurve out;
-  EXPECT_FALSE(memo.lookup(key, &out));
-  memo.store(key, curve);
-  EXPECT_EQ(memo.size(), 1u);
-  ASSERT_TRUE(memo.lookup(key, &out));
-  EXPECT_TRUE(curves_bit_identical(out, curve));
-}
-
-TEST(ProfileMemo, FirstWriterWins) {
-  ProfileMemo memo;
-  const std::string key = ProfileMemo::key(demo_spec(), 4, 500);
-  const MissRatioCurve first =
-      MissRatioCurve::from_points({64}, {0.5});
-  const MissRatioCurve second =
-      MissRatioCurve::from_points({64}, {0.25});
-  memo.store(key, first);
-  memo.store(key, second);  // duplicate store is dropped
-  MissRatioCurve out;
-  ASSERT_TRUE(memo.lookup(key, &out));
-  EXPECT_TRUE(curves_bit_identical(out, first));
-  EXPECT_EQ(memo.size(), 1u);
-}
-
-TEST(ProfileMemo, ClearEmptiesAllShards) {
-  ProfileMemo memo;
-  for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    memo.store(ProfileMemo::key(demo_spec(), seed, 500),
-               MissRatioCurve::from_points({64}, {0.5}));
-  }
-  EXPECT_EQ(memo.size(), 32u);
-  memo.clear();
-  EXPECT_EQ(memo.size(), 0u);
-}
-
 TEST(ProfileMemo, TransparentThroughAppMrcLibrary) {
   // A curve served from the process-wide memo must be bit-identical to the
   // same profile recomputed from scratch after the memo is cleared.
