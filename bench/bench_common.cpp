@@ -51,7 +51,6 @@ HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
         "--restarts must be in [1, 64], got " + std::to_string(restarts));
   }
   config.restarts = static_cast<std::size_t>(restarts);
-  config.sequential_restarts = args.get_bool("no-parallel-restarts", false);
   if (!args.program().empty()) {
     const std::string& program = args.program();
     const auto slash = program.find_last_of('/');
@@ -139,7 +138,6 @@ core::EvaluationConfig HarnessConfig::evaluation() const {
   eval.zoo.mlp.max_iterations = nn_iterations;
   eval.zoo.mlp.weight_decay = 1e-6;
   eval.zoo.mlp.restarts = restarts;
-  if (sequential_restarts) eval.zoo.mlp.fused_restarts = false;
   return eval;
 }
 

@@ -8,11 +8,8 @@
 //                       (0 = auto; overrides COLOC_JOBS; results are
 //                       bit-identical at any value)
 //   --restarts=N        SCG restarts per network fit, in [1, 64] (default
-//                       1; the winner is the lowest-loss restart, fused
-//                       into batched kernels unless disabled)
-//   --no-parallel-restarts  train restarts one at a time through the
-//                       sequential reference loop instead of the fused
-//                       batched path (bit-identical either way)
+//                       1; the winner is the lowest-loss restart; all
+//                       restarts train together in fused batched kernels)
 //   --sweep-scale=N     multiply the campaign sweep N-fold (cloned targets)
 //   --jobs-sweep=LIST   comma-separated jobs values to re-run the campaign
 //                       at (bench_perf_pipeline; emits jobs_scaling JSON)
@@ -75,12 +72,9 @@ struct HarnessConfig {
   /// and emit a jobs_scaling curve (bench_perf_pipeline only).
   std::string jobs_sweep;
   /// --restarts=N: SCG restarts per network fit, validated into [1, 64].
-  /// Per-restart RNG streams make the result independent of how the
-  /// restarts are executed (sequential or fused).
+  /// Per-restart RNG streams make the result independent of how many
+  /// restarts share a fused batch.
   std::size_t restarts = 1;
-  /// --no-parallel-restarts: pin fits to the sequential reference restart
-  /// loop (no fused batched kernels).
-  bool sequential_restarts = false;
 
   static HarnessConfig from_cli(const CliArgs& args);
 

@@ -112,10 +112,12 @@ void BM_QrLeastSquares(benchmark::State& state) {
 }
 BENCHMARK(BM_QrLeastSquares)->Arg(256)->Arg(1024)->Arg(4096);
 
+// One MlpRegressor::fit at a fixed SCG budget: a zero gradient tolerance
+// never stops early, so every fit runs kIterations iterations. Items are
+// rows x SCG iterations.
 void BM_MlpGradient(benchmark::State& state) {
+  constexpr std::size_t kIterations = 25;
   Rng rng(7);
-  ml::MlpNetwork net(8, 20);
-  net.initialize(rng);
   const std::size_t rows = 1024;
   linalg::Matrix x(rows, 8);
   std::vector<double> y(rows);
@@ -123,11 +125,14 @@ void BM_MlpGradient(benchmark::State& state) {
     for (std::size_t c = 0; c < 8; ++c) x(r, c) = rng.normal();
     y[r] = rng.normal();
   }
-  std::vector<double> grad(net.num_parameters());
+  ml::MlpOptions options;
+  options.hidden_units = 20;
+  options.max_iterations = kIterations;
+  options.gradient_tolerance = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.loss_and_gradient(x, y, 1e-6, grad));
+    benchmark::DoNotOptimize(ml::MlpRegressor::fit(x, y, options));
   }
-  state.SetItemsProcessed(state.iterations() * rows);
+  state.SetItemsProcessed(state.iterations() * rows * kIterations);
 }
 BENCHMARK(BM_MlpGradient);
 

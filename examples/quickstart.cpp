@@ -20,11 +20,8 @@
 //                          (0 = auto; overrides COLOC_JOBS; output is
 //                          bit-identical at any value)
 //   --restarts=N           SCG restarts per MLP fit, in [1, 64] (default 1;
-//                          the winner is the lowest-loss restart, trained
-//                          through the fused batched kernels)
-//   --no-parallel-restarts pin fits to the sequential reference restart
-//                          loop (no fused batched kernels); the result is
-//                          bit-identical either way
+//                          the winner is the lowest-loss restart; all
+//                          restarts train together in fused batched kernels)
 //
 // Robustness flags (see the Robustness section in README.md):
 //   --fault-rate=P         inject measurement faults at rate P (also
@@ -142,8 +139,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   zoo.mlp.restarts = static_cast<std::size_t>(restarts);
-  if (args.get_bool("no-parallel-restarts", false))
-    zoo.mlp.fused_restarts = false;
   const core::ModelId model_id{core::ModelTechnique::kNeuralNetwork,
                                core::FeatureSet::kF};
 

@@ -1,5 +1,5 @@
 // Batched (stacked-plane) GEMM entry point for the fused multi-restart MLP
-// trainer.
+// trainer and for batched MLP inference (MlpNetwork::forward_all).
 //
 // The fused SCG path stacks R restarts' layer weights side by side into one
 // wide operand (cols = R * hidden) so a single GEMM serves every live

@@ -2,24 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
-#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/fast_math.hpp"
-#include "ml/scg.hpp"
+#include "linalg/gemm_batch.hpp"
 
 namespace coloc::ml {
 
 namespace {
 
-// Per-thread batch scratch, reused across every loss_and_gradient /
-// forward_all call on this thread (SCG evaluates the objective hundreds of
-// times per fit; reallocating an m x hidden activations matrix each time
-// would dominate small-batch evaluations). Thread-locality keeps fits on
-// parallel validation partitions isolated; the buffers carry no state
-// between calls — every element is overwritten before use.
+// Per-thread batch scratch, reused across every forward_all call on this
+// thread (batched prediction sits inside per-partition validation loops;
+// reallocating an m x hidden activations matrix each time would dominate
+// small batches). Thread-locality keeps predictions on parallel
+// validation partitions isolated; the buffers carry no state between
+// calls — every element is overwritten before use.
 struct BatchScratch {
   linalg::Matrix activations;  // m x hidden: pre-activations, then tanh
   linalg::Matrix w1t;          // inputs x hidden: W1 transposed for the GEMM
@@ -76,55 +74,26 @@ double MlpNetwork::forward(std::span<const double> x) const {
   return out;
 }
 
-namespace {
-
-// Fills scratch.activations with tanh(X * W1^T + b1), one row per batch
-// row. Accumulation order per element matches MlpNetwork::forward exactly:
-// the pre-activation starts at b1[h] and adds the input terms in ascending
-// i, so the batched and rowwise paths are bit-identical. The i-inner-h
-// loop makes the innermost accesses sequential (and vectorizable) in the
-// activations row; W1 is transposed into scratch once per call (inputs x
-// hidden doubles — trivial next to the GEMM).
-void compute_activations(std::size_t inputs, std::size_t hidden,
-                         const double* w1, const double* b1,
-                         const linalg::Matrix& x, BatchScratch& scratch) {
-  const std::size_t m = x.rows();
-
-  linalg::Matrix& w1t = scratch.w1t;
-  if (w1t.rows() != inputs || w1t.cols() != hidden)
-    w1t = linalg::Matrix(inputs, hidden);
-  for (std::size_t h = 0; h < hidden; ++h)
-    for (std::size_t i = 0; i < inputs; ++i) w1t(i, h) = w1[h * inputs + i];
-
-  linalg::Matrix& act = scratch.activations;
-  if (act.rows() != m || act.cols() != hidden)
-    act = linalg::Matrix(m, hidden);
-  for (std::size_t r = 0; r < m; ++r) {
-    const auto xrow = x.row(r);
-    auto arow = act.row(r);
-    for (std::size_t h = 0; h < hidden; ++h) arow[h] = b1[h];
-    for (std::size_t i = 0; i < inputs; ++i) {
-      const double xri = xrow[i];
-      const auto wrow = w1t.row(i);
-      for (std::size_t h = 0; h < hidden; ++h) arow[h] += xri * wrow[h];
-    }
-  }
-  linalg::vector_tanh(act.data().data(), m * hidden);
-}
-
-}  // namespace
-
 void MlpNetwork::forward_all(const linalg::Matrix& x,
                              std::span<double> out) const {
   COLOC_CHECK_MSG(x.cols() == inputs_, "input width mismatch");
   COLOC_CHECK_MSG(out.size() == x.rows(), "output size mismatch");
   BatchScratch& scratch = BatchScratch::local();
-  compute_activations(inputs_, hidden_, params_.data() + w1_offset(),
-                      params_.data() + b1_offset(), x, scratch);
+  // tanh(X * W1^T + b1) through the fused trainer's batched GEMM: each
+  // element starts at b1[h] and adds the input terms in ascending i, as
+  // forward() does, so the two agree bit for bit.
+  linalg::Matrix& w1t = scratch.w1t;
+  w1t.resize(inputs_, hidden_);
+  const double* w1 = params_.data() + w1_offset();
+  for (std::size_t h = 0; h < hidden_; ++h)
+    for (std::size_t i = 0; i < inputs_; ++i) w1t(i, h) = w1[h * inputs_ + i];
+  linalg::Matrix& act = scratch.activations;
+  linalg::gemm_bias(x, w1t, {params_.data() + b1_offset(), hidden_}, act);
+  linalg::vector_tanh(act.data().data(), act.data().size());
   const double* w2 = params_.data() + w2_offset();
   const double b2 = params_[b2_offset()];
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto arow = scratch.activations.row(r);
+    const auto arow = act.row(r);
     double o = b2;
     for (std::size_t h = 0; h < hidden_; ++h) o += w2[h] * arow[h];
     out[r] = o;
@@ -135,68 +104,6 @@ double MlpNetwork::loss_and_gradient(const linalg::Matrix& x,
                                      std::span<const double> y,
                                      double weight_decay,
                                      std::span<double> grad) const {
-  COLOC_CHECK_MSG(x.rows() == y.size(), "batch size mismatch");
-  COLOC_CHECK_MSG(x.cols() == inputs_, "input width mismatch");
-  COLOC_CHECK_MSG(grad.size() == params_.size(), "gradient size mismatch");
-  const std::size_t m = x.rows();
-  COLOC_CHECK_MSG(m > 0, "empty batch");
-
-  const double* w2 = params_.data() + w2_offset();
-  double* g_w1 = grad.data() + w1_offset();
-  double* g_b1 = grad.data() + b1_offset();
-  double* g_w2 = grad.data() + w2_offset();
-  double& g_b2 = grad[b2_offset()];
-  std::fill(grad.begin(), grad.end(), 0.0);
-
-  BatchScratch& scratch = BatchScratch::local();
-  compute_activations(inputs_, hidden_, params_.data() + w1_offset(),
-                      params_.data() + b1_offset(), x, scratch);
-  const linalg::Matrix& act = scratch.activations;
-
-  double loss = 0.0;
-  const double inv_m = 1.0 / static_cast<double>(m);
-  const double b2 = params_[b2_offset()];
-
-  // One fused sweep: the row's output, error, and every gradient
-  // contribution while its activations and inputs are cache-hot. Rows
-  // ascend and each accumulator adds its per-row term in the reference
-  // loop's exact order, so the result is bit-identical to
-  // loss_and_gradient_reference.
-  for (std::size_t r = 0; r < m; ++r) {
-    const auto arow = act.row(r);
-    const auto xrow = x.row(r);
-    double out = b2;
-    for (std::size_t h = 0; h < hidden_; ++h) out += w2[h] * arow[h];
-    const double err = out - y[r];
-    loss += 0.5 * err * err;
-
-    const double d_out = err * inv_m;
-    g_b2 += d_out;
-    for (std::size_t h = 0; h < hidden_; ++h) {
-      g_w2[h] += d_out * arow[h];
-      const double d_a = d_out * w2[h] * (1.0 - arow[h] * arow[h]);
-      g_b1[h] += d_a;
-      double* grow = g_w1 + h * inputs_;
-      for (std::size_t i = 0; i < inputs_; ++i) grow[i] += d_a * xrow[i];
-    }
-  }
-  loss *= inv_m;
-
-  if (weight_decay > 0.0) {
-    double wnorm = 0.0;
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-      wnorm += params_[i] * params_[i];
-      grad[i] += weight_decay * params_[i];
-    }
-    loss += 0.5 * weight_decay * wnorm;
-  }
-  return loss;
-}
-
-double MlpNetwork::loss_and_gradient_reference(const linalg::Matrix& x,
-                                               std::span<const double> y,
-                                               double weight_decay,
-                                               std::span<double> grad) const {
   COLOC_CHECK_MSG(x.rows() == y.size(), "batch size mismatch");
   COLOC_CHECK_MSG(x.cols() == inputs_, "input width mismatch");
   COLOC_CHECK_MSG(grad.size() == params_.size(), "gradient size mismatch");
@@ -270,80 +177,6 @@ double MlpNetwork::loss(const linalg::Matrix& x, std::span<const double> y,
     loss += 0.5 * weight_decay * wnorm;
   }
   return loss;
-}
-
-MlpRegressor MlpRegressor::fit(const linalg::Matrix& x,
-                               std::span<const double> y,
-                               const MlpOptions& options) {
-  COLOC_CHECK_MSG(x.rows() == y.size(), "row/target count mismatch");
-  COLOC_CHECK_MSG(x.rows() >= 2, "MLP needs at least two observations");
-
-  // Default route: the fused batched multi-restart path (bit-identical;
-  // see mlp_fused.cpp). The sequential loop below is kept as the reference
-  // arm — options.fused_restarts = false pins it.
-  if (options.fused_restarts) return fit_fused(x, y, options);
-
-  linalg::Matrix design = x;
-  Standardizer scaler = Standardizer::fit(design);
-  scaler.transform(design);
-  TargetScaler target = TargetScaler::fit(y);
-  const std::vector<double> z = target.transform_all(y);
-
-  const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
-
-  struct AttemptResult {
-    MlpNetwork net;
-    double loss = std::numeric_limits<double>::infinity();
-    std::size_t iterations = 0;
-  };
-
-  // One self-contained training run. Restart 0 draws from Rng(options.seed)
-  // exactly as a single fit always has; restart k > 0 uses an independent
-  // stream hashed from (seed, k). Every attempt is a pure function of its
-  // index, which is what lets fit_fused reproduce this loop bit for bit.
-  auto run_attempt = [&](std::size_t attempt) -> AttemptResult {
-    std::uint64_t seed = options.seed;
-    if (attempt != 0) {
-      std::uint64_t s =
-          options.seed ^ (0xa0761d6478bd642fULL *
-                          static_cast<std::uint64_t>(attempt));
-      seed = splitmix64(s);
-    }
-    Rng rng(seed);
-    MlpNetwork net(x.cols(), options.hidden_units);
-    net.initialize(rng);
-
-    ScgObjective objective{
-        .dimension = net.num_parameters(),
-        .value_and_gradient =
-            [&](std::span<const double> p, std::span<double> g) {
-              net.set_parameters(p);
-              return net.loss_and_gradient(design, z, options.weight_decay,
-                                           g);
-            },
-    };
-    std::vector<double> p(net.parameters().begin(), net.parameters().end());
-    ScgOptions scg_options;
-    scg_options.max_iterations = options.max_iterations;
-    scg_options.gradient_tolerance = options.gradient_tolerance;
-    const ScgResult res = scg_minimize(objective, p, scg_options);
-    net.set_parameters(res.solution);
-    const double final_loss = net.loss(design, z, options.weight_decay);
-    return AttemptResult{std::move(net), final_loss, res.iterations};
-  };
-
-  // Strict < scans attempts in index order: ties go to the lowest index.
-  AttemptResult winner = run_attempt(0);
-  for (std::size_t attempt = 1; attempt < restarts; ++attempt) {
-    AttemptResult candidate = run_attempt(attempt);
-    if (candidate.loss < winner.loss) winner = std::move(candidate);
-  }
-
-  MlpRegressor model(std::move(winner.net), std::move(scaler),
-                     std::move(target));
-  model.training_loss_ = winner.loss;
-  model.iterations_used_ = winner.iterations;
-  return model;
 }
 
 double MlpRegressor::predict(std::span<const double> features) const {

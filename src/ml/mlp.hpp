@@ -27,16 +27,10 @@ struct MlpOptions {
   /// k > 0 uses an independent stream derived from (seed, k), so results
   /// do not depend on how many restarts run or in what order.
   std::size_t restarts = 1;
-  /// Train all restarts through the fused batched-SCG path: one stacked
-  /// GEMM per layer serves every live restart per iteration, with
-  /// converged restarts masked out of the batch. Bit-identical to the
-  /// sequential restart loop at any restart count (see DESIGN §13); set
-  /// false to pin the sequential reference path.
-  bool fused_restarts = true;
 };
 
-/// The bare network: packed parameters, forward pass, and the
-/// loss/gradient oracle consumed by the SCG trainer. Features and targets
+/// The bare network: packed parameters, forward pass, and the rowwise
+/// loss/gradient reference for the fused trainer. Features and targets
 /// are assumed already standardized by the caller (MlpRegressor does this).
 class MlpNetwork {
  public:
@@ -64,27 +58,18 @@ class MlpNetwork {
 
   /// Mean-squared-error loss over the batch plus 0.5*decay*||w||^2, and its
   /// gradient with respect to the packed parameters (written into `grad`,
-  /// which must have num_parameters() entries). Batched fast path: the
-  /// activations matrix comes from one GEMM + vector_tanh, and the backward
-  /// pass is a single fused sweep over rows. Bit-identical to
-  /// loss_and_gradient_reference.
+  /// which must have num_parameters() entries). The row-at-a-time
+  /// reference: MlpRegressor::fit's fused kernels reproduce it bit for bit.
   double loss_and_gradient(const linalg::Matrix& x,
                            std::span<const double> y, double weight_decay,
                            std::span<double> grad) const;
 
-  /// Reference oracle: the original row-at-a-time loop. Kept (and tested)
-  /// as the ground truth the batched path must reproduce exactly.
-  double loss_and_gradient_reference(const linalg::Matrix& x,
-                                     std::span<const double> y,
-                                     double weight_decay,
-                                     std::span<double> grad) const;
-
-  /// Loss only (used by SCG line evaluations).
+  /// Loss only (MlpRegressor::fit scores each restart's result with it).
   double loss(const linalg::Matrix& x, std::span<const double> y,
               double weight_decay) const;
 
   // Packed layout: W1 (hidden x inputs), b1 (hidden), w2 (hidden), b2 (1).
-  // Public so the fused multi-restart trainer can scatter/gather planes.
+  // Public so the fused trainer can scatter/gather restart planes.
   std::size_t w1_offset() const { return 0; }
   std::size_t b1_offset() const { return hidden_ * inputs_; }
   std::size_t w2_offset() const { return hidden_ * inputs_ + hidden_; }
@@ -100,19 +85,13 @@ class MlpNetwork {
 /// with scaled conjugate gradient, and predicts in raw units.
 class MlpRegressor final : public Regressor {
  public:
+  /// Trains every restart at once (DESIGN §13): each restart's weights are
+  /// one plane of a stacked batch, so each SCG iteration runs one batched
+  /// GEMM per layer for all live restarts, with per-restart early-stop
+  /// masking and no gradient for a rejected step. Bit-identical to running
+  /// the restarts one after another over loss_and_gradient.
   static MlpRegressor fit(const linalg::Matrix& x, std::span<const double> y,
                           const MlpOptions& options = {});
-
-  /// The fused batched multi-restart trainer: stacks every restart's weight
-  /// plane so each SCG iteration runs one batched GEMM per layer for all
-  /// live restarts, with per-restart early-stop masking and deferred
-  /// backward passes (a rejected step's gradient is never computed).
-  /// Bit-identical to fit() with fused_restarts = false at any restart
-  /// count. fit() routes here by default; exposed so benchmarks and tests
-  /// can race the two paths explicitly.
-  static MlpRegressor fit_fused(const linalg::Matrix& x,
-                                std::span<const double> y,
-                                const MlpOptions& options = {});
 
   double predict(std::span<const double> features) const override;
   /// Batched inference: standardizes the design matrix once and runs the

@@ -1,14 +1,14 @@
 // Fused multi-restart MLP training (DESIGN §13).
 //
-// MlpRegressor::fit_fused stacks every restart's layer weights into one
-// wide plane so each SCG iteration runs ONE batched GEMM per layer for all
-// live restarts, instead of R separate small evaluations. The batched
-// lockstep driver (scg_minimize_batch) masks converged restarts out of the
-// active set, and splits evaluation into forward / deferred-backward
-// phases so a rejected trial step never pays for a gradient it would
-// discard.
+// MlpRegressor::fit stacks every restart's layer weights into one wide
+// plane so each SCG iteration runs ONE batched GEMM per layer for all live
+// restarts, instead of R separate small evaluations. The batched lockstep
+// driver (scg_minimize_batch) masks converged restarts out of the active
+// set, and splits evaluation into forward / deferred-backward phases so a
+// rejected trial step never pays for a gradient it would discard.
 //
-// Bit-identity with the sequential fit is structural, not approximate:
+// Bit-identity with restarts trained one at a time over the rowwise
+// MlpNetwork::loss_and_gradient is structural, not approximate:
 //  - Stacking restarts along the column axis never reorders any single
 //    element's accumulation chain (gemm_batch.hpp), and vector_tanh is
 //    bit-identical to scalar fast_tanh per element at any array length.
@@ -30,6 +30,7 @@
 #include "linalg/fast_math.hpp"
 #include "linalg/gemm_batch.hpp"
 #include "ml/mlp.hpp"
+#include "ml/mlp_fused.hpp"
 #include "ml/scg.hpp"
 #include "obs/metrics.hpp"
 
@@ -201,10 +202,12 @@ COLOC_MLP_FUSED_INLINE void gw1t_rows(const double* x, const double* da_all,
   for (; c < wide; ++c) gw1t_chunk<INNER, 1>(x, da_all, gw1t, m, wide, c);
 }
 
+}  // namespace
+
 COLOC_MLP_FUSED_CLONES
-void backward_gw1t_blocked(const double* x, const double* da_all,
-                           double* gw1t, std::size_t m, std::size_t inputs,
-                           std::size_t wide) {
+void detail::backward_gw1t_blocked(const double* x, const double* da_all,
+                                   double* gw1t, std::size_t m,
+                                   std::size_t inputs, std::size_t wide) {
   switch (inputs) {
     case 1: gw1t_rows<1>(x, da_all, gw1t, m, wide); return;
     case 2: gw1t_rows<2>(x, da_all, gw1t, m, wide); return;
@@ -218,22 +221,7 @@ void backward_gw1t_blocked(const double* x, const double* da_all,
   }
 }
 
-/// The blocked backward stages d_a for every row, so it only pays off
-/// while that buffer stays cache-resident; past ~1.25 MB the extra
-/// traffic loses to the one-pass sweep (measured 0.77x at 16 planes).
-constexpr std::size_t kBlockedBackwardLimit = 160'000;  // m * wide elements
-
-struct FusedMetrics {
-  obs::Histogram& gemm_seconds;
-
-  static FusedMetrics& get() {
-    auto& registry = obs::Registry::global();
-    static FusedMetrics metrics{
-        registry.histogram("train_gemm_seconds"),
-    };
-    return metrics;
-  }
-};
+namespace {
 
 using Clock = std::chrono::steady_clock;
 
@@ -334,21 +322,16 @@ class FusedEvaluator {
     gw1t_.resize(inputs_, wide);
     std::fill(gw1t_.data().begin(), gw1t_.data().end(), 0.0);
 
-    const bool blocked =
-        inputs_ >= 1 && inputs_ <= 8 && m * wide <= kBlockedBackwardLimit;
+    const bool blocked = inputs_ >= 1 && inputs_ <= 8 &&
+                         m * wide <= detail::kBlockedBackwardLimit;
     if (blocked) {
-      // One spare row past m: GCC 12's x86-64-v4 clone of
-      // gw1t_chunk<8, 4> loads each row's four d_a columns together with
-      // the next row's and permutes the second half away, so on the last
-      // row it reads up to one row past the end. Without the spare row
-      // that read faults whenever the buffer ends at an unmapped page.
-      da_.resize((m + 1) * wide);
+      da_.resize((m + detail::kGw1tSpareRows) * wide);
       backward_row_sweep(act_.data().data(), errs_.data().data(),
                          w2_s_.data(), fwd_slot_.data(), g_b2_.data(),
                          d_out_.data(), g_w2_.data(), g_b1_.data(),
                          da_.data(), m, planes, hidden, errs_.cols(), inv_m);
-      backward_gw1t_blocked(x_.data().data(), da_.data(),
-                            gw1t_.data().data(), m, inputs_, wide);
+      detail::backward_gw1t_blocked(x_.data().data(), da_.data(),
+                                    gw1t_.data().data(), m, inputs_, wide);
     } else {
       da_.resize(wide);
       backward_sweep(act_.data().data(), errs_.data().data(),
@@ -360,7 +343,7 @@ class FusedEvaluator {
 
     // Scatter the stacked accumulators back into each restart's packed
     // gradient row, then apply the weight-decay term exactly as the
-    // sequential path's trailing pass does.
+    // rowwise loss_and_gradient's trailing pass does.
     for (std::size_t b = 0; b < planes; ++b) {
       const std::size_t j = active[b];
       double* gj = grads.data() + j * n_;
@@ -420,9 +403,9 @@ class FusedEvaluator {
 
 }  // namespace
 
-MlpRegressor MlpRegressor::fit_fused(const linalg::Matrix& x,
-                                     std::span<const double> y,
-                                     const MlpOptions& options) {
+MlpRegressor MlpRegressor::fit(const linalg::Matrix& x,
+                               std::span<const double> y,
+                               const MlpOptions& options) {
   COLOC_CHECK_MSG(x.rows() == y.size(), "row/target count mismatch");
   COLOC_CHECK_MSG(x.rows() >= 2, "MLP needs at least two observations");
 
@@ -434,8 +417,9 @@ MlpRegressor MlpRegressor::fit_fused(const linalg::Matrix& x,
 
   const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
 
-  // Identical initialization to the sequential path: restart 0 draws from
-  // Rng(options.seed), restart k > 0 from the (seed, k)-derived stream.
+  // Restart 0 draws from Rng(options.seed), so adding restarts never
+  // changes it; restart k > 0 draws from an independent (seed, k)-derived
+  // stream, so every restart is a pure function of its index.
   MlpNetwork net(x.cols(), options.hidden_units);
   const std::size_t n = net.num_parameters();
   std::vector<double> initial(restarts * n);
@@ -471,10 +455,11 @@ MlpRegressor MlpRegressor::fit_fused(const linalg::Matrix& x,
   scg_options.gradient_tolerance = options.gradient_tolerance;
   const std::vector<ScgResult> results =
       scg_minimize_batch(objective, initial, scg_options);
-  FusedMetrics::get().gemm_seconds.observe(evaluator.kernel_seconds());
+  static obs::Histogram& gemm_seconds =
+      obs::Registry::global().histogram("train_gemm_seconds");
+  gemm_seconds.observe(evaluator.kernel_seconds());
 
-  // Final per-restart loss via the scalar loss() — the exact evaluation
-  // the sequential path scores attempts with — then the strict-< scan:
+  // Final per-restart loss via the scalar loss(), then the strict-< scan:
   // ties go to the lowest restart index.
   std::vector<double> final_loss(restarts,
                                  std::numeric_limits<double>::infinity());

@@ -18,7 +18,7 @@ struct ScgMetrics {
   obs::Counter& runs;
   obs::Counter& converged;
   obs::Counter& epochs;
-  obs::Counter& fused_restarts;
+  obs::Counter& batched_problems;
   obs::Gauge& gradient_norm;
 
   static ScgMetrics& get() {
@@ -382,7 +382,7 @@ std::vector<ScgResult> scg_minimize_batch(const ScgBatchObjective& objective,
 
   std::vector<ScgResult> results(count);
   ScgMetrics& metrics = ScgMetrics::get();
-  metrics.fused_restarts.inc(count);
+  metrics.batched_problems.inc(count);
   for (std::size_t j = 0; j < count; ++j) {
     ScgResult& res = results[j];
     const auto wj = crow(w, j);

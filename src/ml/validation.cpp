@@ -48,7 +48,6 @@ struct ValidationMetrics {
 };
 
 std::size_t effective_jobs(const ValidationOptions& options) {
-  if (!options.parallel) return 1;
   return options.jobs != 0 ? options.jobs : configured_jobs();
 }
 

@@ -27,8 +27,7 @@ struct ValidationOptions {
   std::size_t partitions = 100;   // paper: one hundred
   double holdout_fraction = 0.3;  // paper: thirty percent withheld
   std::uint64_t seed = 7;
-  bool parallel = true;
-  /// Worker threads when parallel. 0 = coloc::configured_jobs() (the
+  /// Worker threads (1 = inline). 0 = coloc::configured_jobs() (the
   /// --jobs / COLOC_JOBS knob); any value yields identical numbers: each
   /// partition draws from its own counter-based RNG stream and the
   /// reduction folds per-partition errors in partition order.

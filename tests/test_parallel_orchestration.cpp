@@ -189,12 +189,11 @@ TEST(ParallelZoo, AllTwelveModelsIdenticalAcrossJobCounts) {
 
   EvaluationConfig serial_config;
   serial_config.validation.partitions = 3;
-  serial_config.validation.parallel = false;
+  serial_config.validation.jobs = 1;
   serial_config.zoo.mlp.max_iterations = 60;
   serial_config.zoo.mlp.restarts = 1;
 
   EvaluationConfig parallel_config = serial_config;
-  parallel_config.validation.parallel = true;
   parallel_config.validation.jobs = 4;
 
   const EvaluationSuite serial =
@@ -219,25 +218,23 @@ TEST(ParallelZoo, AllTwelveModelsIdenticalAcrossJobCounts) {
 }
 
 TEST(ParallelZoo, FusedMultiRestartZooIdenticalToSequentialLoop) {
-  // The bench's zoo race at test scale: the historical sequential restart
-  // loop with serial validation scheduling versus the fused batched
-  // trainer on the flat model x partition task graph with 4 workers.
-  // Every metric of every model must match bit for bit — this is the
-  // tentpole's end-to-end identity guarantee, and under TSan it races
-  // concurrent fused fits against the in-order commit path.
+  // The bench's zoo race at test scale: three-restart fused fits with the
+  // validation stage on one worker versus the flat model x partition task
+  // graph on 4 workers. (fit is bit-identical to the sequential restart
+  // loop itself; test_mlp_batched checks that against a test-side
+  // reference.) Every metric of every model must match bit for bit, and
+  // under TSan this races concurrent fused fits against the in-order
+  // commit path.
   const CampaignResult campaign = run_with(1);
 
   EvaluationConfig sequential_config;
   sequential_config.validation.partitions = 3;
-  sequential_config.validation.parallel = false;
+  sequential_config.validation.jobs = 1;
   sequential_config.zoo.mlp.max_iterations = 60;
   sequential_config.zoo.mlp.restarts = 3;
-  sequential_config.zoo.mlp.fused_restarts = false;
 
   EvaluationConfig fused_config = sequential_config;
-  fused_config.validation.parallel = true;
   fused_config.validation.jobs = 4;
-  fused_config.zoo.mlp.fused_restarts = true;
 
   const EvaluationSuite sequential =
       evaluate_model_zoo(campaign.dataset, sequential_config);

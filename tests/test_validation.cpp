@@ -62,7 +62,7 @@ TEST(Validation, NearZeroErrorOnNoiselessLinearData) {
   const Dataset ds = linear_dataset(200, 0.0, 1);
   const std::vector<std::size_t> cols = {0, 1};
   const ValidationResult r = repeated_subsampling_validation(
-      ds, cols, linear_factory(), {.partitions = 10, .parallel = false});
+      ds, cols, linear_factory(), {.partitions = 10, .jobs = 1});
   EXPECT_LT(r.test_mpe, 1e-6);
   EXPECT_LT(r.train_mpe, 1e-6);
 }
@@ -104,8 +104,8 @@ TEST(Validation, CollectsTaggedPredictions) {
 TEST(Validation, ParallelAndSerialAgree) {
   const Dataset ds = linear_dataset(80, 0.3, 5);
   const std::vector<std::size_t> cols = {0, 1};
-  ValidationOptions serial{.partitions = 12, .seed = 11, .parallel = false};
-  ValidationOptions parallel{.partitions = 12, .seed = 11, .parallel = true};
+  ValidationOptions serial{.partitions = 12, .seed = 11, .jobs = 1};
+  ValidationOptions parallel{.partitions = 12, .seed = 11};
   const ValidationResult a =
       repeated_subsampling_validation(ds, cols, linear_factory(), serial);
   const ValidationResult b =
@@ -143,7 +143,7 @@ TEST(Validation, NullFactoryResultThrows) {
     return nullptr;
   };
   EXPECT_THROW(repeated_subsampling_validation(
-                   ds, cols, bad, {.partitions = 2, .parallel = false}),
+                   ds, cols, bad, {.partitions = 2, .jobs = 1}),
                coloc::runtime_error);
 }
 
@@ -185,10 +185,9 @@ TEST(Validation, JobsKnobLeavesEveryNumberBitIdentical) {
   ValidationOptions serial;
   serial.partitions = 9;
   serial.seed = 5;
-  serial.parallel = false;
+  serial.jobs = 1;
   serial.collect_test_predictions = true;
   ValidationOptions parallel = serial;
-  parallel.parallel = true;
   parallel.jobs = 4;
 
   const ValidationResult a =
@@ -224,7 +223,7 @@ TEST(Validation, GatheredDesignMatrixMatchesDirectMaterialization) {
   ValidationOptions opts;
   opts.partitions = 1;
   opts.seed = 17;
-  opts.parallel = false;
+  opts.jobs = 1;
   opts.collect_test_predictions = true;
   const ValidationResult r =
       repeated_subsampling_validation(ds, cols, linear_factory(), opts);
@@ -258,7 +257,7 @@ TEST(Validation, DesignMemoIsTransparentAndHitsOnSharedColumns) {
   // Serial execution makes the hit/miss split deterministic: with workers,
   // both twins of a pair can race to a miss (first writer wins, results
   // unchanged) and the counter assertions below would be flaky.
-  opts.parallel = false;
+  opts.jobs = 1;
   std::vector<ValidationJob> jobs;
   jobs.push_back({cols, linear_factory(), opts});
   jobs.push_back({cols, linear_factory(), opts});
