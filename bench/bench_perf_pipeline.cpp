@@ -17,7 +17,6 @@
 // numerical-equivalence gates. The exit status reflects ONLY the
 // equivalence gates — never timing — so CI can run this on noisy shared
 // runners without flaking:
-//   gate matmul_vs_naive          tiled GEMM == reference i-k-j loop
 //   gate fast_vs_legacy_mpe/nrmse  validation metrics match the replica
 //   gate trace_batch_bit_identical next_batch() == per-reference next()
 //   gate trace_profile_bit_identical batched profiler == Fenwick replica
@@ -327,19 +326,6 @@ std::vector<std::size_t> parse_jobs_list(const std::string& csv) {
     }
   }
   return out;
-}
-
-linalg::Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
-  linalg::Matrix m(rows, cols);
-  for (double& v : m.data()) v = rng.uniform(-2.0, 2.0);
-  return m;
-}
-
-double max_abs_diff(std::span<const double> a, std::span<const double> b) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    worst = std::max(worst, std::abs(a[i] - b[i]));
-  return worst;
 }
 
 bool bitwise_equal(double a, double b) {
@@ -952,20 +938,6 @@ int main(int argc, char** argv) {
 
   // --- Equivalence gates.
   std::vector<Gate> gates;
-  Rng rng(config.seed ^ 0x5eedULL);
-
-  {  // (a) tiled GEMM vs the naive reference loop, odd non-square shapes.
-    double worst = 0.0;
-    const std::size_t shapes[][3] = {{17, 31, 23}, {64, 64, 64}, {1, 129, 7}};
-    for (const auto& s : shapes) {
-      const linalg::Matrix a = random_matrix(s[0], s[1], rng);
-      const linalg::Matrix b = random_matrix(s[1], s[2], rng);
-      const linalg::Matrix fast_c = linalg::matmul(a, b);
-      const linalg::Matrix ref_c = linalg::matmul_naive(a, b);
-      worst = std::max(worst, max_abs_diff(fast_c.data(), ref_c.data()));
-    }
-    gates.push_back({"matmul_vs_naive_max_abs_diff", worst, 1e-12});
-  }
 
   // (c) fast vs legacy validation metrics. The two arms differ only in the
   // tanh implementation (|rel err| < 1e-15 per call): with

@@ -24,13 +24,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  COLOC_CHECK_MSG(lo <= hi, "uniform_int requires lo <= hi");
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi - lo) + 1ULL;  // hi-lo < 2^63 in practice
-  return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 double Rng::normal() {
   if (has_spare_normal_) {
     has_spare_normal_ = false;

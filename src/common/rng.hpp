@@ -60,9 +60,6 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0. Uses Lemire's method.
   std::uint64_t uniform_index(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Standard normal via Marsaglia polar method (cached spare value).
   double normal();
 

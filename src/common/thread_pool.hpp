@@ -262,10 +262,11 @@ void set_configured_jobs(std::size_t jobs);
 /// Convenience: shared process-wide pool sized to configured_jobs().
 ThreadPool& global_pool();
 
-/// True when the calling thread is a worker of ANY ThreadPool. Kernels
-/// that fan out over global_pool() (e.g. linalg::matmul) must run serially
-/// when already on a worker: a blocking parallel_for from inside a worker
-/// would wait on chunks that can only run on the thread doing the waiting.
+/// True when the calling thread is a worker of ANY ThreadPool. Code that
+/// fans out over global_pool() (e.g. the validation batch, train_full_zoo)
+/// must run serially when already on a worker: a blocking parallel_for
+/// from inside a worker would wait on chunks that can only run on the
+/// thread doing the waiting.
 bool on_worker_thread();
 
 }  // namespace coloc

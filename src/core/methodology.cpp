@@ -1,10 +1,8 @@
 #include "core/methodology.hpp"
 
-#include <fstream>
 #include <numeric>
 
 #include "common/error.hpp"
-#include "ml/serialization.hpp"
 
 namespace coloc::core {
 
@@ -95,56 +93,6 @@ double ColocationPredictor::predict_slowdown(
   const double baseline = target.time_at(pstate_index);
   COLOC_CHECK_MSG(baseline > 0.0, "baseline time must be positive");
   return predict_time(target, coapps, pstate_index) / baseline;
-}
-
-void ColocationPredictor::save(std::ostream& os) const {
-  os << "coloc-predictor v1\n";
-  os << "technique " << to_string(id_.technique) << "\n";
-  os << "feature_set " << to_string(id_.feature_set) << "\n";
-  ml::save_model(os, *model_);
-}
-
-ColocationPredictor ColocationPredictor::load(std::istream& is) {
-  std::string header;
-  std::getline(is, header);
-  COLOC_CHECK_MSG(header == "coloc-predictor v1",
-                  "not a coloc predictor stream");
-  std::string key, technique_name, set_name;
-  COLOC_CHECK_MSG(
-      static_cast<bool>(is >> key >> technique_name) && key == "technique",
-      "predictor stream missing technique");
-  COLOC_CHECK_MSG(
-      static_cast<bool>(is >> key >> set_name) && key == "feature_set",
-      "predictor stream missing feature set");
-  is >> std::ws;
-
-  ModelId id;
-  if (technique_name == "linear") {
-    id.technique = ModelTechnique::kLinear;
-  } else if (technique_name == "nn") {
-    id.technique = ModelTechnique::kNeuralNetwork;
-  } else {
-    throw coloc::invalid_argument_error("unknown technique: " +
-                                        technique_name);
-  }
-  id.feature_set = parse_feature_set(set_name);
-
-  ml::RegressorPtr model = ml::load_model(is);
-  const auto& columns = feature_set_columns(id.feature_set);
-  return ColocationPredictor(id, std::move(model),
-                             {columns.begin(), columns.end()});
-}
-
-void ColocationPredictor::save_file(const std::string& path) const {
-  std::ofstream f(path);
-  COLOC_CHECK_MSG(f.good(), "cannot open predictor file: " + path);
-  save(f);
-}
-
-ColocationPredictor ColocationPredictor::load_file(const std::string& path) {
-  std::ifstream f(path);
-  COLOC_CHECK_MSG(f.good(), "cannot open predictor file: " + path);
-  return load(f);
 }
 
 ml::PcaResult analyze_features(const ml::Dataset& dataset) {

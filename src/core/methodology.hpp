@@ -6,7 +6,6 @@
 //   campaign dataset  ->  PCA feature ranking (Section III-B)
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -77,13 +76,6 @@ class ColocationPredictor {
   /// and call the model's allocation-free predict_into directly.
   const ml::Regressor& model() const { return *model_; }
   const std::vector<std::size_t>& columns() const { return columns_; }
-
-  /// Persists the trained predictor (model + feature-set identity) so a
-  /// resource manager can train once and predict across restarts.
-  void save(std::ostream& os) const;
-  static ColocationPredictor load(std::istream& is);
-  void save_file(const std::string& path) const;
-  static ColocationPredictor load_file(const std::string& path);
 
  private:
   ColocationPredictor(ModelId id, ml::RegressorPtr model,

@@ -1,7 +1,6 @@
 #include "fault/fault_injector.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <thread>
 
@@ -133,35 +132,6 @@ sim::RunMeasurement FaultInjector::run_colocated(
       MeasurePhase::kCampaign, repetition, [&] {
         return inner_.run_colocated(target, coapps, pstate_index, repetition);
       });
-}
-
-std::optional<counters::HostBaseline> profile_kernel_resilient(
-    const counters::MicrobenchSpec& spec, const FaultPlan& plan,
-    std::uint64_t attempt) {
-  const std::string cell_key = "host|" + spec.name;
-  const FaultKind kind =
-      plan.decide(cell_key, attempt, MeasurePhase::kBaseline);
-  if (kind == FaultKind::kTransient) {
-    injected_counter(kind).inc();
-    throw MeasurementError(ErrorClass::kTransient,
-                           "injected transient fault: " + cell_key);
-  }
-  auto baseline = counters::profile_kernel(spec);
-  if (!baseline) return std::nullopt;
-  if (kind == FaultKind::kCorruptedReading) {
-    injected_counter(kind).inc();
-    baseline->execution_time_s = std::numeric_limits<double>::quiet_NaN();
-  } else if (kind == FaultKind::kOutlierNoise) {
-    injected_counter(kind).inc();
-    baseline->execution_time_s *= plan.outlier_factor(cell_key, attempt);
-  }
-  // A corrupted host reading must not slip through: validate the basics.
-  if (!std::isfinite(baseline->execution_time_s) ||
-      baseline->execution_time_s <= 0.0) {
-    throw MeasurementError(ErrorClass::kCorruptedData,
-                           "non-finite host wall time: " + cell_key);
-  }
-  return baseline;
 }
 
 }  // namespace coloc::fault

@@ -1,21 +1,16 @@
-// Fault-injecting decorators for the two measurement backends.
+// Fault-injecting decorator for measurement sources.
 //
 // FaultInjector wraps any sim::MeasurementSource and applies the FaultPlan
 // on every run: throwing transient MeasurementErrors, corrupting readings,
 // scaling wall time into outlier territory, or hanging until the cell's
 // cancellation token fires. The wrapped source is never consulted about
 // the injection, so the same plan replays against any backend.
-//
-// profile_kernel_resilient wraps counters::HostProfiler the same way for
-// the real-hardware baseline path.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <string>
 
-#include "counters/host_profiler.hpp"
 #include "fault/fault_plan.hpp"
 #include "sim/execution.hpp"
 
@@ -60,13 +55,5 @@ class FaultInjector : public sim::MeasurementSource {
   // need synchronization.
   std::atomic<std::uint64_t> injected_by_kind_[5] = {};
 };
-
-/// Fault-aware host profiling: wraps counters::profile_kernel with the
-/// plan (baseline phase) and validates the reading. Returns nullopt when
-/// counters are unavailable; throws MeasurementError on an injected or
-/// real fault, for the caller's ResilientRunner to absorb.
-std::optional<counters::HostBaseline> profile_kernel_resilient(
-    const counters::MicrobenchSpec& spec, const FaultPlan& plan,
-    std::uint64_t attempt = 0);
 
 }  // namespace coloc::fault

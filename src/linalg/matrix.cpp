@@ -1,11 +1,8 @@
 #include "linalg/matrix.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <sstream>
-
-#include "common/thread_pool.hpp"
 
 namespace coloc::linalg {
 
@@ -22,16 +19,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
 Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::from_rows(const std::vector<Vector>& rows) {
-  if (rows.empty()) return {};
-  Matrix m(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    COLOC_CHECK_MSG(rows[r].size() == m.cols_, "ragged rows for Matrix");
-    for (std::size_t c = 0; c < m.cols_; ++c) m(r, c) = rows[r][c];
-  }
   return m;
 }
 
@@ -96,7 +83,7 @@ std::string Matrix::to_string(int precision) const {
   return os.str();
 }
 
-Matrix matmul_naive(const Matrix& a, const Matrix& b) {
+Matrix matmul(const Matrix& a, const Matrix& b) {
   COLOC_CHECK_MSG(a.cols() == b.rows(), "inner dimensions must match");
   Matrix c(a.rows(), b.cols(), 0.0);
   // i-k-j loop order keeps the innermost accesses sequential in b and c.
@@ -112,121 +99,6 @@ Matrix matmul_naive(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-namespace {
-
-// L1-friendly strip of the inner dimension: 64 doubles of B per k-strip
-// stay resident while a row block of C accumulates.
-constexpr std::size_t kTileK = 64;
-// Row-block granularity of the thread fan-out.
-constexpr std::size_t kRowsPerTask = 32;
-// Products below ~2 Mflop finish faster serially than a fan-out costs.
-constexpr std::size_t kParallelFlops = std::size_t{1} << 21;
-
-// Shared decision for the blocked kernels: worth fanning out, and safe to
-// (a blocking parallel_for from a pool worker would deadlock on itself).
-bool use_pool(std::size_t flops) {
-  return flops >= kParallelFlops && global_pool().size() > 1 &&
-         !on_worker_thread();
-}
-
-// Runs a kernel over [0, rows) in kRowsPerTask blocks, threaded or not.
-template <typename RowRangeFn>
-void for_row_blocks(std::size_t rows, std::size_t flops,
-                    const RowRangeFn& body) {
-  if (!use_pool(flops)) {
-    body(std::size_t{0}, rows);
-    return;
-  }
-  const std::size_t tasks = (rows + kRowsPerTask - 1) / kRowsPerTask;
-  parallel_for(
-      global_pool(), tasks,
-      [&](std::size_t t) {
-        const std::size_t begin = t * kRowsPerTask;
-        body(begin, std::min(rows, begin + kRowsPerTask));
-      },
-      1);
-}
-
-}  // namespace
-
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  COLOC_CHECK_MSG(a.cols() == b.rows(), "inner dimensions must match");
-  Matrix c(a.rows(), b.cols(), 0.0);
-  const std::size_t inner = a.cols();
-  const std::size_t width = b.cols();
-  for_row_blocks(
-      a.rows(), a.rows() * inner * width,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        // k-strips ascend, and k ascends within a strip, so every C(i,j)
-        // accumulates its terms in exactly matmul_naive's order; the
-        // aik == 0 skip drops the same terms the naive loop drops.
-        for (std::size_t kk = 0; kk < inner; kk += kTileK) {
-          const std::size_t k_end = std::min(inner, kk + kTileK);
-          for (std::size_t i = row_begin; i < row_end; ++i) {
-            auto crow = c.row(i);
-            for (std::size_t k = kk; k < k_end; ++k) {
-              const double aik = a(i, k);
-              if (aik == 0.0) continue;
-              const auto brow = b.row(k);
-              for (std::size_t j = 0; j < width; ++j)
-                crow[j] += aik * brow[j];
-            }
-          }
-        }
-      });
-  return c;
-}
-
-Matrix matmul_transposed(const Matrix& a, const Matrix& b) {
-  COLOC_CHECK_MSG(a.cols() == b.cols(),
-                  "matmul_transposed needs equal column counts");
-  Matrix c(a.rows(), b.rows(), 0.0);
-  for_row_blocks(a.rows(), a.rows() * a.cols() * b.rows(),
-                 [&](std::size_t row_begin, std::size_t row_end) {
-                   for (std::size_t i = row_begin; i < row_end; ++i) {
-                     auto crow = c.row(i);
-                     const auto arow = a.row(i);
-                     for (std::size_t j = 0; j < b.rows(); ++j)
-                       crow[j] = dot(arow, b.row(j));
-                   }
-                 });
-  return c;
-}
-
-void gemv(const Matrix& a, std::span<const double> x, std::span<double> y) {
-  COLOC_CHECK_MSG(a.cols() == x.size(), "gemv dimension mismatch");
-  COLOC_CHECK_MSG(y.size() == a.rows(), "gemv output size mismatch");
-  const std::size_t n = a.cols();
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* row = a.row(i).data();
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (std::size_t k = 0; k < n4; k += 4) {
-      s0 += row[k] * x[k];
-      s1 += row[k + 1] * x[k + 1];
-      s2 += row[k + 2] * x[k + 2];
-      s3 += row[k + 3] * x[k + 3];
-    }
-    double s = (s0 + s1) + (s2 + s3);
-    for (std::size_t k = n4; k < n; ++k) s += row[k] * x[k];
-    y[i] = s;
-  }
-}
-
-Vector matvec(const Matrix& a, std::span<const double> x) {
-  COLOC_CHECK_MSG(a.cols() == x.size(), "matvec dimension mismatch");
-  Vector y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) y[i] = dot(a.row(i), x);
-  return y;
-}
-
-Vector matvec_transposed(const Matrix& a, std::span<const double> x) {
-  COLOC_CHECK_MSG(a.rows() == x.size(), "matvec^T dimension mismatch");
-  Vector y(a.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) axpy(x[i], a.row(i), y);
-  return y;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   COLOC_CHECK_MSG(a.size() == b.size(), "dot length mismatch");
   double s = 0.0;
@@ -235,11 +107,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
 }
 
 double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
-void axpy(double s, std::span<const double> b, std::span<double> a) {
-  COLOC_CHECK_MSG(a.size() == b.size(), "axpy length mismatch");
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] += s * b[i];
-}
 
 double frobenius_distance(const Matrix& a, const Matrix& b) {
   COLOC_CHECK_MSG(a.same_shape(b), "shape mismatch");

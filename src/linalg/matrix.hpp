@@ -28,8 +28,6 @@ class Matrix {
   Matrix(std::initializer_list<std::initializer_list<double>> init);
 
   static Matrix identity(std::size_t n);
-  /// Stacks rows (each inner vector must share one length).
-  static Matrix from_rows(const std::vector<Vector>& rows);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -91,31 +89,12 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// C = A * B. Fast path: cache-tiled over the inner dimension and fanned
-/// out over row blocks on global_pool() when the product is large enough
-/// (serial from pool workers — see on_worker_thread()). Bit-identical to
-/// matmul_naive: per output element the k-terms accumulate in the same
-/// ascending order regardless of tiling or thread count.
+/// C = A * B with the plain i-k-j loop. Tests rebuild factorizations with
+/// it; the MLP's GEMM is gemm_bias (linalg/gemm_batch.hpp).
 Matrix matmul(const Matrix& a, const Matrix& b);
-/// Reference oracle for matmul: the original unblocked i-k-j loop.
-Matrix matmul_naive(const Matrix& a, const Matrix& b);
-/// C = A * B^T (both operands stream row-contiguously; this is the natural
-/// GEMM shape for row-major weight matrices). C(i,j) = dot(a.row(i),
-/// b.row(j)), threaded over row blocks like matmul.
-Matrix matmul_transposed(const Matrix& a, const Matrix& b);
-/// y = A * x into a caller-provided buffer (no allocation). Uses four
-/// partial accumulators per row so the inner loop vectorizes; sums may
-/// differ from matvec by reassociation (within ~1e-15 relative).
-void gemv(const Matrix& a, std::span<const double> x, std::span<double> y);
-/// y = A * x.
-Vector matvec(const Matrix& a, std::span<const double> x);
-/// y = A^T * x.
-Vector matvec_transposed(const Matrix& a, std::span<const double> x);
 
 double dot(std::span<const double> a, std::span<const double> b);
 double norm2(std::span<const double> a);
-/// a += s * b (axpy).
-void axpy(double s, std::span<const double> b, std::span<double> a);
 
 /// Frobenius norm of (a - b); used by tests.
 double frobenius_distance(const Matrix& a, const Matrix& b);

@@ -122,20 +122,4 @@ Vector least_squares(const Matrix& a, std::span<const double> b) {
   return QR(a).solve(b);
 }
 
-Vector ridge_least_squares(const Matrix& a, std::span<const double> b,
-                           double lambda) {
-  COLOC_CHECK_MSG(lambda >= 0.0, "ridge lambda must be nonnegative");
-  if (lambda == 0.0) return least_squares(a, b);
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  Matrix aug(m + n, n, 0.0);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) aug(i, j) = a(i, j);
-  const double s = std::sqrt(lambda);
-  for (std::size_t j = 0; j < n; ++j) aug(m + j, j) = s;
-  Vector rhs(m + n, 0.0);
-  for (std::size_t i = 0; i < m; ++i) rhs[i] = b[i];
-  return QR(std::move(aug)).solve(rhs);
-}
-
 }  // namespace coloc::linalg

@@ -51,9 +51,4 @@ class QR {
 /// Convenience one-shot least squares: returns argmin_x ||A x - b||_2.
 Vector least_squares(const Matrix& a, std::span<const double> b);
 
-/// Ridge-regularized least squares: argmin ||A x - b||^2 + lambda ||x||^2,
-/// solved by augmenting A with sqrt(lambda) * I. lambda >= 0.
-Vector ridge_least_squares(const Matrix& a, std::span<const double> b,
-                           double lambda);
-
 }  // namespace coloc::linalg

@@ -1,8 +1,6 @@
 #include "ml/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -46,39 +44,6 @@ double rmse(std::span<const double> predicted,
     s += d * d;
   }
   return std::sqrt(s / static_cast<double>(actual.size()));
-}
-
-double mean_absolute_error(std::span<const double> predicted,
-                           std::span<const double> actual) {
-  check_pair(predicted, actual);
-  double s = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i)
-    s += std::abs(predicted[i] - actual[i]);
-  return s / static_cast<double>(actual.size());
-}
-
-double r_squared(std::span<const double> predicted,
-                 std::span<const double> actual) {
-  check_pair(predicted, actual);
-  const double m = mean(actual);
-  double ss_res = 0.0, ss_tot = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    ss_res += (actual[i] - predicted[i]) * (actual[i] - predicted[i]);
-    ss_tot += (actual[i] - m) * (actual[i] - m);
-  }
-  if (ss_tot == 0.0) return ss_res == 0.0 ? 1.0 : 0.0;
-  return 1.0 - ss_res / ss_tot;
-}
-
-std::vector<double> signed_percent_errors(std::span<const double> predicted,
-                                          std::span<const double> actual) {
-  check_pair(predicted, actual);
-  std::vector<double> errs(actual.size());
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    COLOC_CHECK_MSG(actual[i] != 0.0, "percent error undefined for zero");
-    errs[i] = 100.0 * (predicted[i] - actual[i]) / actual[i];
-  }
-  return errs;
 }
 
 }  // namespace coloc::ml

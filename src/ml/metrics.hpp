@@ -6,7 +6,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace coloc::ml {
 
@@ -29,18 +28,5 @@ double normalized_rmse(std::span<const double> predicted,
 
 /// Plain RMSE in the target's units.
 double rmse(std::span<const double> predicted, std::span<const double> actual);
-
-/// Mean absolute error in the target's units.
-double mean_absolute_error(std::span<const double> predicted,
-                           std::span<const double> actual);
-
-/// Coefficient of determination (1 - SS_res/SS_tot).
-double r_squared(std::span<const double> predicted,
-                 std::span<const double> actual);
-
-/// Signed percent errors, 100*(pred-actual)/actual, one per sample — used
-/// for the per-application error distributions of Figure 5(b).
-std::vector<double> signed_percent_errors(std::span<const double> predicted,
-                                          std::span<const double> actual);
 
 }  // namespace coloc::ml

@@ -59,25 +59,6 @@ PcaResult pca_fit(const linalg::Matrix& x, const PcaOptions& options) {
   return result;
 }
 
-linalg::Matrix pca_transform(const PcaResult& pca, const linalg::Matrix& x,
-                             std::size_t k) {
-  const std::size_t n = pca.means.size();
-  COLOC_CHECK_MSG(x.cols() == n, "PCA transform width mismatch");
-  COLOC_CHECK_MSG(k <= n, "cannot request more components than features");
-  linalg::Matrix out(x.rows(), k, 0.0);
-  std::vector<double> row(n);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t c = 0; c < n; ++c)
-      row[c] = (x(r, c) - pca.means[c]) / pca.scales[c];
-    for (std::size_t j = 0; j < k; ++j) {
-      double s = 0.0;
-      for (std::size_t c = 0; c < n; ++c) s += row[c] * pca.components(c, j);
-      out(r, j) = s;
-    }
-  }
-  return out;
-}
-
 std::vector<double> pca_feature_importance(const PcaResult& pca) {
   const std::size_t n = pca.means.size();
   std::vector<double> importance(n, 0.0);

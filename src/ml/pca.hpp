@@ -34,10 +34,6 @@ struct PcaOptions {
 
 PcaResult pca_fit(const linalg::Matrix& x, const PcaOptions& options = {});
 
-/// Projects rows of x onto the first k principal components.
-linalg::Matrix pca_transform(const PcaResult& pca, const linalg::Matrix& x,
-                             std::size_t k);
-
 /// Per-feature importance: sum over components of
 /// |loading| * explained_variance_ratio. This is the ranking the paper uses
 /// to decide which features enter Table I.

@@ -1,7 +1,6 @@
 #include "ml/serialization.hpp"
 
 #include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -142,18 +141,6 @@ RegressorPtr load_model(std::istream& is) {
   }
   expect_token(is, "end");
   return model;
-}
-
-void save_model_file(const std::string& path, const Regressor& model) {
-  std::ofstream f(path);
-  COLOC_CHECK_MSG(f.good(), "cannot open model file for writing: " + path);
-  save_model(f, model);
-}
-
-RegressorPtr load_model_file(const std::string& path) {
-  std::ifstream f(path);
-  COLOC_CHECK_MSG(f.good(), "cannot open model file for reading: " + path);
-  return load_model(f);
 }
 
 }  // namespace coloc::ml

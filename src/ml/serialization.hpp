@@ -16,7 +16,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "ml/model.hpp"
 
@@ -28,9 +27,5 @@ void save_model(std::ostream& os, const Regressor& model);
 
 /// Reads a model written by save_model.
 RegressorPtr load_model(std::istream& is);
-
-/// File-path conveniences.
-void save_model_file(const std::string& path, const Regressor& model);
-RegressorPtr load_model_file(const std::string& path);
 
 }  // namespace coloc::ml

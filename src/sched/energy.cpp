@@ -21,11 +21,4 @@ double energy_j(const sim::MachineConfig& machine, std::size_t pstate_index,
   return package_power_w(machine, pstate_index, active_cores) * duration_s;
 }
 
-double energy_delay_product(const sim::MachineConfig& machine,
-                            std::size_t pstate_index,
-                            std::size_t active_cores, double duration_s) {
-  return energy_j(machine, pstate_index, active_cores, duration_s) *
-         duration_s;
-}
-
 }  // namespace coloc::sched

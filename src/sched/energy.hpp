@@ -23,9 +23,4 @@ double package_power_w(const sim::MachineConfig& machine,
 double energy_j(const sim::MachineConfig& machine, std::size_t pstate_index,
                 std::size_t active_cores, double duration_s);
 
-/// Energy-delay product, a common efficiency figure of merit.
-double energy_delay_product(const sim::MachineConfig& machine,
-                            std::size_t pstate_index,
-                            std::size_t active_cores, double duration_s);
-
 }  // namespace coloc::sched

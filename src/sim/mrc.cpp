@@ -106,12 +106,4 @@ double MissRatioCurve::miss_ratio(double lines) const {
   return ratios_[lo] + t * (ratios_[hi] - ratios_[lo]);
 }
 
-double MissRatioCurve::capacity_for_ratio(double target) const {
-  COLOC_CHECK_MSG(!empty(), "empty miss-ratio curve");
-  for (std::size_t i = 0; i < ratios_.size(); ++i) {
-    if (ratios_[i] <= target) return capacities_[i];
-  }
-  return capacities_.back();
-}
-
 }  // namespace coloc::sim

@@ -42,18 +42,9 @@ class MissRatioCurve {
   /// log-linear interpolation between knots, clamped at the ends.
   double miss_ratio(double lines) const;
 
-  /// Smallest capacity at which the miss ratio drops to `target` or below
-  /// (infinity -> returns the largest knot capacity).
-  double capacity_for_ratio(double target) const;
-
   bool empty() const { return capacities_.empty(); }
   const std::vector<double>& capacities() const { return capacities_; }
   const std::vector<double>& ratios() const { return ratios_; }
-
-  /// The asymptotic miss ratio with unlimited cache (cold/compulsory part).
-  double compulsory_ratio() const {
-    return ratios_.empty() ? 0.0 : ratios_.back();
-  }
 
  private:
   std::vector<double> capacities_;  // ascending, in cache lines

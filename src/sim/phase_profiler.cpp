@@ -1,6 +1,8 @@
 #include "sim/phase_profiler.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -23,11 +25,19 @@ std::vector<PhaseSample> profile_phases(TraceGenerator& generator,
   std::uint64_t prev_accesses = hierarchy.level(llc).stats().accesses;
   std::uint64_t prev_misses = hierarchy.level(llc).stats().misses;
 
+  // Each window streams through a chunk buffer: next_batch and
+  // access_batch replay the per-reference walk bit for bit at any chunk
+  // size, so window boundaries see the same counters.
+  std::array<LineAddress, 4096> chunk{};
   std::size_t emitted = 0;
   std::uint64_t window = 0;
   while (emitted + window_references <= total_references) {
-    for (std::size_t i = 0; i < window_references; ++i) {
-      hierarchy.access(generator.next());
+    for (std::size_t done = 0; done < window_references;
+         done += chunk.size()) {
+      const std::span<LineAddress> lines(
+          chunk.data(), std::min(chunk.size(), window_references - done));
+      generator.next_batch(lines);
+      hierarchy.access_batch(lines);
     }
     emitted += window_references;
     const std::uint64_t accesses = hierarchy.level(llc).stats().accesses;

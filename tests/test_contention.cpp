@@ -204,5 +204,32 @@ TEST(Contention, DegradationMonotoneInCoRunnerIntensity) {
   }
 }
 
+// Table VI physics on the noise-free solver: on both Table IV presets and
+// at every P-state, canneal runs strictly slower with each co-located cg
+// added, and every solve of canneal + k cg reaches its fixed point.
+TEST(Contention, TableVICannealSlowsWithEveryCg) {
+  AppMrcLibrary library;
+  const ApplicationSpec canneal = find_application("canneal");
+  const ApplicationSpec cg = find_application("cg");
+  const ScheduledApp canneal_app{&canneal, &library.curve(canneal)};
+  const ScheduledApp cg_app{&cg, &library.curve(cg)};
+  for (const MachineConfig& machine : {xeon_e5649(), xeon_e5_2697v2()}) {
+    for (std::size_t p = 0; p < machine.pstates.size(); ++p) {
+      double prev_time = 0.0;
+      for (std::size_t k = 0; k < machine.cores; ++k) {
+        std::vector<ScheduledApp> apps(k + 1, cg_app);
+        apps[0] = canneal_app;
+        const ContentionSolution s = solve_contention(
+            machine, machine.pstates[p].frequency_ghz, apps);
+        EXPECT_TRUE(s.converged)
+            << machine.name << " P" << p << " with " << k << " cg";
+        EXPECT_GT(s.apps[0].execution_time_s, prev_time)
+            << machine.name << " P" << p << " with " << k << " cg";
+        prev_time = s.apps[0].execution_time_s;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace coloc::sim

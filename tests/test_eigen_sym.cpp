@@ -60,13 +60,10 @@ TEST(EigenSym, ReconstructsMatrix) {
 TEST(EigenSym, EigenvalueEquationHolds) {
   const Matrix a{{4, 1, 0}, {1, 3, 1}, {0, 1, 2}};
   const EigenResult e = eigen_symmetric(a);
-  for (std::size_t k = 0; k < 3; ++k) {
-    Vector v(3);
-    for (std::size_t i = 0; i < 3; ++i) v[i] = e.vectors(i, k);
-    const Vector av = matvec(a, v);
+  const Matrix av = matmul(a, e.vectors);
+  for (std::size_t k = 0; k < 3; ++k)
     for (std::size_t i = 0; i < 3; ++i)
-      EXPECT_NEAR(av[i], e.values[k] * v[i], 1e-9);
-  }
+      EXPECT_NEAR(av(i, k), e.values[k] * e.vectors(i, k), 1e-9);
 }
 
 TEST(EigenSym, SortedDescending) {

@@ -44,12 +44,6 @@ TEST(Energy, EnergyIsPowerTimesTime) {
   EXPECT_DOUBLE_EQ(energy_j(m, 1, 3, 10.0), 10.0 * p);
 }
 
-TEST(Energy, EdpIsEnergyTimesTime) {
-  const sim::MachineConfig m = sim::xeon_e5649();
-  EXPECT_DOUBLE_EQ(energy_delay_product(m, 0, 2, 5.0),
-                   energy_j(m, 0, 2, 5.0) * 5.0);
-}
-
 TEST(Energy, RejectsTooManyCores) {
   const sim::MachineConfig m = sim::xeon_e5649();
   EXPECT_THROW(package_power_w(m, 0, m.cores + 1), coloc::runtime_error);

@@ -309,21 +309,6 @@ TEST_F(FaultInjectorTest, InjectionIsDeterministicAcrossInstances) {
   }
 }
 
-TEST(ProfileKernelResilient, InjectedTransientThrowsBeforeProfiling) {
-  FaultPlanConfig config;
-  config.rate = 1.0;
-  config.kinds = {FaultKind::kTransient};
-  const FaultPlan plan(config);
-  counters::MicrobenchSpec spec;
-  spec.name = "pointer_chase";
-  try {
-    profile_kernel_resilient(spec, plan);
-    FAIL() << "expected MeasurementError";
-  } catch (const MeasurementError& e) {
-    EXPECT_EQ(e.error_class(), ErrorClass::kTransient);
-  }
-}
-
 TEST(ErrorTaxonomy, ClassesRoundTripToStrings) {
   EXPECT_STREQ(to_string(ErrorClass::kTransient), "transient");
   EXPECT_STREQ(to_string(ErrorClass::kPermanent), "permanent");

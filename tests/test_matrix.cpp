@@ -32,12 +32,6 @@ TEST(MatrixTest, Identity) {
       EXPECT_DOUBLE_EQ(i(r, c), r == c ? 1.0 : 0.0);
 }
 
-TEST(MatrixTest, FromRows) {
-  const Matrix m = Matrix::from_rows({{1, 2}, {3, 4}, {5, 6}});
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_DOUBLE_EQ(m(2, 1), 6.0);
-}
-
 TEST(MatrixTest, AtBoundsChecked) {
   Matrix m(2, 2);
   EXPECT_THROW(m.at(2, 0), coloc::runtime_error);
@@ -100,34 +94,10 @@ TEST(Matmul, DimensionMismatchThrows) {
   EXPECT_THROW(matmul(a, b), coloc::runtime_error);
 }
 
-TEST(Matvec, KnownResult) {
-  const Matrix a{{1, 2}, {3, 4}};
-  const Vector y = matvec(a, std::vector<double>{1.0, 1.0});
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
-}
-
-TEST(Matvec, TransposedMatchesExplicit) {
-  const Matrix a{{1, 2, 3}, {4, 5, 6}};
-  const std::vector<double> x = {1.0, -1.0};
-  const Vector y1 = matvec_transposed(a, x);
-  const Vector y2 = matvec(a.transposed(), x);
-  for (std::size_t i = 0; i < y1.size(); ++i)
-    EXPECT_DOUBLE_EQ(y1[i], y2[i]);
-}
-
 TEST(VectorOps, DotAndNorm) {
   const std::vector<double> a = {3.0, 4.0};
   EXPECT_DOUBLE_EQ(dot(a, a), 25.0);
   EXPECT_DOUBLE_EQ(norm2(a), 5.0);
-}
-
-TEST(VectorOps, Axpy) {
-  std::vector<double> a = {1.0, 2.0};
-  const std::vector<double> b = {10.0, 20.0};
-  axpy(0.5, b, a);
-  EXPECT_DOUBLE_EQ(a[0], 6.0);
-  EXPECT_DOUBLE_EQ(a[1], 12.0);
 }
 
 TEST(VectorOps, LengthMismatchThrows) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "common/error.hpp"
+#include "store/zoo_store.hpp"
 #include "test_helpers.hpp"
 
 namespace coloc::core {
@@ -10,6 +14,23 @@ namespace {
 
 using testing_helpers::tiny_machine;
 using testing_helpers::tiny_suite;
+
+// Persists the predictor's model as a one-entry zoo bundle, loads the
+// bundle back through the verifying loader and wraps the loaded model.
+ColocationPredictor round_trip_through_zoo(const ColocationPredictor& original,
+                                           const std::string& dir_name) {
+  store::FileOps& files = store::FileOps::real();
+  const std::string dir = ::testing::TempDir() + "/" + dir_name;
+  std::filesystem::remove_all(dir);
+  const std::string name = original.id().name();
+  store::save_zoo(files, dir, {{name, &original.model()}});
+  store::LoadReport report = store::load_zoo(files, dir);
+  EXPECT_TRUE(report.complete()) << report.summary();
+  ColocationPredictor loaded = ColocationPredictor::from_model(
+      original.id(), std::move(report.models.at(name)));
+  std::filesystem::remove_all(dir);
+  return loaded;
+}
 
 class MethodologyTest : public ::testing::Test {
  protected:
@@ -158,32 +179,28 @@ TEST_F(MethodologyTest, PredictorRoundTripsThroughStream) {
   const ColocationPredictor original = ColocationPredictor::train(
       campaign_->dataset,
       {ModelTechnique::kNeuralNetwork, FeatureSet::kF}, config.zoo);
-  std::stringstream ss;
-  original.save(ss);
-  const ColocationPredictor loaded = ColocationPredictor::load(ss);
+  const ColocationPredictor loaded =
+      round_trip_through_zoo(original, "coloc_predictor_nn");
 
   EXPECT_EQ(loaded.id().name(), original.id().name());
   const BaselineProfile& target = campaign_->baselines.at("medium");
   const BaselineProfile& co = campaign_->baselines.at("hog");
   const std::vector<const BaselineProfile*> coapps = {&co, &co};
   for (std::size_t p = 0; p < 3; ++p) {
-    EXPECT_DOUBLE_EQ(loaded.predict_time(target, coapps, p),
-                     original.predict_time(target, coapps, p));
+    EXPECT_EQ(loaded.predict_time(target, coapps, p),
+              original.predict_time(target, coapps, p));
   }
 }
 
 TEST_F(MethodologyTest, LinearPredictorRoundTripsThroughFile) {
-  const std::string path =
-      ::testing::TempDir() + "/coloc_predictor_test.txt";
   const ColocationPredictor original = ColocationPredictor::train(
       campaign_->dataset, {ModelTechnique::kLinear, FeatureSet::kC});
-  original.save_file(path);
-  const ColocationPredictor loaded = ColocationPredictor::load_file(path);
+  const ColocationPredictor loaded =
+      round_trip_through_zoo(original, "coloc_predictor_linear");
   const BaselineProfile& target = campaign_->baselines.at("light");
   const BaselineProfile& co = campaign_->baselines.at("quiet");
-  EXPECT_DOUBLE_EQ(loaded.predict_time(target, {&co}, 0),
-                   original.predict_time(target, {&co}, 0));
-  std::remove(path.c_str());
+  EXPECT_EQ(loaded.predict_time(target, {&co}, 0),
+            original.predict_time(target, {&co}, 0));
 }
 
 }  // namespace

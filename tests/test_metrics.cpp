@@ -60,37 +60,6 @@ TEST(Rmse, KnownValue) {
   EXPECT_NEAR(rmse(pred, actual), std::sqrt(12.5), 1e-12);
 }
 
-TEST(Mae, KnownValue) {
-  const std::vector<double> actual = {0.0, 0.0};
-  const std::vector<double> pred = {-3.0, 5.0};
-  EXPECT_DOUBLE_EQ(mean_absolute_error(pred, actual), 4.0);
-}
-
-TEST(R2, PerfectIsOne) {
-  const std::vector<double> a = {1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(r_squared(a, a), 1.0);
-}
-
-TEST(R2, MeanPredictorIsZero) {
-  const std::vector<double> actual = {1.0, 2.0, 3.0};
-  const std::vector<double> pred = {2.0, 2.0, 2.0};
-  EXPECT_NEAR(r_squared(pred, actual), 0.0, 1e-12);
-}
-
-TEST(R2, WorseThanMeanIsNegative) {
-  const std::vector<double> actual = {1.0, 2.0, 3.0};
-  const std::vector<double> pred = {3.0, 2.0, 1.0};
-  EXPECT_LT(r_squared(pred, actual), 0.0);
-}
-
-TEST(SignedErrors, SignsAndMagnitudes) {
-  const std::vector<double> actual = {100.0, 200.0};
-  const std::vector<double> pred = {90.0, 220.0};
-  const auto errs = signed_percent_errors(pred, actual);
-  EXPECT_NEAR(errs[0], -10.0, 1e-12);
-  EXPECT_NEAR(errs[1], 10.0, 1e-12);
-}
-
 TEST(Metrics, EmptyInputThrows) {
   const std::vector<double> empty;
   EXPECT_THROW(mean_percent_error(empty, empty), coloc::runtime_error);

@@ -35,7 +35,7 @@ TEST(Mrc, FullCapacityReachesCompulsoryOnly) {
   // Warm curve with the cache as big as the footprint: everything fits.
   const MissRatioCurve curve = profile_zipf_curve(500, 30000, 2);
   EXPECT_NEAR(curve.miss_ratio(500), 0.0, 1e-9);
-  EXPECT_NEAR(curve.compulsory_ratio(), 0.0, 1e-9);
+  EXPECT_NEAR(curve.ratios().back(), 0.0, 1e-9);
 }
 
 TEST(Mrc, TinyCapacityMissesAlmostEverything) {
@@ -92,13 +92,6 @@ TEST(Mrc, ClampsOutsideKnots) {
       MissRatioCurve::from_points({10, 100}, {0.6, 0.1});
   EXPECT_DOUBLE_EQ(curve.miss_ratio(1), 0.6);
   EXPECT_DOUBLE_EQ(curve.miss_ratio(1e9), 0.1);
-}
-
-TEST(Mrc, CapacityForRatio) {
-  const MissRatioCurve curve =
-      MissRatioCurve::from_points({10, 100, 1000}, {0.9, 0.5, 0.1});
-  EXPECT_DOUBLE_EQ(curve.capacity_for_ratio(0.5), 100.0);
-  EXPECT_DOUBLE_EQ(curve.capacity_for_ratio(0.05), 1000.0);
 }
 
 TEST(Mrc, FromPointsValidation) {

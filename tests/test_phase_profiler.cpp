@@ -45,6 +45,26 @@ TEST(PhaseProfiler, ProducesOneSamplePerWindow) {
   }
 }
 
+TEST(PhaseProfiler, WindowsMatchTheScalarWalk) {
+  // 10k-reference windows span several batch chunks and end mid-chunk;
+  // every sample must equal the per-reference walk's counter deltas.
+  TraceGenerator gen(two_phase_spec(), 3);
+  CacheHierarchy h({level(256, 4), level(4096, 16)});
+  const auto samples = profile_phases(gen, h, 50'000, 10'000);
+
+  TraceGenerator ref_gen(two_phase_spec(), 3);
+  ref_gen.set_horizon(50'000);
+  CacheHierarchy ref({level(256, 4), level(4096, 16)});
+  ASSERT_EQ(samples.size(), 5u);
+  for (const PhaseSample& sample : samples) {
+    const std::uint64_t accesses = ref.llc_accesses();
+    const std::uint64_t misses = ref.llc_misses();
+    for (std::size_t i = 0; i < 10'000; ++i) ref.access(ref_gen.next());
+    EXPECT_EQ(sample.llc_accesses, ref.llc_accesses() - accesses);
+    EXPECT_EQ(sample.llc_misses, ref.llc_misses() - misses);
+  }
+}
+
 TEST(PhaseProfiler, DetectsPhaseTransition) {
   // First half quiet, second half hungry: late windows must show far more
   // intensity than early ones.

@@ -73,20 +73,6 @@ TEST(Rng, UniformIndexRejectsZero) {
   EXPECT_THROW(rng.uniform_index(0), coloc::runtime_error);
 }
 
-TEST(Rng, UniformIntInclusiveBounds) {
-  Rng rng(10);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = rng.uniform_int(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    saw_lo |= v == -2;
-    saw_hi |= v == 2;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, NormalMomentsMatch) {
   Rng rng(11);
   const int n = 200000;

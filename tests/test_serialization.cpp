@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -102,22 +101,6 @@ TEST(Serialization, TruncatedStreamRejected) {
   const std::string full = ss.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_model(truncated), coloc::runtime_error);
-}
-
-TEST(Serialization, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/coloc_model_test.txt";
-  coloc::Rng rng(5);
-  const LinearModel original = trained_linear(rng);
-  save_model_file(path, original);
-  const RegressorPtr loaded = load_model_file(path);
-  EXPECT_DOUBLE_EQ(loaded->predict(std::vector<double>{1.0, 2.0, 3.0}),
-                   original.predict(std::vector<double>{1.0, 2.0, 3.0}));
-  std::remove(path.c_str());
-}
-
-TEST(Serialization, MissingFileThrows) {
-  EXPECT_THROW(load_model_file("/nonexistent/model.txt"),
-               coloc::runtime_error);
 }
 
 // --- hostile doubles ------------------------------------------------------
