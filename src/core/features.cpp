@@ -96,30 +96,33 @@ BaselineLibrary collect_baselines(
   return library;
 }
 
+std::array<double, kNumFeatures> feature_row(const BaselineProfile& target,
+                                             std::size_t pstate_index,
+                                             const CoAppSums& co) {
+  std::array<double, kNumFeatures> f{};
+  f[static_cast<std::size_t>(FeatureId::kBaseExTime)] =
+      target.time_at(pstate_index);
+  f[static_cast<std::size_t>(FeatureId::kNumCoApp)] = co.count;
+  f[static_cast<std::size_t>(FeatureId::kCoAppMem)] = co.mem;
+  f[static_cast<std::size_t>(FeatureId::kTargetMem)] =
+      target.memory_intensity;
+  f[static_cast<std::size_t>(FeatureId::kCoAppCmCa)] = co.cmca;
+  f[static_cast<std::size_t>(FeatureId::kCoAppCaIns)] = co.cains;
+  f[static_cast<std::size_t>(FeatureId::kTargetCmCa)] = target.cm_per_ca;
+  f[static_cast<std::size_t>(FeatureId::kTargetCaIns)] = target.ca_per_ins;
+  return f;
+}
+
 std::array<double, kNumFeatures> compute_features(
     const BaselineProfile& target,
     const std::vector<const BaselineProfile*>& coapps,
     std::size_t pstate_index) {
-  std::array<double, kNumFeatures> f{};
-  f[static_cast<std::size_t>(FeatureId::kBaseExTime)] =
-      target.time_at(pstate_index);
-  f[static_cast<std::size_t>(FeatureId::kNumCoApp)] =
-      static_cast<double>(coapps.size());
-  double co_mem = 0.0, co_cmca = 0.0, co_cains = 0.0;
-  for (const BaselineProfile* co : coapps) {
-    COLOC_CHECK_MSG(co != nullptr, "null co-app baseline");
-    co_mem += co->memory_intensity;
-    co_cmca += co->cm_per_ca;
-    co_cains += co->ca_per_ins;
+  CoAppSums co;
+  for (const BaselineProfile* coapp : coapps) {
+    COLOC_CHECK_MSG(coapp != nullptr, "null co-app baseline");
+    co.add(*coapp);
   }
-  f[static_cast<std::size_t>(FeatureId::kCoAppMem)] = co_mem;
-  f[static_cast<std::size_t>(FeatureId::kTargetMem)] =
-      target.memory_intensity;
-  f[static_cast<std::size_t>(FeatureId::kCoAppCmCa)] = co_cmca;
-  f[static_cast<std::size_t>(FeatureId::kCoAppCaIns)] = co_cains;
-  f[static_cast<std::size_t>(FeatureId::kTargetCmCa)] = target.cm_per_ca;
-  f[static_cast<std::size_t>(FeatureId::kTargetCaIns)] = target.ca_per_ins;
-  return f;
+  return feature_row(target, pstate_index, co);
 }
 
 }  // namespace coloc::core

@@ -79,10 +79,38 @@ BaselineLibrary collect_baselines(
     const std::vector<sim::ApplicationSpec>& apps,
     fault::ResilientRunner* runner = nullptr);
 
+/// The co-runner half of a Table I row: the number of co-located instances
+/// and the sums of their three counter ratios. Floating-point addition is
+/// not associative, so each caller accumulates in one fixed order of its
+/// own (caller order in compute_features, sorted AppId order in
+/// serve::PlacementService) and its rows stay a pure function of that
+/// order.
+struct CoAppSums {
+  double count = 0.0;
+  double mem = 0.0;
+  double cmca = 0.0;
+  double cains = 0.0;
+
+  void add(const BaselineProfile& coapp) {
+    count += 1.0;
+    mem += coapp.memory_intensity;
+    cmca += coapp.cm_per_ca;
+    cains += coapp.ca_per_ins;
+  }
+};
+
+/// The 8-entry Table I row for `target` at the given P-state next to
+/// co-runners already summed in `co`. This is the one function that knows
+/// the column order; compute_features and the placement service both
+/// build their rows here.
+std::array<double, kNumFeatures> feature_row(const BaselineProfile& target,
+                                             std::size_t pstate_index,
+                                             const CoAppSums& co);
+
 /// Assembles the 8-entry Table I feature vector for a co-location scenario:
 /// `target` co-located with the profiles in `coapps` (one entry per
 /// co-located instance; repeat an entry for multiple copies) at the given
-/// P-state.
+/// P-state. Co-app ratios are summed in `coapps` order.
 std::array<double, kNumFeatures> compute_features(
     const BaselineProfile& target,
     const std::vector<const BaselineProfile*>& coapps,

@@ -2,7 +2,7 @@
 //
 // Ties the pieces together:
 //   campaign dataset  ->  12-model evaluation suite (Figures 1-4)
-//   campaign dataset  ->  deployable ColocationPredictor (used by sched/)
+//   campaign dataset  ->  deployable ColocationPredictor (serve/, sched/ DVFS)
 //   campaign dataset  ->  PCA feature ranking (Section III-B)
 #pragma once
 

@@ -7,7 +7,10 @@
 //   kLeastLoaded        node with the most free cores (max spreading)
 //   kInterferenceAware  node minimizing the predicted slowdown of the new
 //                       job plus the predicted slowdown increase of the
-//                       residents it joins (requires a trained predictor)
+//                       residents it joins (requires a trained predictor);
+//                       with a positive EventSimConfig::max_slowdown it
+//                       consolidates instead: the cheapest busy node that
+//                       keeps every resident within that QoS bound
 //   kDvfsAware          places like kInterferenceAware, then re-picks the
 //                       chosen node's P-state per arrival via
 //                       sched::choose_pstate_for_deadline

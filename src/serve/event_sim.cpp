@@ -57,6 +57,8 @@ EventSimulator::EventSimulator(EventSimConfig config,
                   "P-state index out of range");
   COLOC_CHECK_MSG(config_.node.pstates.size() <= 256,
                   "event sim supports at most 256 P-states");
+  COLOC_CHECK_MSG(config_.max_slowdown >= 0.0,
+                  "QoS slowdown bound must be a non-negative number");
   sim::validate(config_.node);
   COLOC_CHECK_MSG(!catalog_.empty(), "event sim needs a job catalog");
   for (std::size_t i = 0; i < catalog_.size(); ++i) {
@@ -179,12 +181,33 @@ std::size_t EventSimulator::pick_node(const Job& job,
         }
       }
       if (candidate_scratch_.empty()) return nodes_.size();
-      cost_scratch_.resize(candidate_scratch_.size());
+      const std::size_t count = candidate_scratch_.size();
+      const bool bounded = config_.max_slowdown > 0.0;
+      cost_scratch_.resize(count);
+      worst_scratch_.resize(bounded ? count : 0);
       service_->score_candidates(job.app, candidate_scratch_, pstate_scratch_,
-                                 cost_scratch_);
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < cost_scratch_.size(); ++i) {
-        if (cost_scratch_[i] < cost_scratch_[best]) best = i;
+                                 cost_scratch_, worst_scratch_);
+      std::size_t best = count;
+      if (bounded) {
+        // Consolidate: the cheapest busy node that keeps every resident,
+        // the new job included, within the bound.
+        for (std::size_t i = 0; i < count; ++i) {
+          if (nodes_[candidate_scratch_[i]].residents.empty() ||
+              worst_scratch_[i] > config_.max_slowdown) {
+            continue;
+          }
+          if (best == count || cost_scratch_[i] < cost_scratch_[best]) {
+            best = i;
+          }
+        }
+      }
+      if (best == count) {
+        // Unbounded rule, and the fallback: lowest cost over every
+        // free-core node (an empty node costs 1.0).
+        best = 0;
+        for (std::size_t i = 1; i < count; ++i) {
+          if (cost_scratch_[i] < cost_scratch_[best]) best = i;
+        }
       }
       return candidate_scratch_[best];
     }

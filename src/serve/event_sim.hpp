@@ -19,6 +19,10 @@
 //     of the fleet is mirrored there, and interference-aware policies ask
 //     score_candidates() for the predicted-slowdown cost of every feasible
 //     node in one batched model query.
+//   * QoS-bounded consolidation (the paper's Section VI scenario) is one
+//     setting on those same policies, EventSimConfig::max_slowdown: a job
+//     joins the cheapest busy node whose predicted worst slowdown stays
+//     within the bound, and opens a node only when none does.
 //
 // kDvfsAware places like kInterferenceAware, then re-picks the chosen
 // node's P-state with sched::choose_pstate_for_deadline against the job's
@@ -54,6 +58,13 @@ struct EventSimConfig {
   sim::ContentionOptions contention;
   /// Deadline = arrival + deadline_slack x run-alone time at pstate_index.
   double deadline_slack = 3.0;
+  /// QoS bound on predicted slowdown for kInterferenceAware and
+  /// kDvfsAware; 0 (the default) disables it. When positive, a job goes to
+  /// the cheapest busy node where every resident, the new job included, is
+  /// predicted to stay at or below the bound. If no busy node qualifies the
+  /// unbounded rule applies: lowest cost over all free-core nodes, where an
+  /// empty node costs 1.0. Negative or NaN is rejected.
+  double max_slowdown = 0.0;
 };
 
 /// One arriving job: which catalog application, and when.
@@ -175,6 +186,7 @@ class EventSimulator {
   std::vector<std::uint32_t> candidate_scratch_;
   std::vector<std::uint8_t> pstate_scratch_;
   std::vector<double> cost_scratch_;
+  std::vector<double> worst_scratch_;  // empty unless max_slowdown > 0
   std::vector<sim::ScheduledApp> solve_scratch_;
 };
 

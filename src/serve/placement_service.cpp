@@ -1,6 +1,7 @@
 #include "serve/placement_service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "common/error.hpp"
@@ -71,18 +72,12 @@ AppId PlacementService::register_app(const core::BaselineProfile& profile) {
                       "' has no P-state times");
   COLOC_CHECK_MSG(apps_.size() < kMaxApps,
                   "placement catalog is full (2^24 apps)");
-  AppEntry entry;
-  entry.name = profile.app_name;
-  entry.time_s = profile.execution_time_s;
-  for (double t : entry.time_s) {
+  for (double t : profile.execution_time_s) {
     COLOC_CHECK_MSG(t > 0.0, "baseline time must be positive for '" +
                                  profile.app_name + "'");
   }
-  entry.mem = profile.memory_intensity;
-  entry.cmca = profile.cm_per_ca;
-  entry.cains = profile.ca_per_ins;
   const AppId id = static_cast<AppId>(apps_.size());
-  apps_.push_back(std::move(entry));
+  apps_.push_back(profile);
   ids_.emplace(profile.app_name, id);
   return id;
 }
@@ -102,16 +97,13 @@ AppId PlacementService::id_of(const std::string& name) const {
 
 const std::string& PlacementService::name_of(AppId app) const {
   COLOC_CHECK_MSG(app < apps_.size(), "AppId out of range");
-  return apps_[app].name;
+  return apps_[app].app_name;
 }
 
 double PlacementService::baseline_time(AppId app,
                                        std::size_t pstate_index) const {
   COLOC_CHECK_MSG(app < apps_.size(), "AppId out of range");
-  const AppEntry& entry = apps_[app];
-  COLOC_CHECK_MSG(pstate_index < entry.time_s.size(),
-                  "P-state index out of range for '" + entry.name + "'");
-  return entry.time_s[pstate_index];
+  return apps_[app].time_at(pstate_index);
 }
 
 void PlacementService::reset_fleet(std::size_t nodes) {
@@ -123,15 +115,8 @@ void PlacementService::refresh_aggregates(NodeState& node) {
   // Pure function of the sorted membership: recomputed from scratch so two
   // histories reaching the same membership carry bit-identical sums (an
   // incremental add/subtract would drift in the last ulp).
-  node.mem_sum = 0.0;
-  node.cmca_sum = 0.0;
-  node.cains_sum = 0.0;
-  for (AppId member : node.members) {
-    const AppEntry& entry = apps_[member];
-    node.mem_sum += entry.mem;
-    node.cmca_sum += entry.cmca;
-    node.cains_sum += entry.cains;
-  }
+  node.co = {};
+  for (AppId member : node.members) node.co.add(apps_[member]);
   membership_scratch_.assign(
       reinterpret_cast<const char*>(node.members.data()),
       node.members.size() * sizeof(AppId));
@@ -179,24 +164,12 @@ std::uint32_t PlacementService::membership_id(std::size_t node) const {
   return nodes_[node].membership;
 }
 
-void PlacementService::assemble_row(const AppEntry& subject,
-                                    std::size_t pstate_index, double co_count,
-                                    double co_mem, double co_cmca,
-                                    double co_cains,
+void PlacementService::assemble_row(const core::BaselineProfile& subject,
+                                    std::size_t pstate_index,
+                                    const core::CoAppSums& co,
                                     std::span<double> row) const {
-  COLOC_CHECK_MSG(pstate_index < subject.time_s.size(),
-                  "P-state index out of range for '" + subject.name + "'");
-  // Table I order (core::FeatureId), gathered through the model's columns.
-  const double full[core::kNumFeatures] = {
-      subject.time_s[pstate_index],  // kBaseExTime
-      co_count,                      // kNumCoApp
-      co_mem,                        // kCoAppMem
-      subject.mem,                   // kTargetMem
-      co_cmca,                       // kCoAppCmCa
-      co_cains,                      // kCoAppCaIns
-      subject.cmca,                  // kTargetCmCa
-      subject.cains,                 // kTargetCaIns
-  };
+  const std::array<double, core::kNumFeatures> full =
+      core::feature_row(subject, pstate_index, co);
   const std::vector<std::size_t>& columns = predictor_->columns();
   for (std::size_t c = 0; c < columns.size(); ++c) row[c] = full[columns[c]];
 }
@@ -214,10 +187,8 @@ void PlacementService::predict_batch(std::span<const AppId> targets,
   for (std::size_t k = 0; k < targets.size(); ++k) {
     COLOC_CHECK_MSG(targets[k] < apps_.size(), "AppId out of range");
     COLOC_CHECK_MSG(nodes[k] < nodes_.size(), "node index out of range");
-    const NodeState& node = nodes_[nodes[k]];
-    assemble_row(apps_[targets[k]], pstate_index,
-                 static_cast<double>(node.members.size()), node.mem_sum,
-                 node.cmca_sum, node.cains_sum, scratch_x_.row(k));
+    assemble_row(apps_[targets[k]], pstate_index, nodes_[nodes[k]].co,
+                 scratch_x_.row(k));
   }
   predictor_->model().predict_into(scratch_x_, out_time_s);
   stats_.queries += 1;
@@ -231,6 +202,9 @@ void PlacementService::score_candidates(AppId target,
                                         std::span<const std::uint32_t> candidates,
                                         std::size_t pstate_index,
                                         std::span<double> out_cost) {
+  // The per-candidate overload carries P-states as bytes (8 key bits);
+  // narrowing a larger index would silently score a different P-state.
+  COLOC_CHECK_MSG(pstate_index <= 0xFF, "P-state index out of range");
   pstate_scratch_.assign(candidates.size(),
                          static_cast<std::uint8_t>(pstate_index));
   score_candidates(target, candidates, pstate_scratch_, out_cost);
@@ -239,14 +213,20 @@ void PlacementService::score_candidates(AppId target,
 void PlacementService::score_candidates(AppId target,
                                         std::span<const std::uint32_t> candidates,
                                         std::span<const std::uint8_t> pstates,
-                                        std::span<double> out_cost) {
+                                        std::span<double> out_cost,
+                                        std::span<double> out_worst) {
+  const bool want_worst = !out_worst.empty();
   COLOC_CHECK_MSG(candidates.size() == out_cost.size() &&
-                      candidates.size() == pstates.size(),
+                      candidates.size() == pstates.size() &&
+                      (!want_worst || candidates.size() == out_worst.size()),
                   "score_candidates: span sizes must match");
   COLOC_CHECK_MSG(target < apps_.size(), "AppId out of range");
   const auto start = std::chrono::steady_clock::now();
-  const AppEntry& target_entry = apps_[target];
+  const core::BaselineProfile& target_profile = apps_[target];
   const std::size_t width = predictor_->columns().size();
+  // The memo holds costs only (a {cost, worst} value would grow the
+  // largest serve table), so a worst-slowdown request bypasses it.
+  const bool use_memo = options_.enable_score_cache && !want_worst;
 
   pending_.clear();
   std::size_t rows = 0;
@@ -258,11 +238,12 @@ void PlacementService::score_candidates(AppId target,
       // Run-alone placement: cost 1.0 by convention (a job alone runs
       // at slowdown 1), no model query needed.
       out_cost[i] = 1.0;
+      if (want_worst) out_worst[i] = 1.0;
       continue;
     }
     const std::uint64_t key = std::uint64_t{node.membership} << 32 |
                               std::uint64_t{target} << 8 | pstates[i];
-    if (options_.enable_score_cache) {
+    if (use_memo) {
       auto it = score_cache_.find(key);
       if (it != score_cache_.end()) {
         out_cost[i] = it->second;
@@ -285,26 +266,17 @@ void PlacementService::score_candidates(AppId target,
       const NodeState& node = nodes_[p.node];
       const std::size_t pstate = pstates[p.out_index];
       std::size_t r = p.first_row;
-      assemble_row(target_entry, pstate,
-                   static_cast<double>(node.members.size()), node.mem_sum,
-                   node.cmca_sum, node.cains_sum, scratch_x_.row(r++));
+      assemble_row(target_profile, pstate, node.co, scratch_x_.row(r++));
       for (std::size_t j = 0; j < node.members.size(); ++j) {
-        // Co-apps of resident j: the other residents (sorted order) plus
-        // the joining target — summed fresh so the row is a pure function
-        // of the membership.
-        double mem = target_entry.mem;
-        double cmca = target_entry.cmca;
-        double cains = target_entry.cains;
+        // Co-apps of resident j: the joining target, then the other
+        // residents in sorted order — summed fresh so the row is a pure
+        // function of the membership.
+        core::CoAppSums co;
+        co.add(target_profile);
         for (std::size_t k = 0; k < node.members.size(); ++k) {
-          if (k == j) continue;
-          const AppEntry& other = apps_[node.members[k]];
-          mem += other.mem;
-          cmca += other.cmca;
-          cains += other.cains;
+          if (k != j) co.add(apps_[node.members[k]]);
         }
-        assemble_row(apps_[node.members[j]], pstate,
-                     static_cast<double>(node.members.size()), mem, cmca,
-                     cains, scratch_x_.row(r++));
+        assemble_row(apps_[node.members[j]], pstate, co, scratch_x_.row(r++));
       }
     }
     scratch_y_.resize(rows);
@@ -316,12 +288,17 @@ void PlacementService::score_candidates(AppId target,
       const NodeState& node = nodes_[p.node];
       const std::size_t pstate = pstates[p.out_index];
       std::size_t r = p.first_row;
-      double cost = scratch_y_[r++] / target_entry.time_s[pstate];
+      double cost = scratch_y_[r++] / target_profile.execution_time_s[pstate];
+      double worst = cost;
       for (AppId member : node.members) {
-        cost += scratch_y_[r++] / apps_[member].time_s[pstate];
+        const double slowdown =
+            scratch_y_[r++] / apps_[member].execution_time_s[pstate];
+        cost += slowdown;
+        worst = std::max(worst, slowdown);
       }
       out_cost[p.out_index] = cost;
-      if (options_.enable_score_cache) score_cache_.emplace(p.key, cost);
+      if (want_worst) out_worst[p.out_index] = worst;
+      if (use_memo) score_cache_.emplace(p.key, cost);
     }
   }
 

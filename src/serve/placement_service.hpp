@@ -7,14 +7,15 @@
 // placement-query API whose hot path does no per-query allocation:
 //
 //   1. Applications are registered once (interned to dense AppIds) from
-//      their baseline profiles; per-app Table I inputs live in a flat
-//      array.
+//      their baseline profiles, which live in a flat array.
 //   2. The fleet's node memberships are mirrored into the service
 //      (add_resident / remove_resident). Each node keeps its members
 //      sorted plus the co-app feature sums over them — the
 //      per-(node-membership) feature-assembly cache. Assembling the
 //      feature row for "app A joins node N" is then O(columns), not
-//      O(residents): the co-app aggregates are already materialized.
+//      O(residents): the co-app aggregates are already materialized, and
+//      core::feature_row lays them out in Table I order, the same function
+//      ColocationPredictor::predict_time builds its rows on.
 //      Each distinct sorted membership is also interned to a dense
 //      32-bit id, so equal memberships share one id however they were
 //      reached and distinct ones never do.
@@ -120,12 +121,21 @@ class PlacementService {
   /// sched::PlacementPolicy::kInterferenceAware objective). An empty node
   /// costs exactly 1.0 without touching the model. `pstates[i]` is
   /// candidate i's node P-state (per-node DVFS); the single-P-state
-  /// overload broadcasts one value. Cache misses across all candidates are
-  /// assembled into ONE batched predict_into call.
+  /// overload broadcasts one value and rejects an index above 255. Cache
+  /// misses across all candidates are assembled into ONE batched
+  /// predict_into call.
+  ///
+  /// A non-empty `out_worst` (one slot per candidate) also receives each
+  /// candidate's largest predicted slowdown among the target and the
+  /// residents it joins (1.0 for an empty node). The memo stores costs
+  /// only, so such a request predicts every busy candidate fresh and
+  /// leaves the memo untouched; the costs it returns are bit-equal to the
+  /// memoized ones.
   void score_candidates(AppId target,
                         std::span<const std::uint32_t> candidates,
                         std::span<const std::uint8_t> pstates,
-                        std::span<double> out_cost);
+                        std::span<double> out_cost,
+                        std::span<double> out_worst = {});
   void score_candidates(AppId target,
                         std::span<const std::uint32_t> candidates,
                         std::size_t pstate_index, std::span<double> out_cost);
@@ -143,36 +153,26 @@ class PlacementService {
   const core::ColocationPredictor& predictor() const { return *predictor_; }
 
  private:
-  /// Per-app Table I inputs, flat-indexed by AppId.
-  struct AppEntry {
-    std::string name;
-    std::vector<double> time_s;  // baseline time per P-state
-    double mem = 0.0;            // memory intensity
-    double cmca = 0.0;           // LLC miss/access ratio
-    double cains = 0.0;          // LLC access/instruction ratio
-  };
   /// Mirrored node state: sorted membership plus the co-app sums over it
   /// (the feature-assembly cache). Sums are recomputed from the sorted
   /// members on every change, so they are a pure function of the
   /// membership — identical regardless of arrival/departure history.
   struct NodeState {
     std::vector<AppId> members;  // sorted ascending
-    double mem_sum = 0.0;
-    double cmca_sum = 0.0;
-    double cains_sum = 0.0;
+    core::CoAppSums co;          // over `members`, in sorted order
     std::uint32_t membership = 0;  // interned id of `members`
   };
 
   void refresh_aggregates(NodeState& node);
-  /// Writes the model's selected columns for one subject/co-app aggregate
-  /// into `row` (predictor columns order).
-  void assemble_row(const AppEntry& subject, std::size_t pstate_index,
-                    double co_count, double co_mem, double co_cmca,
-                    double co_cains, std::span<double> row) const;
+  /// Writes the model's selected columns of the core::feature_row for one
+  /// subject and co-app aggregate into `row` (predictor columns order).
+  void assemble_row(const core::BaselineProfile& subject,
+                    std::size_t pstate_index, const core::CoAppSums& co,
+                    std::span<double> row) const;
 
   const core::ColocationPredictor* predictor_;
   ServiceOptions options_;
-  std::vector<AppEntry> apps_;
+  std::vector<core::BaselineProfile> apps_;  // indexed by AppId
   std::unordered_map<std::string, AppId> ids_;
   std::vector<NodeState> nodes_;
   /// Sorted membership bytes -> interned id.

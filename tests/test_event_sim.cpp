@@ -1,14 +1,16 @@
 // EventSimulator: the cluster-scale discrete-event replay loop
 // (DESIGN.md §12). Focus areas: stream seeding, physics invariants
-// (capacity, FIFO queueing, ground-truth slowdowns), policy behaviour, and
-// the determinism contract — identical JobOutcome streams across
-// independent instances, across a parallel policy sweep, and across zoo
-// bundle save/load.
+// (capacity, FIFO queueing, ground-truth slowdowns), policy behaviour,
+// QoS-bounded consolidation of a static batch (Section VI), and the
+// determinism contract — identical JobOutcome streams across independent
+// instances, across a parallel policy sweep, and across zoo bundle
+// save/load.
 #include "serve/event_sim.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -535,6 +537,191 @@ TEST_F(ClusterTest, InvalidConfigRejected) {
   EXPECT_THROW(EventSimulator(sim_config(1), library_, tiny_suite(),
                               nullptr),
                coloc::runtime_error);
+  for (const double bound :
+       {-0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EventSimConfig bad_bound = sim_config(1);
+    bad_bound.max_slowdown = bound;
+    EXPECT_THROW(EventSimulator(bad_bound, library_, tiny_suite(), &service),
+                 coloc::runtime_error)
+        << bound;
+  }
+}
+
+// Section VI consolidation of a static batch: every job arrives at t = 0,
+// so a node's co-location is the group placed on it at t = 0. Same fixture
+// as EventSimTest.
+class SchedulerTest : public EventSimTest {
+ protected:
+  /// `copies` of every tiny-suite app, all arriving at t = 0.
+  static std::vector<Job> batch(std::size_t copies) {
+    std::vector<Job> jobs;
+    for (AppId app = 0; app < tiny_suite().size(); ++app) {
+      for (std::size_t i = 0; i < copies; ++i) jobs.push_back({app, 0.0});
+    }
+    return jobs;
+  }
+
+  static ReplayOutcome replay_batch(const std::vector<Job>& jobs,
+                                    std::size_t nodes,
+                                    sched::PlacementPolicy policy,
+                                    double max_slowdown = 0.0) {
+    PlacementService service = make_service(predictor_);
+    EventSimConfig config = sim_config(nodes);
+    config.max_slowdown = max_slowdown;
+    EventSimulator sim(config, library_, tiny_suite(), &service);
+    return sim.replay(jobs, policy);
+  }
+
+  /// Job indices each node ran from t = 0, indexed by node.
+  static std::vector<std::vector<std::size_t>> groups(
+      const ReplayOutcome& out, std::size_t nodes) {
+    std::vector<std::vector<std::size_t>> by_node(nodes);
+    for (std::size_t i = 0; i < out.jobs.size(); ++i) {
+      if (out.jobs[i].start_s == 0.0) by_node[out.jobs[i].node].push_back(i);
+    }
+    return by_node;
+  }
+
+  static std::size_t nodes_used(const ReplayOutcome& out) {
+    std::set<std::uint32_t> used;
+    for (const JobOutcome& job : out.jobs) used.insert(job.node);
+    return used.size();
+  }
+
+  /// The model's slowdown for each job of a t = 0 group, next to the other
+  /// members of its group (1.0 for a job alone).
+  static std::vector<double> predicted_slowdowns(
+      const std::vector<Job>& jobs,
+      const std::vector<std::vector<std::size_t>>& groups) {
+    std::vector<double> slowdowns;
+    for (const std::vector<std::size_t>& group : groups) {
+      for (const std::size_t subject : group) {
+        std::vector<const core::BaselineProfile*> coapps;
+        for (const std::size_t other : group) {
+          if (other != subject) coapps.push_back(baseline(jobs[other]));
+        }
+        slowdowns.push_back(coapps.empty()
+                                ? 1.0
+                                : predictor_->predict_slowdown(
+                                      *baseline(jobs[subject]), coapps, 0));
+      }
+    }
+    return slowdowns;
+  }
+
+  static const core::BaselineProfile* baseline(const Job& job) {
+    return &campaign_->baselines.at(tiny_suite()[job.app].name);
+  }
+};
+
+TEST_F(SchedulerTest, PackedFillsNodesCompletely) {
+  const std::vector<Job> jobs = batch(2);  // 8 jobs on 4-core nodes
+  const ReplayOutcome out =
+      replay_batch(jobs, 4, sched::PlacementPolicy::kFirstFit);
+  const auto by_node = groups(out, 4);
+  EXPECT_EQ(by_node[0].size(), 4u);
+  EXPECT_EQ(by_node[1].size(), 4u);
+  EXPECT_EQ(nodes_used(out), 2u);
+}
+
+TEST_F(SchedulerTest, SpreadBalancesLoad) {
+  const std::vector<Job> jobs = batch(2);  // 8 jobs on 2 nodes, 4 each
+  const ReplayOutcome out =
+      replay_batch(jobs, 2, sched::PlacementPolicy::kLeastLoaded);
+  const auto by_node = groups(out, 2);
+  EXPECT_EQ(by_node[0].size(), 4u);
+  EXPECT_EQ(by_node[1].size(), 4u);
+}
+
+TEST_F(SchedulerTest, EveryJobAssignedExactlyOnce) {
+  const std::vector<Job> jobs = batch(3);  // 12 jobs fit 4 nodes at once
+  for (const sched::PlacementPolicy policy :
+       {sched::PlacementPolicy::kFirstFit,
+        sched::PlacementPolicy::kLeastLoaded,
+        sched::PlacementPolicy::kInterferenceAware}) {
+    SCOPED_TRACE(sched::to_string(policy));
+    const ReplayOutcome out = replay_batch(jobs, 4, policy, 1.25);
+    ASSERT_EQ(out.jobs.size(), jobs.size());
+    std::size_t placed = 0;
+    for (const std::vector<std::size_t>& group : groups(out, 4)) {
+      EXPECT_LE(group.size(), tiny_machine().cores);
+      placed += group.size();
+    }
+    EXPECT_EQ(placed, jobs.size());
+  }
+}
+
+TEST_F(SchedulerTest, InterferenceAwareRespectsQosBound) {
+  // Tight bound, and one node per job so the bound never has to give.
+  const double bound = 1.05;
+  const std::vector<Job> jobs = batch(2);
+  const ReplayOutcome out = replay_batch(
+      jobs, jobs.size(), sched::PlacementPolicy::kInterferenceAware, bound);
+  for (const double slowdown :
+       predicted_slowdowns(jobs, groups(out, jobs.size()))) {
+    EXPECT_LE(slowdown, bound + 1e-9);
+  }
+}
+
+TEST_F(SchedulerTest, InterferenceAwareUsesAtMostPackedNodesPlusSlack) {
+  // With a loose bound it should consolidate well (not one job per node).
+  const std::vector<Job> jobs = batch(2);
+  const ReplayOutcome out = replay_batch(
+      jobs, jobs.size(), sched::PlacementPolicy::kInterferenceAware, 1.5);
+  EXPECT_LE(nodes_used(out), 4u);
+}
+
+TEST_F(SchedulerTest, EvaluateReportsConsistentOutcome) {
+  const ReplayOutcome out =
+      replay_batch(batch(1), 2, sched::PlacementPolicy::kFirstFit);
+  EXPECT_EQ(out.policy, sched::PlacementPolicy::kFirstFit);
+  EXPECT_EQ(nodes_used(out), 1u);  // 4 jobs fit one node
+  EXPECT_GE(out.mean_slowdown, 1.0);
+  EXPECT_GE(out.max_slowdown, out.mean_slowdown);
+  EXPECT_GT(out.total_energy_j, 0.0);
+  EXPECT_GT(out.makespan_s, 0.0);
+}
+
+TEST_F(SchedulerTest, SpreadHasLowerSlowdownThanPacked) {
+  const std::vector<Job> jobs = batch(2);
+  const ReplayOutcome packed =
+      replay_batch(jobs, 2, sched::PlacementPolicy::kFirstFit);
+  const ReplayOutcome spread =
+      replay_batch(jobs, 2, sched::PlacementPolicy::kLeastLoaded);
+  EXPECT_LE(spread.mean_slowdown, packed.mean_slowdown + 1e-9);
+}
+
+TEST_F(SchedulerTest, PredictionTracksActualSlowdown) {
+  // The model predicts each job against its whole t = 0 group; the replay
+  // lets survivors speed up as co-runners finish. The two means still
+  // agree within 25%.
+  const std::vector<Job> jobs = batch(2);
+  const ReplayOutcome out =
+      replay_batch(jobs, 2, sched::PlacementPolicy::kFirstFit);
+  const std::vector<double> predicted =
+      predicted_slowdowns(jobs, groups(out, 2));
+  ASSERT_EQ(predicted.size(), jobs.size());
+  double sum = 0.0;
+  for (const double slowdown : predicted) sum += slowdown;
+  const double predicted_mean = sum / static_cast<double>(predicted.size());
+  EXPECT_NEAR(predicted_mean, out.mean_slowdown, 0.25 * out.mean_slowdown);
+}
+
+TEST_F(SchedulerTest, NodeBudgetEnforced) {
+  // One 4-core node cannot keep 8 jobs within a tight bound: the fallback
+  // packs it and the queue holds the rest, and every job still completes.
+  const std::vector<Job> jobs = batch(2);
+  const ReplayOutcome out = replay_batch(
+      jobs, 1, sched::PlacementPolicy::kInterferenceAware, 1.05);
+  ASSERT_EQ(out.jobs.size(), jobs.size());
+  std::size_t queued = 0;
+  for (const JobOutcome& job : out.jobs) {
+    EXPECT_EQ(job.node, 0u);
+    EXPECT_GT(job.finish_s, job.start_s);
+    if (job.start_s > job.arrival_s) ++queued;
+  }
+  EXPECT_EQ(groups(out, 1)[0].size(), tiny_machine().cores);
+  EXPECT_EQ(queued, jobs.size() - tiny_machine().cores);
 }
 
 }  // namespace

@@ -4,10 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "core/methodology.hpp"
 #include "core/report.hpp"
-#include "sched/scheduler.hpp"
+#include "serve/event_sim.hpp"
 #include "test_helpers.hpp"
 
 namespace coloc {
@@ -122,22 +123,37 @@ TEST_F(IntegrationTest, SchedulerUsesTrainedPredictorEndToEnd) {
           campaign_->dataset,
           {core::ModelTechnique::kNeuralNetwork, core::FeatureSet::kF},
           zoo);
-  sched::Scheduler scheduler(tiny_machine(), &predictor,
-                             {.max_slowdown = 1.2});
-  std::vector<sched::Job> jobs;
-  for (const auto& app : tiny_suite()) {
-    jobs.push_back(sched::Job{app, &campaign_->baselines.at(app.name)});
-    jobs.push_back(sched::Job{app, &campaign_->baselines.at(app.name)});
+  // AppId i is catalog[i], as the simulator requires.
+  const std::vector<sim::ApplicationSpec> catalog = tiny_suite();
+  serve::PlacementService service(&predictor);
+  for (const auto& app : catalog) {
+    service.register_app(campaign_->baselines.at(app.name));
   }
-  const auto aware =
-      scheduler.evaluate(jobs, sched::Policy::kInterferenceAware,
-                         *simulator_);
-  const auto packed =
-      scheduler.evaluate(jobs, sched::Policy::kPacked, *simulator_);
+  // Two copies of every app at t = 0, and one node per job so the QoS
+  // bound never has to give.
+  std::vector<serve::Job> jobs;
+  for (serve::AppId app = 0; app < catalog.size(); ++app) {
+    jobs.push_back({app, 0.0});
+    jobs.push_back({app, 0.0});
+  }
+  serve::EventSimConfig config;
+  config.node = tiny_machine();
+  config.nodes = jobs.size();
+  config.max_slowdown = 1.2;
+  serve::EventSimulator fleet(config, library_, catalog, &service);
+  const serve::ReplayOutcome aware =
+      fleet.replay(jobs, sched::PlacementPolicy::kInterferenceAware);
+  const serve::ReplayOutcome packed =
+      fleet.replay(jobs, sched::PlacementPolicy::kFirstFit);
+  const auto nodes_used = [](const serve::ReplayOutcome& out) {
+    std::set<std::uint32_t> used;
+    for (const serve::JobOutcome& job : out.jobs) used.insert(job.node);
+    return used.size();
+  };
   // The interference-aware policy should honour QoS much better than
   // blind packing (possibly at the cost of more nodes).
-  EXPECT_LE(aware.actual_mean_slowdown, packed.actual_mean_slowdown + 0.02);
-  EXPECT_GE(aware.nodes_used, packed.nodes_used);
+  EXPECT_LE(aware.mean_slowdown, packed.mean_slowdown + 0.02);
+  EXPECT_GE(nodes_used(aware), nodes_used(packed));
 }
 
 TEST_F(IntegrationTest, DatasetRoundTripsThroughCsv) {

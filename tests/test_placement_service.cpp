@@ -1,14 +1,15 @@
 // PlacementService: the zoo-backed batched query front-end (DESIGN.md §12).
 // The properties under test: catalog interning is deterministic, the
-// feature-assembly mirror reproduces ColocationPredictor::predict_time,
-// score_candidates matches a hand-assembled interference cost, membership
-// ids are exact, the score memo is a transparent optimization (also for
-// memberships whose hashes collide), and bundle-reloaded predictors answer
-// bit-identically.
+// feature-assembly mirror reproduces ColocationPredictor::predict_time bit
+// for bit, score_candidates matches a hand-assembled interference cost and
+// worst slowdown, membership ids are exact, the score memo is a transparent
+// optimization (also for memberships whose hashes collide), and
+// bundle-reloaded predictors answer bit-identically.
 #include "serve/placement_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -128,11 +129,11 @@ TEST_F(PlacementServiceTest, PredictBatchMatchesPredictTime) {
           {&campaign_->baselines.at("hog"),
            &campaign_->baselines.at("medium")},
           pstate);
-      // The service sums co-app aggregates over the sorted membership;
-      // predict_time sums the coapps vector. Same terms, possibly
-      // different order, hence NEAR at ulp scale rather than EQ.
-      EXPECT_NEAR(out, reference, 1e-9 * reference)
-          << name << " P" << pstate;
+      // Both paths build their row with core::feature_row. The service sums
+      // co-apps in sorted AppId order (hog < medium) and predict_time in
+      // vector order, so with the vector in that order the rows, and the
+      // predictions, are the same bits.
+      EXPECT_EQ(out, reference) << name << " P" << pstate;
     }
   }
 }
@@ -150,15 +151,16 @@ TEST_F(PlacementServiceTest, EmptyNodeScoresExactlyOneWithoutModel) {
 
 TEST_F(PlacementServiceTest, ScoreMatchesHandAssembledInterferenceCost) {
   PlacementService service = make_service();
-  service.reset_fleet(1);
+  service.reset_fleet(2);
   service.add_resident(0, service.id_of("hog"));
   service.add_resident(0, service.id_of("light"));
 
   const std::string target_name = "medium";
   const AppId target = service.id_of(target_name);
-  const std::vector<std::uint32_t> candidates = {0};
-  double cost = 0.0;
-  service.score_candidates(target, candidates, 0, {&cost, 1});
+  const std::vector<std::uint32_t> candidates = {0, 1};  // busy, empty
+  const std::vector<std::uint8_t> pstates = {0, 0};
+  std::vector<double> cost(2), worst(2);
+  service.score_candidates(target, candidates, pstates, cost, worst);
 
   // Cost = target's predicted slowdown joining {hog, light} plus each
   // resident's predicted slowdown with the target added.
@@ -168,11 +170,18 @@ TEST_F(PlacementServiceTest, ScoreMatchesHandAssembledInterferenceCost) {
     return predictor_->predict_time(lib.at(subject), co, 0) /
            lib.at(subject).time_at(0);
   };
-  const double expected =
-      slowdown(target_name, {&lib.at("hog"), &lib.at("light")}) +
-      slowdown("hog", {&lib.at("light"), &lib.at(target_name)}) +
-      slowdown("light", {&lib.at("hog"), &lib.at(target_name)});
-  EXPECT_NEAR(cost, expected, 1e-9 * expected);
+  const double slowdowns[] = {
+      slowdown(target_name, {&lib.at("hog"), &lib.at("light")}),
+      slowdown("hog", {&lib.at("light"), &lib.at(target_name)}),
+      slowdown("light", {&lib.at("hog"), &lib.at(target_name)})};
+  const double expected = slowdowns[0] + slowdowns[1] + slowdowns[2];
+  EXPECT_NEAR(cost[0], expected, 1e-9 * expected);
+  const double expected_worst =
+      std::max({slowdowns[0], slowdowns[1], slowdowns[2]});
+  EXPECT_NEAR(worst[0], expected_worst, 1e-9 * expected_worst);
+  // A job alone on a node runs at slowdown 1.
+  EXPECT_EQ(cost[1], 1.0);
+  EXPECT_EQ(worst[1], 1.0);
 }
 
 TEST_F(PlacementServiceTest, ScoreCacheIsTransparent) {
@@ -198,6 +207,15 @@ TEST_F(PlacementServiceTest, ScoreCacheIsTransparent) {
   cached.score_candidates(target, candidates, 0, again);
   EXPECT_GE(cached.stats().cache_hits, 2u);  // two non-empty candidates
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(again[i], a[i]) << i;
+
+  // Asking for the worst slowdown bypasses the memo (no new hits) and
+  // returns the memoized costs bit for bit.
+  const std::uint64_t hits = cached.stats().cache_hits;
+  const std::vector<std::uint8_t> pstates(3, 0);
+  std::vector<double> fresh(3), worst(3);
+  cached.score_candidates(target, candidates, pstates, fresh, worst);
+  EXPECT_EQ(cached.stats().cache_hits, hits);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(fresh[i], a[i]) << i;
 
   // Membership change keys a different entry; undoing it restores the
   // original cached answer exactly.
@@ -396,6 +414,13 @@ TEST_F(PlacementServiceTest, InvalidQueriesRejected) {
   EXPECT_THROW(service.predict_batch({&target, 1},
                                      std::vector<std::uint32_t>{0}, 9,
                                      {&out, 1}),
+               coloc::runtime_error);
+  // A P-state index that would wrap to a valid byte (256 -> P0) when the
+  // scalar overload narrows it for the per-candidate path.
+  service.add_resident(0, service.id_of("light"));
+  EXPECT_THROW(service.score_candidates(target,
+                                        std::vector<std::uint32_t>{0}, 256,
+                                        {&out, 1}),
                coloc::runtime_error);
 }
 
