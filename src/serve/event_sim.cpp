@@ -49,7 +49,8 @@ EventSimulator::EventSimulator(EventSimConfig config,
       library_(library),
       catalog_(std::move(catalog)),
       service_(service),
-      baselines_(baselines) {
+      baselines_(baselines),
+      rate_cache_(kRateCacheCapacity, "event_sim_rate_cache_evictions_total") {
   COLOC_CHECK_MSG(library_ != nullptr, "event sim needs an MRC library");
   COLOC_CHECK_MSG(service_ != nullptr, "event sim needs a placement service");
   COLOC_CHECK_MSG(config_.nodes >= 1, "event sim needs at least one node");
@@ -109,8 +110,8 @@ void EventSimulator::resolve_node(NodeState& node, std::uint32_t node_index,
   }
   const std::uint64_t key =
       std::uint64_t{service_->membership_id(node_index)} << 8 | node.pstate;
-  auto it = rate_cache_.find(key);
-  if (it != rate_cache_.end()) {
+  const std::vector<double>* rates = rate_cache_.find(key);
+  if (rates != nullptr) {
     ++outcome.rate_cache_hits;
   } else {
     solve_scratch_.clear();
@@ -122,21 +123,20 @@ void EventSimulator::resolve_node(NodeState& node, std::uint32_t node_index,
     const sim::ContentionSolution solution = sim::solve_contention(
         config_.node, config_.node.pstates[node.pstate].frequency_ghz,
         solve_scratch_, config_.contention);
-    std::vector<double> rates(node.residents.size());
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-      rates[i] = solution.apps[i].instructions_per_second;
+    std::vector<double> solved(node.residents.size());
+    for (std::size_t i = 0; i < solved.size(); ++i) {
+      solved[i] = solution.apps[i].instructions_per_second;
     }
-    it = rate_cache_.emplace(key, std::move(rates)).first;
+    rates = &rate_cache_.insert(key, std::move(solved));
     ++outcome.contention_solves;
   }
   // Rates align with the sorted resident order; equal-app residents are
   // interchangeable, so positional assignment is well-defined.
-  const std::vector<double>& rates = it->second;
-  COLOC_CHECK_MSG(rates.size() == node.residents.size(),
+  COLOC_CHECK_MSG(rates->size() == node.residents.size(),
                   "rate cache entry does not match node membership");
   for (std::size_t i = 0; i < node.residents.size(); ++i) {
     Resident& r = node.residents[i];
-    r.rate = rates[i];
+    r.rate = (*rates)[i];
     COLOC_CHECK_MSG(r.rate > 0.0, "non-positive instruction rate");
     Event ev;
     ev.time_s = now + std::max(r.remaining_instructions, 0.0) / r.rate;

@@ -14,7 +14,9 @@
 //   * Contention fixed points are memoized by (P-state, the service's
 //     interned membership id) — a bounded application catalog means a long
 //     replay revisits the same co-locations constantly, so steady-state
-//     membership changes cost a table lookup, not a solver run.
+//     membership changes cost a table lookup, not a solver run. The memo
+//     is a flat table of at most kRateCacheCapacity entries
+//     (common/memo.hpp); a 1M-arrival replay needs a few hundred.
 //   * Placement questions go to the PlacementService: the scheduler's view
 //     of the fleet is mirrored there, and interference-aware policies ask
 //     score_candidates() for the predicted-slowdown cost of every feasible
@@ -38,9 +40,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
+#include "common/memo.hpp"
 #include "core/features.hpp"
 #include "sched/placement_policy.hpp"
 #include "serve/placement_service.hpp"
@@ -109,6 +111,9 @@ struct ReplayOutcome {
 
 class EventSimulator {
  public:
+  /// Rate-memo entries.
+  static constexpr std::size_t kRateCacheCapacity = std::size_t{1} << 13;
+
   /// `catalog[i]` must be the application the service knows as AppId i
   /// (checked). `baselines` powers the kDvfsAware deadline leg and may be
   /// null for the other policies. All pointers are borrowed.
@@ -179,7 +184,7 @@ class EventSimulator {
   /// mirrors every add/remove before resolve_node runs, so the id names
   /// exactly the resident multiset; values are instruction rates aligned
   /// with the sorted resident order.
-  std::unordered_map<std::uint64_t, std::vector<double>> rate_cache_;
+  FlatMemo<std::vector<double>> rate_cache_;
   std::vector<double> alone_time_s_;  // indexed by AppId
 
   // Per-replay query scratch (allocation-free steady state).

@@ -11,9 +11,6 @@ namespace coloc::serve {
 
 namespace {
 
-/// Initial hash-table reservation for the score memo.
-constexpr std::size_t kExpectedCacheEntries = 1 << 15;
-
 /// Score-key field widths: the target AppId sits above 8 P-state bits and
 /// below the 32-bit membership id.
 constexpr std::size_t kMaxApps = std::size_t{1} << 24;
@@ -48,6 +45,8 @@ PlacementService::PlacementService(const core::ColocationPredictor* predictor,
                                    ServiceOptions options)
     : predictor_(predictor),
       options_(options),
+      score_cache_(kScoreCacheCapacity,
+                   "placement_score_cache_evictions_total"),
       queries_total_(obs::Registry::global().counter(
           "placement_queries_total")),
       predictions_total_(obs::Registry::global().counter(
@@ -59,9 +58,6 @@ PlacementService::PlacementService(const core::ColocationPredictor* predictor,
       predict_seconds_(obs::Registry::global().histogram(
           "placement_predict_seconds")) {
   COLOC_CHECK_MSG(predictor_ != nullptr, "placement service needs a predictor");
-  if (options_.enable_score_cache) {
-    score_cache_.reserve(kExpectedCacheEntries);
-  }
 }
 
 AppId PlacementService::register_app(const core::BaselineProfile& profile) {
@@ -230,6 +226,7 @@ void PlacementService::score_candidates(AppId target,
 
   pending_.clear();
   std::size_t rows = 0;
+  std::uint64_t hits = 0;
   // Pass 1: resolve cache hits and count the rows the misses need.
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     COLOC_CHECK_MSG(candidates[i] < nodes_.size(), "node index out of range");
@@ -244,16 +241,12 @@ void PlacementService::score_candidates(AppId target,
     const std::uint64_t key = std::uint64_t{node.membership} << 32 |
                               std::uint64_t{target} << 8 | pstates[i];
     if (use_memo) {
-      auto it = score_cache_.find(key);
-      if (it != score_cache_.end()) {
-        out_cost[i] = it->second;
-        stats_.cache_hits += 1;
-        cache_hits_total_.inc();
+      if (const double* cached = score_cache_.find(key)) {
+        out_cost[i] = *cached;
+        ++hits;
         continue;
       }
     }
-    stats_.cache_misses += 1;
-    cache_misses_total_.inc();
     pending_.push_back(PendingCandidate{i, rows, candidates[i], key});
     rows += 1 + node.members.size();
   }
@@ -298,10 +291,16 @@ void PlacementService::score_candidates(AppId target,
       }
       out_cost[p.out_index] = cost;
       if (want_worst) out_worst[p.out_index] = worst;
-      if (use_memo) score_cache_.emplace(p.key, cost);
+      if (use_memo) score_cache_.insert(p.key, cost);
     }
   }
 
+  // Every miss queued one pending candidate.
+  stats_.cache_hits += hits;
+  stats_.cache_misses += pending_.size();
+  stats_.cache_evictions = score_cache_.evictions();
+  cache_hits_total_.inc(hits);
+  cache_misses_total_.inc(pending_.size());
   stats_.queries += 1;
   queries_total_.inc();
   predict_seconds_.observe(seconds_since(start));

@@ -22,10 +22,13 @@
 //   3. score_candidates() answers the scheduler's real question — the
 //      interference-aware placement cost of putting a target on each
 //      candidate node — through one batched predict_into call over all
-//      assembled rows, with a memo table keyed exactly by (membership id,
-//      target, P-state) packed into one integer: under a bounded
-//      application catalog the same co-location recurs millions of times
-//      in a long replay, so the steady state is pure table lookups.
+//      assembled rows, with a memo keyed exactly by (membership id, target,
+//      P-state) packed into one integer. Under a bounded application
+//      catalog the same co-location recurs millions of times in a long
+//      replay, so there nearly every score is a table lookup. Under a large
+//      catalog with churn nearly every score misses, so the memo is a flat
+//      table of at most kScoreCacheCapacity entries (common/memo.hpp) that
+//      empties itself when full instead of growing without bound.
 //
 // Everything is deterministic: scores are pure functions of (model bytes,
 // target, membership, P-state), caches only skip recomputation, and two
@@ -39,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/memo.hpp"
 #include "core/features.hpp"
 #include "core/methodology.hpp"
 #include "core/model_zoo.hpp"
@@ -68,6 +72,9 @@ core::ColocationPredictor load_bundle_predictor(store::FileOps& files,
 
 class PlacementService {
  public:
+  /// Score-memo entries (about 4 MB of table at the cap).
+  static constexpr std::size_t kScoreCacheCapacity = std::size_t{1} << 17;
+
   /// `predictor` is borrowed and must outlive the service. Several
   /// services may share one predictor (e.g. one per concurrently replayed
   /// policy): queries never mutate it.
@@ -143,12 +150,15 @@ class PlacementService {
   // -- introspection ------------------------------------------------------
 
   struct Stats {
-    std::uint64_t queries = 0;       // batched query calls answered
-    std::uint64_t predictions = 0;   // feature rows pushed through the model
-    std::uint64_t cache_hits = 0;    // score memo hits
-    std::uint64_t cache_misses = 0;  // score memo misses (rows assembled)
+    std::uint64_t queries = 0;          // batched query calls answered
+    std::uint64_t predictions = 0;      // feature rows pushed through the model
+    std::uint64_t cache_hits = 0;       // score memo hits
+    std::uint64_t cache_misses = 0;     // score memo misses (rows assembled)
+    std::uint64_t cache_evictions = 0;  // score memo entries dropped when full
   };
   const Stats& stats() const { return stats_; }
+  /// Live score-memo entries (at most kScoreCacheCapacity).
+  std::size_t score_cache_entries() const { return score_cache_.size(); }
   void clear_score_cache() { score_cache_.clear(); }
   const core::ColocationPredictor& predictor() const { return *predictor_; }
 
@@ -182,7 +192,7 @@ class PlacementService {
   /// Score memo keyed by membership << 32 | target << 8 | P-state. Each
   /// field fits its bits (ids < 2^32, apps < 2^24, P-states < 2^8), so
   /// distinct co-locations never share a key.
-  std::unordered_map<std::uint64_t, double> score_cache_;
+  FlatMemo<double> score_cache_;
 
   // Reusable query scratch (grown once, then allocation-free).
   linalg::Matrix scratch_x_;

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/error.hpp"
+#include "common/memo.hpp"
 #include "sim/kernel_clones.hpp"
 
 namespace coloc::sim {
@@ -106,15 +107,7 @@ std::uint64_t StackDistanceProfiler::prefix_popcount(std::size_t index) const {
 
 std::uint32_t* StackDistanceProfiler::find_or_insert(LineAddress line) {
   if ((map_used_ + 1) * 10 >= (map_mask_ + 1) * 7) grow_map();
-  // Murmur3 finalizer: full-avalanche mixing so linear probing stays short
-  // even on the strided/sequential addresses traces are full of.
-  std::uint64_t h = line;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  std::size_t i = static_cast<std::size_t>(h) & map_mask_;
+  std::size_t i = static_cast<std::size_t>(mix64(line)) & map_mask_;
   while (map_keys_[i] != kEmptySlot) {
     if (map_keys_[i] == line) return &map_pos_[i];
     i = (i + 1) & map_mask_;
@@ -132,13 +125,7 @@ void StackDistanceProfiler::grow_map() {
   const std::size_t new_mask = new_slots - 1;
   for (std::size_t i = 0; i <= map_mask_; ++i) {
     if (map_keys_[i] == kEmptySlot) continue;
-    std::uint64_t h = map_keys_[i];
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    std::size_t j = static_cast<std::size_t>(h) & new_mask;
+    std::size_t j = static_cast<std::size_t>(mix64(map_keys_[i])) & new_mask;
     while (keys[j] != kEmptySlot) j = (j + 1) & new_mask;
     keys[j] = map_keys_[i];
     pos[j] = map_pos_[i];

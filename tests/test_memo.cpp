@@ -4,18 +4,29 @@
 // (also under concurrent stores), clear() empties every shard, the caller's
 // counters are the ones that move, and the key helpers keep field
 // boundaries.
+//
+// FlatMemo: the bounded flat table behind the serve score and rate memos.
+// The properties under test: every 64-bit key round-trips exactly, the
+// first stored value wins, a full table drops every entry before it adds a
+// new key, live entries stay within capacity under random churn with every
+// drop counted, and a drop frees what the dropped values own.
 #include "common/memo.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <latch>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/metrics.hpp"
 
 namespace coloc {
@@ -145,6 +156,154 @@ TEST(ExactMemoKey, LengthPrefixKeepsStringBoundaries) {
   memo_key::append_double(zero, 0.0);
   memo_key::append_double(negative_zero, -0.0);
   EXPECT_NE(zero, negative_zero);
+}
+
+// --- FlatMemo ---------------------------------------------------------------
+
+constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
+const char* const kFlatEvictions = "test_flat_memo_evictions_total";
+
+/// A value that differs for every key, so a hit under the wrong key shows.
+double value_of(std::uint64_t key) {
+  return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
+}
+
+TEST(FlatMemo, RoundTripIsExactForEveryKey) {
+  FlatMemo<double> memo(64, kFlatEvictions);
+  const std::vector<std::uint64_t> keys = {
+      0, 1, 2, kAllOnes, kAllOnes - 1, std::uint64_t{1} << 63,
+      std::uint64_t{0xFFFFFFFF} << 32 | 0xFFFFFF00};
+  // Bit patterns a numeric compare would blur: -0.0 against 0.0, and a NaN.
+  const std::vector<double> values = {
+      -0.0, 0.0, 1.5, std::numeric_limits<double>::quiet_NaN(), 0.125,
+      1e-300, 3.0};
+  for (std::uint64_t key : keys) EXPECT_EQ(memo.find(key), nullptr) << key;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const double stored = memo.insert(keys[i], values[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(stored),
+              std::bit_cast<std::uint64_t>(values[i]));
+  }
+  EXPECT_EQ(memo.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const double* hit = memo.find(keys[i]);
+    ASSERT_NE(hit, nullptr) << keys[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*hit),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << keys[i];
+  }
+  memo.clear();
+  EXPECT_EQ(memo.size(), 0u);
+  for (std::uint64_t key : keys) EXPECT_EQ(memo.find(key), nullptr) << key;
+}
+
+TEST(FlatMemo, FirstInsertWins) {
+  FlatMemo<double> memo(3, kFlatEvictions);
+  for (std::uint64_t key : {std::uint64_t{0}, std::uint64_t{7}, kAllOnes}) {
+    EXPECT_EQ(memo.insert(key, 0.5), 0.5);
+    EXPECT_EQ(memo.insert(key, 0.25), 0.5);
+    ASSERT_NE(memo.find(key), nullptr);
+    EXPECT_EQ(*memo.find(key), 0.5);
+  }
+  // Also when the table is full: a stored key is found, nothing drops.
+  EXPECT_EQ(memo.size(), 3u);
+  EXPECT_EQ(memo.insert(7, 0.125), 0.5);
+  EXPECT_EQ(memo.evictions(), 0u);
+}
+
+TEST(FlatMemo, FullTableDropsEveryEntryBeforeAddingANewKey) {
+  const obs::Counter& evicted = obs::Registry::global().counter(kFlatEvictions);
+  const std::uint64_t before = evicted.value();
+  FlatMemo<double> memo(4, kFlatEvictions);
+  for (std::uint64_t key = 0; key < 4; ++key) memo.insert(key, value_of(key));
+  EXPECT_EQ(memo.size(), 4u);
+  EXPECT_EQ(memo.evictions(), 0u);
+  // Key 4 finds the table full: keys 0-3 (key 0 too) drop, key 4 stays.
+  EXPECT_EQ(memo.insert(4, value_of(4)), value_of(4));
+  EXPECT_EQ(memo.evictions(), 4u);
+  EXPECT_EQ(evicted.value() - before, 4u);
+  EXPECT_EQ(memo.size(), 1u);
+  for (std::uint64_t key = 0; key < 4; ++key) {
+    EXPECT_EQ(memo.find(key), nullptr) << key;
+  }
+  const double* hit = memo.find(4);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, value_of(4));
+}
+
+TEST(FlatMemo, RandomChurnStaysWithinCapacity) {
+  constexpr std::size_t kCapacity = 64;
+  const obs::Counter& evicted = obs::Registry::global().counter(kFlatEvictions);
+  const std::uint64_t before = evicted.value();
+  FlatMemo<double> memo(kCapacity, kFlatEvictions);
+  Rng rng(20261017);
+  // 512 distinct keys, 0 and ~0 among them, against 64 live entries: every
+  // step is a hit or an insert, and the table fills and drops all the time.
+  const auto key_at = [](std::uint64_t i) {
+    return i == 511 ? kAllOnes : i * 0x9E3779B97F4A7C15ULL;
+  };
+  std::uint64_t added = 0, hits = 0;
+  for (int step = 0; step < 1'000'000; ++step) {
+    const std::uint64_t key = key_at(rng.uniform_index(512));
+    if (const double* hit = memo.find(key)) {
+      ASSERT_EQ(*hit, value_of(key)) << "step " << step;
+      ++hits;
+    } else {
+      ASSERT_EQ(memo.insert(key, value_of(key)), value_of(key));
+      ++added;
+    }
+    ASSERT_LE(memo.size(), kCapacity) << "step " << step;
+    // Every entry ever added is live or was counted as evicted.
+    ASSERT_EQ(added, memo.size() + memo.evictions()) << "step " << step;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(memo.evictions(), 0u);
+  EXPECT_EQ(evicted.value() - before, memo.evictions());
+}
+
+/// Live bytes held by vectors that allocate through CountingAllocator.
+std::size_t g_counted_bytes = 0;
+
+template <typename T>
+struct CountingAllocator {
+  using value_type = T;
+  using propagate_on_container_move_assignment = std::true_type;
+  CountingAllocator() = default;
+  template <typename U>
+  CountingAllocator(const CountingAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    g_counted_bytes += n * sizeof(T);
+    return std::allocator<T>{}.allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) {
+    g_counted_bytes -= n * sizeof(T);
+    std::allocator<T>{}.deallocate(p, n);
+  }
+  friend bool operator==(const CountingAllocator&, const CountingAllocator&) {
+    return true;
+  }
+};
+
+TEST(FlatMemo, DropFreesTheVectorsItDrops) {
+  // The rate memo's value type, with an allocator that only counts.
+  using Rates = std::vector<double, CountingAllocator<double>>;
+  constexpr std::size_t kBytes = 1000 * sizeof(double);
+  const std::size_t baseline = g_counted_bytes;
+  {
+    FlatMemo<Rates> memo(4, kFlatEvictions);
+    for (std::uint64_t key = 1; key <= 4; ++key) {
+      memo.insert(key, Rates(1000, static_cast<double>(key)));
+    }
+    EXPECT_EQ(g_counted_bytes - baseline, 4 * kBytes);
+    memo.insert(5, Rates(1000, 5.0));  // drops keys 1-4
+    EXPECT_EQ(memo.evictions(), 4u);
+    EXPECT_EQ(g_counted_bytes - baseline, 1 * kBytes);
+    const Rates* kept = memo.find(5);
+    ASSERT_NE(kept, nullptr);
+    EXPECT_EQ(kept->front(), 5.0);
+    memo.clear();
+    EXPECT_EQ(g_counted_bytes, baseline);
+  }
+  EXPECT_EQ(g_counted_bytes, baseline);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // feature-assembly mirror reproduces ColocationPredictor::predict_time bit
 // for bit, score_candidates matches a hand-assembled interference cost and
 // worst slowdown, membership ids are exact, the score memo is a transparent
-// optimization (also for memberships whose hashes collide), and
-// bundle-reloaded predictors answer bit-identically.
+// optimization (also for memberships whose hashes collide, and under churn
+// that keeps it filling and emptying within its bound), and bundle-reloaded
+// predictors answer bit-identically.
 #include "serve/placement_service.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/campaign.hpp"
 #include "sim/execution.hpp"
 #include "store/zoo_store.hpp"
@@ -56,6 +58,28 @@ class PlacementServiceTest : public ::testing::Test {
     PlacementService service(predictor_, options);
     service.register_library(campaign_->baselines);
     return service;
+  }
+
+  /// A synthetic catalog of `apps` perturbed copies of the campaign
+  /// baselines, so every feature stays inside the training range.
+  static std::vector<core::BaselineProfile> perturbed_catalog(
+      std::size_t apps) {
+    std::vector<const core::BaselineProfile*> seeds;
+    for (const auto& [name, profile] : campaign_->baselines) {
+      seeds.push_back(&profile);
+    }
+    std::vector<core::BaselineProfile> catalog;
+    catalog.reserve(apps);
+    for (std::size_t i = 0; i < apps; ++i) {
+      core::BaselineProfile p = *seeds[i % seeds.size()];
+      p.app_name = "synthetic-" + std::to_string(i);
+      for (double& t : p.execution_time_s) t *= 1.0 + 1e-3 * (i % 101);
+      p.memory_intensity *= 1.0 + 1e-3 * (i % 89);
+      p.cm_per_ca *= 1.0 + 1e-3 * (i % 83);
+      p.ca_per_ins *= 1.0 + 1e-3 * (i % 79);
+      catalog.push_back(std::move(p));
+    }
+    return catalog;
   }
 
   static sim::AppMrcLibrary* library_;
@@ -282,24 +306,8 @@ TEST_F(PlacementServiceTest, CollidingMembershipsScoreIndependently) {
   const std::vector<AppId> a = {7424, 13281, 14660, 14929, 16202};
   const std::vector<AppId> b = {3013, 8204, 15368, 15715, 17301};
 
-  // A synthetic catalog that covers both: perturbed copies of the campaign
-  // baselines, so every feature stays inside the training range.
-  std::vector<core::BaselineProfile> catalog;
-  const std::size_t apps = 17302;
-  catalog.reserve(apps);
-  std::vector<const core::BaselineProfile*> seeds;
-  for (const auto& [name, profile] : campaign_->baselines) {
-    seeds.push_back(&profile);
-  }
-  for (std::size_t i = 0; i < apps; ++i) {
-    core::BaselineProfile p = *seeds[i % seeds.size()];
-    p.app_name = "synthetic-" + std::to_string(i);
-    for (double& t : p.execution_time_s) t *= 1.0 + 1e-3 * (i % 101);
-    p.memory_intensity *= 1.0 + 1e-3 * (i % 89);
-    p.cm_per_ca *= 1.0 + 1e-3 * (i % 83);
-    p.ca_per_ins *= 1.0 + 1e-3 * (i % 79);
-    catalog.push_back(std::move(p));
-  }
+  // A synthetic catalog that covers both.
+  const std::vector<core::BaselineProfile> catalog = perturbed_catalog(17302);
   const auto make = [&] {
     PlacementService service(predictor_);
     for (const core::BaselineProfile& p : catalog) service.register_app(p);
@@ -337,6 +345,77 @@ TEST_F(PlacementServiceTest, CollidingMembershipsScoreIndependently) {
   service.score_candidates(target, std::vector<std::uint32_t>{0, 1}, 0, both);
   EXPECT_EQ(both[0], fresh_a);
   EXPECT_EQ(both[1], fresh_b);
+}
+
+TEST_F(PlacementServiceTest, BoundedScoreMemoUnderChurn) {
+  // Low-sharing traffic: 2000 apps over 64 nodes of at most 3 residents,
+  // and after every query one resident departs and the target joins the
+  // cheapest node with a free slot. Nearly every score misses, so the memo
+  // fills up and empties itself again; it must stay within its capacity
+  // and answer bit-identically to no memo at all.
+  constexpr std::size_t kApps = 2000;
+  constexpr std::size_t kNodes = 64;
+  constexpr std::size_t kMaxResidents = 3;
+  constexpr std::size_t kCapacity = PlacementService::kScoreCacheCapacity;
+  const std::vector<core::BaselineProfile> catalog = perturbed_catalog(kApps);
+  ServiceOptions off;
+  off.enable_score_cache = false;
+  PlacementService cached(predictor_);
+  PlacementService uncached(predictor_, off);
+  for (PlacementService* s : {&cached, &uncached}) {
+    for (const core::BaselineProfile& p : catalog) s->register_app(p);
+    s->reset_fleet(kNodes);
+  }
+  Rng rng(18);
+  std::vector<std::vector<AppId>> residents(kNodes);
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    for (int r = 0; r < 2; ++r) {
+      const auto app = static_cast<AppId>(rng.uniform_index(kApps));
+      residents[n].push_back(app);
+      cached.add_resident(n, app);
+      uncached.add_resident(n, app);
+    }
+  }
+  const std::size_t pstates = tiny_machine().pstates.size();
+  std::vector<std::uint32_t> all_nodes(kNodes);
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    all_nodes[n] = static_cast<std::uint32_t>(n);
+  }
+  std::vector<double> cost(kNodes), reference(kNodes);
+  std::size_t queries = 0;
+  while (cached.stats().cache_misses <= 2 * kCapacity) {
+    ASSERT_LT(queries++, 10000u) << "too few misses per query";
+    const auto target = static_cast<AppId>(rng.uniform_index(kApps));
+    const std::size_t pstate = rng.uniform_index(pstates);
+    cached.score_candidates(target, all_nodes, pstate, cost);
+    uncached.score_candidates(target, all_nodes, pstate, reference);
+    for (std::size_t n = 0; n < kNodes; ++n) {
+      ASSERT_EQ(cost[n], reference[n]) << "query " << queries << " node " << n;
+    }
+    ASSERT_LE(cached.score_cache_entries(), kCapacity)
+        << "query " << queries;
+
+    std::size_t node = rng.uniform_index(kNodes);
+    while (residents[node].empty()) node = (node + 1) % kNodes;
+    std::vector<AppId>& leaving = residents[node];
+    const std::size_t slot = rng.uniform_index(leaving.size());
+    cached.remove_resident(node, leaving[slot]);
+    uncached.remove_resident(node, leaving[slot]);
+    leaving.erase(leaving.begin() + static_cast<long>(slot));
+    std::size_t best = kNodes;
+    for (std::size_t n = 0; n < kNodes; ++n) {
+      if (residents[n].size() < kMaxResidents &&
+          (best == kNodes || cost[n] < cost[best])) {
+        best = n;
+      }
+    }
+    cached.add_resident(best, target);
+    uncached.add_resident(best, target);
+    residents[best].push_back(target);
+  }
+  EXPECT_GT(cached.stats().cache_evictions, 0u);
+  EXPECT_EQ(cached.stats().cache_hits + cached.stats().cache_misses,
+            uncached.stats().cache_misses);
 }
 
 TEST_F(PlacementServiceTest, PerCandidatePStatesMatchScalarOverload) {
