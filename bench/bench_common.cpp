@@ -8,7 +8,7 @@
 
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
-#include "fault/storage_fault.hpp"
+#include "fault/fault_plan.hpp"
 
 namespace coloc::bench {
 

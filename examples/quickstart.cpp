@@ -47,7 +47,6 @@
 #include "core/zoo_artifacts.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
-#include "fault/storage_fault.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"

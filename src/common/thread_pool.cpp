@@ -35,36 +35,10 @@ double seconds_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
-thread_local const CancellationToken* t_current_token = nullptr;
-
 thread_local bool t_on_worker_thread = false;
 }  // namespace
 
 bool on_worker_thread() { return t_on_worker_thread; }
-
-CancellationScope::CancellationScope(CancellationToken token)
-    : previous_(t_current_token), token_(std::move(token)) {
-  t_current_token = &token_;
-}
-
-CancellationScope::~CancellationScope() { t_current_token = previous_; }
-
-bool CancellationScope::current_cancelled() {
-  return t_current_token != nullptr && t_current_token->cancelled();
-}
-
-bool DeadlineTask::wait_until_deadline() {
-  if (future.wait_until(deadline) == std::future_status::ready) return true;
-  token.request_cancel();
-  return false;
-}
-
-void ThreadPool::throw_if_abandoned(const CancellationToken& token) {
-  if (token.cancelled()) {
-    throw coloc::runtime_error(
-        "task cancelled before it started (deadline expired in queue)");
-  }
-}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {

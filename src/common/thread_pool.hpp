@@ -28,57 +28,6 @@
 
 namespace coloc {
 
-/// Copyable handle to a shared cancellation flag. Cancellation is
-/// cooperative: long-running tasks poll cancelled() (directly or through
-/// CancellationScope::current_cancelled()) and bail out early. Requesting
-/// cancellation never interrupts a task forcibly.
-class CancellationToken {
- public:
-  CancellationToken() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  void request_cancel() const {
-    flag_->store(true, std::memory_order_relaxed);
-  }
-  bool cancelled() const { return flag_->load(std::memory_order_relaxed); }
-
- private:
-  std::shared_ptr<std::atomic<bool>> flag_;
-};
-
-/// RAII registration of a token as "current" for the calling thread, so
-/// library code deep inside a task can poll for cancellation without the
-/// token being threaded through every signature (e.g. the fault injector's
-/// artificial hangs end early once their cell's deadline expires).
-class CancellationScope {
- public:
-  explicit CancellationScope(CancellationToken token);
-  ~CancellationScope();
-  CancellationScope(const CancellationScope&) = delete;
-  CancellationScope& operator=(const CancellationScope&) = delete;
-
-  /// True when a scope is active on this thread and its token is cancelled.
-  static bool current_cancelled();
-
- private:
-  const CancellationToken* previous_;
-  CancellationToken token_;
-};
-
-/// A task submitted with a deadline: the future for completion and the
-/// token the runner cancels when the deadline expires.
-struct DeadlineTask {
-  std::future<void> future;
-  CancellationToken token;
-  std::chrono::steady_clock::time_point deadline;
-
-  /// Waits until the deadline. Returns true if the task finished in time
-  /// (future.get() then yields its result/exception). On expiry, requests
-  /// cancellation and returns false WITHOUT waiting for the task: the
-  /// worker frees itself as soon as the task observes the token, so a hung
-  /// cell cannot wedge a worker forever — provided the task cooperates.
-  bool wait_until_deadline();
-};
-
 /// Aggregated per-pool worker accounting, read via ThreadPool::stats().
 /// busy covers task execution; idle covers condition-variable waits,
 /// including waits still open at the time of the stats() call and the
@@ -101,11 +50,10 @@ struct PoolStats {
 /// submit() returns a future for completion/exception propagation.
 ///
 /// Shutdown contract: shutdown() (or the destructor) stops intake FIRST,
-/// then drains the queue and joins the workers. Any submit() or
-/// submit_with_deadline() call racing with — or arriving after — shutdown
-/// throws coloc::runtime_error rather than accepting a task that would
-/// never run; a task whose submit() returned normally is guaranteed to
-/// execute before shutdown() returns.
+/// then drains the queue and joins the workers. Any submit() call racing
+/// with — or arriving after — shutdown throws coloc::runtime_error rather
+/// than accepting a task that would never run; a task whose submit()
+/// returned normally is guaranteed to execute before shutdown() returns.
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means hardware_concurrency (min 1).
@@ -155,27 +103,6 @@ class ThreadPool {
     return fut;
   }
 
-  /// Enqueues f(token) with a completion deadline measured from now.
-  /// The deadline is enforced by DeadlineTask::wait_until_deadline(), which
-  /// cancels the token on expiry; a task still queued when its token is
-  /// cancelled is dropped without running (its future reports
-  /// coloc::runtime_error). Same shutdown contract as submit().
-  template <typename F>
-  DeadlineTask submit_with_deadline(F&& f, std::chrono::milliseconds timeout) {
-    DeadlineTask handle;
-    handle.deadline = std::chrono::steady_clock::now() + timeout;
-    CancellationToken token = handle.token;
-    auto task = std::make_shared<std::packaged_task<void()>>(
-        [f = std::forward<F>(f), token]() mutable {
-          throw_if_abandoned(token);
-          CancellationScope scope(token);
-          f(token);
-        });
-    handle.future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return handle;
-  }
-
  private:
   struct Task {
     std::function<void()> fn;
@@ -199,10 +126,6 @@ class ThreadPool {
     std::atomic<std::uint64_t> wait_start_ns{0};
     std::atomic<bool> waiting{false};
   };
-
-  /// Throws coloc::runtime_error if the token was cancelled before the
-  /// task started (deadline expired while it sat in the queue).
-  static void throw_if_abandoned(const CancellationToken& token);
 
   void enqueue(std::function<void()> fn);
   void worker_loop(std::size_t worker_index);

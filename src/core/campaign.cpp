@@ -65,27 +65,6 @@ std::string CampaignResult::tag_target(const std::string& tag) {
 }
 
 namespace {
-/// Every campaign cell gets a confirmation read at a disjoint repetition
-/// seed, mirroring collect_baseline's guard: a corrupted primary read that
-/// slips past the plausibility bounds is caught by run-to-run disagreement
-/// instead of poisoning a dataset row. The recorded value is always the
-/// primary read, so fault-free campaign numerics are unchanged — and
-/// because the confirmation re-requests the same co-location
-/// configuration, it is a guaranteed contention-solve cache hit, costing
-/// one noise draw rather than a fixed-point solve.
-constexpr std::uint64_t kConfirmRepOffset = std::uint64_t{1} << 20;
-
-void check_confirmation(const std::string& tag,
-                        const sim::RunMeasurement& primary,
-                        const sim::RunMeasurement& confirm) {
-  const double ratio = primary.execution_time_s / confirm.execution_time_s;
-  if (!(ratio > 1.0 / 3.0 && ratio < 3.0)) {
-    throw MeasurementError(
-        ErrorClass::kCorruptedData,
-        "cell disagrees with its confirmation read: " + tag);
-  }
-}
-
 /// One cell of the Table V sweep, fully resolved at enumeration time so a
 /// worker thread can measure it without touching any shared state. The
 /// pointers reference CampaignConfig vectors, the baseline library, and
@@ -106,37 +85,31 @@ struct CellPlan {
   bool needs_measure() const { return !skipped && resumed == nullptr; }
 };
 
-/// Runs one planned cell's retry loop. Pure in (plan, attempt): the
-/// repetition seeds and confirmation reads are functions of the cell
-/// identity alone, so this is safe — and bit-reproducible — from any
-/// worker thread in any order.
+/// Runs one planned cell's retry loop, every reading confirmed (see
+/// confirmed_read). Pure in (plan, attempt): the repetition seeds are
+/// functions of the cell identity alone, so this is safe — and
+/// bit-reproducible — from any worker thread in any order. Alone rows
+/// read at attempt + 1, the historical repetition numbering (DESIGN §8).
 fault::CellOutcome measure_plan(sim::MeasurementSource& source,
                                 fault::ResilientRunner& runner,
                                 const CellPlan& plan) {
-  if (plan.coapp == nullptr) {
-    const sim::ApplicationSpec& target = *plan.target;
-    const std::size_t p = plan.pstate;
-    return runner.measure_outcome(
-        plan.tag, plan.reference_time_s, [&](std::uint64_t attempt) {
-          sim::RunMeasurement m = source.run_alone(target, p, attempt + 1);
-          check_confirmation(
-              plan.tag, m,
-              source.run_alone(target, p, kConfirmRepOffset + attempt + 1));
-          return m;
-        });
-  }
   const sim::ApplicationSpec& target = *plan.target;
   const std::size_t p = plan.pstate;
+  if (plan.coapp == nullptr) {
+    return runner.measure_outcome(
+        plan.tag, plan.reference_time_s, [&](std::uint64_t attempt) {
+          return confirmed_read(plan.tag, attempt + 1,
+                                [&](std::uint64_t rep) {
+                                  return source.run_alone(target, p, rep);
+                                });
+        });
+  }
   const std::vector<sim::ApplicationSpec> copies(plan.count, *plan.coapp);
   return runner.measure_outcome(
       plan.tag, plan.reference_time_s, [&](std::uint64_t attempt) {
-        sim::RunMeasurement m = source.run_colocated(target, copies, p,
-                                                     attempt);
-        check_confirmation(
-            plan.tag, m,
-            source.run_colocated(target, copies, p,
-                                 kConfirmRepOffset + attempt));
-        return m;
+        return confirmed_read(plan.tag, attempt, [&](std::uint64_t rep) {
+          return source.run_colocated(target, copies, p, rep);
+        });
       });
 }
 }  // namespace
@@ -172,8 +145,7 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
   result.dataset = ml::Dataset(feature_names(), "colocExTime");
 
   const std::size_t jobs = config.jobs != 0 ? config.jobs : configured_jobs();
-  fault::ResilientRunner runner(robustness.retry, robustness.bounds,
-                                std::max<std::size_t>(2, jobs));
+  fault::ResilientRunner runner(robustness.retry, robustness.bounds);
 
   std::unique_ptr<fault::CampaignCheckpoint> checkpoint;
   if (!robustness.checkpoint_path.empty()) {

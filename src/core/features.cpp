@@ -36,26 +36,14 @@ BaselineProfile collect_baseline(sim::MeasurementSource& source,
                               std::to_string(p);
       // No earlier reference exists for a baseline, so the slowdown
       // plausibility bound cannot apply (reference 0). But the baseline
-      // is the sweep's most load-bearing reading — an undetected outlier
+      // is the sweep's most load-bearing reading: an undetected outlier
       // here poisons a feature column AND the reference of every campaign
-      // cell of this (app, P-state). Guard it by run-to-run agreement: a
-      // confirmation read at a disjoint repetition seed must land within
-      // 3x. The recorded value is still the primary read, so fault-free
-      // numerics are unchanged.
-      constexpr std::uint64_t kConfirmRepOffset = 1u << 20;
+      // cell of this (app, P-state), hence the confirmation read.
       auto measured = runner->measure_cell(
           tag, 0.0, [&](std::uint64_t attempt) {
-            sim::RunMeasurement m = source.run_alone(app, p, attempt);
-            const sim::RunMeasurement confirm =
-                source.run_alone(app, p, kConfirmRepOffset + attempt);
-            const double ratio = m.execution_time_s /
-                                 confirm.execution_time_s;
-            if (!(ratio > 1.0 / 3.0 && ratio < 3.0)) {
-              throw MeasurementError(
-                  ErrorClass::kCorruptedData,
-                  "baseline disagrees with its confirmation read: " + tag);
-            }
-            return m;
+            return confirmed_read(tag, attempt, [&](std::uint64_t rep) {
+              return source.run_alone(app, p, rep);
+            });
           });
       if (!measured) {
         throw MeasurementError(ErrorClass::kPermanent,
@@ -74,6 +62,21 @@ BaselineProfile collect_baseline(sim::MeasurementSource& source,
     }
   }
   return profile;
+}
+
+sim::RunMeasurement confirmed_read(
+    const std::string& tag, std::uint64_t repetition,
+    const fault::ResilientRunner::MeasureFn& read) {
+  constexpr std::uint64_t kConfirmRepOffset = std::uint64_t{1} << 20;
+  sim::RunMeasurement primary = read(repetition);
+  const sim::RunMeasurement confirm = read(kConfirmRepOffset + repetition);
+  const double ratio = primary.execution_time_s / confirm.execution_time_s;
+  if (!(ratio > 1.0 / 3.0 && ratio < 3.0)) {
+    throw MeasurementError(ErrorClass::kCorruptedData,
+                           "reading disagrees with its confirmation read: " +
+                               tag);
+  }
+  return primary;
 }
 
 BaselineLibrary collect_baselines(

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -69,6 +70,19 @@ struct BaselineProfile {
 BaselineProfile collect_baseline(sim::MeasurementSource& source,
                                  const sim::ApplicationSpec& app,
                                  fault::ResilientRunner* runner = nullptr);
+
+/// One reading checked by run-to-run agreement: read(repetition) is the
+/// primary and read(2^20 + repetition) a confirmation at a disjoint seed,
+/// read in that order. Unless their wall times agree within 3x it throws
+/// MeasurementError(kCorruptedData) naming `tag`, for the runner to retry:
+/// a corrupted primary that slips past the plausibility bounds (baselines
+/// have none) must not poison a feature column or a dataset row. Returns
+/// the primary, so fault-free numerics do not depend on the confirmation.
+/// A co-located confirmation re-requests the same configuration, so it
+/// costs a solve-cache hit and one noise draw.
+sim::RunMeasurement confirmed_read(
+    const std::string& tag, std::uint64_t repetition,
+    const fault::ResilientRunner::MeasureFn& read);
 
 /// Baselines for a whole application set, keyed by name. With a runner,
 /// applications whose baseline is quarantined are left out of the library

@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
+#include "fault/resilient_runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -44,14 +44,14 @@ void FaultInjector::note(FaultKind kind) {
 }
 
 void FaultInjector::hang() const {
-  // Stall in small slices so a cancelled deadline frees the worker fast;
+  // Stall in small slices so an expired deadline frees the thread fast;
   // the cap bounds call sites that run without any deadline at all.
   obs::ScopedSpan span("fault/hang", "fault");
   const auto give_up =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double, std::milli>(plan_.config().hang_cap_ms));
-  while (!CancellationScope::current_cancelled() &&
+  while (!DeadlineScope::current_expired() &&
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -91,11 +91,11 @@ sim::RunMeasurement FaultInjector::inject(const std::string& cell_key,
                              "injected transient fault: " + cell_key);
     case FaultKind::kHang: {
       hang();
-      if (CancellationScope::current_cancelled()) {
+      if (DeadlineScope::current_expired()) {
         throw MeasurementError(ErrorClass::kTransient,
-                               "injected hang cancelled: " + cell_key);
+                               "injected hang hit its deadline: " + cell_key);
       }
-      // Survived the cap without a deadline firing: measure normally.
+      // Survived the cap without a deadline expiring: measure normally.
       return measure();
     }
     case FaultKind::kCorruptedReading: {

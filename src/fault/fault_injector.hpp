@@ -2,9 +2,9 @@
 //
 // FaultInjector wraps any sim::MeasurementSource and applies the FaultPlan
 // on every run: throwing transient MeasurementErrors, corrupting readings,
-// scaling wall time into outlier territory, or hanging until the cell's
-// cancellation token fires. The wrapped source is never consulted about
-// the injection, so the same plan replays against any backend.
+// scaling wall time into outlier territory, or hanging until the attempt's
+// deadline (DeadlineScope) passes. The wrapped source is never consulted
+// about the injection, so the same plan replays against any backend.
 #pragma once
 
 #include <atomic>

@@ -1,5 +1,7 @@
 #include "fault/fault_plan.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <string>
 
@@ -9,11 +11,10 @@
 
 namespace coloc::fault {
 
-namespace {
-const char* env_or_null(const char* name) { return std::getenv(name); }
+namespace detail {
 
 double env_double(const char* name, double fallback) {
-  const char* raw = env_or_null(name);
+  const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
   const double value = std::strtod(raw, &end);
@@ -25,13 +26,15 @@ double env_double(const char* name, double fallback) {
 }
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = env_or_null(name);
+  const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') {
+  if (!std::isdigit(static_cast<unsigned char>(*raw)) || *end != '\0' ||
+      errno == ERANGE) {
     throw invalid_argument_error(std::string(name) + ": cannot parse '" +
-                                 raw + "' as an integer");
+                                 raw + "' as a non-negative integer");
   }
   return static_cast<std::uint64_t>(value);
 }
@@ -49,7 +52,16 @@ std::vector<std::string_view> split_csv(std::string_view spec) {
   }
   return out;
 }
-}  // namespace
+
+std::uint64_t mix(std::uint64_t seed, std::string_view key,
+                  std::uint64_t index, std::uint64_t salt) {
+  std::uint64_t h = obs::fnv1a64(key, obs::kFnv1aBasis ^ seed);
+  h ^= index * 0x9e3779b97f4a7c15ULL;
+  h ^= salt * 0x2545f4914f6cdd1dULL;
+  return splitmix64(h);
+}
+
+}  // namespace detail
 
 const char* to_string(FaultKind kind) {
   switch (kind) {
@@ -64,7 +76,7 @@ const char* to_string(FaultKind kind) {
 
 std::vector<FaultKind> parse_fault_kinds(std::string_view spec) {
   std::vector<FaultKind> kinds;
-  for (std::string_view item : split_csv(spec)) {
+  for (std::string_view item : detail::split_csv(spec)) {
     if (item == "transient") {
       kinds.push_back(FaultKind::kTransient);
     } else if (item == "corrupt" || item == "corrupted") {
@@ -83,18 +95,17 @@ std::vector<FaultKind> parse_fault_kinds(std::string_view spec) {
 
 FaultPlanConfig FaultPlanConfig::from_env() {
   FaultPlanConfig config;
-  config.rate = env_double("COLOC_FAULT_RATE", config.rate);
-  if (config.rate < 0.0 || config.rate > 1.0) {
-    throw invalid_argument_error("COLOC_FAULT_RATE must be in [0, 1]");
-  }
-  config.seed = env_u64("COLOC_FAULT_SEED", config.seed);
-  if (const char* kinds = env_or_null("COLOC_FAULT_KINDS")) {
+  config.rate = validate_fault_rate(
+      detail::env_double("COLOC_FAULT_RATE", config.rate),
+      "COLOC_FAULT_RATE");
+  config.seed = detail::env_u64("COLOC_FAULT_SEED", config.seed);
+  if (const char* kinds = std::getenv("COLOC_FAULT_KINDS")) {
     config.kinds = parse_fault_kinds(kinds);
   }
-  if (const char* phases = env_or_null("COLOC_FAULT_PHASES")) {
+  if (const char* phases = std::getenv("COLOC_FAULT_PHASES")) {
     config.inject_baseline = false;
     config.inject_campaign = false;
-    for (std::string_view item : split_csv(phases)) {
+    for (std::string_view item : detail::split_csv(phases)) {
       if (item == "baseline") {
         config.inject_baseline = true;
       } else if (item == "campaign") {
@@ -105,8 +116,17 @@ FaultPlanConfig FaultPlanConfig::from_env() {
       }
     }
   }
-  config.hang_cap_ms = env_double("COLOC_FAULT_HANG_MS", config.hang_cap_ms);
+  config.hang_cap_ms =
+      detail::env_double("COLOC_FAULT_HANG_MS", config.hang_cap_ms);
   return config;
+}
+
+double validate_fault_rate(double rate, const std::string& origin) {
+  if (!(rate >= 0.0 && rate <= 1.0)) {
+    throw invalid_argument_error(origin + " must be in [0, 1], got " +
+                                 std::to_string(rate));
+  }
+  return rate;
 }
 
 FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {
@@ -122,14 +142,6 @@ FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {
   }
 }
 
-std::uint64_t FaultPlan::mix(std::string_view cell_key, std::uint64_t attempt,
-                             std::uint64_t salt) const {
-  std::uint64_t h = obs::fnv1a64(cell_key, obs::kFnv1aBasis ^ config_.seed);
-  h ^= attempt * 0x9e3779b97f4a7c15ULL;
-  h ^= salt * 0x2545f4914f6cdd1dULL;
-  return splitmix64(h);
-}
-
 FaultKind FaultPlan::decide(std::string_view cell_key, std::uint64_t attempt,
                             MeasurePhase phase) const {
   if (!enabled()) return FaultKind::kNone;
@@ -137,14 +149,14 @@ FaultKind FaultPlan::decide(std::string_view cell_key, std::uint64_t attempt,
     return FaultKind::kNone;
   if (phase == MeasurePhase::kCampaign && !config_.inject_campaign)
     return FaultKind::kNone;
-  Rng rng(mix(cell_key, attempt, 0x1));
+  Rng rng(detail::mix(config_.seed, cell_key, attempt, 0x1));
   if (!rng.bernoulli(config_.rate)) return FaultKind::kNone;
   return enabled_kinds_[rng.uniform_index(enabled_kinds_.size())];
 }
 
 double FaultPlan::outlier_factor(std::string_view cell_key,
                                  std::uint64_t attempt) const {
-  Rng rng(mix(cell_key, attempt, 0x2));
+  Rng rng(detail::mix(config_.seed, cell_key, attempt, 0x2));
   return rng.uniform(config_.outlier_min_factor, config_.outlier_max_factor);
 }
 
@@ -152,7 +164,7 @@ std::uint64_t FaultPlan::corruption_variant(std::string_view cell_key,
                                             std::uint64_t attempt,
                                             std::uint64_t n) const {
   COLOC_CHECK_MSG(n > 0, "variant count must be positive");
-  Rng rng(mix(cell_key, attempt, 0x3));
+  Rng rng(detail::mix(config_.seed, cell_key, attempt, 0x3));
   return rng.uniform_index(n);
 }
 

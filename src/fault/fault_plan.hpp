@@ -14,6 +14,7 @@
 //                       (default transient,corrupt,outlier — hangs are
 //                       opt-in because each one costs a cell deadline)
 //   COLOC_FAULT_PHASES  comma list of baseline,campaign       (default both)
+//   COLOC_FAULT_HANG_MS longest stall of an injected hang     (default 250)
 #pragma once
 
 #include <cstdint>
@@ -34,7 +35,7 @@ enum class FaultKind : std::uint32_t {
   /// Multiplies the wall time by a large factor: a plausible-looking but
   /// wildly wrong reading only plausibility bounds can catch.
   kOutlierNoise,
-  /// Stalls the measurement until its cancellation token fires (or a cap
+  /// Stalls the measurement until its attempt's deadline passes (or a cap
   /// expires): exercises the deadline machinery end to end.
   kHang,
 };
@@ -51,7 +52,7 @@ struct FaultPlanConfig {
   std::vector<FaultKind> kinds;
   bool inject_baseline = true;
   bool inject_campaign = true;
-  /// Injected hangs stall at most this long even with no token to cancel
+  /// Injected hangs stall at most this long even with no deadline to end
   /// them, so an un-deadlined call site still terminates.
   double hang_cap_ms = 250.0;
   /// Outlier faults scale wall time by a factor uniform in this range;
@@ -61,12 +62,18 @@ struct FaultPlanConfig {
   double outlier_max_factor = 60.0;
 
   /// Reads the COLOC_FAULT_* variables; unset variables keep defaults.
-  /// Throws coloc::invalid_argument_error on unparseable values.
+  /// Throws coloc::invalid_argument_error on unparseable values and on a
+  /// rate outside [0, 1].
   static FaultPlanConfig from_env();
 };
 
 /// Parses a COLOC_FAULT_KINDS-style list ("transient,corrupt,outlier,hang").
 std::vector<FaultKind> parse_fault_kinds(std::string_view spec);
+
+/// Validates a fault probability (--fault-rate, COLOC_FAULT_RATE). Returns
+/// `rate` when it lies in [0, 1]; otherwise throws
+/// coloc::invalid_argument_error naming `origin` (e.g. "--fault-rate").
+double validate_fault_rate(double rate, const std::string& origin);
 
 class FaultPlan {
  public:
@@ -90,11 +97,32 @@ class FaultPlan {
                                    std::uint64_t n) const;
 
  private:
-  std::uint64_t mix(std::string_view cell_key, std::uint64_t attempt,
-                    std::uint64_t salt) const;
-
   FaultPlanConfig config_;
   std::vector<FaultKind> enabled_kinds_;
 };
+
+// Plumbing shared by FaultPlan, StorageFaultPlan and RetryPolicy::from_env.
+namespace detail {
+
+/// Reads a numeric environment variable; unset or empty keeps `fallback`.
+/// Throws coloc::invalid_argument_error naming the variable when the value
+/// does not parse in full.
+double env_double(const char* name, double fallback);
+
+/// Same for a decimal unsigned integer. Only digits are accepted: a sign,
+/// a fraction, an exponent or an out-of-range value is rejected rather
+/// than wrapped or truncated.
+std::uint64_t env_u64(const char* name, std::uint64_t fallback);
+
+/// Splits a comma list, trimming spaces and dropping empty items.
+std::vector<std::string_view> split_csv(std::string_view spec);
+
+/// The seeded hash behind every plan decision: a pure function of
+/// (seed, key, index, salt), so a plan replays identically across
+/// processes.
+std::uint64_t mix(std::uint64_t seed, std::string_view key,
+                  std::uint64_t index, std::uint64_t salt);
+
+}  // namespace detail
 
 }  // namespace coloc::fault

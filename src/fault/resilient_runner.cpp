@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <memory>
+#include <exception>
 #include <sstream>
 #include <thread>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "fault/fault_plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -43,22 +43,52 @@ struct RunnerMetrics {
   }
 };
 
-double env_double_or(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  return (end == raw || *end != '\0') ? fallback : value;
+using Clock = std::chrono::steady_clock;
+
+/// `ms` as a clock duration, or nullopt unless it is finite, positive and
+/// its tick count fits Clock::duration (a larger one would overflow the
+/// conversion).
+std::optional<Clock::duration> deadline_duration(double ms) {
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double, std::milli>(ms))
+                           .count();
+  if (!(std::isfinite(ticks) && ticks > 0.0 &&
+        ticks < static_cast<double>(Clock::duration::max().count()))) {
+    return std::nullopt;
+  }
+  return Clock::duration(static_cast<Clock::duration::rep>(ticks));
 }
+
+thread_local Clock::time_point t_deadline = Clock::time_point::max();
 }  // namespace
 
 RetryPolicy RetryPolicy::from_env() {
   RetryPolicy policy;
   policy.deadline_ms =
-      env_double_or("COLOC_CELL_DEADLINE_MS", policy.deadline_ms);
-  policy.max_attempts = static_cast<std::size_t>(env_double_or(
-      "COLOC_MAX_ATTEMPTS", static_cast<double>(policy.max_attempts)));
+      detail::env_double("COLOC_CELL_DEADLINE_MS", policy.deadline_ms);
+  if (!deadline_duration(policy.deadline_ms)) {
+    throw invalid_argument_error(
+        "COLOC_CELL_DEADLINE_MS must be a finite positive number of "
+        "milliseconds that fits the steady clock");
+  }
+  const std::uint64_t attempts =
+      detail::env_u64("COLOC_MAX_ATTEMPTS", policy.max_attempts);
+  if (attempts == 0) {
+    throw invalid_argument_error("COLOC_MAX_ATTEMPTS must be at least 1");
+  }
+  policy.max_attempts = attempts;
   return policy;
+}
+
+DeadlineScope::DeadlineScope(Clock::time_point deadline)
+    : previous_(t_deadline) {
+  t_deadline = deadline;
+}
+
+DeadlineScope::~DeadlineScope() { t_deadline = previous_; }
+
+bool DeadlineScope::current_expired() {
+  return t_deadline != Clock::time_point::max() && Clock::now() >= t_deadline;
 }
 
 void validate_measurement(const sim::RunMeasurement& m,
@@ -110,14 +140,14 @@ std::string CompletenessReport::summary() const {
   return os.str();
 }
 
-ResilientRunner::ResilientRunner(RetryPolicy policy, PlausibilityBounds bounds,
-                                 std::size_t deadline_workers)
-    : policy_(policy), bounds_(bounds),
-      pool_(deadline_workers != 0
-                ? deadline_workers
-                : std::max<std::size_t>(2, configured_jobs())) {
+ResilientRunner::ResilientRunner(RetryPolicy policy, PlausibilityBounds bounds)
+    : policy_(policy), bounds_(bounds) {
   COLOC_CHECK_MSG(policy_.max_attempts > 0, "need at least one attempt");
-  COLOC_CHECK_MSG(policy_.deadline_ms > 0.0, "deadline must be positive");
+  const std::optional<Clock::duration> deadline =
+      deadline_duration(policy_.deadline_ms);
+  COLOC_CHECK_MSG(deadline.has_value(),
+                  "deadline must be finite, positive and fit the clock");
+  deadline_ = *deadline;
 }
 
 double ResilientRunner::backoff_ms(const std::string& tag,
@@ -183,18 +213,24 @@ CellOutcome ResilientRunner::measure_outcome(const std::string& tag,
     }
 
     obs::ScopedSpan attempt_span("resilient/attempt", "fault");
-    // Per-attempt result storage shared with the task: an abandoned
-    // (overrun) attempt may still be writing while we move on, so it must
-    // never share storage with a later attempt.
-    auto result = std::make_shared<sim::RunMeasurement>();
-    DeadlineTask task = pool_.submit_with_deadline(
-        [result, &measure, attempt](const CancellationToken&) {
-          *result = measure(attempt);
-        },
-        std::chrono::milliseconds(
-            static_cast<std::int64_t>(policy_.deadline_ms)));
+    // Saturates rather than overflows for a deadline near the clock's range.
+    const Clock::time_point now = Clock::now();
+    const Clock::time_point deadline =
+        now + std::min(deadline_, Clock::time_point::max() - now);
+    sim::RunMeasurement reading;
+    std::exception_ptr failure;
+    {
+      DeadlineScope scope(deadline);
+      try {
+        reading = measure(attempt);
+      } catch (...) {
+        failure = std::current_exception();
+      }
+    }
 
-    if (!task.wait_until_deadline()) {
+    // An attempt that ends at or after its deadline is an overrun,
+    // whatever it produced.
+    if (Clock::now() >= deadline) {
       ++outcome.deadline_overruns;
       metrics.deadline_overruns.inc();
       outcome.failure_reason = "deadline overrun (" +
@@ -203,8 +239,8 @@ CellOutcome ResilientRunner::measure_outcome(const std::string& tag,
     }
 
     try {
-      task.future.get();
-      validate_measurement(*result, reference_time_s, bounds_);
+      if (failure) std::rethrow_exception(failure);
+      validate_measurement(reading, reference_time_s, bounds_);
     } catch (const classified_error& e) {
       outcome.failure_reason = e.what();
       if (e.error_class() == ErrorClass::kPermanent) break;
@@ -221,7 +257,7 @@ CellOutcome ResilientRunner::measure_outcome(const std::string& tag,
     }
 
     outcome.attempts = attempt + 1;
-    outcome.measurement = std::move(*result);
+    outcome.measurement = std::move(reading);
     metrics.cells_ok.inc();
     metrics.attempts_per_cell.observe(static_cast<double>(outcome.attempts));
     outcome.completed_ns = obs::trace_now_ns();

@@ -1,8 +1,9 @@
-// ResilientRunner: executes one measurement cell at a time under a
-// deadline, validates the reading, retries transient/corrupted failures
-// with capped exponential backoff + deterministic jitter, and quarantines
-// cells that exhaust their attempt budget — so a long collection campaign
-// degrades gracefully instead of aborting on the first flaky counter.
+// ResilientRunner: measures one cell on the calling thread under a
+// per-attempt deadline, validates the reading, retries transient/corrupted
+// failures with capped exponential backoff + deterministic jitter, and
+// quarantines cells that exhaust their attempt budget — so a long
+// collection campaign degrades gracefully instead of aborting on the first
+// flaky counter.
 //
 // Retry decisions follow the ErrorClass taxonomy in common/error.hpp:
 //   kTransient      retry after backoff
@@ -17,6 +18,7 @@
 // byte for byte.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -24,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "sim/execution.hpp"
 
 namespace coloc::fault {
@@ -38,12 +39,37 @@ struct RetryPolicy {
   /// drawn deterministically from (seed, tag, attempt).
   double jitter = 0.5;
   std::uint64_t jitter_seed = 77;
-  /// Per-attempt completion deadline. A cell that overruns is cancelled
-  /// (cooperatively) and the overrun is treated as a transient fault.
+  /// Per-attempt completion deadline. An attempt that returns or throws
+  /// at or after it counts as an overrun, a transient fault: its result is
+  /// discarded and the cell retried. Code inside the attempt can poll
+  /// DeadlineScope::current_expired() to give up early.
   double deadline_ms = 2000.0;
 
-  /// Honors COLOC_CELL_DEADLINE_MS and COLOC_MAX_ATTEMPTS when set.
+  /// Honors COLOC_CELL_DEADLINE_MS and COLOC_MAX_ATTEMPTS when set. Throws
+  /// coloc::invalid_argument_error naming the variable when the attempt
+  /// count is not a positive integer, or the deadline is not a finite
+  /// positive millisecond count that fits steady_clock::duration.
   static RetryPolicy from_env();
+};
+
+/// RAII: marks the calling thread as running a measurement attempt due by
+/// `deadline`, so code deep inside the attempt (the fault injector's
+/// hang) can poll for expiry without the deadline being threaded through
+/// every signature. Nothing is interrupted forcibly. Scopes nest; the
+/// destructor restores the enclosing scope's deadline.
+class DeadlineScope {
+ public:
+  explicit DeadlineScope(std::chrono::steady_clock::time_point deadline);
+  ~DeadlineScope();
+  DeadlineScope(const DeadlineScope&) = delete;
+  DeadlineScope& operator=(const DeadlineScope&) = delete;
+
+  /// True when a scope is active on this thread and its deadline has
+  /// passed.
+  static bool current_expired();
+
+ private:
+  std::chrono::steady_clock::time_point previous_;
 };
 
 /// Sanity bounds for a reading measured against a reference (usually the
@@ -114,13 +140,11 @@ struct CellOutcome {
 
 class ResilientRunner {
  public:
-  /// `deadline_workers` sizes the internal executor that runs measurement
-  /// attempts under their deadlines; it bounds how many cells can be
-  /// measured concurrently. 0 means max(2, configured_jobs()), so a
-  /// task-parallel campaign is never throttled below its worker count.
+  /// Throws coloc::runtime_error unless the policy allows at least one
+  /// attempt and its deadline passes the check RetryPolicy::from_env
+  /// applies.
   explicit ResilientRunner(RetryPolicy policy = {},
-                           PlausibilityBounds bounds = {},
-                           std::size_t deadline_workers = 0);
+                           PlausibilityBounds bounds = {});
 
   /// The measurement closure; `attempt` doubles as the repetition seed so
   /// retries draw fresh noise instead of replaying the failed run.
@@ -138,11 +162,12 @@ class ResilientRunner {
       const std::string& tag, double reference_time_s,
       const MeasureFn& measure);
 
-  /// Phase 1: the retry/backoff/deadline loop, free of report side
-  /// effects. Thread-safe and deterministic per (tag, measure): backoff
-  /// jitter derives from (jitter_seed, tag, attempt) through a local RNG —
-  /// no shared generator — and the attempt index is the repetition seed,
-  /// so the outcome is a pure function of the cell, never of scheduling.
+  /// Phase 1: the retry/backoff/deadline loop, run on the calling thread
+  /// and free of report side effects. Thread-safe and deterministic per
+  /// (tag, measure): backoff jitter derives from (jitter_seed, tag,
+  /// attempt) through a local RNG — no shared generator — and the attempt
+  /// index is the repetition seed, so the outcome is a pure function of
+  /// the cell, never of scheduling.
   CellOutcome measure_outcome(const std::string& tag,
                               double reference_time_s,
                               const MeasureFn& measure);
@@ -172,7 +197,7 @@ class ResilientRunner {
 
   RetryPolicy policy_;
   PlausibilityBounds bounds_;
-  ThreadPool pool_;
+  std::chrono::steady_clock::duration deadline_;
   std::mutex report_mutex_;
   CompletenessReport report_;
 };

@@ -1,57 +1,16 @@
 #include "fault/storage_fault.hpp"
 
-#include <cstdlib>
 #include <numeric>
 #include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "obs/manifest.hpp"
+#include "fault/fault_plan.hpp"
 #include "obs/metrics.hpp"
 
 namespace coloc::fault {
 
 namespace {
-
-const char* env_or_null(const char* name) { return std::getenv(name); }
-
-double env_double(const char* name, double fallback) {
-  const char* raw = env_or_null(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') {
-    throw invalid_argument_error(std::string(name) + ": cannot parse '" +
-                                 raw + "' as a number");
-  }
-  return value;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = env_or_null(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') {
-    throw invalid_argument_error(std::string(name) + ": cannot parse '" +
-                                 raw + "' as an integer");
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
-std::vector<std::string_view> split_csv(std::string_view spec) {
-  std::vector<std::string_view> out;
-  while (!spec.empty()) {
-    const std::size_t comma = spec.find(',');
-    std::string_view item = spec.substr(0, comma);
-    while (!item.empty() && item.front() == ' ') item.remove_prefix(1);
-    while (!item.empty() && item.back() == ' ') item.remove_suffix(1);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string_view::npos) break;
-    spec.remove_prefix(comma + 1);
-  }
-  return out;
-}
 
 obs::Counter& injected_counter(StorageFaultKind kind) {
   return obs::Registry::global().counter("storage_faults_injected_total",
@@ -75,7 +34,7 @@ const char* to_string(StorageFaultKind kind) {
 std::vector<StorageFaultKind> parse_storage_fault_kinds(
     std::string_view spec) {
   std::vector<StorageFaultKind> kinds;
-  for (std::string_view item : split_csv(spec)) {
+  for (std::string_view item : detail::split_csv(spec)) {
     if (item == "torn") {
       kinds.push_back(StorageFaultKind::kTornWrite);
     } else if (item == "bitflip") {
@@ -94,18 +53,6 @@ std::vector<StorageFaultKind> parse_storage_fault_kinds(
   return kinds;
 }
 
-StorageFaultPlanConfig StorageFaultPlanConfig::from_env() {
-  StorageFaultPlanConfig config;
-  config.rate = validate_fault_rate(
-      env_double("COLOC_STORE_FAULT_RATE", config.rate),
-      "COLOC_STORE_FAULT_RATE");
-  config.seed = env_u64("COLOC_STORE_FAULT_SEED", config.seed);
-  if (const char* kinds = env_or_null("COLOC_STORE_FAULT_KINDS")) {
-    config.kinds = parse_storage_fault_kinds(kinds);
-  }
-  return config;
-}
-
 StorageFaultPlan::StorageFaultPlan(StorageFaultPlanConfig config)
     : config_(std::move(config)) {
   validate_fault_rate(config_.rate, "storage fault rate");
@@ -118,26 +65,17 @@ StorageFaultPlan::StorageFaultPlan(StorageFaultPlanConfig config)
   }
 }
 
-std::uint64_t StorageFaultPlan::mix(std::string_view path,
-                                    std::uint64_t op_index,
-                                    std::uint64_t salt) const {
-  std::uint64_t h = obs::fnv1a64(path, obs::kFnv1aBasis ^ config_.seed);
-  h ^= op_index * 0x9e3779b97f4a7c15ULL;
-  h ^= salt * 0x2545f4914f6cdd1dULL;
-  return splitmix64(h);
-}
-
 StorageFaultKind StorageFaultPlan::decide(std::string_view path,
                                           std::uint64_t op_index) const {
   if (!enabled()) return StorageFaultKind::kNone;
-  Rng rng(mix(path, op_index, 0x11));
+  Rng rng(detail::mix(config_.seed, path, op_index, 0x11));
   if (!rng.bernoulli(config_.rate)) return StorageFaultKind::kNone;
   return enabled_kinds_[rng.uniform_index(enabled_kinds_.size())];
 }
 
 double StorageFaultPlan::offset_fraction(std::string_view path,
                                          std::uint64_t op_index) const {
-  Rng rng(mix(path, op_index, 0x12));
+  Rng rng(detail::mix(config_.seed, path, op_index, 0x12));
   // Strictly interior so a tear always removes something yet keeps a
   // non-empty prefix (for non-trivial payloads).
   return rng.uniform(0.05, 0.95);
@@ -147,7 +85,7 @@ std::uint64_t StorageFaultPlan::bit_index(std::string_view path,
                                           std::uint64_t op_index,
                                           std::uint64_t num_bits) const {
   COLOC_CHECK_MSG(num_bits > 0, "bit_index needs a non-empty payload");
-  Rng rng(mix(path, op_index, 0x13));
+  Rng rng(detail::mix(config_.seed, path, op_index, 0x13));
   return rng.uniform_index(num_bits);
 }
 
@@ -239,14 +177,6 @@ void StorageFaultInjector::create_directories(const std::string& path) {
 StorageFaultStats StorageFaultInjector::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-double validate_fault_rate(double rate, const std::string& origin) {
-  if (!(rate >= 0.0 && rate <= 1.0)) {
-    throw invalid_argument_error(origin + " must be in [0, 1], got " +
-                                 std::to_string(rate));
-  }
-  return rate;
 }
 
 }  // namespace coloc::fault

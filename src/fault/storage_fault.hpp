@@ -8,12 +8,6 @@
 // seed reproduces its exact corruption sequence. Reads always pass
 // through untouched — the point is to prove that *readers* (zoo loader,
 // stage journal, checkpoint) detect what corrupt writers leave behind.
-//
-// Configuration comes from the environment (storage-chaos jobs set these):
-//   COLOC_STORE_FAULT_RATE   probability a write faults        (default 0)
-//   COLOC_STORE_FAULT_SEED   plan seed                         (default 4321)
-//   COLOC_STORE_FAULT_KINDS  comma list of torn,bitflip,truncate,
-//                            rename-dropped,enospc (default all)
 #pragma once
 
 #include <array>
@@ -53,7 +47,7 @@ inline constexpr std::size_t kNumStorageFaultKinds = 5;
 
 const char* to_string(StorageFaultKind kind);
 
-/// Parses a COLOC_STORE_FAULT_KINDS-style list
+/// Parses a storage fault kind list
 /// ("torn,bitflip,truncate,rename-dropped,enospc"). Throws
 /// coloc::invalid_argument_error naming any unknown token.
 std::vector<StorageFaultKind> parse_storage_fault_kinds(
@@ -64,10 +58,6 @@ struct StorageFaultPlanConfig {
   std::uint64_t seed = 4321;  // plan seed
   /// Enabled kinds; empty means all five.
   std::vector<StorageFaultKind> kinds;
-
-  /// Reads the COLOC_STORE_FAULT_* variables; unset keep defaults.
-  /// Throws coloc::invalid_argument_error on unparseable values.
-  static StorageFaultPlanConfig from_env();
 };
 
 /// Pure-function fault decisions, mirroring FaultPlan: deterministic in
@@ -91,9 +81,6 @@ class StorageFaultPlan {
                           std::uint64_t num_bits) const;
 
  private:
-  std::uint64_t mix(std::string_view path, std::uint64_t op_index,
-                    std::uint64_t salt) const;
-
   StorageFaultPlanConfig config_;
   std::vector<StorageFaultKind> enabled_kinds_;
 };
@@ -132,10 +119,5 @@ class StorageFaultInjector final : public store::FileOps {
   std::map<std::string, std::uint64_t> op_counts_;
   StorageFaultStats stats_;
 };
-
-/// Validates a fault-probability flag value shared by the measurement and
-/// storage planes. Returns `rate` when it lies in [0, 1]; otherwise throws
-/// coloc::invalid_argument_error naming `origin` (e.g. "--fault-rate").
-double validate_fault_rate(double rate, const std::string& origin);
 
 }  // namespace coloc::fault

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,25 @@ TEST(ParseFaultKinds, RejectsUnknownKind) {
                coloc::invalid_argument_error);
 }
 
+TEST(ValidateFaultRate, AcceptsUnitInterval) {
+  EXPECT_EQ(validate_fault_rate(0.0, "--fault-rate"), 0.0);
+  EXPECT_EQ(validate_fault_rate(1.0, "--fault-rate"), 1.0);
+  EXPECT_EQ(validate_fault_rate(0.25, "--fault-rate"), 0.25);
+}
+
+TEST(ValidateFaultRate, RejectsOutOfRangeNamingOrigin) {
+  for (double bad : {-0.1, 1.0001, 42.0,
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    try {
+      validate_fault_rate(bad, "--fault-rate");
+      FAIL() << "expected rejection of " << bad;
+    } catch (const coloc::invalid_argument_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--fault-rate"),
+                std::string::npos);
+    }
+  }
+}
+
 class FaultEnvTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -207,8 +227,19 @@ TEST_F(FaultEnvTest, RejectsUnparseableRate) {
 }
 
 TEST_F(FaultEnvTest, RejectsOutOfRangeRate) {
-  ::setenv("COLOC_FAULT_RATE", "2.0", 1);
-  EXPECT_THROW(FaultPlanConfig::from_env(), coloc::invalid_argument_error);
+  for (const char* bad : {"2.0", "-0.5", "nan"}) {
+    ::setenv("COLOC_FAULT_RATE", bad, 1);
+    EXPECT_THROW(FaultPlanConfig::from_env(), coloc::invalid_argument_error)
+        << bad;
+  }
+}
+
+TEST_F(FaultEnvTest, RejectsSeedThatIsNotANonNegativeInteger) {
+  for (const char* bad : {"-1", "1.5", "seed", "99999999999999999999"}) {
+    ::setenv("COLOC_FAULT_SEED", bad, 1);
+    EXPECT_THROW(FaultPlanConfig::from_env(), coloc::invalid_argument_error)
+        << bad;
+  }
 }
 
 class FaultInjectorTest : public ::testing::Test {

@@ -120,6 +120,45 @@ TEST(ParallelCampaign, FaultyRunStaysIdenticalAcrossJobCounts) {
   expect_reports_identical(parallel.completeness, serial.completeness);
 }
 
+TEST(ParallelCampaign, HangFaultsOverrunDeadlinesIdenticallyAcrossJobCounts) {
+  // Injected hangs stall until their attempt's deadline; the runner counts
+  // each as one overrun and retries it, identically at any job count.
+  // Curves are profiled up front so no attempt spends its deadline
+  // profiling.
+  struct HangRun {
+    CampaignResult result;
+    std::uint64_t hangs = 0;
+  };
+  auto run = [](std::size_t jobs) {
+    sim::AppMrcLibrary library;
+    library.profile_all(tiny_suite());
+    sim::Simulator simulator(tiny_machine(), &library);
+    fault::FaultPlanConfig fault_config;
+    fault_config.rate = 0.05;
+    fault_config.seed = 1234;
+    fault_config.kinds = {fault::FaultKind::kHang};
+    fault_config.hang_cap_ms = 5000.0;
+    const fault::FaultPlan plan(fault_config);
+    fault::FaultInjector injector(simulator, plan);
+    CampaignRobustness robustness;
+    robustness.retry.deadline_ms = 250.0;
+    robustness.retry.base_backoff_ms = 0.1;
+    robustness.retry.max_backoff_ms = 0.5;
+    HangRun out;
+    out.result = run_campaign(injector, tiny_config(jobs), robustness);
+    out.hangs = injector.injected(fault::FaultKind::kHang);
+    return out;
+  };
+  const HangRun serial = run(1);
+  const HangRun parallel = run(4);
+  expect_datasets_identical(parallel.result.dataset, serial.result.dataset);
+  expect_reports_identical(parallel.result.completeness,
+                           serial.result.completeness);
+  EXPECT_GT(serial.hangs, 0u);
+  EXPECT_EQ(serial.result.completeness.deadline_overruns, serial.hangs);
+  EXPECT_EQ(parallel.result.completeness.deadline_overruns, parallel.hangs);
+}
+
 TEST(ParallelCampaign, CheckpointFileBytesIdentical) {
   const std::string serial_path = temp_path("ckpt_serial.csv");
   const std::string parallel_path = temp_path("ckpt_parallel.csv");

@@ -192,10 +192,10 @@ TEST(ResilientRunner, DeadlineOverrunCancelsAndRetries) {
   const auto result = runner.measure_cell(
       "slow|cell|x1|p0", 0.0, [](std::uint64_t attempt) {
         if (attempt == 0) {
-          // Cooperative hang: spin until the deadline cancels our token.
+          // Cooperative hang: spin until the attempt's deadline passes.
           const auto give_up = std::chrono::steady_clock::now() +
                                std::chrono::seconds(10);
-          while (!CancellationScope::current_cancelled() &&
+          while (!DeadlineScope::current_expired() &&
                  std::chrono::steady_clock::now() < give_up) {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
           }
@@ -205,6 +205,61 @@ TEST(ResilientRunner, DeadlineOverrunCancelsAndRetries) {
       });
   ASSERT_TRUE(result.has_value());
   EXPECT_GE(runner.report().deadline_overruns, 1u);
+}
+
+TEST(ResilientRunner, LateReadingCountsAsOverrunNotSuccess) {
+  // An attempt that ignores its deadline and still returns a valid
+  // reading is an overrun: the late reading is discarded and retried.
+  RetryPolicy policy = fast_policy(2);
+  policy.deadline_ms = 100.0;
+  ResilientRunner runner(policy);
+  std::vector<std::uint64_t> attempts;
+  const auto result = runner.measure_cell(
+      "late|cell|x1|p0", 0.0, [&attempts](std::uint64_t attempt) {
+        attempts.push_back(attempt);
+        if (attempt == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(150));
+          return good_measurement(99.0);
+        }
+        return good_measurement();
+      });
+  ASSERT_TRUE(result.has_value());
+  EXPECT_DOUBLE_EQ(result->execution_time_s, 10.0);
+  EXPECT_EQ(attempts, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(runner.report().deadline_overruns, 1u);
+  EXPECT_EQ(runner.report().retries, 1u);
+}
+
+TEST(DeadlineScope, NestsExpiresAndRestores) {
+  using Clock = std::chrono::steady_clock;
+  EXPECT_FALSE(DeadlineScope::current_expired()) << "no scope: never expired";
+  {
+    DeadlineScope outer(Clock::now() - std::chrono::milliseconds(1));
+    EXPECT_TRUE(DeadlineScope::current_expired());
+    {
+      DeadlineScope inner(Clock::now() + std::chrono::hours(1));
+      EXPECT_FALSE(DeadlineScope::current_expired())
+          << "the innermost scope's deadline applies";
+    }
+    EXPECT_TRUE(DeadlineScope::current_expired())
+        << "inner scope exit restores the outer deadline";
+  }
+  EXPECT_FALSE(DeadlineScope::current_expired())
+      << "outer scope exit restores the empty state";
+  {
+    DeadlineScope scope(Clock::now() + std::chrono::milliseconds(100));
+    EXPECT_FALSE(DeadlineScope::current_expired());
+    std::this_thread::sleep_for(std::chrono::milliseconds(120));
+    EXPECT_TRUE(DeadlineScope::current_expired()) << "expires with time";
+  }
+  bool other_thread_expired = true;
+  {
+    DeadlineScope scope(Clock::now() - std::chrono::milliseconds(1));
+    std::thread([&other_thread_expired] {
+      other_thread_expired = DeadlineScope::current_expired();
+    }).join();
+  }
+  EXPECT_FALSE(other_thread_expired) << "a scope is per thread";
 }
 
 TEST(ResilientRunner, AccountsResumedAndSkippedCells) {
@@ -222,8 +277,7 @@ TEST(ResilientRunner, AccountsResumedAndSkippedCells) {
 }
 
 TEST(ResilientRunner, MeasureOutcomeIsPureAndCommitFoldsExplicitly) {
-  ResilientRunner runner(fast_policy(), PlausibilityBounds{},
-                         /*deadline_workers=*/2);
+  ResilientRunner runner(fast_policy(), PlausibilityBounds{});
   auto flaky_once = [](std::uint64_t attempt) -> sim::RunMeasurement {
     if (attempt == 0) {
       throw MeasurementError(ErrorClass::kTransient, "flaky first read");
@@ -256,8 +310,7 @@ TEST(ResilientRunner, ConcurrentCellsAccountExactly) {
   // campaign's usage); tallies must come out exact, not approximately —
   // this test doubles as the TSan coverage for the concurrent runner.
   constexpr int kCells = 24;
-  ResilientRunner runner(fast_policy(), PlausibilityBounds{},
-                         /*deadline_workers=*/4);
+  ResilientRunner runner(fast_policy(), PlausibilityBounds{});
   ThreadPool pool(4);
   std::vector<std::future<void>> inflight;
   std::atomic<int> ok{0};
@@ -302,9 +355,12 @@ TEST(ResilientRunner, RejectsDegenerateConfiguration) {
   RetryPolicy no_attempts;
   no_attempts.max_attempts = 0;
   EXPECT_THROW(ResilientRunner{no_attempts}, coloc::runtime_error);
-  RetryPolicy no_deadline;
-  no_deadline.deadline_ms = 0.0;
-  EXPECT_THROW(ResilientRunner{no_deadline}, coloc::runtime_error);
+  for (double bad : {0.0, -5.0, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    RetryPolicy no_deadline;
+    no_deadline.deadline_ms = bad;
+    EXPECT_THROW(ResilientRunner{no_deadline}, coloc::runtime_error) << bad;
+  }
 }
 
 class RetryEnvTest : public ::testing::Test {
@@ -321,12 +377,39 @@ TEST_F(RetryEnvTest, HonorsEnvironmentOverrides) {
   const RetryPolicy policy = RetryPolicy::from_env();
   EXPECT_DOUBLE_EQ(policy.deadline_ms, 123.0);
   EXPECT_EQ(policy.max_attempts, 7u);
+  ::setenv("COLOC_CELL_DEADLINE_MS", "2.5", 1);
+  EXPECT_DOUBLE_EQ(RetryPolicy::from_env().deadline_ms, 2.5);
 }
 
 TEST_F(RetryEnvTest, DefaultsWhenUnset) {
   const RetryPolicy policy = RetryPolicy::from_env();
   EXPECT_DOUBLE_EQ(policy.deadline_ms, RetryPolicy{}.deadline_ms);
   EXPECT_EQ(policy.max_attempts, RetryPolicy{}.max_attempts);
+}
+
+void expect_rejected_naming(const char* name) {
+  try {
+    RetryPolicy::from_env();
+    ADD_FAILURE() << "expected rejection of " << name << "="
+                  << std::getenv(name);
+  } catch (const coloc::invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(RetryEnvTest, RejectsAttemptsThatAreNotPositiveIntegers) {
+  for (const char* bad : {"abc", "-1", "2.5", "inf", "0", "1e30"}) {
+    ::setenv("COLOC_MAX_ATTEMPTS", bad, 1);
+    expect_rejected_naming("COLOC_MAX_ATTEMPTS");
+  }
+}
+
+TEST_F(RetryEnvTest, RejectsDeadlinesThatAreNotFinitePositiveOrDoNotFit) {
+  for (const char* bad : {"abc", "-1", "0", "inf", "nan", "1e300"}) {
+    ::setenv("COLOC_CELL_DEADLINE_MS", bad, 1);
+    expect_rejected_naming("COLOC_CELL_DEADLINE_MS");
+  }
 }
 
 }  // namespace

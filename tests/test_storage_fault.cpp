@@ -3,9 +3,7 @@
 // op_index), and each kind must corrupt writes in its documented way.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -66,25 +64,6 @@ TEST(StorageFaultKinds, ToStringCoversEveryKind) {
         StorageFaultKind::kTruncate, StorageFaultKind::kRenameDropped,
         StorageFaultKind::kNoSpace}) {
     EXPECT_STRNE(to_string(kind), "");
-  }
-}
-
-TEST(ValidateFaultRate, AcceptsUnitInterval) {
-  EXPECT_EQ(validate_fault_rate(0.0, "--fault-rate"), 0.0);
-  EXPECT_EQ(validate_fault_rate(1.0, "--fault-rate"), 1.0);
-  EXPECT_EQ(validate_fault_rate(0.25, "--fault-rate"), 0.25);
-}
-
-TEST(ValidateFaultRate, RejectsOutOfRangeNamingOrigin) {
-  for (double bad : {-0.1, 1.0001, 42.0,
-                     std::numeric_limits<double>::quiet_NaN()}) {
-    try {
-      validate_fault_rate(bad, "--fault-rate");
-      FAIL() << "expected rejection of " << bad;
-    } catch (const coloc::invalid_argument_error& e) {
-      EXPECT_NE(std::string(e.what()).find("--fault-rate"),
-                std::string::npos);
-    }
   }
 }
 
@@ -217,24 +196,6 @@ TEST(StorageFaultInjector, RateZeroIsATransparentDecorator) {
   injector.write_atomic(dir + "/f", "untouched payload");
   EXPECT_EQ(store::FileOps::real().read(dir + "/f"), "untouched payload");
   EXPECT_EQ(injector.stats().total(), 0u);
-}
-
-TEST(StorageFaultConfig, FromEnvReadsAndValidates) {
-  ::setenv("COLOC_STORE_FAULT_RATE", "0.25", 1);
-  ::setenv("COLOC_STORE_FAULT_SEED", "77", 1);
-  ::setenv("COLOC_STORE_FAULT_KINDS", "torn,enospc", 1);
-  const StorageFaultPlanConfig config = StorageFaultPlanConfig::from_env();
-  EXPECT_DOUBLE_EQ(config.rate, 0.25);
-  EXPECT_EQ(config.seed, 77u);
-  EXPECT_EQ(config.kinds.size(), 2u);
-
-  ::setenv("COLOC_STORE_FAULT_RATE", "1.5", 1);
-  EXPECT_THROW(StorageFaultPlanConfig::from_env(),
-               coloc::invalid_argument_error);
-
-  ::unsetenv("COLOC_STORE_FAULT_RATE");
-  ::unsetenv("COLOC_STORE_FAULT_SEED");
-  ::unsetenv("COLOC_STORE_FAULT_KINDS");
 }
 
 }  // namespace

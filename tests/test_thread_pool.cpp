@@ -177,73 +177,5 @@ TEST(GlobalPool, IsSingleton) {
   EXPECT_GE(global_pool().size(), 1u);
 }
 
-TEST(CancellationToken, SharedFlagPropagates) {
-  CancellationToken token;
-  const CancellationToken copy = token;
-  EXPECT_FALSE(token.cancelled());
-  copy.request_cancel();
-  EXPECT_TRUE(token.cancelled()) << "copies share one flag";
-}
-
-TEST(CancellationScope, ExposesTokenToNestedCode) {
-  EXPECT_FALSE(CancellationScope::current_cancelled())
-      << "no scope: never cancelled";
-  CancellationToken token;
-  {
-    CancellationScope scope(token);
-    EXPECT_FALSE(CancellationScope::current_cancelled());
-    token.request_cancel();
-    EXPECT_TRUE(CancellationScope::current_cancelled());
-  }
-  EXPECT_FALSE(CancellationScope::current_cancelled())
-      << "scope exit restores the previous (empty) token";
-}
-
-TEST(SubmitWithDeadline, FastTaskCompletesInTime) {
-  ThreadPool pool(2);
-  std::atomic<bool> ran{false};
-  DeadlineTask task = pool.submit_with_deadline(
-      [&ran](const CancellationToken&) { ran = true; },
-      std::chrono::milliseconds(5000));
-  EXPECT_TRUE(task.wait_until_deadline());
-  EXPECT_NO_THROW(task.future.get());
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(SubmitWithDeadline, OverrunCancelsToken) {
-  ThreadPool pool(1);
-  std::atomic<bool> saw_cancel{false};
-  DeadlineTask task = pool.submit_with_deadline(
-      [&saw_cancel](const CancellationToken& token) {
-        const auto give_up = std::chrono::steady_clock::now() +
-                             std::chrono::seconds(10);
-        while (!token.cancelled() &&
-               std::chrono::steady_clock::now() < give_up) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        saw_cancel = token.cancelled();
-      },
-      std::chrono::milliseconds(50));
-  EXPECT_FALSE(task.wait_until_deadline());
-  EXPECT_TRUE(task.token.cancelled());
-  task.future.get();  // the worker exits promptly after cancellation
-  EXPECT_TRUE(saw_cancel.load());
-}
-
-TEST(SubmitWithDeadline, QueuedTaskAbandonedAfterExpiry) {
-  ThreadPool pool(1);
-  // Occupy the single worker past the second task's deadline.
-  auto blocker = pool.submit([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  });
-  DeadlineTask task = pool.submit_with_deadline(
-      [](const CancellationToken&) { FAIL() << "must never start"; },
-      std::chrono::milliseconds(30));
-  EXPECT_FALSE(task.wait_until_deadline());
-  blocker.get();
-  EXPECT_THROW(task.future.get(), coloc::runtime_error)
-      << "a task whose deadline expired while queued is dropped";
-}
-
 }  // namespace
 }  // namespace coloc
