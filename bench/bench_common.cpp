@@ -21,8 +21,7 @@ HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
   config.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<std::int64_t>(config.seed)));
   config.quick = args.get_bool("quick", false);
-  config.jobs = static_cast<std::size_t>(args.get_int("jobs", 0));
-  if (config.jobs != 0) set_configured_jobs(config.jobs);
+  config.jobs = apply_jobs_flag(args);
   config.metrics_out = args.get("metrics-out", "");
   config.trace_out = args.get("trace-out", "");
   config.bundle_out = args.get("bundle-out", "");

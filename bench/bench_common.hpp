@@ -4,9 +4,11 @@
 //   --nn-iters=N        SCG iterations per network (default 1500)
 //   --seed=N            master seed for the simulated testbed noise
 //   --quick             tiny configuration for smoke runs
-//   --jobs=N            worker threads for campaign + validation
-//                       (0 = auto; overrides COLOC_JOBS; results are
-//                       bit-identical at any value)
+//   --jobs=N            most worker threads for campaign + validation
+//                       (0 = auto; overrides COLOC_JOBS; the shared pool
+//                       is clamped to the hardware threads; anything but
+//                       a whole non-negative integer is rejected; results
+//                       are bit-identical at any value)
 //   --restarts=N        SCG restarts per network fit, in [1, 64] (default
 //                       1; the winner is the lowest-loss restart; all
 //                       restarts train together in fused batched kernels)
@@ -49,8 +51,8 @@ struct HarnessConfig {
   std::size_t nn_iterations = 1500;
   std::uint64_t seed = 99;
   bool quick = false;
-  /// --jobs: worker threads for the campaign and validation stages.
-  /// 0 = auto (COLOC_JOBS env, else hardware concurrency). A non-zero
+  /// --jobs: the most workers the campaign and validation stages use.
+  /// 0 = auto (COLOC_JOBS env, else every hardware thread). A non-zero
   /// value also becomes the process-wide coloc::configured_jobs().
   std::size_t jobs = 0;
   std::string metrics_out;  // --metrics-out

@@ -442,21 +442,21 @@ ArmAttribution capture_arm(const char* stage, double wall_s,
 }
 
 /// The serial-vs-parallel gap decomposition for one stage. All terms are
-/// worker-seconds so they add up against gap = jobs*wall_par - wall_serial:
-///   idle          workers parked while the arm's pool was alive
+/// worker-seconds against gap = jobs*wall_par - wall_serial:
+///   idle          runner capacity of the stage's parallel_for left unused
 ///   exec_overhead pool busy time in excess of the serial arm's wall
-///                 (per-task span/bookkeeping cost; can be slightly
-///                 negative when the parallel arm does less in-pool work)
-///   serial_section worker capacity lost while no pool existed
+///                 (per-task span/bookkeeping cost; can be negative when
+///                 the parallel arm does less in-pool work)
+///   serial_section worker capacity outside the stage's parallel_for
 ///                 (setup, baselines, checkpoint flushes, reduction)
-/// The three are independently sourced (pool accounting vs wall clocks),
-/// so attributed_fraction ~ 1 checks the bookkeeping is consistent.
+/// serial_section is computed as the remainder, so the three terms sum to
+/// the gap by construction: the split shows where the gap went, not
+/// whether the accounting is consistent.
 struct GapAttribution {
   double gap_worker_s = 0.0;
   double idle_s = 0.0;
   double exec_overhead_s = 0.0;
   double serial_section_s = 0.0;
-  double attributed_fraction = 0.0;
 };
 
 GapAttribution attribute_gap(std::size_t jobs, double wall_serial_s,
@@ -467,10 +467,6 @@ GapAttribution attribute_gap(std::size_t jobs, double wall_serial_s,
   g.idle_s = parallel.idle_s;
   g.exec_overhead_s = parallel.busy_s - wall_serial_s;
   g.serial_section_s = capacity - parallel.busy_s - parallel.idle_s;
-  const double attributed =
-      g.idle_s + g.exec_overhead_s + g.serial_section_s;
-  g.attributed_fraction =
-      std::abs(g.gap_worker_s) > 1e-12 ? attributed / g.gap_worker_s : 1.0;
   return g;
 }
 
@@ -486,7 +482,6 @@ void json_arm(std::ofstream& os, const char* key, std::size_t jobs,
      << "      \"idle_seconds\": " << gap.idle_s << ",\n"
      << "      \"exec_overhead_seconds\": " << gap.exec_overhead_s << ",\n"
      << "      \"serial_section_seconds\": " << gap.serial_section_s << ",\n"
-     << "      \"attributed_fraction\": " << gap.attributed_fraction << ",\n"
      << "      \"mean_worker_utilization\": " << parallel.utilization << ",\n"
      << "      \"pool_workers\": " << parallel.workers << ",\n"
      << "      \"pool_busy_seconds\": " << parallel.busy_s << ",\n"
@@ -511,9 +506,9 @@ void print_arm(const char* name, std::size_t jobs, double wall_serial_s,
   const GapAttribution gap = attribute_gap(jobs, wall_serial_s, parallel);
   std::printf(
       "attribution (%s): gap %.3f worker-s = idle %.3f + exec-overhead "
-      "%.3f + serial-section %.3f (%.0f%% attributed)\n",
+      "%.3f + serial-section %.3f\n",
       name, gap.gap_worker_s, gap.idle_s, gap.exec_overhead_s,
-      gap.serial_section_s, 100.0 * gap.attributed_fraction);
+      gap.serial_section_s);
   if (parallel.critical_path.found) {
     std::printf(
       "  critical path      : %8.3f s of %.3f s wall (chain %zu/%zu "

@@ -16,8 +16,10 @@
 //                          tools/obs_report (overrides the two above)
 //
 // Performance flags (see the Performance section in README.md):
-//   --jobs=N               worker threads for the campaign + validation
-//                          (0 = auto; overrides COLOC_JOBS; output is
+//   --jobs=N               most worker threads for the campaign +
+//                          validation (0 = auto; overrides COLOC_JOBS;
+//                          clamped to the hardware threads; anything but a
+//                          whole non-negative integer exits 2; output is
 //                          bit-identical at any value)
 //   --restarts=N           SCG restarts per MLP fit, in [1, 64] (default 1;
 //                          the winner is the lowest-loss restart; all
@@ -56,10 +58,15 @@ int main(int argc, char** argv) {
   using namespace coloc;
 
   const CliArgs args(argc, argv);
-  const std::size_t jobs =
-      static_cast<std::size_t>(args.get_int("jobs", 0));
-  if (jobs != 0) set_configured_jobs(jobs);
+  std::size_t jobs = 0;
   obs::ObsOptions obs_options;
+  try {
+    jobs = apply_jobs_flag(args);
+    obs_options.manifest.jobs = jobs != 0 ? jobs : configured_jobs();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 2;
+  }
   obs_options.metrics_out = args.get("metrics-out", "");
   obs_options.trace_out = args.get("trace-out", "");
   if (const std::string bundle = args.get("bundle-out", ""); !bundle.empty()) {
@@ -72,7 +79,6 @@ int main(int argc, char** argv) {
   obs_options.label = "quickstart";
   obs_options.manifest.program = "quickstart";
   obs_options.manifest.machine_preset = "xeon_e5649";
-  obs_options.manifest.jobs = jobs != 0 ? jobs : configured_jobs();
   obs_options.manifest.fault_rate =
       args.get_double("fault-rate", fault::FaultPlanConfig::from_env().rate);
   // Let workers retire their open spans before the session writes the

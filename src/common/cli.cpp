@@ -1,6 +1,10 @@
 #include "common/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
+
+#include "common/error.hpp"
 
 namespace coloc {
 
@@ -51,6 +55,19 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::uint64_t parse_non_negative_integer(const std::string& text,
+                                         const std::string& origin) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || errno == ERANGE) {
+    throw invalid_argument_error(origin + ": cannot parse '" + text +
+                                 "' as a non-negative integer");
+  }
+  return static_cast<std::uint64_t>(value);
 }
 
 }  // namespace coloc

@@ -31,4 +31,11 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
+/// Parses a whole non-negative decimal integer given from outside the
+/// program (a flag or an environment variable). Only digits are accepted:
+/// empty text, a sign, a fraction, an exponent or a value beyond
+/// std::uint64_t throws coloc::invalid_argument_error naming `origin`.
+std::uint64_t parse_non_negative_integer(const std::string& text,
+                                         const std::string& origin);
+
 }  // namespace coloc

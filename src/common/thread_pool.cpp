@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <exception>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -35,15 +37,17 @@ double seconds_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
+std::size_t hardware_threads() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 thread_local bool t_on_worker_thread = false;
 }  // namespace
 
 bool on_worker_thread() { return t_on_worker_thread; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (threads == 0) threads = hardware_threads();
   // Build the process-wide metrics (and the registry behind them) from the
   // constructing thread, before any worker exists. Workers touch both
   // lazily, and a first touch from a worker would construct the registry
@@ -92,31 +96,17 @@ PoolStats ThreadPool::stats() const {
   return s;
 }
 
-void ThreadPool::set_instrument_stride(std::size_t stride) {
-  instrument_stride_.store(stride == 0 ? 1 : stride,
-                           std::memory_order_relaxed);
-}
-
-void ThreadPool::enqueue(std::function<void()> fn) {
-  const std::size_t stride = instrument_stride_.load(std::memory_order_relaxed);
-  const bool instrument =
-      stride <= 1 ||
-      task_seq_.fetch_add(1, std::memory_order_relaxed) % stride == 0;
+void ThreadPool::enqueue(std::function<void()> task) {
   std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     COLOC_CHECK_MSG(!stopping_,
                     "ThreadPool::submit called after shutdown; the task "
                     "would never run");
-    queue_.push(Task{std::move(fn),
-                     instrument ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point{},
-                     instrument ? obs::current_span_id() : 0, instrument});
+    queue_.push(std::move(task));
     depth = queue_.size();
   }
-  if (instrument) {
-    PoolMetrics::get().queue_depth.set(static_cast<double>(depth));
-  }
+  PoolMetrics::get().queue_depth.set(static_cast<double>(depth));
   cv_.notify_one();
 }
 
@@ -125,7 +115,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
   PoolMetrics& metrics = PoolMetrics::get();
   WorkerStats& mine = worker_stats_[worker_index];
   for (;;) {
-    Task task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       // Publish the wait start before raising the flag so stats() (which
@@ -151,24 +141,13 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       // Claimed under the lock so quiesce() never observes an empty queue
       // while a popped-but-uncounted task is in flight.
       busy_workers_.fetch_add(1, std::memory_order_relaxed);
-      if (task.instrument) {
-        metrics.queue_depth.set(static_cast<double>(queue_.size()));
-      }
+      metrics.queue_depth.set(static_cast<double>(queue_.size()));
     }
+    obs::trace_counter(
+        "pool/busy_workers",
+        static_cast<double>(busy_workers_.load(std::memory_order_relaxed)));
     const auto started = std::chrono::steady_clock::now();
-    if (task.instrument) {
-      metrics.wait_seconds.observe(seconds_between(task.enqueued, started));
-      obs::trace_counter(
-          "pool/busy_workers",
-          static_cast<double>(busy_workers_.load(std::memory_order_relaxed)));
-      // The task span is parented on the span open at submit time — the
-      // cross-thread dependency edge obs::attribution's critical-path
-      // pass walks.
-      obs::ScopedSpan span("pool/task", "pool", task.submit_span_id);
-      task.fn();
-    } else {
-      task.fn();
-    }
+    task();
     const auto finished = std::chrono::steady_clock::now();
     mine.busy_ns.fetch_add(
         static_cast<std::uint64_t>(
@@ -177,22 +156,16 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
                 .count()),
         std::memory_order_relaxed);
     mine.tasks.fetch_add(1, std::memory_order_relaxed);
-    metrics.tasks.inc();
-    if (task.instrument) {
-      metrics.run_seconds.observe(seconds_between(started, finished));
-    }
     {
       // Retired last, under the lock: once quiesce() sees the count hit
-      // zero, the task's span and every metric above are already booked.
+      // zero, the task and its bookkeeping above are done.
       std::lock_guard<std::mutex> lock(mutex_);
       busy_workers_.fetch_sub(1, std::memory_order_relaxed);
     }
     idle_cv_.notify_all();
-    if (task.instrument) {
-      obs::trace_counter(
-          "pool/busy_workers",
-          static_cast<double>(busy_workers_.load(std::memory_order_relaxed)));
-    }
+    obs::trace_counter(
+        "pool/busy_workers",
+        static_cast<double>(busy_workers_.load(std::memory_order_relaxed)));
   }
 }
 
@@ -213,70 +186,128 @@ void export_stage_pool_gauges(const std::string& stage, const PoolStats& s) {
   registry.gauge("stage_pool_utilization", labels).set(s.utilization());
 }
 
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t chunk) {
-  if (n == 0) return;
-  if (on_worker_thread() || pool.size() <= 1) {
-    // Nested (or degenerate) fan-out: run inline. See the header contract.
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
+PoolStats parallel_for(ThreadPool& pool, std::size_t n,
+                       const std::function<void(std::size_t)>& body,
+                       std::size_t chunk, std::size_t workers) {
+  PoolStats stats;
+  if (n == 0) return stats;
+  const std::size_t limit =
+      workers == 0 ? pool.size() : std::min(workers, pool.size());
   if (chunk == 0) {
     // Aim for ~4 chunks per worker to balance load without much overhead.
-    chunk = std::max<std::size_t>(1, n / (pool.size() * 4));
+    chunk = std::max<std::size_t>(
+        1, n / (std::max<std::size_t>(1, limit) * 4));
   }
-  std::vector<std::future<void>> futures;
+  const std::size_t chunks = (n + chunk - 1) / chunk;
+  const std::size_t runners = std::min(limit, chunks);
+  const auto call_start = std::chrono::steady_clock::now();
+  if (runners <= 1 || on_worker_thread()) {
+    // One runner, or a nested fan-out: run inline. See the header contract.
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    stats.workers = 1;
+    stats.tasks = chunks;
+    stats.busy_seconds =
+        seconds_between(call_start, std::chrono::steady_clock::now());
+    return stats;
+  }
+
+  PoolMetrics& metrics = PoolMetrics::get();
+  const std::uint64_t caller_span = obs::current_span_id();
+  std::atomic<std::size_t> next_chunk{0};
+  std::atomic<std::uint64_t> busy_ns{0};
+  std::atomic<std::uint64_t> chunks_run{0};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
 
-  for (std::size_t start = 0; start < n; start += chunk) {
-    const std::size_t end = std::min(n, start + chunk);
-    futures.push_back(pool.submit([&, start, end] {
-      if (failed.load(std::memory_order_relaxed)) return;
+  auto run = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      const auto claimed = std::chrono::steady_clock::now();
       try {
-        for (std::size_t i = start; i < end; ++i) body(i);
+        metrics.wait_seconds.observe(seconds_between(call_start, claimed));
+        {
+          // Parented on the caller's span: the cross-thread dependency
+          // edge obs::attribution's critical-path pass walks.
+          obs::ScopedSpan span("pool/task", "pool", caller_span);
+          const std::size_t end = std::min(n, (c + 1) * chunk);
+          for (std::size_t i = c * chunk; i < end; ++i) body(i);
+        }
+        const auto finished = std::chrono::steady_clock::now();
+        metrics.run_seconds.observe(seconds_between(claimed, finished));
+        metrics.tasks.inc();
+        busy_ns.fetch_add(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    finished - claimed)
+                    .count()),
+            std::memory_order_relaxed);
+        chunks_run.fetch_add(1, std::memory_order_relaxed);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
         failed.store(true, std::memory_order_relaxed);
       }
-    }));
+    }
+  };
+
+  std::vector<std::future<void>> futures;
+  futures.reserve(runners);
+  try {
+    for (std::size_t r = 0; r < runners; ++r) {
+      futures.push_back(pool.submit(run));
+    }
+  } catch (...) {
+    // Runners already queued reference this frame: let them finish first.
+    failed.store(true, std::memory_order_relaxed);
+    for (auto& f : futures) f.wait();
+    throw;
   }
   for (auto& f : futures) f.get();
+
+  stats.workers = runners;
+  stats.tasks = chunks_run.load(std::memory_order_relaxed);
+  stats.busy_seconds =
+      static_cast<double>(busy_ns.load(std::memory_order_relaxed)) * 1e-9;
+  const double capacity =
+      static_cast<double>(runners) *
+      seconds_between(call_start, std::chrono::steady_clock::now());
+  stats.idle_seconds = std::max(0.0, capacity - stats.busy_seconds);
   if (first_error) std::rethrow_exception(first_error);
+  return stats;
 }
 
 namespace {
 std::atomic<std::size_t> g_configured_jobs{0};  // 0 = env / hardware
-
-std::size_t jobs_from_env() {
-  const char* raw = std::getenv("COLOC_JOBS");
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  return (end == raw || *end != '\0' || value < 0)
-             ? 0
-             : static_cast<std::size_t>(value);
-}
 }  // namespace
 
 std::size_t configured_jobs() {
   std::size_t jobs = g_configured_jobs.load(std::memory_order_relaxed);
-  if (jobs == 0) jobs = jobs_from_env();
   if (jobs == 0) {
-    jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const char* raw = std::getenv("COLOC_JOBS");
+    if (raw != nullptr && *raw != '\0') {
+      jobs = parse_non_negative_integer(raw, "COLOC_JOBS");
+    }
   }
-  return jobs;
+  return jobs != 0 ? jobs : hardware_threads();
 }
 
 void set_configured_jobs(std::size_t jobs) {
   g_configured_jobs.store(jobs, std::memory_order_relaxed);
 }
 
+std::size_t apply_jobs_flag(const CliArgs& args) {
+  const std::size_t jobs =
+      args.has("jobs")
+          ? parse_non_negative_integer(args.get("jobs", ""), "--jobs")
+          : 0;
+  if (jobs != 0) set_configured_jobs(jobs);
+  return jobs;
+}
+
 ThreadPool& global_pool() {
-  static ThreadPool pool(configured_jobs());
+  static ThreadPool pool(std::min(configured_jobs(), hardware_threads()));
   return pool;
 }
 

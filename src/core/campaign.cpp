@@ -1,10 +1,9 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <chrono>
-#include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -171,7 +170,7 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
 
   // --- Enumerate: flatten the nested Table V loops into a task list in
   // exact sweep order. Skip/resume decisions and feature vectors are
-  // resolved here, on the driver thread, so each remaining cell is a
+  // resolved here, on the calling thread, so each remaining cell is a
   // self-contained measurement task.
   auto resolve = [&](CellPlan& plan) {
     const std::string* missing = nullptr;
@@ -237,60 +236,34 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
   // One progress unit per campaign cell (a dataset row).
   obs::ProgressReporter progress("campaign " + machine.name, plans.size());
 
-  // --- Fan out + sequenced commit. Workers fill outcomes[] in whatever
-  // order the scheduler picks; the driver commits strictly in plan order,
-  // so every output (dataset, checkpoint, completeness report) is
-  // byte-identical to the serial sweep. The dispatch window bounds
-  // speculative look-ahead past the commit cursor, keeping abort paths
-  // (and quarantine storms) cheap to drain.
-  const bool parallel_run =
-      jobs > 1 && plans.size() > 1 && !on_worker_thread();
-
-  // Cells are coalesced into contiguous chunks so each pool task amortizes
-  // its submit/retire overhead over many sweep cells. The chunk size is a
-  // pure function of the plan count — NOT of jobs — so the work
-  // decomposition (and with it every stride-sampled metric) is identical
-  // at any --jobs value; outputs stay bit-identical because the commit
-  // seam below is untouched.
-  const std::size_t chunk_cells = parallel_run
-      ? std::clamp<std::size_t>(plans.size() / 64, 1, 64)
-      : 1;
+  // --- Fan out + sequenced commit. Cells are coalesced into contiguous
+  // chunks so each chunk amortizes its scheduling over many sweep cells;
+  // the chunk size is a pure function of the plan count, NOT of jobs, so
+  // the work decomposition is identical at any --jobs value. Up to `jobs`
+  // workers measure chunks; whichever finishes the chunk at the commit
+  // cursor commits every consecutive finished chunk, strictly in plan
+  // order, so every output (dataset, checkpoint, completeness report) is
+  // byte-identical to the serial sweep. At jobs = 1 the chunks run inline,
+  // each measured then committed: the serial sweep itself.
+  const std::size_t chunk_cells =
+      std::clamp<std::size_t>(plans.size() / 64, 1, 64);
   const std::size_t num_chunks =
       (plans.size() + chunk_cells - 1) / chunk_cells;
 
-  // Effective workers are capped at the chunk count and the machine: more
-  // threads than coalesced chunks (or cores) never run anything — they
-  // just add wake-up and context-switch churn, which is exactly the
-  // jobs=8-on-a-small-sweep cliff. The cap is invisible to outputs because
-  // the decomposition above and the commit seam below don't consult it.
-  const std::size_t pool_workers =
-      parallel_run
-          ? std::min({jobs, num_chunks,
-                      std::max<std::size_t>(
-                          1, std::thread::hardware_concurrency())})
-          : 1;
-  std::unique_ptr<ThreadPool> workers;
-  if (parallel_run) {
-    workers = std::make_unique<ThreadPool>(pool_workers);
-    // Coalesced cells are sub-millisecond; per-task span/histogram
-    // bookkeeping at that grain costs more than the measurements.
-    workers->set_instrument_stride(8);
-  }
-  const std::size_t window_chunks = parallel_run ? pool_workers * 2 : 0;
-
-  // Per-cell spans and timing are stride-sampled on big sweeps (same
-  // stride serial and parallel, so published metrics agree): one observed
-  // cell per stride keeps trace and histogram representative without a
-  // per-cell clock/event flood.
+  // Per-cell spans and timing are stride-sampled on big sweeps: one
+  // observed cell per stride keeps trace and histogram representative
+  // without a per-cell clock/event flood.
   const std::size_t span_stride = std::max<std::size_t>(1, plans.size() / 512);
 
   std::vector<std::optional<fault::CellOutcome>> outcomes(plans.size());
   std::vector<double> measure_seconds(plans.size(), 0.0);
-  std::vector<std::future<void>> inflight(parallel_run ? num_chunks : 0);
-  std::size_t dispatched_chunks = 0;
+  metrics.tasks_queued.inc(static_cast<std::size_t>(std::count_if(
+      plans.begin(), plans.end(),
+      [](const CellPlan& plan) { return plan.needs_measure(); })));
 
   auto measure_into = [&](std::size_t d) {
     if (d % span_stride == 0) {
+      obs::ScopedSpan cell_span("campaign/cell", "core");
       const auto start = std::chrono::steady_clock::now();
       outcomes[d] = measure_plan(source, runner, plans[d]);
       measure_seconds[d] = std::chrono::duration<double>(
@@ -301,26 +274,15 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
     }
   };
 
-  auto dispatch_chunks_up_to = [&](std::size_t bound) {
-    bound = std::min(bound, num_chunks);
-    for (; dispatched_chunks < bound; ++dispatched_chunks) {
-      const std::size_t begin = dispatched_chunks * chunk_cells;
-      const std::size_t end = std::min(begin + chunk_cells, plans.size());
-      std::size_t measured = 0;
-      for (std::size_t d = begin; d < end; ++d) {
-        if (plans[d].needs_measure()) ++measured;
-      }
-      if (measured == 0) continue;
-      metrics.tasks_queued.inc(measured);
-      inflight[dispatched_chunks] = workers->submit([&, begin, end] {
-        for (std::size_t d = begin; d < end; ++d) {
-          if (plans[d].needs_measure()) measure_into(d);
-        }
-      });
-    }
-  };
-
+  // Commit state, guarded by commit_mutex. A chunk that threw never
+  // finishes, so the cursor stops in front of it; an abort or a failed
+  // commit sets `stopped`. Either way nothing past the cut-off commits.
+  std::mutex commit_mutex;
+  std::vector<char> chunk_finished(num_chunks, 0);
+  std::size_t commit_cursor = 0;
+  bool stopped = false;
   std::size_t measured_cells = 0;
+
   auto maybe_abort = [&] {
     if (robustness.abort_after_cells == 0) return;
     if (measured_cells < robustness.abort_after_cells) return;
@@ -330,88 +292,77 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
         " measured cells (abort_after_cells test hook)");
   };
 
-  try {
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      if (parallel_run) {
-        dispatch_chunks_up_to(i / chunk_cells + 1 + window_chunks);
-      }
-      const CellPlan& plan = plans[i];
-      std::optional<obs::ScopedSpan> cell_span;
-      if (i % span_stride == 0) cell_span.emplace("campaign/cell", "core");
-
-      if (plan.skipped) {
-        runner.note_skipped_cell(plan.tag, plan.skip_reason);
-        progress.tick();
-        continue;
-      }
-      if (plan.resumed != nullptr) {
-        // Completed in a previous run: replay the stored row verbatim.
-        result.dataset.add_row(plan.resumed->features, plan.resumed->target,
-                               plan.tag);
-        ++result.total_runs;
-        runner.note_resumed_cell();
-        progress.tick();
-        maybe_abort();
-        continue;
-      }
-
-      fault::CellOutcome outcome;
-      if (parallel_run) {
-        // First committed cell of a chunk collects the whole chunk; later
-        // cells find the future already consumed.
-        std::future<void>& chunk_future = inflight[i / chunk_cells];
-        if (chunk_future.valid()) {
-          chunk_future.get();  // rethrows worker-side orchestration failures
-        }
-      } else {
-        metrics.tasks_queued.inc();
-        measure_into(i);
-      }
-      outcome = std::move(*outcomes[i]);
-      outcomes[i].reset();
-      metrics.tasks_completed.inc();
-
-      const auto measurement =
-          runner.commit_outcome(plan.tag, std::move(outcome));
+  auto commit_cell = [&](std::size_t i) {
+    const CellPlan& plan = plans[i];
+    if (plan.skipped) {
+      runner.note_skipped_cell(plan.tag, plan.skip_reason);
       progress.tick();
-      if (measurement) {
-        result.dataset.add_row(plan.features, measurement->execution_time_s,
-                               plan.tag);
-        ++result.total_runs;
-        ++measured_cells;
-        if (checkpoint != nullptr) {
-          checkpoint->record(plan.tag, plan.features,
-                             measurement->execution_time_s);
-        }
-        (plan.coapp == nullptr ? metrics.cells_alone : metrics.cells_colocated)
-            .inc();
-        if (i % span_stride == 0) {
-          metrics.cell_seconds.observe(measure_seconds[i]);
-        }
-      }
+      return;
+    }
+    if (plan.resumed != nullptr) {
+      // Completed in a previous run: replay the stored row verbatim.
+      result.dataset.add_row(plan.resumed->features, plan.resumed->target,
+                             plan.tag);
+      ++result.total_runs;
+      runner.note_resumed_cell();
+      progress.tick();
       maybe_abort();
+      return;
     }
-  } catch (...) {
-    // Drain in-flight workers before unwinding: their closures reference
-    // plans/outcomes on this frame.
-    for (auto& f : inflight) {
-      if (f.valid()) f.wait();
+    fault::CellOutcome outcome = std::move(*outcomes[i]);
+    outcomes[i].reset();
+    metrics.tasks_completed.inc();
+
+    const auto measurement =
+        runner.commit_outcome(plan.tag, std::move(outcome));
+    progress.tick();
+    if (measurement) {
+      result.dataset.add_row(plan.features, measurement->execution_time_s,
+                             plan.tag);
+      ++result.total_runs;
+      ++measured_cells;
+      if (checkpoint != nullptr) {
+        checkpoint->record(plan.tag, plan.features,
+                           measurement->execution_time_s);
+      }
+      (plan.coapp == nullptr ? metrics.cells_alone : metrics.cells_colocated)
+          .inc();
+      if (i % span_stride == 0) {
+        metrics.cell_seconds.observe(measure_seconds[i]);
+      }
     }
-    throw;
-  }
+    maybe_abort();
+  };
+
+  auto run_chunk = [&](std::size_t c) {
+    const std::size_t begin = c * chunk_cells;
+    const std::size_t end = std::min(begin + chunk_cells, plans.size());
+    for (std::size_t d = begin; d < end; ++d) {
+      if (plans[d].needs_measure()) measure_into(d);
+    }
+    std::lock_guard<std::mutex> lock(commit_mutex);
+    if (stopped) return;
+    chunk_finished[c] = 1;
+    try {
+      for (; commit_cursor < num_chunks && chunk_finished[commit_cursor];
+           ++commit_cursor) {
+        const std::size_t first = commit_cursor * chunk_cells;
+        const std::size_t last = std::min(first + chunk_cells, plans.size());
+        for (std::size_t i = first; i < last; ++i) commit_cell(i);
+      }
+    } catch (...) {
+      stopped = true;
+      throw;
+    }
+  };
+
+  const PoolStats pool_stats =
+      parallel_for(global_pool(), num_chunks, run_chunk, 1, jobs);
 
   if (checkpoint != nullptr) checkpoint->flush();
 
-  // Publish this stage's worker accounting while the pool is still ours:
-  // per-stage gauges (rather than cumulative global ones) keep idle time
-  // from other stages out of the campaign's attribution.
-  PoolStats pool_stats;
-  if (workers != nullptr) {
-    workers->shutdown();
-    pool_stats = workers->stats();
-  } else {
-    pool_stats.workers = 1;  // the driver thread measured inline
-  }
+  // Per-stage gauges from this call's own accounting keep idle time from
+  // other stages out of the campaign's attribution.
   export_stage_pool_gauges("campaign", pool_stats);
 
   result.completeness = runner.report();

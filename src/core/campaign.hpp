@@ -37,11 +37,12 @@ struct CampaignConfig {
   std::vector<std::size_t> pstate_indices;
   /// Also include the zero-co-runner baseline rows in the dataset.
   bool include_alone_rows = false;
-  /// Worker threads for cell measurement. 0 = coloc::configured_jobs()
-  /// (the --jobs / COLOC_JOBS knob); 1 = serial. Any value produces a
-  /// bit-identical dataset, checkpoint, and completeness report: cells are
-  /// measured out of order but committed through a sequenced collector in
-  /// sweep order, and every measurement is a pure function of its cell.
+  /// The most global_pool() workers that measure cells at once.
+  /// 0 = coloc::configured_jobs() (the --jobs / COLOC_JOBS knob); 1 =
+  /// serial, on the calling thread. Any value produces a bit-identical
+  /// dataset, checkpoint, and completeness report: cells are measured out
+  /// of order but committed in sweep order, and every measurement is a
+  /// pure function of its cell.
   std::size_t jobs = 0;
 
   static CampaignConfig paper_defaults();
@@ -91,12 +92,15 @@ struct CampaignResult {
 /// aborting the sweep.
 ///
 /// Orchestration: the nested Table V loops are enumerated up front into a
-/// flat task list; with config.jobs > 1 cell measurements fan out across a
-/// worker pool inside a bounded dispatch window while the driver thread
-/// commits results strictly in sweep order (dataset row, checkpoint
-/// record, runner accounting, progress). The commit sequence — and hence
-/// every output byte — is identical to the serial sweep at any thread
-/// count; only wall-clock time changes.
+/// flat task list, cut into chunks whose size depends only on the cell
+/// count, and run as one parallel_for on global_pool() capped at
+/// config.jobs workers. The worker that finishes the chunk at the commit
+/// cursor commits every consecutive finished chunk strictly in sweep order
+/// (dataset rows, checkpoint records, runner accounting, progress, the
+/// abort_after_cells cut-off); after an abort or a failed chunk nothing
+/// past it commits. The commit sequence — and hence every output byte — is
+/// identical to the serial sweep at any thread count; only wall-clock time
+/// changes.
 CampaignResult run_campaign(sim::MeasurementSource& source,
                             const CampaignConfig& config,
                             const CampaignRobustness& robustness = {});

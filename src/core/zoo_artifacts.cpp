@@ -1,8 +1,6 @@
 #include "core/zoo_artifacts.hpp"
 
-#include <algorithm>
 #include <numeric>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -79,15 +77,7 @@ TrainedZoo train_full_zoo(const ml::Dataset& dataset,
   auto train_task = [&](std::size_t i) {
     trained[i] = train_one(dataset, ids[i], options);
   };
-  const std::size_t workers =
-      std::min(ids.size(), std::max<std::size_t>(
-                               1, std::thread::hardware_concurrency()));
-  if (workers > 1 && ids.size() > 1 && global_pool().size() > 1 &&
-      !on_worker_thread()) {
-    parallel_for(global_pool(), ids.size(), train_task, 1);
-  } else {
-    for (std::size_t i = 0; i < ids.size(); ++i) train_task(i);
-  }
+  parallel_for(global_pool(), ids.size(), train_task, 1);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     zoo.models.emplace(ids[i].name(), std::move(trained[i]));
   }

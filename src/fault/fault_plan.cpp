@@ -1,10 +1,9 @@
 #include "fault/fault_plan.hpp"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "obs/manifest.hpp"
@@ -28,15 +27,7 @@ double env_double(const char* name, double fallback) {
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(raw, &end, 10);
-  if (!std::isdigit(static_cast<unsigned char>(*raw)) || *end != '\0' ||
-      errno == ERANGE) {
-    throw invalid_argument_error(std::string(name) + ": cannot parse '" +
-                                 raw + "' as a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(value);
+  return parse_non_negative_integer(raw, name);
 }
 
 std::vector<std::string_view> split_csv(std::string_view spec) {

@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
@@ -264,34 +263,11 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
   for (const ValidationJob& job : jobs) {
     pool_jobs = std::max(pool_jobs, effective_jobs(job.options));
   }
-  // More workers than tasks (or than cores) only adds wake-up and context-
-  // switch churn — the jobs=8 cliff on small batches. Results are
-  // scheduling-independent (per-partition seeds, in-order reduction), so
-  // capping is invisible to outputs.
-  pool_jobs = std::min(pool_jobs, total_tasks);
-  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
-  pool_jobs = std::min(pool_jobs, cores);
   metrics.tasks_queued.inc(total_tasks);
-  PoolStats pool_stats;
-  if (pool_jobs <= 1 || total_tasks <= 1 || on_worker_thread()) {
-    for (std::size_t t = 0; t < total_tasks; ++t) run_task(t);
-    pool_stats.workers = 1;  // ran inline on the calling thread
-  } else if (pool_jobs == global_pool().size()) {
-    // Shared pool: a before/after delta isolates this stage's busy/idle
-    // from whatever the global pool did (or idled through) earlier.
-    const PoolStats before = global_pool().stats();
-    parallel_for(global_pool(), total_tasks, run_task, 1);
-    const PoolStats after = global_pool().stats();
-    pool_stats.busy_seconds = after.busy_seconds - before.busy_seconds;
-    pool_stats.idle_seconds = after.idle_seconds - before.idle_seconds;
-    pool_stats.tasks = after.tasks - before.tasks;
-    pool_stats.workers = after.workers;
-  } else {
-    ThreadPool local(pool_jobs);
-    parallel_for(local, total_tasks, run_task, 1);
-    local.shutdown();
-    pool_stats = local.stats();
-  }
+  // Results are scheduling-independent (per-partition seeds, in-order
+  // reduction), so the worker cap is invisible to outputs.
+  const PoolStats pool_stats =
+      parallel_for(global_pool(), total_tasks, run_task, 1, pool_jobs);
   export_stage_pool_gauges("validation", pool_stats);
   progress.finish();
 

@@ -27,7 +27,8 @@ struct ValidationOptions {
   std::size_t partitions = 100;   // paper: one hundred
   double holdout_fraction = 0.3;  // paper: thirty percent withheld
   std::uint64_t seed = 7;
-  /// Worker threads (1 = inline). 0 = coloc::configured_jobs() (the
+  /// The most global_pool() workers that train partitions at once (1 =
+  /// inline on the calling thread). 0 = coloc::configured_jobs() (the
   /// --jobs / COLOC_JOBS knob); any value yields identical numbers: each
   /// partition draws from its own counter-based RNG stream and the
   /// reduction folds per-partition errors in partition order.
@@ -72,8 +73,9 @@ struct ValidationJob {
 };
 
 /// Validates many models against the same dataset by flattening every
-/// (job, partition) pair into one task list and running it across the
-/// worker pool. Compared with validating each model in turn, the tail of
+/// (job, partition) pair into one task list and running it as one
+/// parallel_for on global_pool(), capped at the largest `jobs` among the
+/// requests. Compared with validating each model in turn, the tail of
 /// one model's slow partitions overlaps the next model's work, and the
 /// per-job design matrix over the usable rows is materialized once — each
 /// partition then row-gathers its train/test splits from it (bit-identical

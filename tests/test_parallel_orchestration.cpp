@@ -4,10 +4,14 @@
 // whole point of the deterministic-commit design.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,6 +22,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "ml/serialization.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 
 namespace coloc::core {
@@ -201,6 +206,97 @@ TEST(ParallelCampaign, ResumeMidParallelRunMatchesUninterruptedSerial) {
   EXPECT_GE(result.completeness.cells_resumed, 10u);
   expect_datasets_identical(result.dataset, reference.dataset);
   std::filesystem::remove(path);
+}
+
+TEST(ParallelCampaign, AbortCommitsNothingPastItsCutoffAtAnyJobs) {
+  // Workers may measure past the cut-off; only the first ten cells in
+  // sweep order may reach the checkpoint, whatever the job count.
+  auto aborted_checkpoint = [](std::size_t jobs) {
+    const std::string path =
+        temp_path("ckpt_abort_jobs" + std::to_string(jobs) + ".csv");
+    std::filesystem::remove(path);
+    CampaignRobustness robustness;
+    robustness.checkpoint_path = path;
+    robustness.checkpoint_every = 4;
+    robustness.abort_after_cells = 10;
+    EXPECT_THROW(run_with(jobs, 0.0, robustness), coloc::runtime_error);
+    const std::string bytes = file_bytes(path);
+    std::filesystem::remove(path);
+    return bytes;
+  };
+  const std::string serial = aborted_checkpoint(1);
+  const std::string parallel = aborted_checkpoint(4);
+  EXPECT_EQ(std::count(serial.begin(), serial.end(), '\n'), 1 + 10)
+      << "a header line and exactly ten rows";
+  EXPECT_EQ(parallel, serial);
+}
+
+/// Counts run_colocated calls in flight through a real measurement source.
+class InFlightCounter : public sim::MeasurementSource {
+ public:
+  explicit InFlightCounter(sim::MeasurementSource& inner) : inner_(inner) {}
+
+  const sim::MachineConfig& machine() const override {
+    return inner_.machine();
+  }
+  sim::RunMeasurement run_alone(const sim::ApplicationSpec& app,
+                                std::size_t pstate_index,
+                                std::uint64_t repetition) override {
+    return inner_.run_alone(app, pstate_index, repetition);
+  }
+  sim::RunMeasurement run_colocated(
+      const sim::ApplicationSpec& target,
+      const std::vector<sim::ApplicationSpec>& coapps,
+      std::size_t pstate_index, std::uint64_t repetition) override {
+    const int now = ++in_flight_;
+    int seen = peak_.load();
+    while (now > seen && !peak_.compare_exchange_weak(seen, now)) {
+    }
+    // Hold each call open long enough for overlapping workers to show.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const sim::RunMeasurement m =
+        inner_.run_colocated(target, coapps, pstate_index, repetition);
+    --in_flight_;
+    ++calls_;
+    return m;
+  }
+
+  int peak() const { return peak_.load(); }
+  int calls() const { return calls_.load(); }
+
+ private:
+  sim::MeasurementSource& inner_;
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> peak_{0};
+  std::atomic<int> calls_{0};
+};
+
+TEST(ParallelCampaign, NeverMeasuresMoreCellsAtOnceThanItsJobs) {
+  if (global_pool().size() < 3) {
+    GTEST_SKIP() << "needs a global pool of at least 3 workers";
+  }
+  sim::AppMrcLibrary library;
+  sim::Simulator simulator(tiny_machine(), &library);
+  InFlightCounter counter(simulator);
+  const CampaignResult result = run_campaign(counter, tiny_config(2));
+  EXPECT_GT(counter.calls(), 0);
+  EXPECT_LE(counter.peak(), 2);
+  expect_datasets_identical(result.dataset, run_with(1).dataset);
+}
+
+TEST(ParallelCampaign, ExportsStagePoolGaugesFromItsOwnCall) {
+  if (global_pool().size() < 2) {
+    GTEST_SKIP() << "needs a global pool of at least 2 workers";
+  }
+  run_with(2);
+  auto& registry = obs::Registry::global();
+  const obs::Labels labels = {{"stage", "campaign"}};
+  EXPECT_EQ(registry.gauge("stage_pool_workers", labels).value(), 2.0);
+  EXPECT_GT(registry.gauge("stage_pool_busy_seconds", labels).value(), 0.0);
+  const double utilization =
+      registry.gauge("stage_pool_utilization", labels).value();
+  EXPECT_GT(utilization, 0.0);
+  EXPECT_LE(utilization, 1.0);
 }
 
 TEST(ParallelCampaign, AloneRowsAndExplicitSubsweepStayIdentical) {

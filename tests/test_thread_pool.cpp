@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -79,6 +84,52 @@ TEST(ParallelFor, ExplicitChunking) {
   std::atomic<int> counter{0};
   parallel_for(pool, 97, [&counter](std::size_t) { ++counter; }, 10);
   EXPECT_EQ(counter.load(), 97);
+}
+
+TEST(ParallelFor, NeverRunsMoreBodiesThanItsCap) {
+  ThreadPool pool(4);
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  std::vector<std::atomic<int>> hits(48);
+  const PoolStats stats = parallel_for(
+      pool, hits.size(),
+      [&](std::size_t i) {
+        const int now = ++running;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+        ++hits[i];
+        --running;
+      },
+      1, 2);
+  EXPECT_LE(peak.load(), 2);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // The call's own accounting: two runners, busy inside their capacity.
+  EXPECT_EQ(stats.workers, 2u);
+  EXPECT_EQ(stats.tasks, hits.size());
+  EXPECT_GT(stats.busy_seconds, 0.0);
+  EXPECT_GT(stats.utilization(), 0.0);
+  EXPECT_LE(stats.utilization(), 1.0);
+}
+
+TEST(ParallelFor, CapOneRunsEveryIndexOnTheCallingThreadInOrder) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool all_on_caller = true;
+  const PoolStats stats = parallel_for(
+      pool, 37,
+      [&](std::size_t i) {
+        all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+        order.push_back(i);
+      },
+      0, 1);
+  EXPECT_TRUE(all_on_caller);
+  std::vector<std::size_t> expected(37);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(stats.workers, 1u);
 }
 
 TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {
@@ -175,6 +226,84 @@ TEST(PoolStats, FreshPoolReportsZeroUtilizationNotNan) {
 TEST(GlobalPool, IsSingleton) {
   EXPECT_EQ(&global_pool(), &global_pool());
   EXPECT_GE(global_pool().size(), 1u);
+}
+
+TEST(GlobalPool, NeverExceedsHardwareThreads) {
+  // ctest also runs this with COLOC_JOBS=64: the pool is clamped to the
+  // machine however many workers were asked for.
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  EXPECT_LE(global_pool().size(), hardware);
+  EXPECT_EQ(global_pool().size(), std::min(configured_jobs(), hardware));
+}
+
+/// Sets COLOC_JOBS for one scope and restores the previous value.
+class ScopedJobsEnv {
+ public:
+  explicit ScopedJobsEnv(const char* value) {
+    if (const char* old = std::getenv("COLOC_JOBS")) saved_ = old;
+    ::setenv("COLOC_JOBS", value, 1);
+  }
+  ~ScopedJobsEnv() {
+    if (saved_) {
+      ::setenv("COLOC_JOBS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("COLOC_JOBS");
+    }
+  }
+  ScopedJobsEnv(const ScopedJobsEnv&) = delete;
+  ScopedJobsEnv& operator=(const ScopedJobsEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(ConfiguredJobs, RejectsEnvValuesThatAreNotWholeNonNegativeIntegers) {
+  // configured_jobs() only reads the variable; no pool is sized from it.
+  for (const char* bad : {"abc", "-1", "-2", "2.5", "+3", " 4", "4x",
+                          "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    ScopedJobsEnv env(bad);
+    try {
+      configured_jobs();
+      ADD_FAILURE() << "COLOC_JOBS=" << bad << " was accepted";
+    } catch (const invalid_argument_error& e) {
+      EXPECT_NE(std::string(e.what()).find("COLOC_JOBS"), std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    ScopedJobsEnv env("3");
+    EXPECT_EQ(configured_jobs(), 3u);
+  }
+  {
+    // A large but well-formed count is taken as asked; global_pool()
+    // clamps it to the hardware threads.
+    ScopedJobsEnv env("1000000");
+    EXPECT_EQ(configured_jobs(), 1000000u);
+  }
+}
+
+TEST(ConfiguredJobs, JobsFlagRejectsAnythingButAWholeNonNegativeInteger) {
+  for (const char* bad : {"--jobs=-1", "--jobs=abc", "--jobs=2.5",
+                          "--jobs=", "--jobs"}) {
+    SCOPED_TRACE(bad);
+    const char* argv[] = {"prog", bad};
+    const CliArgs args(2, argv);
+    try {
+      apply_jobs_flag(args);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const invalid_argument_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos)
+          << e.what();
+    }
+  }
+  const char* absent[] = {"prog"};
+  EXPECT_EQ(apply_jobs_flag(CliArgs(1, absent)), 0u);
+  const char* three[] = {"prog", "--jobs=3"};
+  EXPECT_EQ(apply_jobs_flag(CliArgs(2, three)), 3u);
+  EXPECT_EQ(configured_jobs(), 3u);
+  set_configured_jobs(0);
 }
 
 }  // namespace

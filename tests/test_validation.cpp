@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
+#include <thread>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "ml/linear_model.hpp"
 #include "obs/metrics.hpp"
 
@@ -290,6 +294,59 @@ TEST(Validation, DesignMemoIsTransparentAndHitsOnSharedColumns) {
     EXPECT_EQ(alone.test_mpe_stddev, shared[j].test_mpe_stddev);
     EXPECT_EQ(alone.test_nrmse_stddev, shared[j].test_nrmse_stddev);
   }
+}
+
+TEST(Validation, NeverTrainsMorePartitionsAtOnceThanItsJobs) {
+  if (global_pool().size() < 3) {
+    GTEST_SKIP() << "needs a global pool of at least 3 workers";
+  }
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  const ModelFactory counting = [&](const linalg::Matrix& x,
+                                    std::span<const double> y) -> RegressorPtr {
+    const int now = ++in_flight;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    // Hold each fit open long enough for overlapping workers to show.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    RegressorPtr model = std::make_unique<LinearModel>(LinearModel::fit(x, y));
+    --in_flight;
+    return model;
+  };
+  const Dataset ds = linear_dataset(200, 0.5, 3);
+  const std::vector<std::size_t> cols = {0, 1};
+  ValidationOptions options;
+  options.partitions = 16;
+  options.jobs = 2;
+  const ValidationResult capped =
+      repeated_subsampling_validation(ds, cols, counting, options);
+  EXPECT_LE(peak.load(), 2);
+  options.jobs = 1;
+  const ValidationResult serial =
+      repeated_subsampling_validation(ds, cols, linear_factory(), options);
+  EXPECT_EQ(capped.test_mpe, serial.test_mpe);
+  EXPECT_EQ(capped.test_nrmse, serial.test_nrmse);
+}
+
+TEST(Validation, ExportsStagePoolGaugesFromItsOwnCall) {
+  if (global_pool().size() < 2) {
+    GTEST_SKIP() << "needs a global pool of at least 2 workers";
+  }
+  const Dataset ds = linear_dataset(200, 0.5, 4);
+  ValidationOptions options;
+  options.partitions = 8;
+  options.jobs = 2;
+  repeated_subsampling_validation(ds, std::vector<std::size_t>{0, 1},
+                                  linear_factory(), options);
+  auto& registry = obs::Registry::global();
+  const obs::Labels labels = {{"stage", "validation"}};
+  EXPECT_EQ(registry.gauge("stage_pool_workers", labels).value(), 2.0);
+  EXPECT_GT(registry.gauge("stage_pool_busy_seconds", labels).value(), 0.0);
+  const double utilization =
+      registry.gauge("stage_pool_utilization", labels).value();
+  EXPECT_GT(utilization, 0.0);
+  EXPECT_LE(utilization, 1.0);
 }
 
 }  // namespace

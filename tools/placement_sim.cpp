@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
 
-  const std::size_t jobs = static_cast<std::size_t>(args.get_int("jobs", 0));
-  if (jobs != 0) set_configured_jobs(jobs);
+  std::size_t jobs = 0;
   const std::size_t nodes =
       static_cast<std::size_t>(args.get_int("nodes", 64));
   const std::size_t arrivals =
@@ -57,7 +56,10 @@ int main(int argc, char** argv) {
   const std::string zoo_in = args.get("zoo-in", "");
 
   std::vector<sched::PlacementPolicy> policies;
+  obs::ObsOptions obs_options;
   try {
+    jobs = apply_jobs_flag(args);
+    obs_options.manifest.jobs = jobs != 0 ? jobs : configured_jobs();
     const std::string token = args.get("policy", "all");
     if (token == "all") {
       policies = sched::all_placement_policies();
@@ -75,7 +77,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  obs::ObsOptions obs_options;
   obs_options.metrics_out = args.get("metrics-out", "");
   obs_options.trace_out = args.get("trace-out", "");
   if (const std::string bundle = args.get("bundle-out", "");
@@ -90,7 +91,6 @@ int main(int argc, char** argv) {
   obs_options.manifest.program = "placement_sim";
   obs_options.manifest.machine_preset = "fleet_node";
   obs_options.manifest.seed = seed;
-  obs_options.manifest.jobs = jobs != 0 ? jobs : configured_jobs();
   obs_options.manifest.extra = {
       {"nodes", std::to_string(nodes)},
       {"arrivals", std::to_string(arrivals)},
