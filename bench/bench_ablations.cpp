@@ -163,10 +163,7 @@ void sampling_ablation(const bench::HarnessConfig& config,
   table.print(std::cout);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+int run(const coloc::CliArgs& args) {
   bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const obs::ObsSession session(config.run_session());
 
@@ -177,4 +174,9 @@ int main(int argc, char** argv) {
   sampling_ablation(config, experiment.campaign());
   noise_ablation(config);
   return 0;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coloc::bench::run_main(argc, argv, run);
 }

@@ -4,22 +4,30 @@
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 #include <system_error>
 
+#include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/fault_plan.hpp"
 
 namespace coloc::bench {
 
+namespace {
+/// The program's file name, without its directory.
+std::string program_name(const CliArgs& args) {
+  const std::string& program = args.program();
+  const auto slash = program.find_last_of('/');
+  return slash == std::string::npos ? program : program.substr(slash + 1);
+}
+}  // namespace
+
 HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
   HarnessConfig config;
-  config.partitions = static_cast<std::size_t>(
-      args.get_int("partitions", static_cast<std::int64_t>(config.partitions)));
-  config.nn_iterations = static_cast<std::size_t>(args.get_int(
-      "nn-iters", static_cast<std::int64_t>(config.nn_iterations)));
-  config.seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(config.seed)));
+  config.partitions = args.get_int("partitions", config.partitions);
+  config.nn_iterations = args.get_int("nn-iters", config.nn_iterations);
+  config.seed = args.get_int("seed", config.seed);
   config.quick = args.get_bool("quick", false);
   config.jobs = apply_jobs_flag(args);
   config.metrics_out = args.get("metrics-out", "");
@@ -34,28 +42,28 @@ HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
     fault::parse_fault_kinds(config.fault_kinds);  // reject bad tokens early
   }
   config.checkpoint = args.get("checkpoint", "");
-  config.checkpoint_every = static_cast<std::size_t>(args.get_int(
-      "checkpoint-every", static_cast<std::int64_t>(config.checkpoint_every)));
+  config.checkpoint_every =
+      args.get_int("checkpoint-every", config.checkpoint_every);
   config.resume = args.get_bool("resume", false);
   config.zoo_out = args.get("zoo-out", "");
   config.zoo_in = args.get("zoo-in", "");
-  config.sweep_scale = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, args.get_int("sweep-scale",
-                      static_cast<std::int64_t>(config.sweep_scale))));
-  config.jobs_sweep = args.get("jobs-sweep", "");
-  const std::int64_t restarts = args.get_int(
-      "restarts", static_cast<std::int64_t>(config.restarts));
+  config.sweep_scale = std::max<std::size_t>(
+      1, args.get_int("sweep-scale", config.sweep_scale));
+  std::stringstream sweep(args.get("jobs-sweep", ""));
+  for (std::string token; std::getline(sweep, token, ',');) {
+    const std::size_t j = parse_non_negative_integer(token, "--jobs-sweep");
+    if (j == 0) {
+      throw invalid_argument_error("--jobs-sweep: 0 is not a worker count");
+    }
+    config.jobs_sweep.push_back(j);
+  }
+  const std::uint64_t restarts = args.get_int("restarts", config.restarts);
   if (restarts < 1 || restarts > 64) {
     throw coloc::invalid_argument_error(
         "--restarts must be in [1, 64], got " + std::to_string(restarts));
   }
-  config.restarts = static_cast<std::size_t>(restarts);
-  if (!args.program().empty()) {
-    const std::string& program = args.program();
-    const auto slash = program.find_last_of('/');
-    config.program =
-        slash == std::string::npos ? program : program.substr(slash + 1);
-  }
+  config.restarts = restarts;
+  if (!args.program().empty()) config.program = program_name(args);
   if (config.quick) {
     config.partitions = std::min<std::size_t>(config.partitions, 3);
     config.nn_iterations = std::min<std::size_t>(config.nn_iterations, 200);
@@ -183,6 +191,16 @@ void MachineExperiment::print_figure(const std::string& title,
       "(averaged over %zu random 70/30 partitions; paper protocol uses "
       "--partitions=100)\n",
       config_.partitions);
+}
+
+int run_main(int argc, char** argv, int (*body)(const CliArgs& args)) {
+  const CliArgs args(argc, argv);
+  try {
+    return body(args);
+  } catch (const invalid_argument_error& e) {
+    std::fprintf(stderr, "%s: %s\n", program_name(args).c_str(), e.what());
+    return 2;
+  }
 }
 
 }  // namespace coloc::bench

@@ -27,13 +27,16 @@
 //   --checkpoint-every=N  cells between periodic checkpoint flushes
 //   --resume            load the checkpoint and skip measured cells
 //
-// Every bench main holds one obs::ObsSession built from run_session();
-// besides honoring the flags above it prints a machine-readable
-// "total_wall_time_s=... peak_rss_mb=..." cost line when the run ends.
+// Every bench main runs its body through run_main(), which turns a
+// malformed flag into a message and exit status 2, and holds one
+// obs::ObsSession built from run_session(); besides honoring the flags
+// above it prints a machine-readable "total_wall_time_s=... peak_rss_mb=..."
+// cost line when the run ends.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "core/campaign.hpp"
@@ -71,8 +74,9 @@ struct HarnessConfig {
   /// 10-100x the paper's cell count. 1 = the paper sweep.
   std::size_t sweep_scale = 1;
   /// --jobs-sweep=1,2,4,8: re-run the campaign at each listed jobs value
-  /// and emit a jobs_scaling curve (bench_perf_pipeline only).
-  std::string jobs_sweep;
+  /// and emit a jobs_scaling curve (bench_perf_pipeline only). Every entry
+  /// must be a positive whole number.
+  std::vector<std::size_t> jobs_sweep;
   /// --restarts=N: SCG restarts per network fit, validated into [1, 64].
   /// Per-restart RNG streams make the result independent of how many
   /// restarts share a fused batch.
@@ -93,6 +97,13 @@ struct HarnessConfig {
   /// per-machine suffix so multi-machine benches never share state files.
   core::CampaignRobustness robustness(const std::string& machine_name) const;
 };
+
+/// A bench main: runs `body` on the parsed command line and returns its
+/// status. A malformed flag (coloc::invalid_argument_error, from
+/// HarnessConfig::from_cli or a bench-local read) prints
+/// "<program>: <message>" on stderr and returns 2 instead of ending in
+/// std::terminate; other exceptions propagate.
+int run_main(int argc, char** argv, int (*body)(const CliArgs& args));
 
 /// One machine's full pipeline: MRC profiling, Table V campaign, and the
 /// 12-model evaluation suite. Construction runs the campaign.

@@ -2,13 +2,18 @@
 // feature sets A-F), training and testing error, on the 6-core Xeon E5649.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+int run(const coloc::CliArgs& args) {
   using namespace coloc;
-  const CliArgs args(argc, argv);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const obs::ObsSession session(config.run_session());
   bench::MachineExperiment experiment(sim::xeon_e5649(), config);
   experiment.print_figure(
       "Figure 1: MPE vs feature set, 6-core Xeon E5649", core::Metric::kMpe);
   return 0;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coloc::bench::run_main(argc, argv, run);
 }

@@ -2,9 +2,9 @@
 // Xeon E5-2697 v2.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+int run(const coloc::CliArgs& args) {
   using namespace coloc;
-  const CliArgs args(argc, argv);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const obs::ObsSession session(config.run_session());
   bench::MachineExperiment experiment(sim::xeon_e5_2697v2(), config);
@@ -12,4 +12,9 @@ int main(int argc, char** argv) {
       "Figure 4: NRMSE vs feature set, 12-core Xeon E5-2697 v2",
       core::Metric::kNrmse);
   return 0;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coloc::bench::run_main(argc, argv, run);
 }

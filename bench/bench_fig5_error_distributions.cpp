@@ -10,9 +10,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+int run(const coloc::CliArgs& args) {
   using namespace coloc;
-  const CliArgs args(argc, argv);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const obs::ObsSession session(config.run_session());
 
@@ -78,4 +78,9 @@ int main(int argc, char** argv) {
       100.0 * static_cast<double>(all2) / static_cast<double>(all),
       100.0 * static_cast<double>(all5) / static_cast<double>(all));
   return 0;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coloc::bench::run_main(argc, argv, run);
 }

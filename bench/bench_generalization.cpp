@@ -12,13 +12,12 @@
 #include "bench_common.hpp"
 #include "core/generalization.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+int run(const coloc::CliArgs& args) {
   using namespace coloc;
-  const CliArgs args(argc, argv);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
+  const std::size_t scenarios = args.get_int("scenarios", 150);
   const obs::ObsSession session(config.run_session());
-  const std::size_t scenarios =
-      static_cast<std::size_t>(args.get_int("scenarios", 150));
 
   bench::MachineExperiment experiment(sim::xeon_e5649(), config);
   core::ModelZooOptions zoo = config.evaluation().zoo;
@@ -52,4 +51,9 @@ int main(int argc, char** argv) {
       "that additive structure rather than memorizing the sweep)\n",
       scenarios);
   return 0;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coloc::bench::run_main(argc, argv, run);
 }

@@ -63,7 +63,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -83,9 +82,7 @@
 #include "ml/scg.hpp"
 #include "ml/serialization.hpp"
 #include "ml/validation.hpp"
-#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/cache.hpp"
 #include "sim/stack_distance.hpp"
 #include "sim/trace.hpp"
@@ -313,21 +310,6 @@ class LegacyStackProfiler {
   std::uint64_t beyond_ = 0;
 };
 
-/// Parses "1,2,4,8" into jobs values; ignores empty/invalid tokens.
-std::vector<std::size_t> parse_jobs_list(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::stringstream ss(csv);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    char* end = nullptr;
-    const long v = std::strtol(token.c_str(), &end, 10);
-    if (end != token.c_str() && *end == '\0' && v > 0) {
-      out.push_back(static_cast<std::size_t>(v));
-    }
-  }
-  return out;
-}
-
 bool bitwise_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -355,189 +337,11 @@ void json_gate(std::ofstream& os, const Gate& g, bool last) {
      << (g.pass() ? "true" : "false") << "}" << (last ? "\n" : ",\n");
 }
 
-// ---------------------------------------------------------------------------
-// Attribution capture. Each timed arm (campaign serial/parallel, zoo
-// serial/parallel) gets its pool accounting read from the per-stage gauges
-// the orchestrators export, its queue-wait/commit-hold histogram activity
-// isolated as a before/after snapshot delta (the histograms are cumulative
-// across the whole process), and — when tracing is live — a critical-path
-// pass over only the spans recorded inside the arm's time window, so the
-// two same-named stage roots (serial arm, parallel arm) never collide.
-// ---------------------------------------------------------------------------
-
-/// Cumulative-histogram activity attributable to one arm.
-struct HistDelta {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double p99 = 0.0;
-};
-
-HistDelta hist_delta(const obs::MetricsSnapshot& before,
-                     const obs::MetricsSnapshot& after,
-                     const std::string& name) {
-  HistDelta d;
-  const obs::MetricSample* a = after.find(name);
-  if (a == nullptr) return d;
-  const obs::MetricSample* b = before.find(name);
-  std::vector<std::uint64_t> buckets = a->histogram_buckets;
-  d.count = a->histogram_count;
-  d.sum = a->histogram_sum;
-  if (b != nullptr) {
-    d.count -= b->histogram_count;
-    d.sum -= b->histogram_sum;
-    for (std::size_t i = 0;
-         i < buckets.size() && i < b->histogram_buckets.size(); ++i)
-      buckets[i] -= b->histogram_buckets[i];
-  }
-  d.p99 = obs::Histogram::quantile_from_counts(buckets, 0.99);
-  return d;
-}
-
-/// Everything the attribution report needs about one timed arm.
-struct ArmAttribution {
-  double wall_s = 0.0;
-  double busy_s = 0.0;
-  double idle_s = 0.0;
-  double workers = 0.0;
-  double utilization = 0.0;
-  HistDelta queue_wait;
-  HistDelta commit_hold;
-  obs::CriticalPathResult critical_path;
-};
-
-/// Critical path over only the spans that started inside [from_ns, to_ns].
-obs::CriticalPathResult window_critical_path(std::uint64_t from_ns,
-                                             std::uint64_t to_ns,
-                                             const std::string& root) {
-  const obs::TraceSink* sink = obs::TraceSink::current();
-  if (sink == nullptr) return {};
-  std::vector<obs::TraceEvent> window;
-  for (obs::TraceEvent& e : sink->events()) {
-    if (e.start_ns >= from_ns && e.start_ns <= to_ns)
-      window.push_back(std::move(e));
-  }
-  return obs::CriticalPath::analyze(obs::SpanGraph::build(window), root);
-}
-
-/// Reads the arm's stage pool gauges (exported at the end of the arm) and
-/// histogram deltas vs `before`. `stage` is the gauge label the
-/// orchestrator exported ("campaign" or "validation").
-ArmAttribution capture_arm(const char* stage, double wall_s,
-                           const obs::MetricsSnapshot& before,
-                           std::uint64_t from_ns, std::uint64_t to_ns,
-                           const std::string& root_span) {
-  auto& registry = obs::Registry::global();
-  const obs::Labels labels = {{"stage", stage}};
-  ArmAttribution arm;
-  arm.wall_s = wall_s;
-  arm.busy_s = registry.gauge("stage_pool_busy_seconds", labels).value();
-  arm.idle_s = registry.gauge("stage_pool_idle_seconds", labels).value();
-  arm.workers = registry.gauge("stage_pool_workers", labels).value();
-  arm.utilization = registry.gauge("stage_pool_utilization", labels).value();
-  const obs::MetricsSnapshot after = registry.snapshot();
-  arm.queue_wait = hist_delta(before, after, "pool_queue_wait_seconds");
-  arm.commit_hold = hist_delta(before, after, "pool_commit_hold_seconds");
-  arm.critical_path = window_critical_path(from_ns, to_ns, root_span);
-  return arm;
-}
-
-/// The serial-vs-parallel gap decomposition for one stage. All terms are
-/// worker-seconds against gap = jobs*wall_par - wall_serial:
-///   idle          runner capacity of the stage's parallel_for left unused
-///   exec_overhead pool busy time in excess of the serial arm's wall
-///                 (per-task span/bookkeeping cost; can be negative when
-///                 the parallel arm does less in-pool work)
-///   serial_section worker capacity outside the stage's parallel_for
-///                 (setup, baselines, checkpoint flushes, reduction)
-/// serial_section is computed as the remainder, so the three terms sum to
-/// the gap by construction: the split shows where the gap went, not
-/// whether the accounting is consistent.
-struct GapAttribution {
-  double gap_worker_s = 0.0;
-  double idle_s = 0.0;
-  double exec_overhead_s = 0.0;
-  double serial_section_s = 0.0;
-};
-
-GapAttribution attribute_gap(std::size_t jobs, double wall_serial_s,
-                             const ArmAttribution& parallel) {
-  GapAttribution g;
-  const double capacity = static_cast<double>(jobs) * parallel.wall_s;
-  g.gap_worker_s = capacity - wall_serial_s;
-  g.idle_s = parallel.idle_s;
-  g.exec_overhead_s = parallel.busy_s - wall_serial_s;
-  g.serial_section_s = capacity - parallel.busy_s - parallel.idle_s;
-  return g;
-}
-
-void json_arm(std::ofstream& os, const char* key, std::size_t jobs,
-              double wall_serial_s, const ArmAttribution& serial,
-              const ArmAttribution& parallel, bool last) {
-  const GapAttribution gap = attribute_gap(jobs, wall_serial_s, parallel);
-  const obs::CriticalPathResult& cp = parallel.critical_path;
-  os << "    \"" << key << "\": {\n"
-     << "      \"wall_serial_s\": " << serial.wall_s << ",\n"
-     << "      \"wall_parallel_s\": " << parallel.wall_s << ",\n"
-     << "      \"gap_worker_seconds\": " << gap.gap_worker_s << ",\n"
-     << "      \"idle_seconds\": " << gap.idle_s << ",\n"
-     << "      \"exec_overhead_seconds\": " << gap.exec_overhead_s << ",\n"
-     << "      \"serial_section_seconds\": " << gap.serial_section_s << ",\n"
-     << "      \"mean_worker_utilization\": " << parallel.utilization << ",\n"
-     << "      \"pool_workers\": " << parallel.workers << ",\n"
-     << "      \"pool_busy_seconds\": " << parallel.busy_s << ",\n"
-     << "      \"queue_wait\": {\"sum_s\": " << parallel.queue_wait.sum
-     << ", \"p99_s\": " << parallel.queue_wait.p99 << ", \"count\": "
-     << parallel.queue_wait.count << "},\n"
-     << "      \"commit_hold\": {\"sum_s\": " << parallel.commit_hold.sum
-     << ", \"count\": " << parallel.commit_hold.count << "},\n"
-     << "      \"critical_path_seconds\": " << cp.critical_path_seconds
-     << ",\n"
-     << "      \"parallel_overhead_seconds\": "
-     << cp.parallel_overhead_seconds << ",\n"
-     << "      \"critical_path_found\": " << (cp.found ? "true" : "false")
-     << ",\n"
-     << "      \"critical_path_coverage\": " << cp.coverage << ",\n"
-     << "      \"critical_chain_length\": " << cp.chain_length << "\n"
-     << "    }" << (last ? "\n" : ",\n");
-}
-
-void print_arm(const char* name, std::size_t jobs, double wall_serial_s,
-               const ArmAttribution& parallel) {
-  const GapAttribution gap = attribute_gap(jobs, wall_serial_s, parallel);
-  std::printf(
-      "attribution (%s): gap %.3f worker-s = idle %.3f + exec-overhead "
-      "%.3f + serial-section %.3f\n",
-      name, gap.gap_worker_s, gap.idle_s, gap.exec_overhead_s,
-      gap.serial_section_s);
-  if (parallel.critical_path.found) {
-    std::printf(
-      "  critical path      : %8.3f s of %.3f s wall (chain %zu/%zu "
-      "tasks); queue-wait p99 %.2g s, commit-hold sum %.2g s\n",
-      parallel.critical_path.critical_path_seconds,
-      parallel.critical_path.wall_seconds,
-      parallel.critical_path.chain_length, parallel.critical_path.tasks,
-      parallel.queue_wait.p99, parallel.commit_hold.sum);
-  }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const coloc::CliArgs& args) {
   using namespace coloc;
-  const CliArgs args(argc, argv);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const obs::ObsSession session(config.run_session());
   const std::string out_path = args.get("out", "BENCH_pipeline.json");
-
-  // The attribution pass below walks the span graph; keep tracing live
-  // even when the run was started without --trace-out/--bundle-out. The
-  // local sink is destroyed before `session` (reverse declaration order),
-  // by which point every span has closed.
-  std::unique_ptr<obs::TraceSink> local_sink;
-  if (obs::TraceSink::current() == nullptr) {
-    local_sink = std::make_unique<obs::TraceSink>();
-    local_sink->install();
-  }
 
   // --- Stage 1: trace profiling (stack-distance pass over one app trace),
   // batched kernel vs the pre-PR Fenwick replica, with bit-identity gates.
@@ -680,15 +484,10 @@ int main(int argc, char** argv) {
   sim::AppMrcLibrary serial_library;
   sim::Simulator serial_testbed(machine, &serial_library, measurement);
   serial_library.profile_all(campaign_config.targets);
-  obs::MetricsSnapshot pre_arm = obs::Registry::global().snapshot();
-  std::uint64_t arm_start_ns = obs::trace_now_ns();
   t0 = std::chrono::steady_clock::now();
   const core::CampaignResult campaign_serial =
       core::run_campaign(serial_testbed, campaign_config);
   const double campaign_serial_s = seconds_since(t0);
-  const ArmAttribution campaign_serial_attr =
-      capture_arm("campaign", campaign_serial_s, pre_arm, arm_start_ns,
-                  obs::trace_now_ns(), "campaign");
   std::printf("campaign (serial)    : %8.3f s  (%zu rows)\n",
               campaign_serial_s, campaign_serial.dataset.num_rows());
 
@@ -696,15 +495,10 @@ int main(int argc, char** argv) {
   sim::AppMrcLibrary library;
   sim::Simulator testbed(machine, &library, measurement);
   library.profile_all(campaign_config.targets);
-  pre_arm = obs::Registry::global().snapshot();
-  arm_start_ns = obs::trace_now_ns();
   t0 = std::chrono::steady_clock::now();
   const core::CampaignResult campaign =
       core::run_campaign(testbed, campaign_config);
   const double campaign_s = seconds_since(t0);
-  const ArmAttribution campaign_parallel_attr =
-      capture_arm("campaign", campaign_s, pre_arm, arm_start_ns,
-                  obs::trace_now_ns(), "campaign");
   const double campaign_speedup =
       campaign_s > 0.0 ? campaign_serial_s / campaign_s : 0.0;
   std::printf("campaign (jobs=%zu)   : %8.3f s  (%.2fx vs serial)\n", jobs,
@@ -731,8 +525,7 @@ int main(int argc, char** argv) {
   };
   std::vector<JobsScalingPoint> jobs_scaling;
   bool jobs_sweep_identical = true;
-  const std::vector<std::size_t> sweep_jobs = parse_jobs_list(config.jobs_sweep);
-  for (const std::size_t j : sweep_jobs) {
+  for (const std::size_t j : config.jobs_sweep) {
     campaign_config.jobs = j;
     JobsScalingPoint point;
     point.jobs = j;
@@ -787,15 +580,10 @@ int main(int argc, char** argv) {
   core::EvaluationConfig zoo_serial_config = zoo_config;
   zoo_serial_config.zoo.mlp.restarts = zoo_race_restarts;
   zoo_serial_config.validation.jobs = 1;
-  pre_arm = obs::Registry::global().snapshot();
-  arm_start_ns = obs::trace_now_ns();
   t0 = std::chrono::steady_clock::now();
   const core::EvaluationSuite zoo_serial =
       core::evaluate_model_zoo(campaign.dataset, zoo_serial_config);
   const double zoo_serial_s = seconds_since(t0);
-  const ArmAttribution zoo_serial_attr =
-      capture_arm("validation", zoo_serial_s, pre_arm, arm_start_ns,
-                  obs::trace_now_ns(), "validation");
   std::printf("model zoo (serial)   : %8.3f s  (12 models, %zu partitions, "
               "%zu restarts)\n",
               zoo_serial_s, zoo_config.validation.partitions,
@@ -804,15 +592,10 @@ int main(int argc, char** argv) {
   core::EvaluationConfig zoo_parallel_config = zoo_config;
   zoo_parallel_config.zoo.mlp.restarts = zoo_race_restarts;
   zoo_parallel_config.validation.jobs = jobs;
-  pre_arm = obs::Registry::global().snapshot();
-  arm_start_ns = obs::trace_now_ns();
   t0 = std::chrono::steady_clock::now();
   const core::EvaluationSuite zoo_parallel =
       core::evaluate_model_zoo(campaign.dataset, zoo_parallel_config);
   const double zoo_parallel_s = seconds_since(t0);
-  const ArmAttribution zoo_parallel_attr =
-      capture_arm("validation", zoo_parallel_s, pre_arm, arm_start_ns,
-                  obs::trace_now_ns(), "validation");
   const double zoo_speedup =
       zoo_parallel_s > 0.0 ? zoo_serial_s / zoo_parallel_s : 0.0;
   std::printf("model zoo (jobs=%zu fused): %8.3f s  (%.2fx vs serial)\n",
@@ -887,11 +670,6 @@ int main(int argc, char** argv) {
   std::printf("end-to-end           : %8.3f s serial, %.3f s parallel "
               "(%.2fx)\n",
               end_to_end_serial_s, end_to_end_parallel_s, end_to_end_speedup);
-
-  // Where did the serial-vs-parallel gap go? Decompose each stage's
-  // worker-seconds and walk the parallel arm's span graph.
-  print_arm("campaign", jobs, campaign_serial_s, campaign_parallel_attr);
-  print_arm("zoo", jobs, zoo_serial_s, zoo_parallel_attr);
 
   // --- Stage 3: set-F MLP validation, fast path vs pre-PR replica.
   // Both arms share one MlpOptions so the comparison isolates the
@@ -1088,12 +866,6 @@ int main(int argc, char** argv) {
        << ", \"train_gemm_seconds_count\": " << train_gemm.count()
        << ", \"design_memo_hits\": " << design_hits
        << ", \"design_memo_misses\": " << design_misses << "},\n"
-       << "  \"attribution\": {\n";
-    json_arm(os, "campaign", jobs, campaign_serial_s, campaign_serial_attr,
-             campaign_parallel_attr, /*last=*/false);
-    json_arm(os, "zoo", jobs, zoo_serial_s, zoo_serial_attr,
-             zoo_parallel_attr, /*last=*/true);
-    os << "  },\n"
        << "  \"equivalence\": [\n";
     for (std::size_t i = 0; i < gates.size(); ++i)
       json_gate(os, gates[i], i + 1 == gates.size());
@@ -1106,4 +878,9 @@ int main(int argc, char** argv) {
   }
 
   return all_pass ? 0 : 1;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coloc::bench::run_main(argc, argv, run);
 }

@@ -98,20 +98,15 @@ double predict_quantile(const obs::MetricsSnapshot& before,
   return obs::Histogram::quantile_from_counts(delta, q);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const coloc::CliArgs& args) {
   using namespace coloc;
-  const CliArgs args(argc, argv);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
+  const std::size_t nodes = args.get_int("nodes", config.quick ? 16 : 64);
+  const std::size_t arrivals =
+      args.get_int("arrivals", config.quick ? 20'000 : 1'000'000);
+  const double utilization = args.get_double("utilization", 0.5);
   const obs::ObsSession session(config.run_session());
   const std::string out_path = args.get("out", "BENCH_placement.json");
-
-  const std::size_t nodes = static_cast<std::size_t>(
-      args.get_int("nodes", config.quick ? 16 : 64));
-  const std::size_t arrivals = static_cast<std::size_t>(
-      args.get_int("arrivals", config.quick ? 20'000 : 1'000'000));
-  const double utilization = args.get_double("utilization", 0.5);
 
   // --- Pipeline: quick campaign -> deployable nn-F predictor.
   const sim::MachineConfig machine = serve::demo::fleet_node();
@@ -338,4 +333,9 @@ int main(int argc, char** argv) {
   std::printf("wrote %s (%s)\n", out_path.c_str(),
               all_pass ? "all gates pass" : "GATE FAILURES");
   return all_pass ? 0 : 1;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coloc::bench::run_main(argc, argv, run);
 }

@@ -10,9 +10,9 @@
 #include "core/report.hpp"
 #include "sim/machine.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+int run(const coloc::CliArgs& args) {
   using namespace coloc;
-  const CliArgs args(argc, argv);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const obs::ObsSession session(config.run_session());
   const std::vector<sim::MachineConfig> machines = {sim::xeon_e5649(),
@@ -44,4 +44,9 @@ int main(int argc, char** argv) {
   }
   pstates.print(std::cout);
   return 0;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coloc::bench::run_main(argc, argv, run);
 }

@@ -8,9 +8,9 @@
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+int run(const coloc::CliArgs& args) {
   using namespace coloc;
-  const CliArgs args(argc, argv);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const obs::ObsSession session(config.run_session());
 
@@ -41,4 +41,9 @@ int main(int argc, char** argv) {
       "Each measurement profiles only the single target application —\n"
       "counters are read once per app per machine (Section IV-B3).\n");
   return 0;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coloc::bench::run_main(argc, argv, run);
 }

@@ -7,9 +7,9 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+int run(const coloc::CliArgs& args) {
   using namespace coloc;
-  const CliArgs args(argc, argv);
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
   const obs::ObsSession session(config.run_session());
 
@@ -66,4 +66,9 @@ int main(int argc, char** argv) {
       "co-runner count (paper reaches 1.33x at 11 co-runners), with the\n"
       "NN-F rows far more accurate than linear-F.\n");
   return 0;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  return coloc::bench::run_main(argc, argv, run);
 }

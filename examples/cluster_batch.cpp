@@ -18,11 +18,17 @@
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
-  const std::size_t num_jobs =
-      static_cast<std::size_t>(args.get_int("jobs", 60));
-  const std::size_t num_nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 4));
-  const double interarrival = args.get_double("interarrival", 20.0);
+  std::size_t num_jobs = 60;
+  std::size_t num_nodes = 4;
+  double interarrival = 20.0;
+  try {
+    num_jobs = args.get_int("jobs", num_jobs);
+    num_nodes = args.get_int("nodes", num_nodes);
+    interarrival = args.get_double("interarrival", interarrival);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "cluster_batch: %s\n", e.what());
+    return 2;
+  }
 
   const sim::MachineConfig machine = sim::xeon_e5_2697v2();
   sim::AppMrcLibrary library;

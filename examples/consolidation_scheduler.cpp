@@ -25,7 +25,13 @@
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
-  const double max_slowdown = args.get_double("max-slowdown", 1.25);
+  double max_slowdown = 1.25;
+  try {
+    max_slowdown = args.get_double("max-slowdown", max_slowdown);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "consolidation_scheduler: %s\n", e.what());
+    return 2;
+  }
   // Enough nodes that least-loaded can give every job a lightly loaded
   // node, and few enough that packing matters.
   constexpr std::size_t kFleetNodes = 6;

@@ -15,8 +15,13 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string target_name = args.get("target", "canneal");
   const std::string coapp_name = args.get("coapp", "cg");
-  const std::size_t copies =
-      static_cast<std::size_t>(args.get_int("copies", 5));
+  std::size_t copies = 5;
+  try {
+    copies = args.get_int("copies", copies);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "energy_estimation: %s\n", e.what());
+    return 2;
+  }
 
   const sim::MachineConfig machine = sim::xeon_e5_2697v2();
   sim::AppMrcLibrary library;

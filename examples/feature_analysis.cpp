@@ -23,8 +23,13 @@
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
-  const std::size_t partitions =
-      static_cast<std::size_t>(args.get_int("partitions", 8));
+  std::size_t partitions = 8;
+  try {
+    partitions = args.get_int("partitions", partitions);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "feature_analysis: %s\n", e.what());
+    return 2;
+  }
 
   const sim::MachineConfig machine = sim::xeon_e5649();
   sim::AppMrcLibrary library;

@@ -14,8 +14,13 @@
 int main(int argc, char** argv) {
   using namespace coloc;
   const CliArgs args(argc, argv);
-  const std::size_t partitions =
-      static_cast<std::size_t>(args.get_int("partitions", 8));
+  std::size_t partitions = 8;
+  try {
+    partitions = args.get_int("partitions", partitions);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "portability_new_processor: %s\n", e.what());
+    return 2;
+  }
 
   const sim::MachineConfig machine = sim::generic_8core();
   std::printf("porting the methodology to: %s (%zu cores, %zu MB LLC)\n",

@@ -57,12 +57,38 @@
 int main(int argc, char** argv) {
   using namespace coloc;
 
+  // Every flag is read up front: a malformed one exits 2 before any work.
+  // Faults come from COLOC_FAULT_* (chaos CI) or --fault-rate; with the
+  // default rate of zero the injector is a pass-through and the run is
+  // numerically identical to an unwrapped sweep.
   const CliArgs args(argc, argv);
   std::size_t jobs = 0;
   obs::ObsOptions obs_options;
+  fault::FaultPlanConfig fault_config;
+  core::CampaignRobustness robustness;
+  std::size_t restarts = 1;
+  std::size_t partitions = 10;
   try {
     jobs = apply_jobs_flag(args);
     obs_options.manifest.jobs = jobs != 0 ? jobs : configured_jobs();
+    fault_config = fault::FaultPlanConfig::from_env();
+    fault_config.rate = fault::validate_fault_rate(
+        args.get_double("fault-rate", fault_config.rate), "--fault-rate");
+    if (const std::string kinds = args.get("fault-kinds", "");
+        !kinds.empty()) {
+      fault_config.kinds = fault::parse_fault_kinds(kinds);
+    }
+    robustness.retry = fault::RetryPolicy::from_env();
+    robustness.checkpoint_path = args.get("checkpoint", "");
+    robustness.checkpoint_every = args.get_int("checkpoint-every", 25);
+    robustness.resume = args.get_bool("resume", false);
+    robustness.abort_after_cells = args.get_int("abort-after-cells", 0);
+    restarts = args.get_int("restarts", restarts);
+    if (restarts < 1 || restarts > 64) {
+      throw invalid_argument_error("--restarts must be in [1, 64], got " +
+                                   std::to_string(restarts));
+    }
+    partitions = args.get_int("partitions", partitions);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "quickstart: %s\n", e.what());
     return 2;
@@ -79,8 +105,7 @@ int main(int argc, char** argv) {
   obs_options.label = "quickstart";
   obs_options.manifest.program = "quickstart";
   obs_options.manifest.machine_preset = "xeon_e5649";
-  obs_options.manifest.fault_rate =
-      args.get_double("fault-rate", fault::FaultPlanConfig::from_env().rate);
+  obs_options.manifest.fault_rate = fault_config.rate;
   // Let workers retire their open spans before the session writes the
   // trace; see ObsOptions::flush_hook.
   obs_options.flush_hook = [] { global_pool().quiesce(); };
@@ -91,32 +116,8 @@ int main(int argc, char** argv) {
   sim::AppMrcLibrary library;
   sim::Simulator testbed(machine, &library);
 
-  // Faults come from COLOC_FAULT_* (chaos CI) or --fault-rate; with the
-  // default rate of zero the injector is a pass-through and the run is
-  // numerically identical to an unwrapped sweep.
-  fault::FaultPlanConfig fault_config = fault::FaultPlanConfig::from_env();
-  try {
-    fault_config.rate = fault::validate_fault_rate(
-        args.get_double("fault-rate", fault_config.rate), "--fault-rate");
-    if (const std::string kinds = args.get("fault-kinds", "");
-        !kinds.empty()) {
-      fault_config.kinds = fault::parse_fault_kinds(kinds);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "quickstart: %s\n", e.what());
-    return 2;
-  }
   const fault::FaultPlan plan(fault_config);
   fault::FaultInjector source(testbed, plan);
-
-  core::CampaignRobustness robustness;
-  robustness.retry = fault::RetryPolicy::from_env();
-  robustness.checkpoint_path = args.get("checkpoint", "");
-  robustness.checkpoint_every = static_cast<std::size_t>(
-      args.get_int("checkpoint-every", 25));
-  robustness.resume = args.get_bool("resume", false);
-  robustness.abort_after_cells = static_cast<std::size_t>(
-      args.get_int("abort-after-cells", 0));
 
   // 2. Applications from the bundled 11-app PARSEC/NAS-style suite.
   const sim::ApplicationSpec canneal = sim::find_application("canneal");
@@ -136,14 +137,7 @@ int main(int argc, char** argv) {
 
   core::ModelZooOptions zoo;
   zoo.mlp.max_iterations = 1200;
-  const std::int64_t restarts = args.get_int("restarts", 1);
-  if (restarts < 1 || restarts > 64) {
-    std::fprintf(stderr,
-                 "quickstart: --restarts must be in [1, 64], got %lld\n",
-                 static_cast<long long>(restarts));
-    return 2;
-  }
-  zoo.mlp.restarts = static_cast<std::size_t>(restarts);
+  zoo.mlp.restarts = restarts;
   const core::ModelId model_id{core::ModelTechnique::kNeuralNetwork,
                                core::FeatureSet::kF};
 
@@ -191,8 +185,7 @@ int main(int argc, char** argv) {
   // 4. Validate with the paper's protocol (a light 10-partition version;
   //    the full experiments use --partitions=100).
   ml::ValidationOptions validation;
-  validation.partitions =
-      static_cast<std::size_t>(args.get_int("partitions", 10));
+  validation.partitions = partitions;
   validation.jobs = jobs;
   const ml::ValidationResult validated = ml::repeated_subsampling_validation(
       campaign.dataset,

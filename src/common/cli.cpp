@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -38,17 +39,26 @@ std::string CliArgs::get(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
-std::int64_t CliArgs::get_int(const std::string& name,
-                              std::int64_t fallback) const {
+std::uint64_t CliArgs::get_int(const std::string& name,
+                               std::uint64_t fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::strtoll(it->second.c_str(),
-                                                      nullptr, 10);
+  return it == flags_.end() ? fallback
+                            : parse_non_negative_integer(it->second,
+                                                         "--" + name);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback
-                            : std::strtod(it->second.c_str(), nullptr);
+  if (it == flags_.end()) return fallback;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || !std::isfinite(value)) {
+    throw invalid_argument_error("--" + name + ": cannot parse '" + text +
+                                 "' as a finite number");
+  }
+  return value;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {

@@ -18,7 +18,12 @@ class CliArgs {
   bool has(const std::string& name) const;
 
   std::string get(const std::string& name, const std::string& fallback) const;
-  std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// A whole non-negative integer (see parse_non_negative_integer); throws
+  /// coloc::invalid_argument_error naming --name on anything else.
+  std::uint64_t get_int(const std::string& name,
+                        std::uint64_t fallback) const;
+  /// A finite number that strtod consumes completely; throws
+  /// coloc::invalid_argument_error naming --name on anything else.
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

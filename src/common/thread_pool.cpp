@@ -181,6 +181,8 @@ void export_stage_pool_gauges(const std::string& stage, const PoolStats& s) {
   const obs::Labels labels = {{"stage", stage}};
   registry.gauge("stage_pool_busy_seconds", labels).set(s.busy_seconds);
   registry.gauge("stage_pool_idle_seconds", labels).set(s.idle_seconds);
+  registry.gauge("stage_pool_wait_seconds", labels).set(s.wait_seconds);
+  registry.gauge("stage_pool_wall_seconds", labels).set(s.wall_seconds);
   registry.gauge("stage_pool_workers", labels)
       .set(static_cast<double>(s.workers));
   registry.gauge("stage_pool_utilization", labels).set(s.utilization());
@@ -206,8 +208,9 @@ PoolStats parallel_for(ThreadPool& pool, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) body(i);
     stats.workers = 1;
     stats.tasks = chunks;
-    stats.busy_seconds =
+    stats.wall_seconds =
         seconds_between(call_start, std::chrono::steady_clock::now());
+    stats.busy_seconds = stats.wall_seconds;
     return stats;
   }
 
@@ -219,8 +222,15 @@ PoolStats parallel_for(ThreadPool& pool, std::size_t n,
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
+  // Each runner's own start and end; slot r is written only by runner r
+  // and read after its future is joined.
+  struct RunnerSpan {
+    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point end;
+  };
+  std::vector<RunnerSpan> runner_spans(runners);
 
-  auto run = [&] {
+  auto claim_chunks = [&] {
     while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) return;
@@ -228,8 +238,8 @@ PoolStats parallel_for(ThreadPool& pool, std::size_t n,
       try {
         metrics.wait_seconds.observe(seconds_between(call_start, claimed));
         {
-          // Parented on the caller's span: the cross-thread dependency
-          // edge obs::attribution's critical-path pass walks.
+          // Parented on the caller's span: the cross-thread edge back to
+          // the stage that submitted the chunk.
           obs::ScopedSpan span("pool/task", "pool", caller_span);
           const std::size_t end = std::min(n, (c + 1) * chunk);
           for (std::size_t i = c * chunk; i < end; ++i) body(i);
@@ -256,7 +266,11 @@ PoolStats parallel_for(ThreadPool& pool, std::size_t n,
   futures.reserve(runners);
   try {
     for (std::size_t r = 0; r < runners; ++r) {
-      futures.push_back(pool.submit(run));
+      futures.push_back(pool.submit([&, r] {
+        runner_spans[r].start = std::chrono::steady_clock::now();
+        claim_chunks();
+        runner_spans[r].end = std::chrono::steady_clock::now();
+      }));
     }
   } catch (...) {
     // Runners already queued reference this frame: let them finish first.
@@ -265,15 +279,19 @@ PoolStats parallel_for(ThreadPool& pool, std::size_t n,
     throw;
   }
   for (auto& f : futures) f.get();
+  const auto call_end = std::chrono::steady_clock::now();
 
   stats.workers = runners;
   stats.tasks = chunks_run.load(std::memory_order_relaxed);
   stats.busy_seconds =
       static_cast<double>(busy_ns.load(std::memory_order_relaxed)) * 1e-9;
-  const double capacity =
-      static_cast<double>(runners) *
-      seconds_between(call_start, std::chrono::steady_clock::now());
-  stats.idle_seconds = std::max(0.0, capacity - stats.busy_seconds);
+  stats.wall_seconds = seconds_between(call_start, call_end);
+  double tail_seconds = 0.0;
+  for (const RunnerSpan& span : runner_spans) {
+    stats.wait_seconds += seconds_between(call_start, span.start);
+    tail_seconds += seconds_between(span.end, call_end);
+  }
+  stats.idle_seconds = stats.wait_seconds + tail_seconds;
   if (first_error) std::rethrow_exception(first_error);
   return stats;
 }
@@ -298,10 +316,7 @@ void set_configured_jobs(std::size_t jobs) {
 }
 
 std::size_t apply_jobs_flag(const CliArgs& args) {
-  const std::size_t jobs =
-      args.has("jobs")
-          ? parse_non_negative_integer(args.get("jobs", ""), "--jobs")
-          : 0;
+  const std::size_t jobs = args.get_int("jobs", 0);
   if (jobs != 0) set_configured_jobs(jobs);
   return jobs;
 }

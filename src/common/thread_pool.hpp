@@ -10,8 +10,9 @@
 // into queue-wait and execution histograms (`pool_queue_wait_seconds`,
 // `pool_exec_seconds`) and a task counter (`pool_tasks_total`) in the
 // global metrics registry, and emits a "pool/task" span per chunk parented
-// on the caller's span (the cross-thread dependency edge walked by
-// obs::attribution). The pool itself keeps per-worker busy/idle accounting
+// on the caller's span (the cross-thread edge a trace viewer follows back
+// to the submitting stage). Each call also returns its own measured
+// PoolStats. The pool itself keeps per-worker busy/idle accounting
 // (stats()), a queue-depth gauge (`pool_queue_depth`) and, when a
 // TraceSink is installed, a "pool/busy_workers" counter timeline.
 #pragma once
@@ -33,14 +34,26 @@ namespace coloc {
 
 class CliArgs;
 
-/// Aggregated per-pool worker accounting, read via ThreadPool::stats().
-/// busy covers task execution; idle covers condition-variable waits,
-/// including waits still open at the time of the stats() call and the
-/// final wait a worker sits in until shutdown() wakes it (so a pool that
-/// ran nothing reports utilization ~0, not ~1).
+/// Worker accounting, from ThreadPool::stats() (the pool's lifetime) or
+/// from one parallel_for call.
+///
+/// ThreadPool::stats(): busy covers task execution; idle covers
+/// condition-variable waits, including waits still open at the time of the
+/// call and the final wait a worker sits in until shutdown() wakes it (so
+/// a pool that ran nothing reports utilization ~0, not ~1). wait_seconds
+/// and wall_seconds stay 0.
+///
+/// parallel_for: workers = runners used, busy covers the call's chunks,
+/// wall_seconds is the call's wall, and idle is read from each runner's
+/// own clock: its start delay (call start -> runner start, summed into
+/// wait_seconds: the call's scheduling delay) plus its tail (runner end ->
+/// call end). What remains of workers x wall_seconds is the runners' time
+/// between chunks, which obs/attribution's stage check bounds.
 struct PoolStats {
   double busy_seconds = 0.0;
   double idle_seconds = 0.0;
+  double wait_seconds = 0.0;
+  double wall_seconds = 0.0;
   std::uint64_t tasks = 0;
   std::size_t workers = 0;
 
@@ -77,10 +90,9 @@ class ThreadPool {
   /// Blocks until the queue is empty and every in-flight task has fully
   /// retired — including the worker's busy-time and task-count
   /// bookkeeping, which runs after the task's future is fulfilled. Call
-  /// before tearing down a TraceSink so no worker is still mid-span when
-  /// the trace is written (a span recorded after the sink swap is
-  /// silently dropped, orphaning its already-recorded children). The pool
-  /// stays usable afterwards.
+  /// before tearing down a TraceSink so the written trace is complete: a
+  /// span a worker closes after the sink swap is silently dropped. The
+  /// pool stays usable afterwards.
   void quiesce();
 
   /// Snapshot of per-worker busy/idle accounting (valid during the pool's
@@ -129,11 +141,12 @@ class ThreadPool {
 
 /// Publishes one stage's pool accounting to the global metrics registry
 /// as gauges labeled {stage=...}: stage_pool_busy_seconds,
-/// stage_pool_idle_seconds, stage_pool_workers, stage_pool_utilization.
-/// Orchestrators call this with the PoolStats their parallel_for call
-/// returned, so per-stage numbers are not polluted by idle time the
-/// shared pool accrues during other stages; obs::attribution reads these
-/// gauges to attribute the serial-vs-parallel wall gap.
+/// stage_pool_idle_seconds, stage_pool_wait_seconds (the scheduling
+/// delay), stage_pool_wall_seconds (the call's wall), stage_pool_workers
+/// and stage_pool_utilization. Orchestrators call this with the PoolStats
+/// their parallel_for call returned, so per-stage numbers are not polluted
+/// by idle time the shared pool accrues during other stages; obs_report
+/// checks each stage's gauges against its wall (obs/attribution).
 void export_stage_pool_gauges(const std::string& stage, const PoolStats& s);
 
 /// Runs body(i) for i in [0, n) across the pool, blocking until all
@@ -147,11 +160,14 @@ void export_stage_pool_gauges(const std::string& stage, const PoolStats& s);
 ///
 /// Each chunk books its wait (call start to claim) and run time into
 /// pool_queue_wait_seconds / pool_exec_seconds, one pool_tasks_total
-/// increment and one "pool/task" span parented on the caller's span.
+/// increment and one "pool/task" span parented on the caller's span. The
+/// chunk wait is the chunk's backlog position, not a scheduling delay:
+/// the last chunks of a large call wait for nearly the whole call, so on
+/// large calls the histogram tracks stage wall. The scheduling delay is
+/// the returned wait_seconds.
 ///
-/// Returns this call's own accounting: workers = runners used, busy = time
-/// spent in chunks, idle = runners x call wall - busy (an inline call
-/// reports one worker, busy for the whole call).
+/// Returns this call's own measured accounting (see PoolStats); an inline
+/// call reports one worker, busy = wall and no idle.
 ///
 /// Runs inline on the calling thread, in index order and without per-chunk
 /// bookkeeping, when the cap allows one runner, and when the caller is

@@ -6,30 +6,12 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "obs/json.hpp"
 
 namespace coloc::obs {
 
 namespace {
-
-void sort_and_count_orphans(SpanGraph& graph) {
-  std::sort(graph.spans.begin(), graph.spans.end(),
-            [](const Span& a, const Span& b) {
-              if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
-              return a.duration_ns > b.duration_ns;
-            });
-  std::unordered_set<std::uint64_t> ids;
-  ids.reserve(graph.spans.size());
-  for (const Span& s : graph.spans) ids.insert(s.id);
-  graph.orphaned_edges = 0;
-  for (const Span& s : graph.spans) {
-    if (s.parent_id != 0 && ids.count(s.parent_id) == 0) {
-      ++graph.orphaned_edges;
-    }
-  }
-}
 
 std::string format_seconds(double s) {
   char buf[64];
@@ -50,156 +32,6 @@ std::string format_pct(double pct) {
 }
 
 }  // namespace
-
-SpanGraph SpanGraph::build(const std::vector<TraceEvent>& events) {
-  SpanGraph graph;
-  graph.spans.reserve(events.size());
-  for (const TraceEvent& e : events) {
-    if (e.kind != TraceEvent::Kind::kSpan) continue;
-    Span s;
-    s.name = e.name;
-    s.category = e.category;
-    s.tid = e.tid;
-    s.id = e.id;
-    s.parent_id = e.parent_id;
-    s.start_ns = e.start_ns;
-    s.duration_ns = e.duration_ns;
-    graph.spans.push_back(std::move(s));
-  }
-  sort_and_count_orphans(graph);
-  return graph;
-}
-
-SpanGraph SpanGraph::from_chrome_json(const std::string& path) {
-  const JsonValue doc = json_parse_file(path);
-  const JsonValue* events = doc.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    throw std::runtime_error(path + ": not a chrome trace (no traceEvents)");
-  }
-  SpanGraph graph;
-  graph.spans.reserve(events->size());
-  for (const JsonValue& e : events->array) {
-    const JsonValue* ph = e.find("ph");
-    if (ph == nullptr || !ph->is_string() || ph->string != "X") continue;
-    Span s;
-    if (const JsonValue* v = e.find("name"); v != nullptr) s.name = v->string;
-    if (const JsonValue* v = e.find("cat"); v != nullptr) {
-      s.category = v->string;
-    }
-    if (const JsonValue* v = e.find("tid"); v != nullptr && v->is_number()) {
-      s.tid = static_cast<std::uint32_t>(v->number);
-    }
-    // Timestamps were exported as microseconds with 3 decimals; rounding
-    // back to integer nanoseconds is exact.
-    if (const JsonValue* v = e.find("ts"); v != nullptr && v->is_number()) {
-      s.start_ns = static_cast<std::uint64_t>(std::llround(v->number * 1e3));
-    }
-    if (const JsonValue* v = e.find("dur"); v != nullptr && v->is_number()) {
-      s.duration_ns =
-          static_cast<std::uint64_t>(std::llround(v->number * 1e3));
-    }
-    if (const JsonValue* args = e.find("args");
-        args != nullptr && args->is_object()) {
-      if (const JsonValue* v = args->find("id");
-          v != nullptr && v->is_number()) {
-        s.id = static_cast<std::uint64_t>(v->number);
-      }
-      if (const JsonValue* v = args->find("parent");
-          v != nullptr && v->is_number()) {
-        s.parent_id = static_cast<std::uint64_t>(v->number);
-      }
-    }
-    graph.spans.push_back(std::move(s));
-  }
-  sort_and_count_orphans(graph);
-  return graph;
-}
-
-const Span* SpanGraph::find_by_name(const std::string& name) const {
-  for (const Span& s : spans) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
-
-std::vector<const Span*> SpanGraph::children_of(std::uint64_t parent) const {
-  std::vector<const Span*> out;
-  for (const Span& s : spans) {
-    if (s.parent_id == parent && s.id != parent) out.push_back(&s);
-  }
-  return out;
-}
-
-CriticalPathResult CriticalPath::analyze(const SpanGraph& graph,
-                                         const std::string& root_name) {
-  CriticalPathResult result;
-  const Span* root = graph.find_by_name(root_name);
-  if (root == nullptr) return result;
-  result.found = true;
-  result.wall_seconds = static_cast<double>(root->duration_ns) * 1e-9;
-
-  std::vector<const Span*> children = graph.children_of(root->id);
-  result.tasks = children.size();
-  if (children.empty()) {
-    // No observed sub-work: the stage itself is the chain.
-    result.critical_path_seconds = result.wall_seconds;
-    result.chain_length = 1;
-    return result;
-  }
-
-  double covered = 0.0;
-  for (const Span* c : children) {
-    covered += static_cast<double>(c->duration_ns) * 1e-9;
-  }
-  result.coverage = result.wall_seconds > 0.0
-                        ? covered / result.wall_seconds
-                        : 0.0;
-
-  // Weighted interval scheduling over the children: the heaviest chain of
-  // pairwise non-overlapping spans. Overlapping spans ran concurrently,
-  // so they cannot be on one dependent chain; a chain's total duration is
-  // a lower bound on the stage's makespan with unlimited workers.
-  std::sort(children.begin(), children.end(),
-            [](const Span* a, const Span* b) {
-              if (a->end_ns() != b->end_ns()) return a->end_ns() < b->end_ns();
-              return a->start_ns < b->start_ns;
-            });
-  const std::size_t n = children.size();
-  std::vector<double> best(n, 0.0);        // best chain ending at i
-  std::vector<std::size_t> length(n, 1);
-  std::vector<double> prefix_best(n, 0.0); // max(best[0..i])
-  std::vector<std::size_t> prefix_len(n, 1);
-  std::vector<std::uint64_t> ends(n, 0);
-  for (std::size_t i = 0; i < n; ++i) ends[i] = children[i]->end_ns();
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dur = static_cast<double>(children[i]->duration_ns) * 1e-9;
-    best[i] = dur;
-    length[i] = 1;
-    // Last child ending at or before this one's start.
-    const auto it = std::upper_bound(ends.begin(), ends.begin() + i,
-                                     children[i]->start_ns);
-    if (it != ends.begin()) {
-      const std::size_t j = static_cast<std::size_t>(it - ends.begin()) - 1;
-      if (prefix_best[j] > 0.0) {
-        best[i] = dur + prefix_best[j];
-        length[i] = 1 + prefix_len[j];
-      }
-    }
-    if (i == 0 || best[i] > prefix_best[i - 1]) {
-      prefix_best[i] = best[i];
-      prefix_len[i] = length[i];
-    } else {
-      prefix_best[i] = prefix_best[i - 1];
-      prefix_len[i] = prefix_len[i - 1];
-    }
-  }
-  result.critical_path_seconds = prefix_best[n - 1];
-  result.chain_length = prefix_len[n - 1];
-  result.parallel_overhead_seconds =
-      std::max(0.0, result.wall_seconds - result.critical_path_seconds);
-  return result;
-}
 
 double HistogramStats::mean() const {
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
@@ -293,14 +125,6 @@ const MetricEntry* MetricsDoc::find(
   return nullptr;
 }
 
-double MetricsDoc::value_or(
-    const std::string& name,
-    const std::vector<std::pair<std::string, std::string>>& labels,
-    double fallback) const {
-  const MetricEntry* e = find(name, labels);
-  return e == nullptr ? fallback : e->value;
-}
-
 BundleData BundleData::load(const std::string& path) {
   BundleData bundle;
   std::string manifest_path = path;
@@ -320,25 +144,63 @@ BundleData BundleData::load(const std::string& path) {
   }
   bundle.manifest = Manifest::from_json_file(manifest_path);
   bundle.metrics = MetricsDoc::load_file(bundle.dir + "/metrics.json");
-  try {
-    bundle.trace = SpanGraph::from_chrome_json(bundle.dir + "/trace.json");
-    bundle.has_trace = true;
-  } catch (const std::exception&) {
-    bundle.has_trace = false;  // the trace is optional
-  }
   return bundle;
 }
 
-namespace {
-
-/// Stage names that carry stage_wall_seconds gauges, in manifest order.
-std::vector<std::string> stage_names(const BundleData& bundle) {
-  std::vector<std::string> names;
-  for (const StageRecord& s : bundle.manifest.stages) {
-    names.push_back(s.stage);
-  }
-  return names;
+double residual_tolerance(double capacity_seconds) {
+  constexpr double kFloorSeconds = 1e-3;
+  constexpr double kCapacityFraction = 0.01;
+  return std::max(kFloorSeconds, kCapacityFraction * capacity_seconds);
 }
+
+std::vector<StageAccounting> account_stages(const BundleData& bundle) {
+  std::vector<StageAccounting> out;
+  for (const StageRecord& record : bundle.manifest.stages) {
+    StageAccounting s;
+    s.stage = record.stage;
+    s.wall_seconds = record.wall_seconds;
+    const std::vector<std::pair<std::string, std::string>> labels = {
+        {"stage", s.stage}};
+    const MetricEntry* workers = bundle.metrics.find("stage_pool_workers",
+                                                     labels);
+    s.pooled = workers != nullptr;
+    if (s.pooled) {
+      s.workers = workers->value;
+      const std::pair<const char*, double*> gauges[] = {
+          {"stage_pool_wall_seconds", &s.call_wall_seconds},
+          {"stage_pool_busy_seconds", &s.busy_seconds},
+          {"stage_pool_idle_seconds", &s.idle_seconds},
+          {"stage_pool_wait_seconds", &s.wait_seconds},
+          {"stage_pool_utilization", &s.utilization},
+      };
+      for (const auto& [name, value] : gauges) {
+        const MetricEntry* e = bundle.metrics.find(name, labels);
+        if (e == nullptr) {
+          s.failures.push_back(std::string("missing ") + name);
+        } else {
+          *value = e->value;
+        }
+      }
+      if (s.call_wall_seconds > s.wall_seconds) {
+        s.failures.push_back("pool call " +
+                             format_seconds(s.call_wall_seconds) +
+                             " outlasts the stage's " +
+                             format_seconds(s.wall_seconds));
+      }
+      const double tolerance = residual_tolerance(s.capacity_seconds());
+      if (std::abs(s.residual_seconds()) > tolerance) {
+        s.failures.push_back("residual " +
+                             format_seconds(s.residual_seconds()) +
+                             " exceeds the tolerance " +
+                             format_seconds(tolerance));
+      }
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+namespace {
 
 void render_histogram_line(std::ostringstream& os, const BundleData& bundle,
                            const char* name, const char* title) {
@@ -357,7 +219,8 @@ void render_histogram_line(std::ostringstream& os, const BundleData& bundle,
 
 }  // namespace
 
-std::string render_report(const BundleData& bundle) {
+ReportResult render_report(const BundleData& bundle) {
+  ReportResult result;
   std::ostringstream os;
   const Manifest& m = bundle.manifest;
   os << "== run manifest ==\n"
@@ -379,23 +242,29 @@ std::string render_report(const BundleData& bundle) {
      << "  metrics digest: " << m.metrics_digest << "\n";
 
   os << "\n== stages ==\n";
-  for (const std::string& stage : stage_names(bundle)) {
-    const double wall = m.stage_wall(stage);
-    os << "  " << stage << ": wall " << format_seconds(wall);
-    const double workers = bundle.metrics.value_or(
-        "stage_pool_workers", {{"stage", stage}}, 0.0);
-    if (workers > 0.0) {
-      const double busy = bundle.metrics.value_or(
-          "stage_pool_busy_seconds", {{"stage", stage}}, 0.0);
-      const double idle = bundle.metrics.value_or(
-          "stage_pool_idle_seconds", {{"stage", stage}}, 0.0);
-      const double util = bundle.metrics.value_or(
-          "stage_pool_utilization", {{"stage", stage}}, 0.0);
-      os << "  |  pool: " << static_cast<int>(workers) << " workers, busy "
-         << format_seconds(busy) << ", idle " << format_seconds(idle)
-         << ", utilization " << static_cast<int>(util * 100.0 + 0.5) << "%";
+  for (const StageAccounting& s : account_stages(bundle)) {
+    os << "  " << s.stage << ": wall " << format_seconds(s.wall_seconds);
+    if (!s.pooled) {
+      os << " (no pool call)\n";
+      continue;
     }
-    os << "\n";
+    os << " = pool call " << format_seconds(s.call_wall_seconds)
+       << " + outside " << format_seconds(s.outside_seconds()) << "\n"
+       << "    " << static_cast<int>(s.workers) << " workers x "
+       << format_seconds(s.call_wall_seconds) << " = busy "
+       << format_seconds(s.busy_seconds) << " + idle "
+       << format_seconds(s.idle_seconds) << " (wait "
+       << format_seconds(s.wait_seconds) << " + tail "
+       << format_seconds(s.tail_seconds()) << ") + residual "
+       << format_seconds(s.residual_seconds()) << "\n"
+       << "    utilization "
+       << static_cast<int>(s.utilization * 100.0 + 0.5)
+       << "%, residual tolerance "
+       << format_seconds(residual_tolerance(s.capacity_seconds())) << ": "
+       << (s.failures.empty() ? "ok" : "FAIL") << "\n";
+    for (const std::string& why : s.failures) {
+      result.failures.push_back(s.stage + ": " + why);
+    }
   }
 
   if (!m.recovery.empty()) {
@@ -425,6 +294,9 @@ std::string render_report(const BundleData& bundle) {
     }
   }
 
+  // Queue wait is each chunk's backlog position (call start -> claim), so
+  // on large calls it tracks stage wall; the scheduling delay is the
+  // stages' wait above.
   os << "\n== task attribution (histograms) ==\n";
   render_histogram_line(os, bundle, "pool_queue_wait_seconds",
                         "queue wait  ");
@@ -433,31 +305,15 @@ std::string render_report(const BundleData& bundle) {
   render_histogram_line(os, bundle, "pool_commit_hold_seconds",
                         "commit hold ");
 
-  if (bundle.has_trace) {
-    os << "\n== critical path ==\n"
-       << "  trace: " << bundle.trace.spans.size() << " spans, "
-       << bundle.trace.orphaned_edges << " orphaned edges\n";
-    for (const std::string& stage : stage_names(bundle)) {
-      const CriticalPathResult cp =
-          CriticalPath::analyze(bundle.trace, stage);
-      if (!cp.found) continue;
-      os << "  " << stage << ": critical path "
-         << format_seconds(cp.critical_path_seconds) << " of "
-         << format_seconds(cp.wall_seconds) << " wall ("
-         << cp.chain_length << "-span chain over " << cp.tasks
-         << " tasks); parallel overhead "
-         << format_seconds(cp.parallel_overhead_seconds);
-      if (cp.coverage < 0.5 && cp.tasks > 0) {
-        os << "  [low span coverage "
-           << static_cast<int>(cp.coverage * 100.0 + 0.5)
-           << "%: stride-sampled spans under-report the chain]";
-      }
-      os << "\n";
-    }
+  os << "\n== accounting check ==\n";
+  if (result.failures.empty()) {
+    os << "  OK: every stage's accounting balances\n";
   } else {
-    os << "\n== critical path ==\n  (no trace.json in bundle)\n";
+    os << "  FAIL: " << result.failures.size() << " check(s)\n";
+    for (const std::string& f : result.failures) os << "    - " << f << "\n";
   }
-  return os.str();
+  result.text = os.str();
+  return result;
 }
 
 namespace {

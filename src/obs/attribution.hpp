@@ -1,22 +1,22 @@
 // Perf attribution: explains where a run's wall clock went.
 //
-// Three layers, each usable on its own:
+// BundleData + render_report/diff_bundles load a run bundle (manifest.json
+// + metrics.json, as written by the benches' --bundle-out), print a
+// human-readable attribution report, or diff two bundles against
+// regression thresholds for CI gating (tools/obs_report is a thin CLI over
+// these).
 //
-//   1. SpanGraph — a parsed view of a trace (live TraceSink events or an
-//      exported trace.json) with parent/child + cross-thread task edges
-//      resolved, and orphaned edges (a parent id missing from the trace)
-//      counted rather than silently dropped.
-//   2. CriticalPath — per stage root span (campaign, validation, ...),
-//      the longest chain of non-overlapping dependent child spans: the
-//      time the stage could not possibly go below with infinite workers.
-//      wall - critical_path is the attributable parallelization overhead
-//      (queue wait, commit-order stalls, idle workers) that explains a
-//      sub-1x parallel speedup such as the recorded 0.94x.
-//   3. BundleData + render_report/diff_bundles — load a run bundle
-//      (manifest.json + metrics.json + trace.json, as written by the
-//      benches' --bundle-out), print a human-readable attribution report,
-//      or diff two bundles against regression thresholds for CI gating
-//      (tools/obs_report is a thin CLI over these).
+// Stage accounting. A parallel stage (the campaign, validation) exports
+// its parallel_for call's measured PoolStats as stage_pool_*{stage} gauges
+// next to its stage_wall_seconds, and the report states each stage as
+//
+//   wall = pool call + outside
+//   workers x call wall = busy + idle (wait + tail) + residual
+//
+// account_stages() fails a stage whose pool call outlasts it, whose
+// residual (runner time between chunks: tens of microseconds when nothing
+// is lost) exceeds residual_tolerance(), or that exports
+// stage_pool_workers without the rest of its pool gauges.
 #pragma once
 
 #include <cstdint>
@@ -25,68 +25,8 @@
 #include <vector>
 
 #include "obs/manifest.hpp"
-#include "obs/trace.hpp"
 
 namespace coloc::obs {
-
-/// One span with its dependency edge, normalized from either a live
-/// TraceSink or an exported chrome trace.
-struct Span {
-  std::string name;
-  std::string category;
-  std::uint32_t tid = 0;
-  std::uint64_t id = 0;
-  std::uint64_t parent_id = 0;  // 0 = root
-  std::uint64_t start_ns = 0;
-  std::uint64_t duration_ns = 0;
-
-  std::uint64_t end_ns() const { return start_ns + duration_ns; }
-};
-
-struct SpanGraph {
-  std::vector<Span> spans;  // sorted by start_ns
-  /// Spans whose parent_id is non-zero but absent from the trace. A
-  /// healthy trace has zero: every edge either resolves or is a root.
-  std::size_t orphaned_edges = 0;
-
-  /// From live TraceSink events (counters are skipped).
-  static SpanGraph build(const std::vector<TraceEvent>& events);
-  /// From an exported chrome trace file ("ph":"X" events; id/parent are
-  /// read back out of "args"). Throws on unreadable/malformed JSON.
-  static SpanGraph from_chrome_json(const std::string& path);
-
-  /// First span with this name (spans are start-sorted), or nullptr.
-  const Span* find_by_name(const std::string& name) const;
-  /// Direct children of `parent` (any thread), start-sorted.
-  std::vector<const Span*> children_of(std::uint64_t parent) const;
-};
-
-struct CriticalPathResult {
-  bool found = false;            // root span present in the trace
-  double wall_seconds = 0.0;     // the root span's own duration
-  /// Longest chain of pairwise non-overlapping direct children of the
-  /// root — the stage's irreducible dependent work as observed.
-  double critical_path_seconds = 0.0;
-  /// wall - critical_path, clamped at 0: wall clock not explained by the
-  /// longest dependent chain, i.e. attributable parallelization overhead.
-  double parallel_overhead_seconds = 0.0;
-  std::size_t chain_length = 0;  // spans on the critical chain
-  std::size_t tasks = 0;         // direct children considered
-  /// sum(child durations) / wall. >~1 means the children cover the stage
-  /// (parallel arms exceed 1); << 1 means spans were stride-sampled and
-  /// the critical path under-reports (flagged in the report).
-  double coverage = 0.0;
-};
-
-class CriticalPath {
- public:
-  /// Analyzes the first span named `root_name` (e.g. "campaign",
-  /// "validation"). The chain is computed by weighted-interval
-  /// scheduling over the root's direct children: two children are
-  /// dependent (chainable) when one ends before the other starts.
-  static CriticalPathResult analyze(const SpanGraph& graph,
-                                    const std::string& root_name);
-};
 
 /// Histogram read back from an exported metrics.json: only non-zero
 /// buckets are present, each (upper bound, per-bucket count).
@@ -119,31 +59,62 @@ struct MetricsDoc {
       const std::string& name,
       const std::vector<std::pair<std::string, std::string>>& labels = {})
       const;
-  /// Gauge/counter value, or `fallback` when absent.
-  double value_or(
-      const std::string& name,
-      const std::vector<std::pair<std::string, std::string>>& labels,
-      double fallback) const;
 };
 
-/// A loaded run bundle: manifest + metrics (+ trace when present).
+/// A loaded run bundle: manifest + metrics.
 struct BundleData {
   std::string dir;
   Manifest manifest;
   MetricsDoc metrics;
-  SpanGraph trace;
-  bool has_trace = false;
 
   /// `path` is a bundle directory (containing manifest.json) or a direct
-  /// path to a manifest.json. metrics.json/trace.json are loaded from the
-  /// same directory; the trace is optional, the other two are not.
+  /// path to a manifest.json; metrics.json is loaded from the same
+  /// directory.
   static BundleData load(const std::string& path);
 };
 
-/// Human-readable attribution report for one bundle: build/run identity,
-/// per-stage wall + pool accounting, queue-wait / exec / commit-hold
-/// histograms, and per-stage critical path when a trace is present.
-std::string render_report(const BundleData& bundle);
+/// The most residual a stage may carry: 1 ms, or 1% of its capacity
+/// (workers x call wall) when that is larger. Measured residuals stay
+/// under 0.1 ms on 10 ms+ calls; one dropped runner tail is milliseconds
+/// to seconds.
+double residual_tolerance(double capacity_seconds);
+
+/// One stage's time accounting, read from a bundle's gauges.
+struct StageAccounting {
+  std::string stage;
+  double wall_seconds = 0.0;  // stage_wall_seconds
+  bool pooled = false;        // the stage exported stage_pool_workers
+  double workers = 0.0;
+  double call_wall_seconds = 0.0;  // stage_pool_wall_seconds
+  double busy_seconds = 0.0;
+  double idle_seconds = 0.0;
+  double wait_seconds = 0.0;
+  double utilization = 0.0;
+  /// Why the stage fails the check; empty when it passes.
+  std::vector<std::string> failures;
+
+  double outside_seconds() const { return wall_seconds - call_wall_seconds; }
+  double capacity_seconds() const { return workers * call_wall_seconds; }
+  double tail_seconds() const { return idle_seconds - wait_seconds; }
+  double residual_seconds() const {
+    return capacity_seconds() - busy_seconds - idle_seconds;
+  }
+};
+
+/// Reads and checks the accounting of every stage in the manifest (see
+/// the file comment), in manifest order.
+std::vector<StageAccounting> account_stages(const BundleData& bundle);
+
+struct ReportResult {
+  std::string text;  // the full human-readable report
+  /// One line per failed stage check ("stage: reason").
+  std::vector<std::string> failures;
+};
+
+/// Attribution report for one bundle: build/run identity, per-stage wall
+/// and pool accounting with its check, and the queue-wait / exec /
+/// commit-hold histograms.
+ReportResult render_report(const BundleData& bundle);
 
 struct DiffThresholds {
   /// Regression when a stage's wall time grows by at least this percent.

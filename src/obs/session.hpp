@@ -40,9 +40,9 @@ struct ObsOptions {
   std::string label = "run";
   /// Invoked by finalize() before the trace sink is uninstalled. The obs
   /// layer sits below the thread pool, so callers that fan work out set
-  /// this to ThreadPool::quiesce — otherwise a worker descheduled between
-  /// fulfilling a task's future and closing its span can lose that span
-  /// to the sink swap, orphaning the span's already-recorded children.
+  /// this to ThreadPool::quiesce, which keeps the written trace complete:
+  /// a worker descheduled between fulfilling a task's future and closing
+  /// its span would otherwise lose that span to the sink swap.
   std::function<void()> flush_hook;
 };
 

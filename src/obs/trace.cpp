@@ -156,8 +156,8 @@ bool TraceSink::write_chrome_json(const std::string& path) const {
     }
     // Complete events ("ph":"X") with microsecond timestamps, as expected
     // by chrome://tracing and Perfetto. The span id and parent edge ride
-    // in "args" so obs::attribution can rebuild the dependency graph from
-    // the exported file alone.
+    // in "args" so the dependency graph can be rebuilt from the exported
+    // file alone.
     os << "{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\""
        << json_escape(e.category.empty() ? "span" : e.category)
        << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":"

@@ -15,8 +15,8 @@
 // of its parent (0 = root). Within one thread the parent is the
 // lexically-enclosing open span; across threads the parent can be set
 // explicitly (ScopedSpan's third argument), which is how the thread pool
-// links a worker-side task span back to the span that submitted it — the
-// task-dependency edges that obs::attribution's critical-path pass walks.
+// links a worker-side task span back to the span that submitted it, so a
+// trace viewer can follow a pool task back to its stage.
 //
 // Counter events: trace_counter() appends an instantaneous sample (a
 // chrome "ph":"C" event), giving e.g. a busy-worker utilization timeline

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/error.hpp"
+
 namespace coloc {
 namespace {
 
@@ -66,6 +70,46 @@ TEST(Cli, FlagFollowedByFlagIsBoolean) {
   const auto args = make({"prog", "--a", "--b=2"});
   EXPECT_TRUE(args.get_bool("a", false));
   EXPECT_EQ(args.get_int("b", 0), 2);
+}
+
+/// Expects `read` to throw coloc::invalid_argument_error naming `flag`.
+template <typename Read>
+void expect_rejected(const char* flag, Read read) {
+  try {
+    read();
+    ADD_FAILURE() << "accepted";
+  } catch (const invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, IntRejectsAnythingButAWholeNonNegativeInteger) {
+  for (const char* bad : {"--count=abc", "--count=-1", "--count=2.5",
+                          "--count=", "--count=7x", "--count= 7",
+                          "--count=99999999999999999999", "--count"}) {
+    SCOPED_TRACE(bad);
+    const auto args = make({"prog", bad});
+    expect_rejected("--count", [&] { args.get_int("count", 3); });
+  }
+  EXPECT_EQ(make({"prog", "--count=0"}).get_int("count", 3), 0u);
+  EXPECT_EQ(make({"prog", "--count=18446744073709551615"}).get_int("count", 3),
+            18446744073709551615u);
+}
+
+TEST(Cli, DoubleRejectsPartialAndNonFiniteText) {
+  for (const char* bad : {"--ratio=abc", "--ratio=0.5x", "--ratio=",
+                          "--ratio= 0.5", "--ratio=nan", "--ratio=inf",
+                          "--ratio=-inf", "--ratio=1e999", "--ratio"}) {
+    SCOPED_TRACE(bad);
+    const auto args = make({"prog", bad});
+    expect_rejected("--ratio", [&] { args.get_double("ratio", 0.0); });
+  }
+  EXPECT_DOUBLE_EQ(make({"prog", "--ratio=-1.5"}).get_double("ratio", 0.0),
+                   -1.5);
+  EXPECT_DOUBLE_EQ(make({"prog", "--ratio=2e-3"}).get_double("ratio", 0.0),
+                   2e-3);
+  EXPECT_DOUBLE_EQ(make({"prog", "--ratio=3"}).get_double("ratio", 0.0), 3.0);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
-// Tests for the perf-attribution layer: span-graph construction with
-// cross-thread task-dependency edges (run under TSan in CI via the
-// test_obs binary), the critical-path pass, metrics/manifest round trips,
-// and the regression gate behind tools/obs_report.
+// Tests for the perf-attribution layer: metrics/manifest round trips, the
+// stage accounting check behind `obs_report BUNDLE` (including the tool's
+// exit status), and the regression gate behind `obs_report A B`.
+#include <sys/wait.h>
+
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,142 +15,12 @@
 #include "obs/attribution.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace {
 
 using namespace coloc;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-obs::TraceEvent span_event(std::uint64_t id, std::uint64_t parent,
-                           const char* name, std::uint64_t start_ns,
-                           std::uint64_t duration_ns) {
-  obs::TraceEvent e;
-  e.name = name;
-  e.category = "test";
-  e.kind = obs::TraceEvent::Kind::kSpan;
-  e.id = id;
-  e.parent_id = parent;
-  e.start_ns = start_ns;
-  e.duration_ns = duration_ns;
-  return e;
-}
-
-TEST(SpanGraph, ConcurrentSpanEmissionResolvesAllEdges) {
-  obs::TraceSink sink;
-  sink.install();
-  constexpr int kThreads = 8;
-  constexpr int kSpansPerThread = 25;
-  {
-    obs::ScopedSpan root("stage", "test");
-    const std::uint64_t root_id = obs::current_span_id();
-    ASSERT_NE(root_id, 0u);
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([root_id] {
-        for (int i = 0; i < kSpansPerThread; ++i) {
-          // The cross-thread dependency edge the thread pool records: the
-          // submitting span's id captured at enqueue time.
-          obs::ScopedSpan task("task", "test", root_id);
-          // And a lexically nested child on the worker thread.
-          obs::ScopedSpan sub("subtask", "test");
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-  }
-  obs::TraceSink::uninstall();
-
-  const obs::SpanGraph graph = obs::SpanGraph::build(sink.events());
-  EXPECT_EQ(graph.orphaned_edges, 0u);
-  ASSERT_EQ(graph.spans.size(), 1u + 2u * kThreads * kSpansPerThread);
-
-  const obs::Span* root = graph.find_by_name("stage");
-  ASSERT_NE(root, nullptr);
-  EXPECT_EQ(root->parent_id, 0u);
-  EXPECT_EQ(graph.children_of(root->id).size(),
-            static_cast<std::size_t>(kThreads) * kSpansPerThread);
-
-  // Every subtask parents some task span (same-thread lexical nesting
-  // survives the cross-thread explicit parent of its enclosing task).
-  std::size_t subtasks = 0;
-  for (const obs::Span& s : graph.spans) {
-    if (s.name != "subtask") continue;
-    ++subtasks;
-    bool parent_is_task = false;
-    for (const obs::Span& p : graph.spans) {
-      if (p.id == s.parent_id) {
-        parent_is_task = p.name == "task";
-        break;
-      }
-    }
-    EXPECT_TRUE(parent_is_task) << "subtask " << s.id << " parent "
-                                << s.parent_id;
-  }
-  EXPECT_EQ(subtasks, static_cast<std::size_t>(kThreads) * kSpansPerThread);
-}
-
-TEST(SpanGraph, CountsUnresolvableParentsAsOrphans) {
-  std::vector<obs::TraceEvent> events;
-  events.push_back(span_event(1, 0, "root", 0, 100));
-  events.push_back(span_event(2, 1, "child", 10, 20));
-  events.push_back(span_event(3, 999, "stray", 40, 20));  // parent missing
-  const obs::SpanGraph graph = obs::SpanGraph::build(events);
-  EXPECT_EQ(graph.orphaned_edges, 1u);
-}
-
-TEST(CriticalPath, PicksHeaviestDependentChain) {
-  // stage [0, 100ms); A [0, 40ms) then B [50ms, 90ms) chain to 80ms,
-  // beating the single 65ms span C that overlaps both.
-  std::vector<obs::TraceEvent> events;
-  events.push_back(span_event(1, 0, "stage", 0, 100'000'000));
-  events.push_back(span_event(2, 1, "A", 0, 40'000'000));
-  events.push_back(span_event(3, 1, "B", 50'000'000, 40'000'000));
-  events.push_back(span_event(4, 1, "C", 10'000'000, 65'000'000));
-  const obs::CriticalPathResult cp =
-      obs::CriticalPath::analyze(obs::SpanGraph::build(events), "stage");
-  ASSERT_TRUE(cp.found);
-  EXPECT_EQ(cp.tasks, 3u);
-  EXPECT_NEAR(cp.wall_seconds, 0.100, 1e-12);
-  EXPECT_NEAR(cp.critical_path_seconds, 0.080, 1e-12);
-  EXPECT_NEAR(cp.parallel_overhead_seconds, 0.020, 1e-12);
-  EXPECT_EQ(cp.chain_length, 2u);
-  EXPECT_NEAR(cp.coverage, 1.45, 1e-12);
-}
-
-TEST(CriticalPath, SerialChildrenExplainTheEntireWall) {
-  std::vector<obs::TraceEvent> events;
-  events.push_back(span_event(1, 0, "stage", 0, 100'000'000));
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    events.push_back(span_event(2 + i, 1, "cell", i * 25'000'000,
-                                25'000'000));
-  }
-  const obs::CriticalPathResult cp =
-      obs::CriticalPath::analyze(obs::SpanGraph::build(events), "stage");
-  ASSERT_TRUE(cp.found);
-  EXPECT_EQ(cp.chain_length, 4u);
-  EXPECT_NEAR(cp.critical_path_seconds, cp.wall_seconds, 1e-12);
-  EXPECT_NEAR(cp.parallel_overhead_seconds, 0.0, 1e-12);
-}
-
-TEST(CriticalPath, MissingRootReportsNotFound) {
-  const obs::CriticalPathResult cp =
-      obs::CriticalPath::analyze(obs::SpanGraph{}, "stage");
-  EXPECT_FALSE(cp.found);
-  EXPECT_EQ(cp.critical_path_seconds, 0.0);
-}
-
-TEST(CriticalPath, ChildlessRootIsItsOwnChain) {
-  std::vector<obs::TraceEvent> events;
-  events.push_back(span_event(1, 0, "stage", 0, 42'000'000));
-  const obs::CriticalPathResult cp =
-      obs::CriticalPath::analyze(obs::SpanGraph::build(events), "stage");
-  ASSERT_TRUE(cp.found);
-  EXPECT_EQ(cp.chain_length, 1u);
-  EXPECT_NEAR(cp.critical_path_seconds, 0.042, 1e-12);
-}
 
 TEST(HistogramStats, QuantilesAccumulatePerBucketCounts) {
   obs::HistogramStats h;
@@ -177,14 +49,16 @@ TEST(MetricsDoc, RoundTripsThroughJsonExport) {
   ASSERT_TRUE(obs::write_metrics_file(registry.snapshot(), path));
 
   const obs::MetricsDoc doc = obs::MetricsDoc::load_file(path);
-  EXPECT_DOUBLE_EQ(doc.value_or("tasks_total", {}, -1.0), 3.0);
-  EXPECT_DOUBLE_EQ(doc.value_or("stage_pool_utilization",
-                                {{"stage", "campaign"}}, -1.0),
-                   0.75);
+  const obs::MetricEntry* tasks = doc.find("tasks_total");
+  ASSERT_NE(tasks, nullptr);
+  EXPECT_DOUBLE_EQ(tasks->value, 3.0);
+  const obs::MetricEntry* util =
+      doc.find("stage_pool_utilization", {{"stage", "campaign"}});
+  ASSERT_NE(util, nullptr);
+  EXPECT_DOUBLE_EQ(util->value, 0.75);
   // Label-subset match must not cross label values.
-  EXPECT_DOUBLE_EQ(doc.value_or("stage_pool_utilization",
-                                {{"stage", "validation"}}, -1.0),
-                   -1.0);
+  EXPECT_EQ(doc.find("stage_pool_utilization", {{"stage", "validation"}}),
+            nullptr);
   const obs::MetricEntry* q = doc.find("pool_queue_wait_seconds");
   ASSERT_NE(q, nullptr);
   EXPECT_EQ(q->type, "histogram");
@@ -349,38 +223,168 @@ TEST(DiffBundles, TrainGemmSumRegressionTrips) {
   EXPECT_FALSE(obs::diff_bundles(untrained, current).regression);
 }
 
-TEST(BundleData, LoadsFromDiskWithoutATrace) {
-  const std::string dir = testing::TempDir() + "coloc_attribution_bundle";
+/// Writes `registry` as a bundle (metrics.json + manifest.json, stages
+/// harvested from its stage_wall_seconds gauges) into a fresh temp
+/// directory and returns the directory.
+std::string write_bundle(const obs::Registry& registry,
+                         const std::string& name) {
+  const std::string dir = testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-
-  obs::Registry registry;
-  registry.gauge("stage_wall_seconds", {{"stage", "campaign"}}).set(2.5);
-  registry.gauge("stage_pool_workers", {{"stage", "campaign"}}).set(2);
-  registry.gauge("stage_pool_busy_seconds", {{"stage", "campaign"}}).set(4.0);
-  registry.gauge("stage_pool_idle_seconds", {{"stage", "campaign"}}).set(1.0);
-  registry.gauge("stage_pool_utilization", {{"stage", "campaign"}}).set(0.8);
   const obs::MetricsSnapshot snapshot = registry.snapshot();
-  ASSERT_TRUE(obs::write_metrics_file(snapshot, dir + "/metrics.json"));
-
+  EXPECT_TRUE(obs::write_metrics_file(snapshot, dir + "/metrics.json"));
   obs::ManifestInfo info;
   info.program = "test_bench";
-  ASSERT_TRUE(
-      obs::Manifest::collect(info, snapshot, 5.0).write(dir + "/manifest.json"));
+  EXPECT_TRUE(obs::Manifest::collect(info, snapshot, 5.0)
+                  .write(dir + "/manifest.json"));
+  return dir;
+}
+
+/// Exit status of tools/obs_report run on one bundle directory.
+int obs_report_exit_status(const std::string& dir) {
+  const std::string command =
+      std::string(COLOC_OBS_REPORT) + " " + dir + " > /dev/null";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(BundleData, LoadsFromDiskWithoutATrace) {
+  obs::Registry registry;
+  const obs::Labels labels = {{"stage", "campaign"}};
+  registry.gauge("stage_wall_seconds", labels).set(2.5);
+  registry.gauge("stage_pool_workers", labels).set(2);
+  registry.gauge("stage_pool_wall_seconds", labels).set(2.5);
+  registry.gauge("stage_pool_busy_seconds", labels).set(4.0);
+  registry.gauge("stage_pool_idle_seconds", labels).set(1.0);
+  registry.gauge("stage_pool_wait_seconds", labels).set(0.25);
+  registry.gauge("stage_pool_utilization", labels).set(0.8);
+  const std::string dir = write_bundle(registry, "coloc_attribution_bundle");
 
   const obs::BundleData bundle = obs::BundleData::load(dir);
-  EXPECT_FALSE(bundle.has_trace);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/trace.json"));
   EXPECT_EQ(bundle.manifest.info.program, "test_bench");
   EXPECT_DOUBLE_EQ(bundle.manifest.stage_wall("campaign"), 2.5);
 
-  const std::string report = obs::render_report(bundle);
-  EXPECT_NE(report.find("== stages =="), std::string::npos);
-  EXPECT_NE(report.find("campaign"), std::string::npos);
-  EXPECT_NE(report.find("utilization 80%"), std::string::npos);
+  const obs::ReportResult report = obs::render_report(bundle);
+  EXPECT_NE(report.text.find("== stages =="), std::string::npos);
+  EXPECT_NE(report.text.find("campaign"), std::string::npos);
+  EXPECT_NE(report.text.find("utilization 80%"), std::string::npos);
+  EXPECT_TRUE(report.failures.empty());
 
   // Loading via the manifest path directly lands in the same bundle.
   const obs::BundleData via_manifest =
       obs::BundleData::load(dir + "/manifest.json");
   EXPECT_EQ(via_manifest.manifest.info.program, "test_bench");
+}
+
+/// One 2.5 s campaign stage whose 2-worker pool call balances:
+/// 2 x 2.0 s = busy 3.5 s + idle 0.5 s (wait 0.1 s + tail 0.4 s).
+struct StageGauges {
+  double stage_wall = 2.5;
+  double call_wall = 2.0;
+  double busy = 3.5;
+  double idle = 0.5;
+  bool with_idle = true;
+};
+
+std::string write_stage_bundle(const std::string& name,
+                               const StageGauges& g) {
+  obs::Registry registry;
+  const obs::Labels labels = {{"stage", "campaign"}};
+  registry.gauge("stage_wall_seconds", labels).set(g.stage_wall);
+  registry.gauge("stage_pool_workers", labels).set(2);
+  registry.gauge("stage_pool_wall_seconds", labels).set(g.call_wall);
+  registry.gauge("stage_pool_busy_seconds", labels).set(g.busy);
+  if (g.with_idle) {
+    registry.gauge("stage_pool_idle_seconds", labels).set(g.idle);
+  }
+  registry.gauge("stage_pool_wait_seconds", labels).set(0.1);
+  registry.gauge("stage_pool_utilization", labels)
+      .set(g.busy / (g.busy + g.idle));
+  // A stage without a pool call is reported, never checked.
+  registry.gauge("stage_wall_seconds", {{"stage", "supervisor"}}).set(0.25);
+  return write_bundle(registry, name);
+}
+
+TEST(StageAccounting, BalancedGaugesPass) {
+  const std::string dir =
+      write_stage_bundle("coloc_accounting_balanced", StageGauges{});
+  const obs::BundleData bundle = obs::BundleData::load(dir);
+  const std::vector<obs::StageAccounting> stages =
+      obs::account_stages(bundle);
+  ASSERT_EQ(stages.size(), 2u);
+  const obs::StageAccounting& campaign = stages[0];
+  EXPECT_EQ(campaign.stage, "campaign");
+  EXPECT_TRUE(campaign.pooled);
+  EXPECT_TRUE(campaign.failures.empty());
+  EXPECT_NEAR(campaign.outside_seconds(), 0.5, 1e-12);
+  EXPECT_NEAR(campaign.capacity_seconds(), 4.0, 1e-12);
+  EXPECT_NEAR(campaign.tail_seconds(), 0.4, 1e-12);
+  EXPECT_NEAR(campaign.residual_seconds(), 0.0, 1e-12);
+  EXPECT_EQ(stages[1].stage, "supervisor");
+  EXPECT_FALSE(stages[1].pooled);
+  EXPECT_TRUE(stages[1].failures.empty());
+
+  const obs::ReportResult report = obs::render_report(bundle);
+  EXPECT_TRUE(report.failures.empty());
+  EXPECT_NE(report.text.find("campaign: wall 2.500 s = pool call 2.000 s + "
+                             "outside 500.000 ms"),
+            std::string::npos)
+      << report.text;
+  EXPECT_NE(report.text.find("2 workers x 2.000 s = busy 3.500 s + idle "
+                             "500.000 ms (wait 100.000 ms + tail 400.000 "
+                             "ms) + residual 0.0 us"),
+            std::string::npos)
+      << report.text;
+  EXPECT_NE(report.text.find("supervisor: wall 250.000 ms (no pool call)"),
+            std::string::npos);
+  EXPECT_EQ(obs_report_exit_status(dir), 0);
+}
+
+TEST(StageAccounting, MissingIdleGaugeFailsAndObsReportExitsTwo) {
+  StageGauges gauges;
+  gauges.with_idle = false;
+  const std::string dir =
+      write_stage_bundle("coloc_accounting_no_idle", gauges);
+  const obs::ReportResult report =
+      obs::render_report(obs::BundleData::load(dir));
+  ASSERT_FALSE(report.failures.empty());
+  EXPECT_NE(report.failures[0].find("missing stage_pool_idle_seconds"),
+            std::string::npos)
+      << report.failures[0];
+  EXPECT_EQ(obs_report_exit_status(dir), 2);
+}
+
+TEST(StageAccounting, PoolCallLongerThanItsStageFails) {
+  StageGauges gauges;
+  gauges.call_wall = 2.6;  // 2 x 2.6 s = busy 4.7 s + idle 0.5 s
+  gauges.busy = 4.7;
+  const std::vector<obs::StageAccounting> stages = obs::account_stages(
+      obs::BundleData::load(write_stage_bundle("coloc_accounting_long_call",
+                                               gauges)));
+  ASSERT_EQ(stages[0].failures.size(), 1u);
+  EXPECT_NE(stages[0].failures[0].find("outlasts"), std::string::npos)
+      << stages[0].failures[0];
+}
+
+TEST(StageAccounting, DroppedTailFails) {
+  // Idle booked as the start delay alone: the 0.4 s tail surfaces as
+  // residual, ten times the 40 ms tolerance of a 4 s capacity.
+  StageGauges gauges;
+  gauges.idle = 0.1;
+  const std::vector<obs::StageAccounting> stages = obs::account_stages(
+      obs::BundleData::load(write_stage_bundle("coloc_accounting_no_tail",
+                                               gauges)));
+  EXPECT_NEAR(stages[0].residual_seconds(), 0.4, 1e-12);
+  ASSERT_EQ(stages[0].failures.size(), 1u);
+  EXPECT_NE(stages[0].failures[0].find("residual"), std::string::npos)
+      << stages[0].failures[0];
+}
+
+TEST(StageAccounting, ToleranceIsOneMillisecondOrOnePercentOfCapacity) {
+  EXPECT_DOUBLE_EQ(obs::residual_tolerance(0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(obs::residual_tolerance(0.05), 1e-3);
+  EXPECT_DOUBLE_EQ(obs::residual_tolerance(4.0), 0.04);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -187,6 +188,63 @@ TEST(ScopedSpan, ExplicitParentLinksAcrossThreads) {
   EXPECT_EQ(submit.parent_id, 0u);
   EXPECT_EQ(task.parent_id, submit.id);
   EXPECT_NE(task.tid, submit.tid);
+}
+
+TEST(TraceSink, ConcurrentSpanEmissionResolvesAllEdges) {
+  TraceSink sink;
+  sink.install();
+  constexpr int kThreads = 8;
+  constexpr int kSpansPerThread = 25;
+  std::uint64_t root_id = 0;
+  {
+    ScopedSpan root("stage", "test");
+    root_id = current_span_id();
+    ASSERT_NE(root_id, 0u);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([root_id] {
+        for (int i = 0; i < kSpansPerThread; ++i) {
+          // The cross-thread edge the thread pool records: the submitting
+          // span's id, captured before the fan-out.
+          ScopedSpan task("task", "test", root_id);
+          // And a lexically nested child on the worker thread.
+          ScopedSpan sub("subtask", "test");
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  TraceSink::uninstall();
+
+  const std::vector<TraceEvent> events = sink.events();
+  constexpr std::size_t kTasks =
+      static_cast<std::size_t>(kThreads) * kSpansPerThread;
+  ASSERT_EQ(events.size(), 1u + 2u * kTasks);
+  std::map<std::uint64_t, const TraceEvent*> by_id;
+  for (const TraceEvent& e : events) {
+    EXPECT_TRUE(by_id.emplace(e.id, &e).second) << "duplicate id " << e.id;
+  }
+  std::size_t root_children = 0;
+  std::size_t subtasks = 0;
+  for (const TraceEvent& e : events) {
+    if (e.parent_id == 0) {
+      EXPECT_EQ(e.id, root_id) << e.name << " has no parent";
+      continue;
+    }
+    const auto parent = by_id.find(e.parent_id);
+    ASSERT_NE(parent, by_id.end())
+        << e.name << " " << e.id << " parent " << e.parent_id;
+    if (e.parent_id == root_id) ++root_children;
+    if (e.name == "subtask") {
+      // Same-thread lexical nesting survives the cross-thread explicit
+      // parent of the enclosing task.
+      ++subtasks;
+      EXPECT_EQ(parent->second->name, "task") << "subtask " << e.id;
+    }
+  }
+  EXPECT_EQ(root_children, kTasks);
+  EXPECT_EQ(subtasks, kTasks);
 }
 
 TEST(CurrentSpanId, ZeroOutsideAnySpan) {

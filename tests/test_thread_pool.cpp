@@ -4,10 +4,13 @@
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "obs/attribution.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <optional>
@@ -130,6 +133,57 @@ TEST(ParallelFor, CapOneRunsEveryIndexOnTheCallingThreadInOrder) {
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
   EXPECT_EQ(stats.workers, 1u);
+}
+
+TEST(ParallelFor, MeasuresIdleFromItsRunnersClocks) {
+  // Two runners, two chunks of unequal length: the runner that finishes
+  // first sits idle until the call ends, and that tail must be measured
+  // idle, not an unaccounted remainder of workers x wall.
+  ThreadPool pool(2);
+  const std::array<std::chrono::milliseconds, 2> sleeps = {
+      std::chrono::milliseconds(100), std::chrono::milliseconds(300)};
+  std::array<double, 2> slept{};
+  const PoolStats stats = parallel_for(
+      pool, sleeps.size(),
+      [&](std::size_t i) {
+        const auto start = std::chrono::steady_clock::now();
+        std::this_thread::sleep_for(sleeps[i]);
+        slept[i] = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+      },
+      1, 2);
+  ASSERT_EQ(stats.workers, 2u);
+  EXPECT_EQ(stats.tasks, 2u);
+  // A chunk's own bookkeeping (its span and counter updates) is busy time
+  // the body's clock does not see; allow for it and for a preempted
+  // runner on a loaded host.
+  constexpr double kSlack = 10e-3;
+  const double slept_total = slept[0] + slept[1];
+  EXPECT_GE(stats.busy_seconds, slept_total);
+  EXPECT_LE(stats.busy_seconds, slept_total + kSlack);
+  EXPECT_GE(stats.idle_seconds + kSlack, std::abs(slept[1] - slept[0]));
+  EXPECT_GE(stats.wait_seconds, 0.0);
+  EXPECT_LE(stats.wait_seconds, stats.idle_seconds);
+  EXPECT_GE(stats.wall_seconds, std::max(slept[0], slept[1]));
+  const double capacity = 2.0 * stats.wall_seconds;
+  EXPECT_LE(std::abs(capacity - stats.busy_seconds - stats.idle_seconds),
+            obs::residual_tolerance(capacity));
+}
+
+TEST(ParallelFor, InlineCallIsOneWorkerBusyForItsWholeWall) {
+  ThreadPool pool(4);
+  const PoolStats stats = parallel_for(
+      pool, 3,
+      [](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      },
+      0, 1);
+  EXPECT_EQ(stats.workers, 1u);
+  EXPECT_GE(stats.wall_seconds, 0.006);
+  EXPECT_DOUBLE_EQ(stats.busy_seconds, stats.wall_seconds);
+  EXPECT_DOUBLE_EQ(stats.wait_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(stats.idle_seconds, 0.0);
 }
 
 TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {

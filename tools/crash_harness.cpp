@@ -436,10 +436,8 @@ int main(int argc, char** argv) {
       return run_pipeline(dir, args.get_bool("resume", false));
     }
     if (mode == "harness") {
-      const std::size_t kills =
-          static_cast<std::size_t>(args.get_int("kills", 25));
-      const std::uint64_t seed =
-          static_cast<std::uint64_t>(args.get_int("seed", 1234));
+      const std::size_t kills = args.get_int("kills", 25);
+      const std::uint64_t seed = args.get_int("seed", 1234);
       return run_harness(self_executable(argv[0]), dir, kills, seed,
                          args.get_bool("verbose", false));
     }

@@ -2,9 +2,11 @@
 //
 //   obs_report RUN_DIR
 //       Print a human-readable attribution report for one bundle
-//       (manifest.json + metrics.json [+ trace.json]): per-stage wall and
-//       pool accounting, queue-wait / execution / commit-hold histograms,
-//       and the per-stage critical path when a trace is present.
+//       (manifest.json + metrics.json): per-stage wall and measured pool
+//       accounting, and queue-wait / execution / commit-hold histograms.
+//       Exits 2 when a stage's accounting fails its check (a pool call
+//       longer than its stage, a residual beyond tolerance, or a missing
+//       pool gauge; see obs/attribution.hpp), 0 otherwise.
 //
 //   obs_report BASELINE_DIR CURRENT_DIR
 //   obs_report --gate BASELINE_DIR CURRENT_DIR
@@ -37,7 +39,8 @@ int usage(const char* program) {
       "usage: %s [--gate] [--stage-wall-pct=N] [--queue-wait-p99-pct=N] "
       "[--predict-p99-pct=N] [--train-gemm-pct=N] "
       "BUNDLE_DIR [BASELINE_IS_FIRST_CURRENT_DIR]\n"
-      "  one bundle dir: attribution report\n"
+      "  one bundle dir: attribution report (exit 2 on an accounting "
+      "gap)\n"
       "  two bundle dirs: baseline-vs-current diff (exit 2 on regression)\n",
       program);
   return 64;  // EX_USAGE
@@ -61,9 +64,10 @@ int main(int argc, char** argv) {
 
   try {
     if (bundles.size() == 1) {
-      const obs::BundleData bundle = obs::BundleData::load(bundles[0]);
-      std::fputs(obs::render_report(bundle).c_str(), stdout);
-      return 0;
+      const obs::ReportResult report =
+          obs::render_report(obs::BundleData::load(bundles[0]));
+      std::fputs(report.text.c_str(), stdout);
+      return report.failures.empty() ? 0 : 2;
     }
 
     obs::DiffThresholds thresholds;

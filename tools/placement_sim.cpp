@@ -42,22 +42,23 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
 
   std::size_t jobs = 0;
-  const std::size_t nodes =
-      static_cast<std::size_t>(args.get_int("nodes", 64));
-  const std::size_t arrivals =
-      static_cast<std::size_t>(args.get_int("arrivals", 50'000));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 7));
+  std::size_t nodes = 64;
+  std::size_t arrivals = 50'000;
+  std::uint64_t seed = 7;
   // Target core utilization for the arrival rate. Computed from run-alone
   // service times, so the ~1.3-1.5x co-location slowdown inflates the
   // effective load: 0.5 keeps the fleet busy but un-saturated — the regime
   // where placement choice matters (a saturated fleet has no choices).
-  const double utilization = args.get_double("utilization", 0.5);
+  double utilization = 0.5;
   const std::string zoo_in = args.get("zoo-in", "");
 
   std::vector<sched::PlacementPolicy> policies;
   obs::ObsOptions obs_options;
   try {
+    nodes = args.get_int("nodes", nodes);
+    arrivals = args.get_int("arrivals", arrivals);
+    seed = args.get_int("seed", seed);
+    utilization = args.get_double("utilization", utilization);
     jobs = apply_jobs_flag(args);
     obs_options.manifest.jobs = jobs != 0 ? jobs : configured_jobs();
     const std::string token = args.get("policy", "all");
