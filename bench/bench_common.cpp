@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <filesystem>
 #include <sstream>
-#include <system_error>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -30,8 +28,6 @@ HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
   config.seed = args.get_int("seed", config.seed);
   config.quick = args.get_bool("quick", false);
   config.jobs = apply_jobs_flag(args);
-  config.metrics_out = args.get("metrics-out", "");
-  config.trace_out = args.get("trace-out", "");
   config.bundle_out = args.get("bundle-out", "");
   config.fault_rate = args.get_double("fault-rate", config.fault_rate);
   if (args.has("fault-rate")) {
@@ -73,21 +69,7 @@ HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
 
 obs::ObsOptions HarnessConfig::run_session() const {
   obs::ObsOptions options;
-  options.metrics_out = metrics_out;
-  options.trace_out = trace_out;
-  if (!bundle_out.empty()) {
-    // A bundle is the self-describing trio obs_report consumes; it takes
-    // precedence over the individual output flags.
-    std::error_code ec;
-    std::filesystem::create_directories(bundle_out, ec);
-    if (ec) {
-      std::fprintf(stderr, "[bench] cannot create bundle dir %s: %s\n",
-                   bundle_out.c_str(), ec.message().c_str());
-    }
-    options.metrics_out = bundle_out + "/metrics.json";
-    options.trace_out = bundle_out + "/trace.json";
-    options.manifest_out = bundle_out + "/manifest.json";
-  }
+  options.bundle_dir = bundle_out;
   options.report_resources = true;
   options.label = program;
   options.manifest.program = program;

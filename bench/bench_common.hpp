@@ -15,11 +15,10 @@
 //   --sweep-scale=N     multiply the campaign sweep N-fold (cloned targets)
 //   --jobs-sweep=LIST   comma-separated jobs values to re-run the campaign
 //                       at (bench_perf_pipeline; emits jobs_scaling JSON)
-//   --metrics-out=FILE  write a metrics snapshot at exit (.json or text)
-//   --trace-out=FILE    write a chrome://tracing span file (+ CSV twin)
-//   --bundle-out=DIR    write a full run bundle: DIR/manifest.json +
+//   --bundle-out=DIR    write the run bundle: DIR/manifest.json +
 //                       DIR/metrics.json + DIR/trace.json (consumed by
-//                       tools/obs_report; overrides the two flags above)
+//                       tools/obs_report; a DIR that cannot be created
+//                       exits 2 before the run)
 //
 // Robustness flags (see the Robustness section in README.md):
 //   --fault-rate=P      inject faults at rate P (overrides COLOC_FAULT_RATE)
@@ -28,10 +27,10 @@
 //   --resume            load the checkpoint and skip measured cells
 //
 // Every bench main runs its body through run_main(), which turns a
-// malformed flag into a message and exit status 2, and holds one
-// obs::ObsSession built from run_session(); besides honoring the flags
-// above it prints a machine-readable "total_wall_time_s=... peak_rss_mb=..."
-// cost line when the run ends.
+// malformed flag or an uncreatable bundle directory into a message and
+// exit status 2, and holds one obs::ObsSession built from run_session();
+// besides writing the bundle it prints a machine-readable
+// "total_wall_time_s=... peak_rss_mb=..." cost line when the run ends.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +57,7 @@ struct HarnessConfig {
   /// 0 = auto (COLOC_JOBS env, else every hardware thread). A non-zero
   /// value also becomes the process-wide coloc::configured_jobs().
   std::size_t jobs = 0;
-  std::string metrics_out;  // --metrics-out
-  std::string trace_out;    // --trace-out
-  std::string bundle_out;   // --bundle-out (bundle dir; wins over both)
+  std::string bundle_out;  // --bundle-out (run-bundle directory)
   std::string program = "bench";
   double fault_rate = -1.0;  // --fault-rate; < 0 defers to COLOC_FAULT_RATE
   std::string fault_kinds;   // --fault-kinds; "" defers to COLOC_FAULT_KINDS
@@ -99,10 +96,11 @@ struct HarnessConfig {
 };
 
 /// A bench main: runs `body` on the parsed command line and returns its
-/// status. A malformed flag (coloc::invalid_argument_error, from
-/// HarnessConfig::from_cli or a bench-local read) prints
-/// "<program>: <message>" on stderr and returns 2 instead of ending in
-/// std::terminate; other exceptions propagate.
+/// status. A malformed flag or an uncreatable bundle directory
+/// (coloc::invalid_argument_error, from HarnessConfig::from_cli, a
+/// bench-local read or the obs::ObsSession) prints "<program>: <message>"
+/// on stderr and returns 2 instead of ending in std::terminate; other
+/// exceptions propagate.
 int run_main(int argc, char** argv, int (*body)(const CliArgs& args));
 
 /// One machine's full pipeline: MRC profiling, Table V campaign, and the

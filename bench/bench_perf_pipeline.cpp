@@ -36,8 +36,8 @@
 // measures the scheduler and the zoo_parallel_bit_identical gate polices
 // its bit-identity. The JSON also records a "training" block
 // (scg_fused_restarts_total, train_gemm_seconds sum/count, design-memo
-// hits/misses) mirroring the manifest's training attribution section that
-// obs_report --gate consumes.
+// hits/misses) read from the same registry instruments a --bundle-out
+// bundle's metrics.json holds.
 //
 // Scale knobs: --sweep-scale=N clones every campaign target N-fold, pushing
 // the sweep to 10-100x the paper's cell count; --jobs-sweep=1,2,4,8 re-runs

@@ -9,11 +9,10 @@
 //
 // Build & run:  ./build/examples/quickstart
 //
-// Observability flags (see the Observability section in README.md):
-//   --metrics-out m.json   dump the metrics registry at exit
-//   --trace-out t.json     dump spans for chrome://tracing (+ t.csv)
+// Observability flag (see the Observability section in README.md):
 //   --bundle-out DIR       write DIR/{manifest,metrics,trace}.json for
-//                          tools/obs_report (overrides the two above)
+//                          tools/obs_report (a DIR that cannot be created
+//                          exits 2 before the run)
 //
 // Performance flags (see the Performance section in README.md):
 //   --jobs=N               most worker threads for the campaign +
@@ -39,8 +38,7 @@
 //                          missing entries are retrained on the spot) and
 //                          predict with its nn-F model instead of training
 #include <cstdio>
-#include <filesystem>
-#include <system_error>
+#include <optional>
 #include <utility>
 
 #include "common/cli.hpp"
@@ -57,10 +55,11 @@
 int main(int argc, char** argv) {
   using namespace coloc;
 
-  // Every flag is read up front: a malformed one exits 2 before any work.
-  // Faults come from COLOC_FAULT_* (chaos CI) or --fault-rate; with the
-  // default rate of zero the injector is a pass-through and the run is
-  // numerically identical to an unwrapped sweep.
+  // Every flag is read up front: a malformed one (or a bundle directory
+  // that cannot be created) exits 2 before any work. Faults come from
+  // COLOC_FAULT_* (chaos CI) or --fault-rate; with the default rate of
+  // zero the injector is a pass-through and the run is numerically
+  // identical to an unwrapped sweep.
   const CliArgs args(argc, argv);
   std::size_t jobs = 0;
   obs::ObsOptions obs_options;
@@ -68,6 +67,7 @@ int main(int argc, char** argv) {
   core::CampaignRobustness robustness;
   std::size_t restarts = 1;
   std::size_t partitions = 10;
+  std::optional<obs::ObsSession> session;
   try {
     jobs = apply_jobs_flag(args);
     obs_options.manifest.jobs = jobs != 0 ? jobs : configured_jobs();
@@ -89,27 +89,19 @@ int main(int argc, char** argv) {
                                    std::to_string(restarts));
     }
     partitions = args.get_int("partitions", partitions);
+    obs_options.bundle_dir = args.get("bundle-out", "");
+    obs_options.label = "quickstart";
+    obs_options.manifest.program = "quickstart";
+    obs_options.manifest.machine_preset = "xeon_e5649";
+    obs_options.manifest.fault_rate = fault_config.rate;
+    // Let workers retire their open spans before the session writes the
+    // trace; see ObsOptions::flush_hook.
+    obs_options.flush_hook = [] { global_pool().quiesce(); };
+    session.emplace(std::move(obs_options));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "quickstart: %s\n", e.what());
     return 2;
   }
-  obs_options.metrics_out = args.get("metrics-out", "");
-  obs_options.trace_out = args.get("trace-out", "");
-  if (const std::string bundle = args.get("bundle-out", ""); !bundle.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(bundle, ec);
-    obs_options.metrics_out = bundle + "/metrics.json";
-    obs_options.trace_out = bundle + "/trace.json";
-    obs_options.manifest_out = bundle + "/manifest.json";
-  }
-  obs_options.label = "quickstart";
-  obs_options.manifest.program = "quickstart";
-  obs_options.manifest.machine_preset = "xeon_e5649";
-  obs_options.manifest.fault_rate = fault_config.rate;
-  // Let workers retire their open spans before the session writes the
-  // trace; see ObsOptions::flush_hook.
-  obs_options.flush_hook = [] { global_pool().quiesce(); };
-  const obs::ObsSession session(obs_options);
 
   // 1. The machine: the paper's 6-core Xeon E5649 preset.
   const sim::MachineConfig machine = sim::xeon_e5649();

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "obs/attribution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -186,6 +188,16 @@ void export_stage_pool_gauges(const std::string& stage, const PoolStats& s) {
   registry.gauge("stage_pool_workers", labels)
       .set(static_cast<double>(s.workers));
   registry.gauge("stage_pool_utilization", labels).set(s.utilization());
+  // The gauges keep only the last call, so every call's balance is checked
+  // here. The counter is registered even at 0: a bundle without it was
+  // written by a build that did not check.
+  const double capacity = static_cast<double>(s.workers) * s.wall_seconds;
+  const double residual = capacity - s.busy_seconds - s.idle_seconds;
+  obs::Counter& unbalanced =
+      registry.counter("stage_pool_unbalanced_calls_total", labels);
+  if (std::abs(residual) > obs::residual_tolerance(capacity)) {
+    unbalanced.inc();
+  }
 }
 
 PoolStats parallel_for(ThreadPool& pool, std::size_t n,

@@ -145,8 +145,11 @@ class ThreadPool {
 /// delay), stage_pool_wall_seconds (the call's wall), stage_pool_workers
 /// and stage_pool_utilization. Orchestrators call this with the PoolStats
 /// their parallel_for call returned, so per-stage numbers are not polluted
-/// by idle time the shared pool accrues during other stages; obs_report
-/// checks each stage's gauges against its wall (obs/attribution).
+/// by idle time the shared pool accrues during other stages. The gauges
+/// hold the last call; every call is checked here instead: one whose
+/// |workers x wall - busy - idle| exceeds obs::residual_tolerance bumps
+/// stage_pool_unbalanced_calls_total{stage} (registered at 0 on every
+/// call), which obs_report fails on (obs/attribution).
 void export_stage_pool_gauges(const std::string& stage, const PoolStats& s);
 
 /// Runs body(i) for i in [0, n) across the pool, blocking until all

@@ -175,9 +175,8 @@ const char* to_string(StageOutcome outcome) {
 }
 
 PipelineSupervisor::PipelineSupervisor(Options options)
-    : files_(options.files != nullptr ? *options.files
-                                      : store::FileOps::real()),
-      journal_(store::FileOps::real(), options.journal_path, options.resume),
+    : files_(store::FileOps::real()),
+      journal_(files_, options.journal_path, options.resume),
       resume_(options.resume), handle_signals_(options.handle_signals) {
   if (handle_signals_) {
     old_term_ = std::signal(SIGTERM, stop_signal_handler);

@@ -103,10 +103,6 @@ class PipelineSupervisor {
   struct Options {
     std::string journal_path;
     bool resume = false;
-    /// Storage seam; defaults to the real filesystem. The journal itself
-    /// always uses the real filesystem — a fault-injected journal cannot
-    /// supervise recovery from the faults it injects.
-    store::FileOps* files = nullptr;
     /// Install SIGTERM/SIGINT handlers that request a clean stop.
     bool handle_signals = false;
   };

@@ -101,7 +101,7 @@ class FaultPlan {
   std::vector<FaultKind> enabled_kinds_;
 };
 
-// Plumbing shared by FaultPlan, StorageFaultPlan and RetryPolicy::from_env.
+// Plumbing shared by FaultPlan and RetryPolicy::from_env.
 namespace detail {
 
 /// Reads a numeric environment variable; unset or empty keeps `fallback`.

@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/json.hpp"
 
@@ -153,28 +154,115 @@ double residual_tolerance(double capacity_seconds) {
   return std::max(kFloorSeconds, kCapacityFraction * capacity_seconds);
 }
 
+namespace {
+
+/// Named numbers read out of one bundle's metrics.json.
+using Values = std::vector<std::pair<std::string, double>>;
+
+struct SurfacedCounter {
+  std::string_view section;
+  std::string_view name;
+};
+
+/// The counters the report and the diff surface, by section: what the
+/// crash-safety layers count when they detect damage or recover from it,
+/// and the fused trainer's and the design memo's tallies.
+constexpr SurfacedCounter kSurfacedCounters[] = {
+    {"recovery", "store_corruption_detected_total"},
+    {"recovery", "supervisor_stage_executed_total"},
+    {"recovery", "supervisor_stage_skipped_total"},
+    {"recovery", "supervisor_stage_replayed_total"},
+    {"recovery", "supervisor_clean_stops_total"},
+    {"recovery", "zoo_models_retrained_total"},
+    {"recovery", "checkpoint_rows_loaded_total"},
+    {"training", "scg_runs_total"},
+    {"training", "scg_epochs_total"},
+    {"training", "scg_fused_restarts_total"},
+    {"training", "validation_design_memo_hits_total"},
+    {"training", "validation_design_memo_misses_total"},
+};
+
+/// "name{k=v,...}", or the bare name when the entry has no labels.
+std::string rendered_name(const MetricEntry& e) {
+  if (e.labels.empty()) return e.name;
+  std::string out = e.name + "{";
+  for (std::size_t i = 0; i < e.labels.size(); ++i) {
+    if (i > 0) out += ',';
+    out += e.labels[i].first + "=" + e.labels[i].second;
+  }
+  return out + "}";
+}
+
+/// The section's non-zero surfaced counters, in metrics.json order.
+Values surfaced(const MetricsDoc& metrics, std::string_view section) {
+  Values out;
+  for (const MetricEntry& e : metrics.entries) {
+    if (e.type != "counter" || e.value == 0.0) continue;
+    for (const SurfacedCounter& c : kSurfacedCounters) {
+      if (c.section == section && c.name == e.name) {
+        out.emplace_back(rendered_name(e), e.value);
+      }
+    }
+  }
+  return out;
+}
+
+/// Each stage's stage_wall_seconds{stage}, in stage-name order.
+Values stage_walls(const MetricsDoc& metrics) {
+  Values out;
+  for (const MetricEntry& e : metrics.entries) {
+    if (e.name != "stage_wall_seconds") continue;
+    for (const auto& [key, stage] : e.labels) {
+      if (key == "stage") out.emplace_back(stage, e.value);
+    }
+  }
+  return out;
+}
+
+const double* find_value(const Values& values, const std::string& name) {
+  for (const auto& [n, v] : values) {
+    if (n == name) return &v;
+  }
+  return nullptr;
+}
+
+/// The names of `a`, then those only in `b`.
+std::vector<std::string> union_names(const Values& a, const Values& b) {
+  std::vector<std::string> names;
+  for (const auto& [name, v] : a) names.push_back(name);
+  for (const auto& [name, v] : b) {
+    if (find_value(a, name) == nullptr) names.push_back(name);
+  }
+  return names;
+}
+
+}  // namespace
+
 std::vector<StageAccounting> account_stages(const BundleData& bundle) {
+  const MetricsDoc& metrics = bundle.metrics;
   std::vector<StageAccounting> out;
-  for (const StageRecord& record : bundle.manifest.stages) {
+  for (const auto& [stage, wall] : stage_walls(metrics)) {
     StageAccounting s;
-    s.stage = record.stage;
-    s.wall_seconds = record.wall_seconds;
-    const std::vector<std::pair<std::string, std::string>> labels = {
-        {"stage", s.stage}};
-    const MetricEntry* workers = bundle.metrics.find("stage_pool_workers",
-                                                     labels);
+    s.stage = stage;
+    s.wall_seconds = wall;
+    const Labels labels = {{"stage", stage}};
+    if (const MetricEntry* runs = metrics.find("stage_runs_total", labels)) {
+      s.runs = static_cast<std::uint64_t>(runs->value);
+    }
+    const MetricEntry* workers = metrics.find("stage_pool_workers", labels);
     s.pooled = workers != nullptr;
     if (s.pooled) {
       s.workers = workers->value;
-      const std::pair<const char*, double*> gauges[] = {
+      const std::pair<const char*, double*> pool[] = {
           {"stage_pool_wall_seconds", &s.call_wall_seconds},
           {"stage_pool_busy_seconds", &s.busy_seconds},
           {"stage_pool_idle_seconds", &s.idle_seconds},
           {"stage_pool_wait_seconds", &s.wait_seconds},
           {"stage_pool_utilization", &s.utilization},
+          {"stage_pool_unbalanced_calls_total", &s.unbalanced_calls},
       };
-      for (const auto& [name, value] : gauges) {
-        const MetricEntry* e = bundle.metrics.find(name, labels);
+      for (const auto& [name, value] : pool) {
+        const MetricEntry* e = metrics.find(name, labels);
         if (e == nullptr) {
           s.failures.push_back(std::string("missing ") + name);
         } else {
@@ -187,12 +275,10 @@ std::vector<StageAccounting> account_stages(const BundleData& bundle) {
                              " outlasts the stage's " +
                              format_seconds(s.wall_seconds));
       }
-      const double tolerance = residual_tolerance(s.capacity_seconds());
-      if (std::abs(s.residual_seconds()) > tolerance) {
-        s.failures.push_back("residual " +
-                             format_seconds(s.residual_seconds()) +
-                             " exceeds the tolerance " +
-                             format_seconds(tolerance));
+      if (s.unbalanced_calls > 0.0) {
+        s.failures.push_back(
+            std::to_string(static_cast<std::uint64_t>(s.unbalanced_calls)) +
+            " unbalanced pool call(s): residual over the tolerance");
       }
     }
     out.push_back(std::move(s));
@@ -244,6 +330,7 @@ ReportResult render_report(const BundleData& bundle) {
   os << "\n== stages ==\n";
   for (const StageAccounting& s : account_stages(bundle)) {
     os << "  " << s.stage << ": wall " << format_seconds(s.wall_seconds);
+    if (s.runs > 1) os << " (last of " << s.runs << " calls)";
     if (!s.pooled) {
       os << " (no pool call)\n";
       continue;
@@ -260,37 +347,22 @@ ReportResult render_report(const BundleData& bundle) {
        << "    utilization "
        << static_cast<int>(s.utilization * 100.0 + 0.5)
        << "%, residual tolerance "
-       << format_seconds(residual_tolerance(s.capacity_seconds())) << ": "
+       << format_seconds(residual_tolerance(s.capacity_seconds()))
+       << ", unbalanced calls "
+       << static_cast<std::uint64_t>(s.unbalanced_calls) << ": "
        << (s.failures.empty() ? "ok" : "FAIL") << "\n";
     for (const std::string& why : s.failures) {
       result.failures.push_back(s.stage + ": " + why);
     }
   }
 
-  if (!m.recovery.empty()) {
-    os << "\n== recovery ==\n";
-    for (const RecoveryRecord& r : m.recovery) {
-      os << "  " << r.counter << ": " << r.value << "\n";
-    }
-  }
-
-  if (!m.training.empty()) {
-    os << "\n== training ==\n";
-    for (const TrainingRecord& t : m.training) {
-      os << "  " << t.metric << ": ";
-      if (t.metric.size() > 4 &&
-          t.metric.compare(t.metric.size() - 4, 4, "_sum") == 0) {
-        os << format_seconds(t.value);
-      } else {
-        os << static_cast<std::uint64_t>(t.value);
-      }
-      os << "\n";
-    }
-    const double gemm_sum = m.training_value("train_gemm_seconds_sum");
-    const double gemm_count = m.training_value("train_gemm_seconds_count");
-    if (gemm_sum >= 0.0 && gemm_count > 0.0) {
-      os << "  (mean fused-kernel seconds per fit: "
-         << format_seconds(gemm_sum / gemm_count) << ")\n";
+  for (const char* section : {"recovery", "training"}) {
+    const Values counters = surfaced(bundle.metrics, section);
+    if (counters.empty()) continue;
+    os << "\n== " << section << " ==\n";
+    for (const auto& [name, value] : counters) {
+      os << "  " << name << ": " << static_cast<std::uint64_t>(value)
+         << "\n";
     }
   }
 
@@ -304,6 +376,8 @@ ReportResult render_report(const BundleData& bundle) {
                         "execution   ");
   render_histogram_line(os, bundle, "pool_commit_hold_seconds",
                         "commit hold ");
+  render_histogram_line(os, bundle, "train_gemm_seconds",
+                        "train gemm  ");
 
   os << "\n== accounting check ==\n";
   if (result.failures.empty()) {
@@ -330,10 +404,47 @@ bool trips(double pct, double threshold_pct) {
   return pct >= threshold_pct - 1e-9;
 }
 
+/// Prints "label: a -> b (pct)" and records a regression when the growth
+/// reaches `threshold_pct`.
+void gate(std::ostringstream& os, DiffResult& result,
+          const std::string& label, double a, double b,
+          double threshold_pct) {
+  const double pct = pct_change(a, b);
+  os << "  " << label << ": " << format_seconds(a) << " -> "
+     << format_seconds(b) << " (" << format_pct(pct) << ")";
+  if (trips(pct, threshold_pct)) {
+    os << "  REGRESSION";
+    result.regressions.push_back(label + " " + format_pct(pct) +
+                                 " (threshold " + format_pct(threshold_pct) +
+                                 ")");
+  }
+  os << "\n";
+}
+
+/// Gates one statistic of a histogram both bundles sampled; a histogram
+/// missing from either bundle is reported, never gated.
+void gate_histogram(std::ostringstream& os, DiffResult& result,
+                    const BundleData& baseline, const BundleData& current,
+                    const char* name, bool sum, double threshold_pct) {
+  const std::string label = std::string(name) + (sum ? " sum" : " p99");
+  const MetricEntry* a = baseline.metrics.find(name);
+  const MetricEntry* b = current.metrics.find(name);
+  if (a == nullptr || b == nullptr || a->histogram.count == 0 ||
+      b->histogram.count == 0) {
+    os << "  " << label << ": absent in one or both bundles\n";
+    return;
+  }
+  const auto stat = [sum](const HistogramStats& h) {
+    return sum ? h.sum : h.quantile(0.99);
+  };
+  gate(os, result, label, stat(a->histogram), stat(b->histogram),
+       threshold_pct);
+}
+
 }  // namespace
 
-DiffResult diff_bundles(const BundleData& baseline, const BundleData& current,
-                        const DiffThresholds& thresholds) {
+DiffResult diff_bundles(const BundleData& baseline,
+                        const BundleData& current) {
   DiffResult result;
   std::ostringstream os;
   os << "== bundle diff ==\n"
@@ -341,10 +452,10 @@ DiffResult diff_bundles(const BundleData& baseline, const BundleData& current,
      << baseline.manifest.git_describe << " (" << baseline.dir << ")\n"
      << "  current:  " << current.manifest.info.program << " @ "
      << current.manifest.git_describe << " (" << current.dir << ")\n"
-     << "  thresholds: stage wall +" << thresholds.stage_wall_pct
-     << "%, queue-wait p99 +" << thresholds.queue_wait_p99_pct
-     << "%, predict p99 +" << thresholds.predict_p99_pct
-     << "%, train gemm sum +" << thresholds.train_gemm_sum_pct << "%\n";
+     << "  thresholds: stage wall +" << kStageWallRegressionPct
+     << "%, queue-wait p99 +" << kQueueWaitP99RegressionPct
+     << "%, predict p99 +" << kPredictP99RegressionPct
+     << "%, train gemm sum +" << kTrainGemmSumRegressionPct << "%\n";
 
   if (baseline.manifest.metrics_digest == current.manifest.metrics_digest &&
       !baseline.manifest.metrics_digest.empty()) {
@@ -353,134 +464,47 @@ DiffResult diff_bundles(const BundleData& baseline, const BundleData& current,
   }
 
   os << "\n== stage wall ==\n";
-  // Union of stage names, baseline order first.
-  std::vector<std::string> stages;
-  for (const StageRecord& s : baseline.manifest.stages) {
-    stages.push_back(s.stage);
-  }
-  for (const StageRecord& s : current.manifest.stages) {
-    if (std::find(stages.begin(), stages.end(), s.stage) == stages.end()) {
-      stages.push_back(s.stage);
-    }
-  }
-  for (const std::string& stage : stages) {
-    const double a = baseline.manifest.stage_wall(stage);
-    const double b = current.manifest.stage_wall(stage);
-    if (a < 0.0 || b < 0.0) {
+  const Values walls_a = stage_walls(baseline.metrics);
+  const Values walls_b = stage_walls(current.metrics);
+  for (const std::string& stage : union_names(walls_a, walls_b)) {
+    const double* a = find_value(walls_a, stage);
+    const double* b = find_value(walls_b, stage);
+    if (a == nullptr || b == nullptr) {
       os << "  " << stage << ": only in "
-         << (a < 0.0 ? "current" : "baseline") << " bundle\n";
+         << (a == nullptr ? "current" : "baseline") << " bundle\n";
       continue;
     }
-    const double pct = pct_change(a, b);
-    os << "  " << stage << ": " << format_seconds(a) << " -> "
-       << format_seconds(b) << " (" << format_pct(pct) << ")";
-    if (trips(pct, thresholds.stage_wall_pct)) {
-      os << "  REGRESSION";
-      result.regressions.push_back(
-          "stage " + stage + " wall " + format_pct(pct) + " (threshold " +
-          format_pct(thresholds.stage_wall_pct) + ")");
-    }
-    os << "\n";
+    gate(os, result, "stage " + stage + " wall", *a, *b,
+         kStageWallRegressionPct);
   }
 
-  os << "\n== queue wait p99 ==\n";
-  const MetricEntry* qa = baseline.metrics.find("pool_queue_wait_seconds");
-  const MetricEntry* qb = current.metrics.find("pool_queue_wait_seconds");
-  if (qa != nullptr && qb != nullptr && qa->histogram.count > 0 &&
-      qb->histogram.count > 0) {
-    const double a = qa->histogram.quantile(0.99);
-    const double b = qb->histogram.quantile(0.99);
-    const double pct = pct_change(a, b);
-    os << "  pool_queue_wait_seconds p99: " << format_seconds(a) << " -> "
-       << format_seconds(b) << " (" << format_pct(pct) << ")";
-    if (trips(pct, thresholds.queue_wait_p99_pct)) {
-      os << "  REGRESSION";
-      result.regressions.push_back(
-          "pool_queue_wait_seconds p99 " + format_pct(pct) +
-          " (threshold " + format_pct(thresholds.queue_wait_p99_pct) + ")");
-    }
-    os << "\n";
-  } else {
-    os << "  (absent in one or both bundles)\n";
-  }
+  // Queue wait, placement query latency and the fused trainer's GEMM
+  // seconds gate only when both bundles sampled them, so benches without
+  // placement or training keep diffing unchanged. A trainer silently
+  // falling back shows as the GEMM sum growing past its threshold.
+  os << "\n== histograms ==\n";
+  gate_histogram(os, result, baseline, current, "pool_queue_wait_seconds",
+                 false, kQueueWaitP99RegressionPct);
+  gate_histogram(os, result, baseline, current, "placement_predict_seconds",
+                 false, kPredictP99RegressionPct);
+  gate_histogram(os, result, baseline, current, "train_gemm_seconds", true,
+                 kTrainGemmSumRegressionPct);
 
-  // Placement-service query latency is gated only when both bundles carry
-  // the metric, so non-placement benches keep diffing unchanged.
-  const MetricEntry* pa = baseline.metrics.find("placement_predict_seconds");
-  const MetricEntry* pb = current.metrics.find("placement_predict_seconds");
-  if (pa != nullptr && pb != nullptr && pa->histogram.count > 0 &&
-      pb->histogram.count > 0) {
-    os << "\n== placement predict p99 ==\n";
-    const double a = pa->histogram.quantile(0.99);
-    const double b = pb->histogram.quantile(0.99);
-    const double pct = pct_change(a, b);
-    os << "  placement_predict_seconds p99: " << format_seconds(a) << " -> "
-       << format_seconds(b) << " (" << format_pct(pct) << ")";
-    if (trips(pct, thresholds.predict_p99_pct)) {
-      os << "  REGRESSION";
-      result.regressions.push_back(
-          "placement_predict_seconds p99 " + format_pct(pct) +
-          " (threshold " + format_pct(thresholds.predict_p99_pct) + ")");
-    }
-    os << "\n";
-  }
-
-  // Training attribution: the counter union renders ungated (like
-  // recovery), but train_gemm_seconds_sum is gated when both bundles
-  // recorded fused training — a silent fall-back to the sequential path
-  // shows up here as the sum collapsing to absence, and a kernel
-  // regression as the sum growing past the threshold.
-  if (!baseline.manifest.training.empty() ||
-      !current.manifest.training.empty()) {
-    os << "\n== training ==\n";
-    std::vector<std::string> metrics;
-    for (const TrainingRecord& t : baseline.manifest.training) {
-      metrics.push_back(t.metric);
-    }
-    for (const TrainingRecord& t : current.manifest.training) {
-      if (std::find(metrics.begin(), metrics.end(), t.metric) ==
-          metrics.end()) {
-        metrics.push_back(t.metric);
-      }
-    }
-    for (const std::string& metric : metrics) {
-      const double a = baseline.manifest.training_value(metric);
-      const double b = current.manifest.training_value(metric);
-      os << "  " << metric << ": " << (a < 0.0 ? 0.0 : a) << " -> "
-         << (b < 0.0 ? 0.0 : b);
-      if (metric == "train_gemm_seconds_sum" && a > 0.0 && b >= 0.0) {
-        const double pct = pct_change(a, b);
-        os << " (" << format_pct(pct) << ")";
-        if (trips(pct, thresholds.train_gemm_sum_pct)) {
-          os << "  REGRESSION";
-          result.regressions.push_back(
-              "train_gemm_seconds_sum " + format_pct(pct) + " (threshold " +
-              format_pct(thresholds.train_gemm_sum_pct) + ")");
-        }
-      }
-      os << "\n";
-    }
-  }
-
-  // Recovery counters are not gated, but a diff must make it obvious when
-  // one run detected corruption or replayed stages and the other did not.
-  if (!baseline.manifest.recovery.empty() ||
-      !current.manifest.recovery.empty()) {
-    os << "\n== recovery ==\n";
-    std::vector<std::string> counters;
-    for (const RecoveryRecord& r : baseline.manifest.recovery) {
-      counters.push_back(r.counter);
-    }
-    for (const RecoveryRecord& r : current.manifest.recovery) {
-      if (std::find(counters.begin(), counters.end(), r.counter) ==
-          counters.end()) {
-        counters.push_back(r.counter);
-      }
-    }
-    for (const std::string& counter : counters) {
-      os << "  " << counter << ": "
-         << baseline.manifest.recovery_value(counter) << " -> "
-         << current.manifest.recovery_value(counter) << "\n";
+  // Training and recovery counters are not gated, but a diff must make it
+  // obvious when one run trained differently, detected corruption or
+  // replayed stages and the other did not.
+  for (const char* section : {"training", "recovery"}) {
+    const Values a = surfaced(baseline.metrics, section);
+    const Values b = surfaced(current.metrics, section);
+    if (a.empty() && b.empty()) continue;
+    os << "\n== " << section << " ==\n";
+    const auto count = [](const double* v) {
+      return v == nullptr ? std::uint64_t{0}
+                          : static_cast<std::uint64_t>(*v);
+    };
+    for (const std::string& name : union_names(a, b)) {
+      os << "  " << name << ": " << count(find_value(a, name)) << " -> "
+         << count(find_value(b, name)) << "\n";
     }
   }
 

@@ -1,22 +1,26 @@
 // Perf attribution: explains where a run's wall clock went.
 //
 // BundleData + render_report/diff_bundles load a run bundle (manifest.json
-// + metrics.json, as written by the benches' --bundle-out), print a
-// human-readable attribution report, or diff two bundles against
+// + metrics.json, as written by obs::ObsSession for --bundle-out), print a
+// human-readable attribution report, or diff two bundles against fixed
 // regression thresholds for CI gating (tools/obs_report is a thin CLI over
-// these).
+// these). Every number they print comes from metrics.json; the manifest
+// contributes only build and run identity and whole-run resources.
 //
 // Stage accounting. A parallel stage (the campaign, validation) exports
-// its parallel_for call's measured PoolStats as stage_pool_*{stage} gauges
-// next to its stage_wall_seconds, and the report states each stage as
+// each parallel_for call's measured PoolStats as stage_pool_*{stage}
+// gauges next to its stage_wall_seconds, and the report states the
+// stage's last call as
 //
 //   wall = pool call + outside
 //   workers x call wall = busy + idle (wait + tail) + residual
 //
-// account_stages() fails a stage whose pool call outlasts it, whose
-// residual (runner time between chunks: tens of microseconds when nothing
-// is lost) exceeds residual_tolerance(), or that exports
-// stage_pool_workers without the rest of its pool gauges.
+// Every call is checked where it is exported: export_stage_pool_gauges
+// counts calls whose residual (runner time between chunks: tens of
+// microseconds when nothing is lost) exceeds residual_tolerance() in
+// stage_pool_unbalanced_calls_total{stage}. account_stages() fails a stage
+// whose counter is non-zero or missing, whose last pool call outlasts it,
+// or that exports stage_pool_workers without the rest of its pool gauges.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +65,7 @@ struct MetricsDoc {
       const;
 };
 
-/// A loaded run bundle: manifest + metrics.
+/// A loaded run bundle: manifest (identity) + metrics (every number).
 struct BundleData {
   std::string dir;
   Manifest manifest;
@@ -73,17 +77,21 @@ struct BundleData {
   static BundleData load(const std::string& path);
 };
 
-/// The most residual a stage may carry: 1 ms, or 1% of its capacity
+/// The most residual one pool call may carry: 1 ms, or 1% of its capacity
 /// (workers x call wall) when that is larger. Measured residuals stay
 /// under 0.1 ms on 10 ms+ calls; one dropped runner tail is milliseconds
-/// to seconds.
+/// to seconds. export_stage_pool_gauges applies it to every call.
 double residual_tolerance(double capacity_seconds);
 
-/// One stage's time accounting, read from a bundle's gauges.
+/// One stage's time accounting, read from a bundle's metrics. The pool
+/// gauges describe the stage's last call; runs and unbalanced_calls cover
+/// all of them.
 struct StageAccounting {
   std::string stage;
-  double wall_seconds = 0.0;  // stage_wall_seconds
+  double wall_seconds = 0.0;  // stage_wall_seconds (last call)
+  std::uint64_t runs = 0;     // stage_runs_total; 0 when not exported
   bool pooled = false;        // the stage exported stage_pool_workers
+  double unbalanced_calls = 0.0;  // stage_pool_unbalanced_calls_total
   double workers = 0.0;
   double call_wall_seconds = 0.0;  // stage_pool_wall_seconds
   double busy_seconds = 0.0;
@@ -101,8 +109,8 @@ struct StageAccounting {
   }
 };
 
-/// Reads and checks the accounting of every stage in the manifest (see
-/// the file comment), in manifest order.
+/// Reads and checks the accounting of every stage with a
+/// stage_wall_seconds gauge (see the file comment), in stage-name order.
 std::vector<StageAccounting> account_stages(const BundleData& bundle);
 
 struct ReportResult {
@@ -112,24 +120,18 @@ struct ReportResult {
 };
 
 /// Attribution report for one bundle: build/run identity, per-stage wall
-/// and pool accounting with its check, and the queue-wait / exec /
-/// commit-hold histograms.
+/// and pool accounting with its check, the surfaced recovery and training
+/// counters, and the queue-wait / exec / commit-hold histograms.
 ReportResult render_report(const BundleData& bundle);
 
-struct DiffThresholds {
-  /// Regression when a stage's wall time grows by at least this percent.
-  double stage_wall_pct = 10.0;
-  /// Regression when pool_queue_wait_seconds p99 grows by at least this
-  /// percent (bucket-quantized: log-2 buckets resolve ~doublings).
-  double queue_wait_p99_pct = 25.0;
-  /// Regression when placement_predict_seconds p99 grows by at least this
-  /// percent — the placement service's query-latency SLO gate.
-  double predict_p99_pct = 25.0;
-  /// Regression when the manifest's train_gemm_seconds_sum grows by at
-  /// least this percent — the fused-trainer throughput gate (catches the
-  /// fused path silently falling back as well as kernel regressions).
-  double train_gemm_sum_pct = 25.0;
-};
+/// Regression thresholds of diff_bundles, in percent growth over the
+/// baseline. Queue wait and predict latency are bucket quantiles (log-2
+/// buckets resolve about doublings); the train-GEMM sum catches the fused
+/// trainer silently falling back as well as kernel regressions.
+inline constexpr double kStageWallRegressionPct = 10.0;
+inline constexpr double kQueueWaitP99RegressionPct = 25.0;
+inline constexpr double kPredictP99RegressionPct = 25.0;
+inline constexpr double kTrainGemmSumRegressionPct = 25.0;
 
 struct DiffResult {
   std::string text;                     // full human-readable diff
@@ -139,8 +141,9 @@ struct DiffResult {
 
 /// Structured diff of two bundles (baseline vs current). Thresholds use
 /// >= with a tiny tolerance, so an exactly-at-threshold regression trips.
+/// Predict latency is gated only when both bundles carry
+/// placement_predict_seconds, the train-GEMM sum only when both trained.
 DiffResult diff_bundles(const BundleData& baseline,
-                        const BundleData& current,
-                        const DiffThresholds& thresholds = {});
+                        const BundleData& current);
 
 }  // namespace coloc::obs

@@ -76,58 +76,6 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-/// Counters worth surfacing in the manifest itself: everything the
-/// crash-safety layers emit when they detect damage or recover from it.
-constexpr const char* kRecoveryCounters[] = {
-    "store_corruption_detected_total",
-    "storage_faults_injected_total",
-    "supervisor_stage_executed_total",
-    "supervisor_stage_skipped_total",
-    "supervisor_stage_replayed_total",
-    "supervisor_clean_stops_total",
-    "zoo_models_retrained_total",
-    "checkpoint_rows_loaded_total",
-};
-
-/// Training-attribution counters surfaced in the manifest: the fused SCG
-/// trainer's throughput story, so an obs_report diff can police training
-/// regressions (fused path silently off, memo thrashing) from the
-/// manifest alone.
-constexpr const char* kTrainingCounters[] = {
-    "scg_runs_total",
-    "scg_epochs_total",
-    "scg_fused_restarts_total",
-    "validation_design_memo_hits_total",
-    "validation_design_memo_misses_total",
-};
-
-bool is_training_counter(const std::string& name) {
-  for (const char* candidate : kTrainingCounters) {
-    if (name == candidate) return true;
-  }
-  return false;
-}
-
-bool is_recovery_counter(const std::string& name) {
-  for (const char* candidate : kRecoveryCounters) {
-    if (name == candidate) return true;
-  }
-  return false;
-}
-
-std::string rendered_counter_name(const MetricSample& s) {
-  if (s.labels.empty()) return s.name;
-  std::string out = s.name + "{";
-  bool first = true;
-  for (const auto& [k, v] : s.labels) {
-    if (!first) out += ',';
-    first = false;
-    out += k + "=" + v;
-  }
-  out += '}';
-  return out;
-}
-
 std::mutex& extras_mutex() {
   static std::mutex m;
   return m;
@@ -168,49 +116,6 @@ Manifest Manifest::collect(const ManifestInfo& info,
   m.cpu_seconds = process_cpu_seconds();
   // Qualified: the data member of the same name shadows the free function.
   m.peak_rss_kb = coloc::obs::peak_rss_kb();
-  for (const MetricSample& s : snapshot.samples) {
-    if (s.name != "stage_wall_seconds" || s.kind != MetricKind::kGauge) {
-      continue;
-    }
-    for (const auto& [k, v] : s.labels) {
-      if (k == "stage") {
-        m.stages.push_back(StageRecord{v, s.gauge_value});
-      }
-    }
-  }
-  std::sort(m.stages.begin(), m.stages.end(),
-            [](const StageRecord& a, const StageRecord& b) {
-              return a.stage < b.stage;
-            });
-  for (const MetricSample& s : snapshot.samples) {
-    if (s.kind != MetricKind::kCounter || !is_recovery_counter(s.name)) {
-      continue;
-    }
-    if (s.counter_value == 0) continue;  // quiet runs keep the section empty
-    m.recovery.push_back(
-        RecoveryRecord{rendered_counter_name(s), s.counter_value});
-  }
-  std::sort(m.recovery.begin(), m.recovery.end(),
-            [](const RecoveryRecord& a, const RecoveryRecord& b) {
-              return a.counter < b.counter;
-            });
-  for (const MetricSample& s : snapshot.samples) {
-    if (s.kind == MetricKind::kCounter && is_training_counter(s.name)) {
-      if (s.counter_value == 0) continue;  // untrained runs keep it empty
-      m.training.push_back(TrainingRecord{
-          rendered_counter_name(s), static_cast<double>(s.counter_value)});
-    } else if (s.kind == MetricKind::kHistogram &&
-               s.name == "train_gemm_seconds" && s.histogram_count > 0) {
-      m.training.push_back(
-          TrainingRecord{s.name + "_sum", s.histogram_sum});
-      m.training.push_back(TrainingRecord{
-          s.name + "_count", static_cast<double>(s.histogram_count)});
-    }
-  }
-  std::sort(m.training.begin(), m.training.end(),
-            [](const TrainingRecord& a, const TrainingRecord& b) {
-              return a.metric < b.metric;
-            });
   // Fold in the process-global extras; explicit info.extra entries win.
   for (const auto& [k, v] : manifest_extras()) {
     const bool present = std::any_of(
@@ -243,35 +148,8 @@ std::string Manifest::to_json() const {
      << "\"build_flags\":\"" << json_escape(build_flags) << "\","
      << "\"total_wall_seconds\":" << format_double(total_wall_seconds) << ","
      << "\"cpu_seconds\":" << format_double(cpu_seconds) << ","
-     << "\"peak_rss_kb\":" << peak_rss_kb << ",";
-  os << "\"stages\":[";
-  first = true;
-  for (const StageRecord& s : stages) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"stage\":\"" << json_escape(s.stage)
-       << "\",\"wall_seconds\":" << format_double(s.wall_seconds) << '}';
-  }
-  os << "],";
-  os << "\"recovery\":[";
-  first = true;
-  for (const RecoveryRecord& r : recovery) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"counter\":\"" << json_escape(r.counter)
-       << "\",\"value\":" << r.value << '}';
-  }
-  os << "],";
-  os << "\"training\":[";
-  first = true;
-  for (const TrainingRecord& t : training) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"metric\":\"" << json_escape(t.metric)
-       << "\",\"value\":" << format_double(t.value) << '}';
-  }
-  os << "],";
-  os << "\"metrics_digest\":\"" << metrics_digest << "\"}";
+     << "\"peak_rss_kb\":" << peak_rss_kb << ","
+     << "\"metrics_digest\":\"" << metrics_digest << "\"}";
   return os.str();
 }
 
@@ -325,75 +203,7 @@ Manifest Manifest::from_json_file(const std::string& path) {
       if (val.is_string()) m.info.extra.emplace_back(k, val.string);
     }
   }
-  if (const JsonValue* v = doc.find("stages"); v != nullptr && v->is_array()) {
-    for (const JsonValue& s : v->array) {
-      if (!s.is_object()) continue;
-      StageRecord record;
-      if (const JsonValue* name = s.find("stage");
-          name != nullptr && name->is_string()) {
-        record.stage = name->string;
-      }
-      if (const JsonValue* wall = s.find("wall_seconds");
-          wall != nullptr && wall->is_number()) {
-        record.wall_seconds = wall->number;
-      }
-      m.stages.push_back(std::move(record));
-    }
-  }
-  if (const JsonValue* v = doc.find("recovery");
-      v != nullptr && v->is_array()) {
-    for (const JsonValue& r : v->array) {
-      if (!r.is_object()) continue;
-      RecoveryRecord record;
-      if (const JsonValue* name = r.find("counter");
-          name != nullptr && name->is_string()) {
-        record.counter = name->string;
-      }
-      if (const JsonValue* value = r.find("value");
-          value != nullptr && value->is_number()) {
-        record.value = static_cast<std::uint64_t>(value->number);
-      }
-      m.recovery.push_back(std::move(record));
-    }
-  }
-  if (const JsonValue* v = doc.find("training");
-      v != nullptr && v->is_array()) {
-    for (const JsonValue& t : v->array) {
-      if (!t.is_object()) continue;
-      TrainingRecord record;
-      if (const JsonValue* name = t.find("metric");
-          name != nullptr && name->is_string()) {
-        record.metric = name->string;
-      }
-      if (const JsonValue* value = t.find("value");
-          value != nullptr && value->is_number()) {
-        record.value = value->number;
-      }
-      m.training.push_back(std::move(record));
-    }
-  }
   return m;
-}
-
-double Manifest::stage_wall(const std::string& stage) const {
-  for (const StageRecord& s : stages) {
-    if (s.stage == stage) return s.wall_seconds;
-  }
-  return -1.0;
-}
-
-std::uint64_t Manifest::recovery_value(const std::string& counter) const {
-  for (const RecoveryRecord& r : recovery) {
-    if (r.counter == counter) return r.value;
-  }
-  return 0;
-}
-
-double Manifest::training_value(const std::string& metric) const {
-  for (const TrainingRecord& t : training) {
-    if (t.metric == metric) return t.value;
-  }
-  return -1.0;
 }
 
 }  // namespace coloc::obs

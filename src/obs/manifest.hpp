@@ -1,13 +1,14 @@
 // Run manifests: one small JSON artifact per bench/quickstart run that
 // makes runs comparable as artifacts — what was built (git describe,
 // build flags, compiler), what was asked (program, seed, jobs, fault
-// rate, machine preset), and what happened (per-stage wall seconds,
-// total wall/CPU/peak-RSS, a digest of the metrics snapshot).
+// rate, machine preset, extras), what the whole run cost (total
+// wall/CPU/peak-RSS), and a digest of the metrics snapshot.
 //
-// The manifest is the anchor of a "bundle": a directory holding
-// manifest.json + metrics.json + trace.json, produced by the benches'
-// --bundle-out flag and consumed by tools/obs_report (single-bundle
-// attribution report, or two-bundle regression diff for CI gating).
+// The manifest is the anchor of a run bundle: a directory holding
+// manifest.json + metrics.json + trace.json, written by obs::ObsSession
+// (the --bundle-out flag) and consumed by tools/obs_report. Every number
+// the run measured (stage walls, recovery and training counters) lives
+// once, in metrics.json; the manifest only fingerprints it.
 #pragma once
 
 #include <cstdint>
@@ -46,37 +47,11 @@ struct ManifestInfo {
   std::vector<std::pair<std::string, std::string>> extra;
 };
 
-/// One pipeline stage's wall clock, harvested from the
-/// stage_wall_seconds{stage=...} gauges that StageTimer maintains.
-struct StageRecord {
-  std::string stage;
-  double wall_seconds = 0.0;
-};
-
-/// One recovery-relevant counter harvested into the manifest, e.g.
-/// store_corruption_detected_total{reason=digest}. Kept in the manifest
-/// (not just metrics.json) so an obs_report diff immediately shows when
-/// one run recovered from damage and the other did not.
-struct RecoveryRecord {
-  std::string counter;  // name{label=value,...} rendered form
-  std::uint64_t value = 0;
-};
-
-/// One training-attribution sample harvested into the manifest: the fused
-/// SCG counters (runs, epochs, fused restarts), the design-memo hit/miss
-/// counters, and the train_gemm_seconds histogram's sum/count. Kept in the
-/// manifest so obs_report can attribute (and gate) training throughput
-/// without re-parsing metrics.json.
-struct TrainingRecord {
-  std::string metric;  // name, or histogram name + "_sum"/"_count"
-  double value = 0.0;
-};
-
 /// Registers a process-global extra key/value recorded into every
 /// subsequently collected manifest (deduplicated by key, last write
 /// wins). Lets deep layers (store, supervisor) annotate the run manifest
-/// — e.g. the zoo bundle digest or the storage fault seed — without
-/// threading the ManifestInfo through every call chain.
+/// — e.g. the zoo bundle digest — without threading the ManifestInfo
+/// through every call chain.
 void add_manifest_extra(const std::string& key, const std::string& value);
 
 /// Snapshot of the registered extras, sorted by key (mainly for tests).
@@ -96,24 +71,16 @@ struct Manifest {
   double total_wall_seconds = 0.0;
   double cpu_seconds = -1.0;
   long peak_rss_kb = -1;
-  std::vector<StageRecord> stages;  // sorted by stage name
-  /// Recovery counters (corruption detected, stages replayed, models
-  /// retrained, faults injected), sorted by rendered name; empty when the
-  /// run saw no recovery activity.
-  std::vector<RecoveryRecord> recovery;
-  /// Training attribution (fused SCG + design memo + GEMM seconds), sorted
-  /// by metric name; empty when the run trained nothing.
-  std::vector<TrainingRecord> training;
   /// fnv1a64 of to_json(snapshot) rendered as 16 hex digits.
   std::string metrics_digest;
 
   /// Builds a manifest from the current build constants, /proc resource
-  /// accounting, and a metrics snapshot (stages + digest come from it).
+  /// accounting, and a metrics snapshot (only its digest is kept).
   static Manifest collect(const ManifestInfo& info,
                           const MetricsSnapshot& snapshot,
                           double total_wall_seconds);
 
-  /// Deterministic JSON rendering (keys in fixed order, stages sorted).
+  /// Deterministic JSON rendering (keys in fixed order).
   std::string to_json() const;
   /// Writes to_json() to `path`; false on I/O error.
   bool write(const std::string& path) const;
@@ -121,15 +88,6 @@ struct Manifest {
   /// Parses a manifest written by write(). Unknown keys are ignored so
   /// newer manifests load in older tools; missing keys keep defaults.
   static Manifest from_json_file(const std::string& path);
-
-  /// Wall seconds of one stage; -1 when the stage was not recorded.
-  double stage_wall(const std::string& stage) const;
-
-  /// Value of one recovery counter (rendered name); 0 when not recorded.
-  std::uint64_t recovery_value(const std::string& counter) const;
-
-  /// Value of one training metric; -1 when not recorded.
-  double training_value(const std::string& metric) const;
 };
 
 }  // namespace coloc::obs

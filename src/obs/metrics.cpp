@@ -28,22 +28,6 @@ std::string make_key(const std::string& name, const Labels& labels) {
   return key;
 }
 
-std::string render_labels(const Labels& labels) {
-  if (labels.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += k;
-    out += "=\"";
-    out += v;
-    out += '"';
-  }
-  out += '}';
-  return out;
-}
-
 std::string format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -191,44 +175,6 @@ const MetricSample* MetricsSnapshot::find(const std::string& name,
   return nullptr;
 }
 
-std::string to_text(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  for (const MetricSample& s : snapshot.samples) {
-    const std::string labels = render_labels(s.labels);
-    switch (s.kind) {
-      case MetricKind::kCounter:
-        os << "# TYPE " << s.name << " counter\n";
-        os << s.name << labels << ' ' << s.counter_value << '\n';
-        break;
-      case MetricKind::kGauge:
-        os << "# TYPE " << s.name << " gauge\n";
-        os << s.name << labels << ' ' << format_double(s.gauge_value)
-           << '\n';
-        break;
-      case MetricKind::kHistogram: {
-        os << "# TYPE " << s.name << " histogram\n";
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < s.histogram_buckets.size(); ++i) {
-          if (s.histogram_buckets[i] == 0) continue;  // keep output compact
-          cumulative += s.histogram_buckets[i];
-          Labels le = s.labels;
-          const double bound = Histogram::bucket_upper_bound(i);
-          le.emplace_back("le", std::isinf(bound) ? "+Inf"
-                                                  : format_double(bound));
-          os << s.name << "_bucket" << render_labels(le) << ' ' << cumulative
-             << '\n';
-        }
-        os << s.name << "_sum" << labels << ' '
-           << format_double(s.histogram_sum) << '\n';
-        os << s.name << "_count" << labels << ' ' << s.histogram_count
-           << '\n';
-        break;
-      }
-    }
-  }
-  return os.str();
-}
-
 std::string to_json(const MetricsSnapshot& snapshot) {
   std::ostringstream os;
   // The bucket scheme is part of the document so "le" bounds are
@@ -307,9 +253,7 @@ bool write_metrics_file(const MetricsSnapshot& snapshot,
                         const std::string& path) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) return false;
-  const bool json = path.size() >= 5 &&
-                    path.compare(path.size() - 5, 5, ".json") == 0;
-  os << (json ? to_json(snapshot) : to_text(snapshot));
+  os << to_json(snapshot);
   return static_cast<bool>(os);
 }
 

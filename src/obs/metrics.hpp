@@ -11,8 +11,8 @@
 //      sets (e.g. campaign_cells_total{phase="alone"} vs {phase="colocated"}),
 //      each backed by an independent instrument.
 //   3. Exportable snapshots. snapshot() copies a consistent-enough view
-//      (per-instrument atomicity; no global stop-the-world) that can be
-//      rendered as Prometheus-style text or JSON.
+//      (per-instrument atomicity; no global stop-the-world) that renders
+//      as one JSON document (a run bundle's metrics.json).
 //
 // The process-wide registry is Registry::global(); tests typically build
 // their own local Registry instances.
@@ -138,7 +138,7 @@ struct MetricSample {
 
 struct MetricsSnapshot {
   /// Sorted by (name, labels); each sample's labels are themselves sorted
-  /// by key, so every rendering (text, JSON, digests) is deterministic.
+  /// by key, so every rendering (JSON, digests) is deterministic.
   std::vector<MetricSample> samples;
 
   /// First sample matching name (+labels when given); nullptr if absent.
@@ -203,9 +203,6 @@ class StageTimer {
   bool stopped_ = false;
 };
 
-/// Renders a snapshot in Prometheus-style text exposition format.
-std::string to_text(const MetricsSnapshot& snapshot);
-
 /// Renders a snapshot as a JSON document:
 /// {"bucket_scheme": {...}, "metrics": [...]}. Key order is deterministic
 /// (samples sorted by name+labels, label keys sorted), and bucket_scheme
@@ -213,8 +210,8 @@ std::string to_text(const MetricsSnapshot& snapshot);
 /// Histogram) so a consumer can interpret "le" bounds without this header.
 std::string to_json(const MetricsSnapshot& snapshot);
 
-/// Writes a snapshot to `path`; format is JSON when the path ends in
-/// ".json", text otherwise. Returns false (and logs nothing) on I/O error.
+/// Writes to_json(snapshot) to `path`. Returns false (and logs nothing) on
+/// I/O error.
 bool write_metrics_file(const MetricsSnapshot& snapshot,
                         const std::string& path);
 

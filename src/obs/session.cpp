@@ -1,10 +1,13 @@
 #include "obs/session.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 
+#include "common/error.hpp"  // header-only: obs links nothing from common
 #include "obs/metrics.hpp"
 
 namespace coloc::obs {
@@ -12,13 +15,25 @@ namespace coloc::obs {
 ObsSession::ObsSession(ObsOptions options)
     : options_(std::move(options)),
       start_(std::chrono::steady_clock::now()) {
-  if (!options_.trace_out.empty()) {
-    sink_ = std::make_unique<TraceSink>();
-    sink_->install();
+  if (options_.bundle_dir.empty()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(options_.bundle_dir, ec);
+  if (ec || !std::filesystem::is_directory(options_.bundle_dir, ec)) {
+    throw invalid_argument_error(
+        "cannot create bundle directory " + options_.bundle_dir +
+        (ec ? ": " + ec.message() : std::string()));
   }
+  sink_ = std::make_unique<TraceSink>();
+  sink_->install();
 }
 
 ObsSession::~ObsSession() { finalize(); }
+
+double ObsSession::elapsed_seconds() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start_)
+      .count();
+}
 
 void ObsSession::finalize() {
   if (finalized_) return;
@@ -28,43 +43,22 @@ void ObsSession::finalize() {
 
   if (sink_ != nullptr) {
     if (TraceSink::current() == sink_.get()) TraceSink::uninstall();
-    if (!sink_->write_chrome_json(options_.trace_out)) {
-      std::fprintf(stderr, "[obs] failed to write trace file %s\n",
-                   options_.trace_out.c_str());
-    }
-    const std::string csv_path = csv_twin_path(options_.trace_out);
-    if (!sink_->write_csv(csv_path)) {
-      std::fprintf(stderr, "[obs] failed to write trace CSV %s\n",
-                   csv_path.c_str());
-    }
-  }
-
-  if (!options_.metrics_out.empty() || !options_.manifest_out.empty()) {
+    const auto check = [](bool written, const std::string& path) {
+      if (!written) std::fprintf(stderr, "[obs] failed to write %s\n",
+                                 path.c_str());
+    };
+    const std::string dir = options_.bundle_dir + "/";
+    check(sink_->write_chrome_json(dir + "trace.json"), dir + "trace.json");
     const MetricsSnapshot snapshot = Registry::global().snapshot();
-    if (!options_.metrics_out.empty() &&
-        !write_metrics_file(snapshot, options_.metrics_out)) {
-      std::fprintf(stderr, "[obs] failed to write metrics file %s\n",
-                   options_.metrics_out.c_str());
-    }
-    if (!options_.manifest_out.empty()) {
-      const double wall_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start_)
-              .count();
-      const Manifest manifest =
-          Manifest::collect(options_.manifest, snapshot, wall_s);
-      if (!manifest.write(options_.manifest_out)) {
-        std::fprintf(stderr, "[obs] failed to write manifest file %s\n",
-                     options_.manifest_out.c_str());
-      }
-    }
+    check(write_metrics_file(snapshot, dir + "metrics.json"),
+          dir + "metrics.json");
+    check(Manifest::collect(options_.manifest, snapshot, elapsed_seconds())
+              .write(dir + "manifest.json"),
+          dir + "manifest.json");
   }
 
   if (options_.report_resources) {
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
+    const double wall_s = elapsed_seconds();
     const long rss_kb = peak_rss_kb();
     // One greppable line on stdout so bench trajectories can track cost.
     if (rss_kb >= 0) {
@@ -90,15 +84,6 @@ long peak_rss_kb() {
     return is ? kb : -1;
   }
   return -1;
-}
-
-std::string csv_twin_path(const std::string& path) {
-  const std::string suffix = ".json";
-  if (path.size() >= suffix.size() &&
-      path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    return path.substr(0, path.size() - suffix.size()) + ".csv";
-  }
-  return path + ".csv";
 }
 
 }  // namespace coloc::obs

@@ -1,14 +1,13 @@
 // ObsSession: one RAII object that turns the observability subsystem on
-// for the duration of a run and flushes its artifacts at the end.
+// for the duration of a run and writes its run bundle at the end.
 //
 //   obs::ObsOptions opts;
-//   opts.metrics_out = "m.json";   // from --metrics-out
-//   opts.trace_out = "t.json";     // from --trace-out
-//   opts.report_resources = true;  // wall time + peak RSS line at exit
-//   obs::ObsSession session(opts);
+//   opts.bundle_dir = "run_bundle";  // from --bundle-out
+//   opts.report_resources = true;    // wall time + peak RSS line at exit
+//   obs::ObsSession session(opts);   // creates the directory, or throws
 //   ... run the experiment ...
-//   // destructor: uninstall trace sink, write t.json (+ t.csv),
-//   // write m.json from the global registry, print the resource line
+//   // destructor: uninstall the trace sink and write
+//   // run_bundle/{manifest,metrics,trace}.json, print the resource line
 #pragma once
 
 #include <chrono>
@@ -22,16 +21,12 @@
 namespace coloc::obs {
 
 struct ObsOptions {
-  /// Metrics snapshot destination ("" = none). ".json" suffix selects the
-  /// JSON format, anything else the Prometheus-style text format.
-  std::string metrics_out;
-  /// Chrome-trace destination ("" = tracing disabled). A flat CSV twin is
-  /// written alongside (extension replaced by .csv).
-  std::string trace_out;
-  /// Run-manifest destination ("" = none): build identity, run identity
-  /// (from `manifest`), per-stage wall clock, total wall/CPU/RSS, and a
-  /// digest of the metrics snapshot. See obs/manifest.hpp.
-  std::string manifest_out;
+  /// Run-bundle directory ("" = none). When set, the session creates it,
+  /// records spans for the whole run, and at finalize writes manifest.json
+  /// (build and run identity, total wall/CPU/RSS, metrics digest; see
+  /// obs/manifest.hpp), metrics.json (the global registry) and trace.json
+  /// (chrome://tracing) into it. tools/obs_report reads the first two.
+  std::string bundle_dir;
   /// Run identity recorded in the manifest (program, seed, jobs, ...).
   ManifestInfo manifest;
   /// Print "total_wall_time_s=... peak_rss_mb=..." on stdout at the end.
@@ -48,24 +43,22 @@ struct ObsOptions {
 
 class ObsSession {
  public:
+  /// Throws coloc::invalid_argument_error naming the path when
+  /// options.bundle_dir cannot be created, so a bad --bundle-out fails
+  /// before the run instead of after it.
   explicit ObsSession(ObsOptions options);
   ~ObsSession();
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
   /// Flushes everything once (idempotent; also run by the destructor):
-  /// uninstalls the trace sink, writes the trace JSON + CSV, writes the
-  /// metrics snapshot, prints the resource report.
+  /// uninstalls the trace sink, writes the bundle, prints the resource
+  /// report.
   void finalize();
 
-  /// The session's trace sink (nullptr when tracing is disabled).
-  TraceSink* sink() { return sink_.get(); }
-
-  /// Mutable run identity, so callers can record flags parsed after the
-  /// session was constructed (it is read at finalize time).
-  ManifestInfo& manifest_info() { return options_.manifest; }
-
  private:
+  double elapsed_seconds() const;
+
   ObsOptions options_;
   std::unique_ptr<TraceSink> sink_;
   std::chrono::steady_clock::time_point start_;
@@ -75,8 +68,5 @@ class ObsSession {
 /// Peak resident set size (VmHWM) in kilobytes from /proc/self/status,
 /// or -1 when unavailable (non-Linux platforms).
 long peak_rss_kb();
-
-/// Replaces a ".json" suffix with ".csv" (otherwise appends ".csv").
-std::string csv_twin_path(const std::string& path);
 
 }  // namespace coloc::obs

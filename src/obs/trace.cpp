@@ -170,36 +170,6 @@ bool TraceSink::write_chrome_json(const std::string& path) const {
   return static_cast<bool>(os);
 }
 
-namespace {
-
-// RFC-4180 field quoting: always quoted (names are free-form), with
-// embedded quotes doubled so CsvTable::load round-trips exactly.
-void write_csv_field(std::ostream& os, const std::string& field) {
-  os << '"';
-  for (char c : field) {
-    if (c == '"') os << '"';
-    os << c;
-  }
-  os << '"';
-}
-
-}  // namespace
-
-bool TraceSink::write_csv(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  os << "name,category,tid,depth,id,parent_id,start_ns,duration_ns\n";
-  for (const TraceEvent& e : events()) {
-    if (e.kind != TraceEvent::Kind::kSpan) continue;
-    write_csv_field(os, e.name);
-    os << ',';
-    write_csv_field(os, e.category);
-    os << ',' << e.tid << ',' << e.depth << ',' << e.id << ','
-       << e.parent_id << ',' << e.start_ns << ',' << e.duration_ns << '\n';
-  }
-  return static_cast<bool>(os);
-}
-
 void ScopedSpan::begin() {
   id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
   if (!explicit_parent_) parent_id_ = t_current_span;

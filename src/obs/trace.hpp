@@ -9,7 +9,7 @@
 // load, so library code can stay instrumented unconditionally. Completed
 // spans append to a per-thread buffer (no cross-thread contention on the
 // record path beyond an uncontended mutex) and are merged on export into
-// a chrome://tracing-compatible JSON file and/or a flat CSV.
+// a chrome://tracing-compatible JSON file.
 //
 // Span edges: every recorded span carries a process-unique id and the id
 // of its parent (0 = root). Within one thread the parent is the
@@ -106,9 +106,6 @@ class TraceSink {
   /// or https://ui.perfetto.dev). Spans carry their id/parent edge in
   /// "args"; counters become "ph":"C" samples. Returns false on I/O error.
   bool write_chrome_json(const std::string& path) const;
-  /// Writes a flat CSV of the spans (counters are omitted):
-  /// name,category,tid,depth,id,parent_id,start_ns,duration_ns.
-  bool write_csv(const std::string& path) const;
 
  private:
   struct ThreadBuffer {

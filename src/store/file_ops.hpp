@@ -1,21 +1,17 @@
-// Durable file I/O seam for every artifact the pipeline persists.
+// Durable file I/O for every artifact the pipeline persists.
 //
 // All artifact writes in the library (zoo bundles, campaign checkpoints,
-// stage journals) go through a store::FileOps instance instead of raw
-// iostream calls, for two reasons:
+// stage journals) go through store::FileOps instead of raw iostream
+// calls, for crash consistency: write_atomic follows the write-temp ->
+// fsync(file) -> rename -> fsync(parent dir) discipline, so a power loss
+// at any instant leaves either the complete previous file or the complete
+// new file — never a torn mixture. A plain rename without the two fsyncs
+// only protects against process death, not against the page cache dying
+// with the machine.
 //
-//   1. Crash consistency. The real implementation writes through the
-//      write-temp -> fsync(file) -> rename -> fsync(parent dir) discipline,
-//      so a power loss at any instant leaves either the complete previous
-//      file or the complete new file — never a torn mixture. A plain
-//      rename without the two fsyncs only protects against process death,
-//      not against the page cache dying with the machine.
-//
-//   2. Storage chaos. fault::StorageFaultInjector subclasses FileOps and
-//      corrupts writes deterministically (torn write, bit flip,
-//      truncation, dropped rename, ENOSPC), which is how the recovery
-//      tests prove that readers detect — rather than silently consume —
-//      every corruption the digests are meant to catch.
+// Readers detect damaged bytes through digests (store/digest, the zoo
+// manifest, the stage journal); the tests that prove it corrupt files
+// directly on disk.
 #pragma once
 
 #include <optional>
@@ -24,18 +20,14 @@
 
 namespace coloc::store {
 
-/// Filesystem operations used by artifact writers/readers. The base class
-/// IS the real implementation; decorators (fault injectors, test doubles)
-/// override the virtuals and forward to a wrapped instance.
+/// Filesystem operations used by artifact writers/readers.
 class FileOps {
  public:
-  virtual ~FileOps() = default;
-
-  virtual bool exists(const std::string& path) const;
+  bool exists(const std::string& path) const;
 
   /// Whole-file read. Throws coloc::runtime_error when the file cannot be
   /// opened or read.
-  virtual std::string read(const std::string& path) const;
+  std::string read(const std::string& path) const;
 
   /// read() that maps "file absent" to nullopt instead of throwing.
   std::optional<std::string> read_if_exists(const std::string& path) const;
@@ -44,19 +36,18 @@ class FileOps {
   /// write `path`.tmp, fsync it, rename over `path`, fsync the parent
   /// directory. Throws coloc::runtime_error on any I/O failure; on
   /// failure `path` still holds its previous content (or stays absent).
-  virtual void write_atomic(const std::string& path, std::string_view bytes);
+  void write_atomic(const std::string& path, std::string_view bytes);
 
   /// Durable append for write-ahead journals: appends `bytes` with
   /// O_APPEND and fsyncs before returning, so a record that this call
   /// acknowledged survives a crash. Appends are NOT atomic across
   /// crashes — a torn tail line is possible and journal readers must
   /// tolerate (ignore) an incomplete final record.
-  virtual void append_durable(const std::string& path,
-                              std::string_view bytes);
+  void append_durable(const std::string& path, std::string_view bytes);
 
-  virtual void remove(const std::string& path);
+  void remove(const std::string& path);
 
-  virtual void create_directories(const std::string& path);
+  void create_directories(const std::string& path);
 
   /// Process-wide real-filesystem instance.
   static FileOps& real();

@@ -1,20 +1,31 @@
 // Tests for the perf-attribution layer: metrics/manifest round trips, the
-// stage accounting check behind `obs_report BUNDLE` (including the tool's
-// exit status), and the regression gate behind `obs_report A B`.
+// run bundle ObsSession writes, the stage accounting check behind
+// `obs_report BUNDLE` (including the tool's exit status and the per-call
+// check export_stage_pool_gauges feeds), and the regression gate behind
+// `obs_report A B`.
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <limits>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/attribution.hpp"
+#include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "obs/session.hpp"
 
 namespace {
 
@@ -79,7 +90,6 @@ TEST(Fnv1a64, KnownAnswersAndChaining) {
 TEST(Manifest, RoundTripsThroughJsonFile) {
   obs::Registry registry;
   registry.gauge("stage_wall_seconds", {{"stage", "validation"}}).set(1.25);
-  registry.gauge("stage_wall_seconds", {{"stage", "campaign"}}).set(2.5);
 
   obs::ManifestInfo info;
   info.program = "test_bench";
@@ -92,10 +102,6 @@ TEST(Manifest, RoundTripsThroughJsonFile) {
   const obs::Manifest written =
       obs::Manifest::collect(info, registry.snapshot(), 3.75);
   EXPECT_EQ(written.metrics_digest.size(), 16u);
-  // Stages harvested from the gauges, sorted by name.
-  ASSERT_EQ(written.stages.size(), 2u);
-  EXPECT_EQ(written.stages[0].stage, "campaign");
-  EXPECT_EQ(written.stages[1].stage, "validation");
 
   const std::string path =
       testing::TempDir() + "coloc_attribution_manifest.json";
@@ -111,43 +117,28 @@ TEST(Manifest, RoundTripsThroughJsonFile) {
   EXPECT_EQ(read.info.extra[0].first, "partitions");
   EXPECT_EQ(read.git_describe, written.git_describe);
   EXPECT_DOUBLE_EQ(read.total_wall_seconds, 3.75);
-  EXPECT_DOUBLE_EQ(read.stage_wall("campaign"), 2.5);
-  EXPECT_DOUBLE_EQ(read.stage_wall("validation"), 1.25);
-  EXPECT_DOUBLE_EQ(read.stage_wall("absent"), -1.0);
   EXPECT_EQ(read.metrics_digest, written.metrics_digest);
 }
 
-TEST(Manifest, TrainingSectionRoundTripsThroughJsonFile) {
-  obs::Registry registry;
-  registry.counter("scg_runs_total").inc(12);
-  registry.counter("scg_fused_restarts_total").inc(48);
-  registry.counter("validation_design_memo_hits_total").inc(5);
-  auto& gemm = registry.histogram("train_gemm_seconds");
-  gemm.observe(0.25);
-  gemm.observe(0.75);
+obs::MetricEntry stage_wall_entry(const std::string& stage, double wall_s) {
+  obs::MetricEntry e;
+  e.name = "stage_wall_seconds";
+  e.labels = {{"stage", stage}};
+  e.type = "gauge";
+  e.value = wall_s;
+  return e;
+}
 
-  obs::ManifestInfo info;
-  info.program = "test_bench";
-  const obs::Manifest written =
-      obs::Manifest::collect(info, registry.snapshot(), 1.0);
-  EXPECT_DOUBLE_EQ(written.training_value("scg_runs_total"), 12.0);
-  EXPECT_DOUBLE_EQ(written.training_value("scg_fused_restarts_total"), 48.0);
-  EXPECT_DOUBLE_EQ(
-      written.training_value("validation_design_memo_hits_total"), 5.0);
-  EXPECT_DOUBLE_EQ(written.training_value("train_gemm_seconds_sum"), 1.0);
-  EXPECT_DOUBLE_EQ(written.training_value("train_gemm_seconds_count"), 2.0);
-  // Zero-valued counters stay out of the section entirely.
-  EXPECT_DOUBLE_EQ(written.training_value("scg_epochs_total"), -1.0);
-
-  const std::string path =
-      testing::TempDir() + "coloc_attribution_training_manifest.json";
-  ASSERT_TRUE(written.write(path));
-  const obs::Manifest read = obs::Manifest::from_json_file(path);
-  ASSERT_EQ(read.training.size(), written.training.size());
-  for (std::size_t i = 0; i < written.training.size(); ++i) {
-    EXPECT_EQ(read.training[i].metric, written.training[i].metric) << i;
-    EXPECT_DOUBLE_EQ(read.training[i].value, written.training[i].value) << i;
-  }
+/// A histogram entry whose `count` samples all sit in the bucket `bound`.
+obs::MetricEntry histogram_entry(const std::string& name, double bound,
+                                 std::uint64_t count, double sum) {
+  obs::MetricEntry e;
+  e.name = name;
+  e.type = "histogram";
+  e.histogram.count = count;
+  e.histogram.sum = sum;
+  e.histogram.buckets = {{bound, count}};
+  return e;
 }
 
 obs::BundleData synthetic_bundle(double campaign_wall_s,
@@ -156,15 +147,20 @@ obs::BundleData synthetic_bundle(double campaign_wall_s,
   b.dir = "synthetic";
   b.manifest.info.program = "test_bench";
   b.manifest.total_wall_seconds = 10.0;
-  b.manifest.stages.push_back({"campaign", campaign_wall_s});
-  b.manifest.stages.push_back({"validation", 2.0});
-  obs::MetricEntry q;
-  q.name = "pool_queue_wait_seconds";
-  q.type = "histogram";
-  q.histogram.count = 100;
-  q.histogram.sum = queue_wait_bound_s * 100;
-  q.histogram.buckets = {{queue_wait_bound_s, 100}};
-  b.metrics.entries.push_back(std::move(q));
+  b.metrics.entries.push_back(stage_wall_entry("campaign", campaign_wall_s));
+  b.metrics.entries.push_back(stage_wall_entry("validation", 2.0));
+  b.metrics.entries.push_back(
+      histogram_entry("pool_queue_wait_seconds", queue_wait_bound_s, 100,
+                      queue_wait_bound_s * 100));
+  return b;
+}
+
+/// synthetic_bundle plus a trained-model GEMM histogram summing to
+/// `gemm_sum_s`.
+obs::BundleData trained_bundle(double gemm_sum_s) {
+  obs::BundleData b = synthetic_bundle(1.0, 1e-3);
+  b.metrics.entries.push_back(
+      histogram_entry("train_gemm_seconds", 0.5, 4, gemm_sum_s));
   return b;
 }
 
@@ -205,27 +201,23 @@ TEST(DiffBundles, QueueWaitP99RegressionTrips) {
 }
 
 TEST(DiffBundles, TrainGemmSumRegressionTrips) {
-  obs::BundleData baseline = synthetic_bundle(1.0, 1e-3);
-  baseline.manifest.training.push_back({"train_gemm_seconds_sum", 1.0});
-  obs::BundleData current = synthetic_bundle(1.0, 1e-3);
-  current.manifest.training.push_back({"train_gemm_seconds_sum", 1.5});
+  const obs::BundleData baseline = trained_bundle(1.0);
+  const obs::BundleData current = trained_bundle(1.5);
   const obs::DiffResult diff = obs::diff_bundles(baseline, current);
   ASSERT_TRUE(diff.regression);
   ASSERT_EQ(diff.regressions.size(), 1u);
-  EXPECT_NE(diff.regressions[0].find("train_gemm_seconds_sum"),
+  EXPECT_NE(diff.regressions[0].find("train_gemm_seconds sum"),
             std::string::npos);
 
-  // Below the default +25% threshold: no trip. Absent sections never gate.
-  obs::BundleData mild = synthetic_bundle(1.0, 1e-3);
-  mild.manifest.training.push_back({"train_gemm_seconds_sum", 1.2});
-  EXPECT_FALSE(obs::diff_bundles(baseline, mild).regression);
+  // Below the +25% threshold: no trip. A bundle that trained nothing
+  // never gates.
+  EXPECT_FALSE(obs::diff_bundles(baseline, trained_bundle(1.2)).regression);
   const obs::BundleData untrained = synthetic_bundle(1.0, 1e-3);
   EXPECT_FALSE(obs::diff_bundles(untrained, current).regression);
 }
 
-/// Writes `registry` as a bundle (metrics.json + manifest.json, stages
-/// harvested from its stage_wall_seconds gauges) into a fresh temp
-/// directory and returns the directory.
+/// Writes `registry` as a bundle (metrics.json + manifest.json) into a
+/// fresh temp directory and returns the directory.
 std::string write_bundle(const obs::Registry& registry,
                          const std::string& name) {
   const std::string dir = testing::TempDir() + name;
@@ -240,10 +232,11 @@ std::string write_bundle(const obs::Registry& registry,
   return dir;
 }
 
-/// Exit status of tools/obs_report run on one bundle directory.
-int obs_report_exit_status(const std::string& dir) {
+/// Exit status of tools/obs_report run with `args` (bundle directories,
+/// or anything else to probe its usage check).
+int obs_report_exit_status(const std::string& args) {
   const std::string command =
-      std::string(COLOC_OBS_REPORT) + " " + dir + " > /dev/null";
+      std::string(COLOC_OBS_REPORT) + " " + args + " > /dev/null 2>&1";
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -258,12 +251,16 @@ TEST(BundleData, LoadsFromDiskWithoutATrace) {
   registry.gauge("stage_pool_idle_seconds", labels).set(1.0);
   registry.gauge("stage_pool_wait_seconds", labels).set(0.25);
   registry.gauge("stage_pool_utilization", labels).set(0.8);
+  registry.counter("stage_pool_unbalanced_calls_total", labels);
   const std::string dir = write_bundle(registry, "coloc_attribution_bundle");
 
   const obs::BundleData bundle = obs::BundleData::load(dir);
   EXPECT_FALSE(std::filesystem::exists(dir + "/trace.json"));
   EXPECT_EQ(bundle.manifest.info.program, "test_bench");
-  EXPECT_DOUBLE_EQ(bundle.manifest.stage_wall("campaign"), 2.5);
+  const obs::MetricEntry* wall =
+      bundle.metrics.find("stage_wall_seconds", labels);
+  ASSERT_NE(wall, nullptr);
+  EXPECT_DOUBLE_EQ(wall->value, 2.5);
 
   const obs::ReportResult report = obs::render_report(bundle);
   EXPECT_NE(report.text.find("== stages =="), std::string::npos);
@@ -277,8 +274,9 @@ TEST(BundleData, LoadsFromDiskWithoutATrace) {
   EXPECT_EQ(via_manifest.manifest.info.program, "test_bench");
 }
 
-/// One 2.5 s campaign stage whose 2-worker pool call balances:
-/// 2 x 2.0 s = busy 3.5 s + idle 0.5 s (wait 0.1 s + tail 0.4 s).
+/// One 2.5 s campaign stage (the last of three calls) whose 2-worker pool
+/// call balances: 2 x 2.0 s = busy 3.5 s + idle 0.5 s (wait 0.1 s + tail
+/// 0.4 s).
 struct StageGauges {
   double stage_wall = 2.5;
   double call_wall = 2.0;
@@ -301,6 +299,8 @@ std::string write_stage_bundle(const std::string& name,
   registry.gauge("stage_pool_wait_seconds", labels).set(0.1);
   registry.gauge("stage_pool_utilization", labels)
       .set(g.busy / (g.busy + g.idle));
+  registry.counter("stage_runs_total", labels).inc(3);
+  registry.counter("stage_pool_unbalanced_calls_total", labels);
   // A stage without a pool call is reported, never checked.
   registry.gauge("stage_wall_seconds", {{"stage", "supervisor"}}).set(0.25);
   return write_bundle(registry, name);
@@ -327,14 +327,16 @@ TEST(StageAccounting, BalancedGaugesPass) {
 
   const obs::ReportResult report = obs::render_report(bundle);
   EXPECT_TRUE(report.failures.empty());
-  EXPECT_NE(report.text.find("campaign: wall 2.500 s = pool call 2.000 s + "
-                             "outside 500.000 ms"),
+  EXPECT_NE(report.text.find("campaign: wall 2.500 s (last of 3 calls) = "
+                             "pool call 2.000 s + outside 500.000 ms"),
             std::string::npos)
       << report.text;
   EXPECT_NE(report.text.find("2 workers x 2.000 s = busy 3.500 s + idle "
                              "500.000 ms (wait 100.000 ms + tail 400.000 "
                              "ms) + residual 0.0 us"),
             std::string::npos)
+      << report.text;
+  EXPECT_NE(report.text.find("unbalanced calls 0: ok"), std::string::npos)
       << report.text;
   EXPECT_NE(report.text.find("supervisor: wall 250.000 ms (no pool call)"),
             std::string::npos);
@@ -368,23 +370,214 @@ TEST(StageAccounting, PoolCallLongerThanItsStageFails) {
 }
 
 TEST(StageAccounting, DroppedTailFails) {
-  // Idle booked as the start delay alone: the 0.4 s tail surfaces as
-  // residual, ten times the 40 ms tolerance of a 4 s capacity.
-  StageGauges gauges;
-  gauges.idle = 0.1;
-  const std::vector<obs::StageAccounting> stages = obs::account_stages(
-      obs::BundleData::load(write_stage_bundle("coloc_accounting_no_tail",
-                                               gauges)));
-  EXPECT_NEAR(stages[0].residual_seconds(), 0.4, 1e-12);
-  ASSERT_EQ(stages[0].failures.size(), 1u);
-  EXPECT_NE(stages[0].failures[0].find("residual"), std::string::npos)
-      << stages[0].failures[0];
+  // Two pool calls of one stage through the export path. The first books
+  // idle as the start delay alone, so its 0.4 s tail surfaces as residual,
+  // ten times the 40 ms tolerance of its 4 s capacity; the second
+  // balances. The gauges keep only the balanced last call, so only the
+  // per-call check can see the first.
+  obs::Registry& registry = obs::Registry::global();
+  registry.reset();
+  PoolStats dropped_tail;
+  dropped_tail.busy_seconds = 3.5;
+  dropped_tail.idle_seconds = 0.1;
+  dropped_tail.wait_seconds = 0.1;
+  dropped_tail.wall_seconds = 2.0;
+  dropped_tail.workers = 2;
+  PoolStats balanced = dropped_tail;
+  balanced.idle_seconds = 0.5;
+  export_stage_pool_gauges("campaign", dropped_tail);
+  export_stage_pool_gauges("campaign", balanced);
+  registry.gauge("stage_wall_seconds", {{"stage", "campaign"}}).set(2.5);
+  const std::string dir =
+      write_bundle(registry, "coloc_accounting_dropped_tail");
+
+  const obs::BundleData bundle = obs::BundleData::load(dir);
+  const std::vector<obs::StageAccounting> stages =
+      obs::account_stages(bundle);
+  const auto campaign =
+      std::find_if(stages.begin(), stages.end(),
+                   [](const obs::StageAccounting& s) {
+                     return s.stage == "campaign";
+                   });
+  ASSERT_NE(campaign, stages.end());
+  EXPECT_NEAR(campaign->residual_seconds(), 0.0, 1e-12);  // the last call
+  EXPECT_DOUBLE_EQ(campaign->unbalanced_calls, 1.0);
+  ASSERT_EQ(campaign->failures.size(), 1u);
+  EXPECT_NE(campaign->failures[0].find("unbalanced"), std::string::npos)
+      << campaign->failures[0];
+  EXPECT_FALSE(obs::render_report(bundle).failures.empty());
+  EXPECT_EQ(obs_report_exit_status(dir), 2);
 }
 
 TEST(StageAccounting, ToleranceIsOneMillisecondOrOnePercentOfCapacity) {
   EXPECT_DOUBLE_EQ(obs::residual_tolerance(0.0), 1e-3);
   EXPECT_DOUBLE_EQ(obs::residual_tolerance(0.05), 1e-3);
   EXPECT_DOUBLE_EQ(obs::residual_tolerance(4.0), 0.04);
+}
+
+/// Seconds from a report rendering ("2.500 s", "13.800 ms", "27.0 us"),
+/// with the half-unit of its last printed digit as `tolerance`.
+double parse_seconds(const std::string& text, double& tolerance) {
+  std::istringstream is(text);
+  std::string number;
+  std::string unit;
+  is >> number >> unit;
+  const double scale = unit.rfind("ms", 0) == 0   ? 1e-3
+                      : unit.rfind("us", 0) == 0 ? 1e-6
+                                                 : 1.0;
+  const std::size_t point = number.find('.');
+  const std::size_t decimals =
+      point == std::string::npos ? 0 : number.size() - point - 1;
+  tolerance = 0.5 * std::pow(10.0, -static_cast<double>(decimals)) * scale;
+  return std::stod(number) * scale;
+}
+
+/// The entry a report names as "name" or "name{k=v,...}".
+const obs::MetricEntry* find_rendered(const obs::MetricsDoc& doc,
+                                      const std::string& rendered) {
+  const std::size_t brace = rendered.find('{');
+  if (brace == std::string::npos) return doc.find(rendered);
+  obs::Labels labels;
+  std::istringstream is(
+      rendered.substr(brace + 1, rendered.size() - brace - 2));
+  for (std::string kv; std::getline(is, kv, ',');) {
+    const std::size_t eq = kv.find('=');
+    labels.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+  }
+  return doc.find(rendered.substr(0, brace), labels);
+}
+
+/// Records two stage walls, recovery and training counters and a
+/// train-GEMM histogram in the global registry, then writes them as a
+/// bundle through an ObsSession into a fresh directory and returns it.
+std::string write_session_bundle(const std::string& name) {
+  obs::Registry& registry = obs::Registry::global();
+  registry.reset();
+  registry.gauge("stage_wall_seconds", {{"stage", "campaign"}}).set(0.0138);
+  registry.counter("stage_runs_total", {{"stage", "campaign"}}).inc(11);
+  registry.gauge("stage_wall_seconds", {{"stage", "validation"}}).set(1.51);
+  registry.counter("store_corruption_detected_total", {{"reason", "digest"}})
+      .inc(3);
+  registry.counter("zoo_models_retrained_total").inc(2);
+  registry.counter("scg_runs_total").inc(12);
+  registry.counter("scg_fused_restarts_total").inc(48);
+  registry.histogram("train_gemm_seconds").observe(0.25);
+  registry.histogram("train_gemm_seconds").observe(0.75);
+
+  const std::string dir = testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  obs::ObsOptions options;
+  options.bundle_dir = dir;
+  options.manifest.program = "test_bench";
+  { const obs::ObsSession session(options); }
+  return dir;
+}
+
+TEST(ObsSession, BundleHoldsExactlyManifestMetricsAndTrace) {
+  const std::string dir = write_session_bundle("coloc_session_bundle");
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"manifest.json", "metrics.json",
+                                          "trace.json"}));
+  // Every number lives in metrics.json; the manifest copies none of them.
+  const obs::JsonValue manifest = obs::json_parse_file(dir + "/manifest.json");
+  for (const char* key : {"stages", "recovery", "training"}) {
+    EXPECT_EQ(manifest.find(key), nullptr) << key;
+  }
+  EXPECT_EQ(manifest.at("program").string, "test_bench");
+  EXPECT_TRUE(obs::json_parse_file(dir + "/trace.json")
+                  .at("traceEvents")
+                  .is_array());
+}
+
+TEST(ObsSession, UncreatableBundleDirectoryThrowsNamingIt) {
+  // A regular file cannot hold a directory: the session refuses at
+  // construction, before the run, and names the path.
+  const std::string file = testing::TempDir() + "coloc_bundle_parent_file";
+  std::filesystem::remove_all(file);
+  { std::ofstream(file) << "not a directory"; }
+  obs::ObsOptions options;
+  options.bundle_dir = file + "/bundle";
+  try {
+    const obs::ObsSession session(options);
+    FAIL() << "expected invalid_argument_error";
+  } catch (const invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find(options.bundle_dir),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(obs::TraceSink::current(), nullptr);
+}
+
+TEST(BundleReport, EveryPrintedNumberEqualsItsMetricsEntry) {
+  const obs::BundleData bundle =
+      obs::BundleData::load(write_session_bundle("coloc_report_numbers"));
+  const std::string text = obs::render_report(bundle).text;
+
+  // Walk the report: each stage wall (and its call count), each surfaced
+  // counter and the train-GEMM histogram's count and sum must equal the
+  // metrics.json entry it came from.
+  std::size_t checked = 0;
+  std::string section;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("== ", 0) == 0) {
+      section = line;
+      continue;
+    }
+    if (line.rfind("  ", 0) != 0 || line.rfind("    ", 0) == 0) continue;
+    const std::size_t colon = line.find(": ");
+    const std::string name = line.substr(2, colon - 2);
+    const std::string rest = line.substr(colon + 2);
+    if (section == "== stages ==") {
+      const obs::Labels labels = {{"stage", name}};
+      const obs::MetricEntry* wall =
+          bundle.metrics.find("stage_wall_seconds", labels);
+      ASSERT_NE(wall, nullptr) << line;
+      double tolerance = 0.0;
+      const double printed = parse_seconds(rest.substr(5), tolerance);
+      EXPECT_NEAR(printed, wall->value, tolerance) << line;
+      ++checked;
+      if (const std::size_t of = rest.find("last of ");
+          of != std::string::npos) {
+        const obs::MetricEntry* runs =
+            bundle.metrics.find("stage_runs_total", labels);
+        ASSERT_NE(runs, nullptr) << line;
+        EXPECT_EQ(std::stod(rest.substr(of + 8)), runs->value) << line;
+        ++checked;
+      }
+    } else if (section == "== recovery ==" || section == "== training ==") {
+      const obs::MetricEntry* counter = find_rendered(bundle.metrics, name);
+      ASSERT_NE(counter, nullptr) << line;
+      EXPECT_EQ(std::stod(rest), counter->value) << line;
+      ++checked;
+    } else if (name == "train gemm  ") {
+      const obs::MetricEntry* gemm = bundle.metrics.find("train_gemm_seconds");
+      ASSERT_NE(gemm, nullptr);
+      EXPECT_EQ(std::stoull(rest), gemm->histogram.count) << line;
+      double tolerance = 0.0;
+      const double printed =
+          parse_seconds(rest.substr(rest.find("sum ") + 4), tolerance);
+      EXPECT_NEAR(printed, gemm->histogram.sum, tolerance) << line;
+      checked += 2;
+    }
+  }
+  // Two walls, one call count, four counters, the GEMM count and sum.
+  EXPECT_EQ(checked, 9u) << text;
+}
+
+TEST(ObsReport, AnyFlagPrintsUsageAndExitsSixtyFour) {
+  const std::string a = write_session_bundle("coloc_obs_report_a");
+  const std::string b = write_session_bundle("coloc_obs_report_b");
+  EXPECT_EQ(obs_report_exit_status(a + " " + b), 0);
+  // The removed --gate and threshold flags must not read as bundles or
+  // be skipped: a stale `--gate A B` would otherwise report on B alone.
+  EXPECT_EQ(obs_report_exit_status("--gate " + a + " " + b), 64);
+  EXPECT_EQ(obs_report_exit_status("--stage-wall-pct=10 " + a + " " + b), 64);
+  EXPECT_EQ(obs_report_exit_status(a + " " + b + " --train-gemm-pct=25"), 64);
+  EXPECT_EQ(obs_report_exit_status(""), 64);
 }
 
 }  // namespace

@@ -185,17 +185,6 @@ TEST(Registry, SnapshotIsSortedAndTyped) {
   EXPECT_EQ(snap.samples[2].kind, MetricKind::kHistogram);
 }
 
-TEST(Export, TextFormatContainsTypedSamples) {
-  Registry registry;
-  registry.counter("cells_total", {{"phase", "alone"}}).inc(7);
-  registry.histogram("lat_seconds").observe(0.5);
-  const std::string text = to_text(registry.snapshot());
-  EXPECT_NE(text.find("# TYPE cells_total counter"), std::string::npos);
-  EXPECT_NE(text.find("cells_total{phase=\"alone\"} 7"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_count 1"), std::string::npos);
-  EXPECT_NE(text.find("lat_seconds_sum 0.5"), std::string::npos);
-}
-
 TEST(Export, JsonRoundTripsThroughTheJsonReader) {
   Registry registry;
   registry.counter("cells_total", {{"phase", "colocated"}}).inc(42);
@@ -237,9 +226,7 @@ TEST(Export, WritesJsonOrTextByExtension) {
   registry.counter("w_total").inc(3);
   const std::string json_path =
       testing::TempDir() + "coloc_metrics_test.json";
-  const std::string text_path = testing::TempDir() + "coloc_metrics_test.txt";
   ASSERT_TRUE(write_metrics_file(registry.snapshot(), json_path));
-  ASSERT_TRUE(write_metrics_file(registry.snapshot(), text_path));
   const JsonValue doc = json_parse_file(json_path);
   EXPECT_EQ(doc.at("metrics").size(), 1u);
 }

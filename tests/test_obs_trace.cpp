@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "obs/json.hpp"
 
 namespace coloc::obs {
@@ -115,7 +114,7 @@ TEST(TraceSink, ChromeJsonRoundTripsThroughTheJsonReader) {
   sink.install();
   {
     ScopedSpan outer("campaign", "core");
-    { ScopedSpan inner("campaign/cell", "core"); }
+    { ScopedSpan inner("has,comma and \"quotes\"", "core"); }
   }
   TraceSink::uninstall();
 
@@ -134,6 +133,8 @@ TEST(TraceSink, ChromeJsonRoundTripsThroughTheJsonReader) {
   EXPECT_TRUE(first.at("dur").is_number());
   EXPECT_DOUBLE_EQ(first.at("args").at("depth").number, 0.0);
   EXPECT_DOUBLE_EQ(events.at(1).at("args").at("depth").number, 1.0);
+  // Free-form names survive the JSON escaping intact.
+  EXPECT_EQ(events.at(1).at("name").string, "has,comma and \"quotes\"");
   // Span edges ride in args: the inner span's parent is the outer's id.
   EXPECT_DOUBLE_EQ(first.at("args").at("parent").number, 0.0);
   EXPECT_DOUBLE_EQ(events.at(1).at("args").at("parent").number,
@@ -141,31 +142,6 @@ TEST(TraceSink, ChromeJsonRoundTripsThroughTheJsonReader) {
   // The inner span starts no earlier and lasts no longer.
   EXPECT_GE(events.at(1).at("ts").number, first.at("ts").number);
   EXPECT_LE(events.at(1).at("dur").number, first.at("dur").number);
-}
-
-TEST(TraceSink, CsvRoundTripsThroughTheCsvReader) {
-  TraceSink sink;
-  sink.install();
-  {
-    ScopedSpan span("has,comma and \"quotes\"", "csv");
-  }
-  TraceSink::uninstall();
-
-  const std::string path = testing::TempDir() + "coloc_trace_test.csv";
-  ASSERT_TRUE(sink.write_csv(path));
-
-  const CsvTable table = CsvTable::load(path);
-  const std::vector<std::string> expected_header = {
-      "name",  "category", "tid",      "depth",
-      "id",    "parent_id", "start_ns", "duration_ns"};
-  EXPECT_EQ(table.header(), expected_header);
-  ASSERT_EQ(table.num_rows(), 1u);
-  EXPECT_EQ(table.at(0, table.column("name")), "has,comma and \"quotes\"");
-  EXPECT_EQ(table.at(0, table.column("category")), "csv");
-  EXPECT_EQ(table.at(0, table.column("depth")), "0");
-  EXPECT_EQ(table.at(0, table.column("parent_id")), "0");
-  EXPECT_GT(table.at_double(0, table.column("id")), 0.0);
-  EXPECT_GE(table.at_double(0, table.column("duration_ns")), 0.0);
 }
 
 TEST(ScopedSpan, ExplicitParentLinksAcrossThreads) {
@@ -259,7 +235,7 @@ TEST(CurrentSpanId, ZeroOutsideAnySpan) {
   TraceSink::uninstall();
 }
 
-TEST(TraceCounter, RecordedInChromeJsonButNotCsv) {
+TEST(TraceCounter, RecordedInChromeJsonAsCounterEvent) {
   TraceSink sink;
   sink.install();
   trace_counter("pool/busy_workers", 3.0);
@@ -281,12 +257,6 @@ TEST(TraceCounter, RecordedInChromeJsonButNotCsv) {
     }
   }
   EXPECT_TRUE(saw_counter);
-
-  const std::string csv_path = testing::TempDir() + "coloc_counter.csv";
-  ASSERT_TRUE(sink.write_csv(csv_path));
-  const CsvTable table = CsvTable::load(csv_path);
-  ASSERT_EQ(table.num_rows(), 1u) << "counters are spans-only CSV noise";
-  EXPECT_EQ(table.at(0, table.column("name")), "work");
 }
 
 TEST(TraceCounter, NoOpWithoutSink) {

@@ -18,18 +18,17 @@
 // tokens exit 2 listing the accepted values.
 //
 // Per-policy mean slowdown and deadline-miss gauges land in the metrics
-// snapshot and manifest extras, so a --bundle-out bundle diffs under
-// tools/obs_report (including the placement predict-latency p99 gate).
+// snapshot, so two --bundle-out bundles diff under tools/obs_report
+// (including the placement predict-latency p99 gate). A --bundle-out
+// directory that cannot be created exits 2 before the replay.
 #include <cstdio>
 #include <exception>
-#include <filesystem>
+#include <optional>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 #include "sched/placement_policy.hpp"
@@ -54,6 +53,7 @@ int main(int argc, char** argv) {
 
   std::vector<sched::PlacementPolicy> policies;
   obs::ObsOptions obs_options;
+  std::optional<obs::ObsSession> session;
   try {
     nodes = args.get_int("nodes", nodes);
     arrivals = args.get_int("arrivals", arrivals);
@@ -73,31 +73,22 @@ int main(int argc, char** argv) {
     if (!(utilization > 0.0)) {
       throw invalid_argument_error("--utilization must be positive");
     }
+    obs_options.bundle_dir = args.get("bundle-out", "");
+    obs_options.label = "placement_sim";
+    obs_options.manifest.program = "placement_sim";
+    obs_options.manifest.machine_preset = "fleet_node";
+    obs_options.manifest.seed = seed;
+    obs_options.manifest.extra = {
+        {"nodes", std::to_string(nodes)},
+        {"arrivals", std::to_string(arrivals)},
+    };
+    obs_options.flush_hook = [] { global_pool().quiesce(); };
+    // Creates the bundle directory, so an unusable one exits 2 here.
+    session.emplace(std::move(obs_options));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "placement_sim: %s\n", e.what());
     return 2;
   }
-
-  obs_options.metrics_out = args.get("metrics-out", "");
-  obs_options.trace_out = args.get("trace-out", "");
-  if (const std::string bundle = args.get("bundle-out", "");
-      !bundle.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(bundle, ec);
-    obs_options.metrics_out = bundle + "/metrics.json";
-    obs_options.trace_out = bundle + "/trace.json";
-    obs_options.manifest_out = bundle + "/manifest.json";
-  }
-  obs_options.label = "placement_sim";
-  obs_options.manifest.program = "placement_sim";
-  obs_options.manifest.machine_preset = "fleet_node";
-  obs_options.manifest.seed = seed;
-  obs_options.manifest.extra = {
-      {"nodes", std::to_string(nodes)},
-      {"arrivals", std::to_string(arrivals)},
-  };
-  obs_options.flush_hook = [] { global_pool().quiesce(); };
-  const obs::ObsSession session(obs_options);
 
   try {
     const sim::MachineConfig machine = serve::demo::fleet_node();
@@ -163,9 +154,6 @@ int main(int argc, char** argv) {
       registry
           .gauge("placement_policy_deadline_miss_rate", {{"policy", name}})
           .set(r.deadline_miss_rate);
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.6f", r.mean_slowdown);
-      obs::add_manifest_extra("mean_slowdown." + name, buf);
     }
     return 0;
   } catch (const std::exception& e) {
