@@ -4,6 +4,9 @@
 // least squares, and one SCG training epoch.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <span>
+
 #include "common/rng.hpp"
 #include "obs/session.hpp"
 #include "linalg/qr.hpp"
@@ -53,13 +56,19 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess)->Arg(256)->Arg(2048)->Arg(12288);
 
+// Fed in 4,096-reference record_batch chunks, as AppMrcLibrary::profile_one
+// feeds the profiler.
 void BM_StackDistanceProfiling(benchmark::State& state) {
   const std::size_t n = 1 << 16;
+  const std::size_t chunk = 4096;
   sim::TraceGenerator gen(mixed_spec(1 << 14), 3);
   const auto trace = gen.generate(n);
   for (auto _ : state) {
     sim::StackDistanceProfiler profiler(n);
-    for (auto a : trace) profiler.record(a);
+    for (std::size_t done = 0; done < n; done += chunk) {
+      profiler.record_batch(std::span<const sim::LineAddress>(
+          trace.data() + done, std::min(chunk, n - done)));
+    }
     benchmark::DoNotOptimize(profiler.cold_misses());
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -52,10 +52,11 @@ double Rng::exponential(double rate) {
 }
 
 std::uint64_t Rng::zipf(std::uint64_t n, double s) {
-  return ZipfSampler(n, s)(*this);
+  return ZipfSampler(n, s).draw(*this, {});
 }
 
-ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n), s_(s) {
+ZipfSampler::ZipfSampler(std::uint64_t n, double s)
+    : n_(n), s_(s), log_(std::abs(s - 1.0) < 1e-12) {
   COLOC_CHECK_MSG(n > 0, "zipf requires n > 0");
   // Rejection-inversion sampling (Hörmann & Derflinger) over [1, n],
   // returning 0-based rank. Handles s close to or equal to 1.
@@ -66,22 +67,41 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n), s_(s) {
 
 double ZipfSampler::h(double x) const {
   // Integral of x^-s: x^(1-s)/(1-s) for s != 1, log(x) otherwise.
-  if (std::abs(s_ - 1.0) < 1e-12) return std::log(x);
+  if (log_) return std::log(x);
   return std::pow(x, 1.0 - s_) / (1.0 - s_);
 }
 
-std::uint64_t ZipfSampler::operator()(Rng& rng) const {
+double ZipfSampler::accept_bound(double kd) const {
+  return h(kd + 0.5) - std::pow(kd, -s_);
+}
+
+std::uint64_t ZipfSampler::operator()(Rng& rng) {
+  if (bounds_.empty()) {
+    bounds_.assign(std::min(n_, kCachedRanks),
+                   std::numeric_limits<double>::quiet_NaN());
+  }
+  return draw(rng, bounds_);
+}
+
+std::uint64_t ZipfSampler::draw(Rng& rng, std::span<double> bounds) const {
   if (n_ == 1) return 0;
   for (;;) {
     const double u = hx0_ + rng.uniform() * (hn_ - hx0_);
-    const double x = std::abs(s_ - 1.0) < 1e-12
-                         ? std::exp(u)
-                         : std::pow((1.0 - s_) * u, 1.0 / (1.0 - s_));
+    const double x =
+        log_ ? std::exp(u) : std::pow((1.0 - s_) * u, 1.0 / (1.0 - s_));
     const std::uint64_t k =
         static_cast<std::uint64_t>(std::clamp(std::floor(x + 0.5), 1.0, nd_));
     const double kd = static_cast<double>(k);
+    double bound;
+    if (k <= bounds.size()) {
+      double& cached = bounds[k - 1];
+      if (std::isnan(cached)) cached = accept_bound(kd);
+      bound = cached;
+    } else {
+      bound = accept_bound(kd);
+    }
     // Accept with probability proportional to the true mass at k.
-    if (u >= h(kd + 0.5) - std::pow(kd, -s_)) return k - 1;
+    if (u >= bound) return k - 1;
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace coloc {
@@ -76,8 +77,8 @@ class Rng {
   bool bernoulli(double p) { return uniform() < p; }
 
   /// Zipf-like discrete sample over [0, n) with exponent s (hot-spot reuse
-  /// patterns in address traces). Uses inverse-CDF over precomputable weights
-  /// only for small n; otherwise rejection sampling.
+  /// patterns in address traces), by rejection-inversion. A one-shot draw:
+  /// ZipfSampler returns the same ranks and caches the per-rank bounds.
   std::uint64_t zipf(std::uint64_t n, double s);
 
   /// Fisher-Yates shuffle.
@@ -123,27 +124,42 @@ class Rng {
   bool has_spare_normal_ = false;
 };
 
-/// Zipf sampler with the per-distribution constants (two pow() calls)
-/// hoisted out of the draw loop. Rng::zipf(n, s) constructs one of these
-/// per call, so sampler draws are bit-identical to Rng::zipf for the same
-/// generator state — batch kernels that sample many values from one phase
-/// build the sampler once and save the constant recomputation.
+/// Zipf sampler over [0, n) with exponent s (rejection-inversion, Hörmann &
+/// Derflinger). The per-distribution constants are computed once at
+/// construction, and the acceptance bound h(k + 0.5) - k^-s of every rank
+/// k <= min(n, kCachedRanks) is computed on its first draw and kept in a
+/// table (NaN marks an entry not filled yet), so a draw costs one pow()
+/// instead of three. Rng::zipf(n, s) draws through the same code without
+/// the table, so both return the same rank and consume the same uniform()
+/// sequence. The table is per sampler and unsynchronized: a sampler must
+/// not be shared between threads.
 class ZipfSampler {
  public:
+  /// Ranks whose acceptance bound the table keeps (512 KB of doubles).
+  static constexpr std::uint64_t kCachedRanks = std::uint64_t{1} << 16;
+
   ZipfSampler(std::uint64_t n, double s);
 
-  /// Draws one 0-based rank; consumes exactly the uniform() sequence
-  /// Rng::zipf(n, s) would.
-  std::uint64_t operator()(Rng& rng) const;
+  /// Draws one 0-based rank; allocates the table on first use.
+  std::uint64_t operator()(Rng& rng);
 
  private:
+  friend class Rng;
+
+  /// One draw; `bounds` caches the acceptance bounds of ranks
+  /// 1..bounds.size() (empty: compute every bound).
+  std::uint64_t draw(Rng& rng, std::span<double> bounds) const;
+  /// Acceptance bound of rank kd: the one definition both paths use.
+  double accept_bound(double kd) const;
   double h(double x) const;
 
   std::uint64_t n_;
   double s_;
   double nd_;
-  double hx0_;  // h(0.5) - 1, lower bound of the inversion range
-  double hn_;   // h(n + 0.5), upper bound
+  bool log_;        // s == 1 (to 1e-12): h is log, its inverse exp
+  double hx0_;      // h(0.5) - 1, lower bound of the inversion range
+  double hn_;       // h(n + 0.5), upper bound
+  std::vector<double> bounds_;
 };
 
 }  // namespace coloc

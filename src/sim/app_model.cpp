@@ -233,7 +233,12 @@ MissRatioCurve AppMrcLibrary::profile_one(const ApplicationSpec& app,
   const auto profile_start = std::chrono::steady_clock::now();
   TraceGenerator gen(app.trace, seed);
   gen.set_horizon(n);
-  StackDistanceProfiler profiler(n);
+  // Phase p draws its lines from [p * region_stride, + working set), so
+  // the working sets bound the distinct lines and the profiler allocates
+  // its whole footprint up front.
+  std::size_t distinct_bound = 0;
+  for (const Phase& p : app.trace.phases) distinct_bound += p.working_set_lines;
+  StackDistanceProfiler profiler(n, distinct_bound);
   // Batched pipeline: generate a chunk, then profile it — both kernels run
   // over contiguous buffers instead of interleaving one reference at a
   // time. Bit-identical to the scalar next()/record() loop.

@@ -20,18 +20,20 @@ MissRatioCurve MissRatioCurve::from_profiler(
                                 profiler.cold_misses());
   COLOC_CHECK_MSG(denom > 0.0, "trace has no reuse at all");
 
-  // misses(C) = refs with distance >= C (plus the beyond-tracked pool).
-  // Compute the tail sum once, then sample capacities geometrically.
-  std::vector<std::uint64_t> tail(hist.size() + 1, 0);
-  tail[hist.size()] = profiler.beyond_tracked();
-  std::uint64_t acc = profiler.beyond_tracked();
-  for (std::size_t d = hist.size(); d-- > 0;) {
-    tail[d] = acc + hist[d];
-    acc = tail[d];
-  }
-  // tail[d] now counts refs with distance >= d (excluding cold).
+  // misses(C) = refs with distance >= C (plus the beyond-tracked pool), for
+  // C up to the histogram size; none past it. Capacities are sampled
+  // geometrically in ascending order, so a running prefix over the
+  // histogram answers each one without a second histogram-sized array.
+  std::uint64_t warm_total = profiler.beyond_tracked();
+  for (std::uint64_t count : hist) warm_total += count;
+  std::size_t summed = 0;        // histogram buckets below `summed` ...
+  std::uint64_t warm_below = 0;  // ... hold this many references
   auto misses_at = [&](std::size_t capacity) -> double {
-    const std::uint64_t warm = capacity < tail.size() ? tail[capacity] : 0;
+    std::uint64_t warm = 0;
+    if (capacity <= hist.size()) {
+      for (; summed < capacity; ++summed) warm_below += hist[summed];
+      warm = warm_total - warm_below;
+    }
     return static_cast<double>(warm) +
            (include_cold ? static_cast<double>(profiler.cold_misses()) : 0.0);
   };

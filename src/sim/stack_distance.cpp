@@ -1,6 +1,7 @@
 #include "sim/stack_distance.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <unordered_map>
 #include <unordered_set>
@@ -33,33 +34,23 @@ std::int64_t FenwickTree::range_sum(std::size_t lo, std::size_t hi) const {
 
 namespace {
 // Bitmap layout: 512-bit (8-word) blocks, 128 blocks (65536 bits) per
-// superblock. A prefix query sums whole superblocks, then whole blocks
-// inside the last superblock, then whole words inside the last block —
-// three contiguous scans the compiler vectorizes (the widest clone runs
-// them 32/16 lanes at a time).
+// superblock. The arrays are padded to whole blocks, whole superblocks and
+// a whole number of kSuperPad superblocks, so the prefix count below can
+// read fixed-width windows without bounds checks.
 constexpr std::size_t kWordsPerBlock = 8;
 constexpr std::size_t kBlocksPerSuper = 128;
+constexpr std::size_t kBitsPerBlock = 512;
+constexpr std::size_t kBitsPerSuper = kBitsPerBlock * kBlocksPerSuper;
+constexpr std::size_t kSuperPad = 16;
+// References a chunk holds, and how far ahead pass 1 prefetches map slots.
+constexpr std::size_t kChunk = 4096;
+constexpr std::size_t kPrefetchAhead = 16;
+// A map slot's position before its line's first access; in a chunk's
+// distance array it marks a first touch.
+constexpr std::uint32_t kNoPosition = ~std::uint32_t{0};
 
-COLOC_SIM_KERNEL_CLONES
-std::uint64_t sum_u32(const std::uint32_t* v, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += v[i];
-  return total;
-}
-
-COLOC_SIM_KERNEL_CLONES
-std::uint64_t sum_u16(const std::uint16_t* v, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += v[i];
-  return total;
-}
-
-COLOC_SIM_KERNEL_CLONES
-std::uint64_t popcount_words(const std::uint64_t* v, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    total += static_cast<std::uint64_t>(std::popcount(v[i]));
-  return total;
+std::size_t round_up(std::size_t n, std::size_t multiple) {
+  return (n + multiple - 1) / multiple * multiple;
 }
 
 std::size_t next_pow2(std::size_t n) {
@@ -67,20 +58,86 @@ std::size_t next_pow2(std::size_t n) {
   while (p < n) p <<= 1;
   return p;
 }
+
+// All-ones when `in` holds, else zero: the masks of the prefix sums below
+// are arithmetic, so the compiler cannot split a loop at the condition and
+// bring back a trip count that depends on the queried position.
+inline std::uint32_t lane_mask(bool in) {
+  return 0u - static_cast<std::uint32_t>(in);
+}
+
+// Pass 2 over one chunk: entry i of `dist` holds reference i's previous
+// position (kNoPosition for a first touch) and leaves holding its distance
+// (still kNoPosition for a first touch). Every distinct line keeps one
+// marker at its latest access, all strictly below `now`; the markers at or
+// below `prev` are the lines NOT reused inside the window plus the line
+// itself, so the distinct count inside (prev, now) is
+// distinct - prefix(prev). The prefix count takes masked sums over all
+// `supers` superblock counts (one lane per 65,536 references of capacity),
+// all 128 block counts of prev's superblock and all 8 words of prev's
+// block. Returns the updated distinct-line count.
+COLOC_SIM_KERNEL_CLONES
+std::uint64_t walk_markers(std::uint64_t* bits, std::uint16_t* block_count,
+                           std::uint32_t* super_count, std::uint32_t supers,
+                           std::uint32_t* dist, std::size_t n,
+                           std::uint32_t now, std::uint64_t distinct) {
+  for (std::size_t i = 0; i < n; ++i, ++now) {
+    const std::uint32_t prev = dist[i];
+    if (prev != kNoPosition) {
+      const std::uint32_t super = prev >> 16;
+      const std::uint32_t block = prev >> 9;
+      std::uint32_t below = 0;
+      for (std::uint32_t j = 0; j < supers; ++j)
+        below += super_count[j] & lane_mask(j < super);
+      const std::uint16_t* blocks = block_count + (super << 7);
+      const std::uint32_t whole_blocks = block & 127;
+      for (std::uint32_t j = 0; j < kBlocksPerSuper; ++j)
+        below += blocks[j] & lane_mask(j < whole_blocks);
+      const std::uint64_t* words = bits + block * kWordsPerBlock;
+      const std::int32_t bit = static_cast<std::int32_t>(prev & 511);
+      for (std::int32_t w = 0; w < 8; ++w) {
+        const std::int32_t rem = bit - 64 * w;  // prev's offset in word w
+        const std::uint64_t mask =
+            rem < 0 ? 0 : ~std::uint64_t{0} >> (63 - std::min(rem, 63));
+        below += static_cast<std::uint32_t>(std::popcount(words[w] & mask));
+      }
+      dist[i] = static_cast<std::uint32_t>(distinct - below);
+      bits[prev >> 6] &= ~(std::uint64_t{1} << (prev & 63));
+      --block_count[block];
+      --super_count[super];
+    } else {
+      ++distinct;
+    }
+    bits[now >> 6] |= std::uint64_t{1} << (now & 63);
+    ++block_count[now >> 9];
+    ++super_count[now >> 16];
+  }
+  return distinct;
+}
 }  // namespace
 
-StackDistanceProfiler::StackDistanceProfiler(std::size_t max_references)
+StackDistanceProfiler::StackDistanceProfiler(std::size_t max_references,
+                                             std::size_t max_distinct_lines)
     : capacity_(max_references) {
   COLOC_CHECK_MSG(max_references > 0, "profiler needs capacity");
   COLOC_CHECK_MSG(max_references < kNoPosition,
                   "profiler capacity exceeds 32-bit timestamp range");
-  bits_.assign((capacity_ + 63) / 64, 0);
-  block_count_.assign((capacity_ + 511) / 512, 0);
-  super_count_.assign((capacity_ + 65535) / 65536, 0);
-  // Sized for the common case (a minority of references are first
-  // touches); grows by rehash when distinct lines outrun it.
-  const std::size_t slots =
-      next_pow2(std::max<std::size_t>(1024, capacity_ / 64));
+  const std::size_t supers =
+      round_up((capacity_ + kBitsPerSuper - 1) / kBitsPerSuper, kSuperPad);
+  const std::size_t blocks = (capacity_ + kBitsPerBlock - 1) / kBitsPerBlock;
+  bits_.assign(blocks * kWordsPerBlock, 0);
+  block_count_.assign(round_up(blocks, kBlocksPerSuper), 0);
+  super_count_.assign(supers, 0);
+  // Without a bound, sized for the common case (a minority of references
+  // are first touches) and grown by rehash when distinct lines outrun it.
+  // With one, sized as update_map's growth rule would leave it once every
+  // bounded line has been seen.
+  std::size_t slots = next_pow2(std::max<std::size_t>(1024, capacity_ / 64));
+  const std::size_t distinct = std::min(max_distinct_lines, capacity_);
+  if (distinct > 0) {
+    while ((distinct + kChunk) * 10 >= slots * 7) slots <<= 1;
+    histogram_.reserve(std::min(distinct, max_tracked_));
+  }
   map_keys_.assign(slots, kEmptySlot);
   map_pos_.assign(slots, kNoPosition);
   map_mask_ = slots - 1;
@@ -90,32 +147,6 @@ void StackDistanceProfiler::set_max_tracked_distance(std::size_t d) {
   COLOC_CHECK_MSG(histogram_.empty() || d >= histogram_.size(),
                   "cannot shrink histogram after recording");
   max_tracked_ = d;
-}
-
-std::uint64_t StackDistanceProfiler::prefix_popcount(std::size_t index) const {
-  const std::size_t word = index >> 6;
-  const std::size_t block = index >> 9;
-  const std::size_t super = index >> 16;
-  std::uint64_t total = sum_u32(super_count_.data(), super);
-  total += sum_u16(block_count_.data() + super * kBlocksPerSuper,
-                   block - super * kBlocksPerSuper);
-  total += popcount_words(bits_.data() + block * kWordsPerBlock,
-                          word - block * kWordsPerBlock);
-  const std::uint64_t mask = ~std::uint64_t{0} >> (63 - (index & 63));
-  return total + static_cast<std::uint64_t>(std::popcount(bits_[word] & mask));
-}
-
-std::uint32_t* StackDistanceProfiler::find_or_insert(LineAddress line) {
-  if ((map_used_ + 1) * 10 >= (map_mask_ + 1) * 7) grow_map();
-  std::size_t i = static_cast<std::size_t>(mix64(line)) & map_mask_;
-  while (map_keys_[i] != kEmptySlot) {
-    if (map_keys_[i] == line) return &map_pos_[i];
-    i = (i + 1) & map_mask_;
-  }
-  map_keys_[i] = line;
-  map_pos_[i] = kNoPosition;
-  ++map_used_;
-  return &map_pos_[i];
 }
 
 void StackDistanceProfiler::grow_map() {
@@ -135,34 +166,45 @@ void StackDistanceProfiler::grow_map() {
   map_mask_ = new_mask;
 }
 
-std::uint64_t StackDistanceProfiler::record(LineAddress line) {
-  COLOC_CHECK_MSG(time_ < capacity_, "profiler capacity exceeded");
-  COLOC_CHECK_MSG(line != kEmptySlot,
-                  "line address ~0 is reserved by the profiler");
-  const std::size_t now = static_cast<std::size_t>(time_);
-
-  std::uint64_t distance = kColdMiss;
-  std::uint32_t* slot = find_or_insert(line);
-  if (*slot != kNoPosition) {
-    const std::size_t prev = *slot;
-    // Every distinct line seen so far keeps one marker at its latest
-    // access, all strictly below `now`. The markers at or below `prev` are
-    // the lines NOT reused inside the window plus this line itself, so the
-    // distinct count inside (prev, now) is cold_ - prefix(prev).
-    distance = cold_ - prefix_popcount(prev);
-    bits_[prev >> 6] &= ~(std::uint64_t{1} << (prev & 63));
-    --block_count_[prev >> 9];
-    --super_count_[prev >> 16];
-  } else {
-    ++cold_;
+void StackDistanceProfiler::update_map(std::span<const LineAddress> lines,
+                                       std::uint32_t* prev) {
+  // Room for every line to be new, so no rehash moves the slots that were
+  // prefetched.
+  while ((map_used_ + lines.size()) * 10 >= (map_mask_ + 1) * 7) grow_map();
+  const std::size_t n = lines.size();
+  std::uint32_t now = static_cast<std::uint32_t>(time_);
+  for (std::size_t i = 0; i < n; ++i, ++now) {
+    if (i + kPrefetchAhead < n) {
+      const std::size_t ahead =
+          static_cast<std::size_t>(mix64(lines[i + kPrefetchAhead])) &
+          map_mask_;
+      __builtin_prefetch(&map_keys_[ahead]);
+      __builtin_prefetch(&map_pos_[ahead]);
+    }
+    const LineAddress line = lines[i];
+    std::size_t slot = static_cast<std::size_t>(mix64(line)) & map_mask_;
+    while (map_keys_[slot] != line && map_keys_[slot] != kEmptySlot)
+      slot = (slot + 1) & map_mask_;
+    if (map_keys_[slot] == kEmptySlot) {
+      map_keys_[slot] = line;
+      ++map_used_;
+    }
+    prev[i] = map_pos_[slot];
+    map_pos_[slot] = now;
   }
-  *slot = static_cast<std::uint32_t>(now);
-  bits_[now >> 6] |= std::uint64_t{1} << (now & 63);
-  ++block_count_[now >> 9];
-  ++super_count_[now >> 16];
-  ++time_;
+}
 
-  if (distance != kColdMiss) {
+void StackDistanceProfiler::record_chunk(std::span<const LineAddress> lines,
+                                         std::uint32_t* dist) {
+  update_map(lines, dist);
+  cold_ = walk_markers(bits_.data(), block_count_.data(), super_count_.data(),
+                       static_cast<std::uint32_t>(super_count_.size()), dist,
+                       lines.size(), static_cast<std::uint32_t>(time_), cold_);
+  time_ += lines.size();
+  // Pass 3: the histogram.
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::uint32_t distance = dist[i];
+    if (distance == kNoPosition) continue;
     if (distance < max_tracked_) {
       if (distance >= histogram_.size()) histogram_.resize(distance + 1, 0);
       ++histogram_[distance];
@@ -170,11 +212,32 @@ std::uint64_t StackDistanceProfiler::record(LineAddress line) {
       ++beyond_;
     }
   }
-  return distance;
+}
+
+void StackDistanceProfiler::check_batch(
+    std::span<const LineAddress> lines) const {
+  COLOC_CHECK_MSG(lines.size() <= capacity_ - time_,
+                  "profiler capacity exceeded");
+  COLOC_CHECK_MSG(
+      std::find(lines.begin(), lines.end(), kEmptySlot) == lines.end(),
+      "line address ~0 is reserved by the profiler");
+}
+
+std::uint64_t StackDistanceProfiler::record(LineAddress line) {
+  const std::span<const LineAddress> one(&line, 1);
+  check_batch(one);
+  std::uint32_t distance = 0;
+  record_chunk(one, &distance);
+  return distance == kNoPosition ? kColdMiss : distance;
 }
 
 void StackDistanceProfiler::record_batch(std::span<const LineAddress> lines) {
-  for (LineAddress a : lines) record(a);
+  check_batch(lines);
+  std::array<std::uint32_t, kChunk> dist;
+  for (std::size_t done = 0; done < lines.size(); done += kChunk) {
+    record_chunk(lines.subspan(done, std::min(kChunk, lines.size() - done)),
+                 dist.data());
+  }
 }
 
 StackDistanceProfiler profile_trace(std::span<const LineAddress> trace) {

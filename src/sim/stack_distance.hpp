@@ -13,13 +13,17 @@
 //   distinct_lines_seen - popcount(bits[0..prev])
 // (every other line's marker sits strictly below `now`; the markers at or
 // below `prev` are exactly the lines NOT touched inside the reuse window,
-// plus the line itself). A two-level popcount index (u16 per 512-bit
-// block, u32 per 128-block superblock) answers the prefix query with three
-// short contiguous scans instead of the classic Fenwick tree's ~20 random
-// probes into a tree that is 64x larger than the bitmap — the whole
-// structure stays LLC-resident and the scans vectorize. Distances are
-// exact integers, so results are bit-identical to the Fenwick formulation
-// (kept below as FenwickTree for tests and oracle replicas).
+// plus the line itself). A two-level count index (u16 per 512-bit block,
+// u32 per 128-block superblock) answers the prefix query with fixed-width
+// masked sums: all superblock counts, the 128 block counts of prev's
+// superblock and the 8 words of prev's block, with no loop whose trip
+// count depends on `prev`, so the query neither branches on the data nor
+// chases the classic Fenwick tree's ~20 random probes. record_batch runs
+// each chunk of up to 4096 references in three passes: the last-access
+// map in reference order (prefetching slots ahead), the marker walk in one
+// vectorized kernel, then the histogram. Distances are exact integers, so
+// results are bit-identical to the Fenwick formulation (kept below as
+// FenwickTree for tests and oracle replicas).
 #pragma once
 
 #include <cstdint>
@@ -57,13 +61,21 @@ inline constexpr std::uint64_t kColdMiss =
 class StackDistanceProfiler {
  public:
   /// `max_references` bounds the number of record() calls (bitmap size).
-  explicit StackDistanceProfiler(std::size_t max_references);
+  /// A non-zero `max_distinct_lines` bounds the distinct lines the trace
+  /// touches: the last-access map and the histogram are then allocated at
+  /// their full size here, so no rehash or histogram reallocation holds
+  /// two copies mid-profile and the footprint is the same on every run. A
+  /// trace that passes the bound still profiles correctly (both grow).
+  explicit StackDistanceProfiler(std::size_t max_references,
+                                 std::size_t max_distinct_lines = 0);
 
-  /// Records one reference; returns its stack distance in distinct lines,
-  /// or kColdMiss for a first touch.
+  /// Records one reference (a one-element batch); returns its stack
+  /// distance in distinct lines, or kColdMiss for a first touch.
   std::uint64_t record(LineAddress line);
 
-  /// Records a whole chunk; identical to calling record() per element.
+  /// Records a whole span; identical to calling record() per element. A
+  /// span that would pass the capacity, or that holds the reserved
+  /// address ~0, throws before anything is recorded.
   void record_batch(std::span<const LineAddress> lines);
 
   std::uint64_t references() const { return time_; }
@@ -79,23 +91,27 @@ class StackDistanceProfiler {
   void set_max_tracked_distance(std::size_t d);
 
  private:
-  /// Set bits in [0, index], via the superblock/block counts.
-  std::uint64_t prefix_popcount(std::size_t index) const;
-  /// Open-addressing last-access slot for `line`; inserts (with position
-  /// kNoPosition) when absent.
-  std::uint32_t* find_or_insert(LineAddress line);
+  /// Throws unless `lines` fits the capacity left and avoids ~0.
+  void check_batch(std::span<const LineAddress> lines) const;
+  /// Records up to 4096 checked references; `dist` (one entry per line)
+  /// is scratch that ends holding each distance, ~0u for a first touch.
+  void record_chunk(std::span<const LineAddress> lines, std::uint32_t* dist);
+  /// Pass 1: moves each line's last-access slot to its new position in
+  /// reference order, storing the old one (~0u if absent) in `prev`.
+  void update_map(std::span<const LineAddress> lines, std::uint32_t* prev);
   void grow_map();
 
   static constexpr LineAddress kEmptySlot = ~LineAddress{0};
-  static constexpr std::uint32_t kNoPosition = ~std::uint32_t{0};
 
   std::size_t capacity_ = 0;              // max record() calls
-  std::vector<std::uint64_t> bits_;       // one marker bit per timestamp
-  std::vector<std::uint16_t> block_count_;  // popcount per 512-bit block
-  std::vector<std::uint32_t> super_count_;  // popcount per 128-block super
+  // One marker bit per timestamp, with the popcount per 512-bit block and
+  // per 128-block superblock; each padded for the fixed-width prefix sums.
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::uint16_t> block_count_;
+  std::vector<std::uint32_t> super_count_;
   // Open-addressing last-access map (power-of-two, linear probing): flat
-  // key/position arrays probe in one cache line instead of chasing
-  // std::unordered_map nodes.
+  // key/position arrays, whose slots pass 1 prefetches a fixed distance
+  // ahead, instead of chasing std::unordered_map nodes.
   std::vector<LineAddress> map_keys_;
   std::vector<std::uint32_t> map_pos_;
   std::size_t map_mask_ = 0;
@@ -113,7 +129,7 @@ StackDistanceProfiler profile_trace(std::span<const LineAddress> trace);
 /// Brute-force stack distance for verification in tests: a hash map of
 /// last-access positions plus a hash-set distinct count over each reuse
 /// window — O(n * w) for window width w, versus the profiler's O(n) with
-/// short prefix scans.
+/// fixed-width prefix sums.
 std::vector<std::uint64_t> brute_force_stack_distances(
     std::span<const LineAddress> trace);
 

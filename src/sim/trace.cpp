@@ -21,6 +21,7 @@ TraceGenerator::TraceGenerator(TraceSpec spec, std::uint64_t seed)
   stream_cursor_.assign(spec_.phases.size(), 0);
   stride_cursor_.assign(spec_.phases.size(), 0);
   cumulative_weight_.reserve(spec_.phases.size());
+  zipf_.reserve(spec_.phases.size());
   for (const Phase& p : spec_.phases) {
     COLOC_CHECK_MSG(p.weight > 0.0, "phase weight must be positive");
     COLOC_CHECK_MSG(p.working_set_lines > 0, "phase working set must be > 0");
@@ -29,6 +30,7 @@ TraceGenerator::TraceGenerator(TraceSpec spec, std::uint64_t seed)
     COLOC_CHECK_MSG(mix_total > 0.0, "phase access mix is all zero");
     total_weight_ += p.weight;
     cumulative_weight_.push_back(total_weight_);
+    zipf_.emplace_back(p.working_set_lines, p.zipf_exponent);
   }
 }
 
@@ -123,9 +125,7 @@ void TraceGenerator::sample_run(std::size_t phase_index,
       p.mix.streaming + p.mix.strided + p.mix.hot_cold + p.mix.pointer;
   const std::uint64_t ws = p.working_set_lines;
   const std::size_t stride = p.stride == 0 ? 1 : p.stride;
-  // Zipf inversion bounds are pure functions of (ws, exponent): hoisting
-  // them out of the loop changes nothing about the draws.
-  const ZipfSampler zipf(ws, p.zipf_exponent);
+  ZipfSampler& zipf = zipf_[phase_index];
   std::uint64_t stream_cursor = stream_cursor_[phase_index];
   std::uint64_t stride_cursor = stride_cursor_[phase_index];
 

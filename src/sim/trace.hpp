@@ -68,8 +68,10 @@ class TraceGenerator {
   /// calling next() that many times, but the horizon is cut into per-phase
   /// runs first (binary search on the exact scalar phase-selection
   /// arithmetic), so the phase divide/scan and every per-phase constant
-  /// (region base, mix weights, zipf bounds, cursors) are hoisted out of
-  /// the per-reference path. RNG draws happen in the identical order.
+  /// (region base, mix weights, cursors) are hoisted out of the
+  /// per-reference path, and hot/cold draws go through the phase's
+  /// ZipfSampler, whose acceptance-bound table next()'s one-shot
+  /// Rng::zipf does without. RNG draws happen in the identical order.
   void next_batch(std::span<LineAddress> out);
 
   /// Declares how many references constitute one "execution" so phase
@@ -99,6 +101,9 @@ class TraceGenerator {
   std::vector<std::uint64_t> stride_cursor_;
   std::vector<double> cumulative_weight_;
   double total_weight_ = 0.0;
+  // One hot/cold sampler per phase, owned by this generator alone (its
+  // bound table is filled without locking).
+  std::vector<ZipfSampler> zipf_;
 };
 
 }  // namespace coloc::sim

@@ -153,6 +153,35 @@ TEST(Rng, ZipfSingleElement) {
   EXPECT_EQ(rng.zipf(1, 1.0), 0u);
 }
 
+// The sampler's cached acceptance bounds must leave every draw as the
+// one-shot Rng::zipf makes it: same rank, same uniform() consumption. The
+// sizes cover n = 1 (no draw), a table smaller than its cap, a table at
+// the cap, and ranks above it; s = 1.0 takes the log/exp branch.
+TEST(Rng, ZipfSamplerMatchesOneShotDraws) {
+  const std::uint64_t sizes[] = {1, 2, std::uint64_t{1} << 16,
+                                 (std::uint64_t{1} << 16) + 1,
+                                 std::uint64_t{1} << 20};
+  const double exponents[] = {0.7, 0.9, 1.0, 1.1};
+  for (const std::uint64_t n : sizes) {
+    for (const double s : exponents) {
+      Rng one_shot(31), cached(31);
+      ZipfSampler sampler(n, s);
+      bool above_table = false;
+      for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t rank = sampler(cached);
+        ASSERT_EQ(rank, one_shot.zipf(n, s))
+            << "n " << n << " s " << s << " draw " << i;
+        above_table = above_table || rank >= ZipfSampler::kCachedRanks;
+      }
+      ASSERT_EQ(cached.uniform(), one_shot.uniform()) << "n " << n
+                                                      << " s " << s;
+      if (n == (std::uint64_t{1} << 20)) {
+        EXPECT_TRUE(above_table) << "no draw above the table at s " << s;
+      }
+    }
+  }
+}
+
 TEST(Rng, PermutationIsBijective) {
   Rng rng(21);
   const auto p = rng.permutation(257);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <iterator>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -164,6 +165,100 @@ TEST(StackDistance, RecordBatchMatchesScalarRecord) {
   EXPECT_EQ(batched.histogram(), scalar.histogram());
 }
 
+// Past the first superblock (65,536 references) the kernel's prefix count
+// reads whole superblock, block and word windows; check it there against
+// the Bennett-Kruskal formulation on a Fenwick tree. The capacity is not a
+// multiple of a block or a superblock, the trace's long stream phase gives
+// reuse distances above 65,536, and batches of 1, 7, 4,096 and 65,537
+// references alternate with record() calls.
+TEST(StackDistance, RecordBatchMatchesFenwickOracleAcrossSuperblocks) {
+  TraceSpec spec;
+  spec.name = "superblocks";
+  Phase stream, hot;
+  stream.working_set_lines = 70'001;
+  stream.mix = {.streaming = 0.85, .pointer = 0.15};
+  stream.weight = 0.8;
+  hot.working_set_lines = 2'500;
+  hot.mix = {.strided = 0.4, .hot_cold = 0.6};
+  hot.weight = 0.2;
+  spec.phases = {stream, hot};
+  TraceGenerator gen(spec, 41);
+  gen.set_horizon(50'000);
+  const auto trace = gen.generate(200'003);
+  const std::size_t capacity = trace.size() + 77;
+  ASSERT_NE(capacity % 512, 0u);
+  ASSERT_NE(capacity % 65'536, 0u);
+
+  // Oracle: the distinct lines inside a reuse window are the markers
+  // strictly between the two accesses.
+  std::vector<std::uint64_t> expected(trace.size(), kColdMiss);
+  {
+    FenwickTree markers(trace.size());
+    std::unordered_map<LineAddress, std::size_t> last;
+    for (std::size_t t = 0; t < trace.size(); ++t) {
+      const auto it = last.find(trace[t]);
+      if (it != last.end()) {
+        const std::size_t prev = it->second;
+        expected[t] = t > prev + 1 ? static_cast<std::uint64_t>(
+                                         markers.range_sum(prev + 1, t - 1))
+                                   : 0;
+        markers.add(prev, -1);
+        it->second = t;
+      } else {
+        last.emplace(trace[t], t);
+      }
+      markers.add(t, +1);
+    }
+  }
+  std::uint64_t longest = 0;
+  for (const std::uint64_t d : expected) {
+    if (d != kColdMiss) longest = std::max(longest, d);
+  }
+  ASSERT_GT(longest, 65'536u);
+
+  StackDistanceProfiler p(capacity);
+  EXPECT_THROW(p.record_batch(std::vector<LineAddress>(capacity + 1, 5)),
+               coloc::runtime_error);
+  EXPECT_EQ(p.references(), 0u);
+
+  std::vector<std::uint64_t> histogram;
+  std::uint64_t cold = 0;
+  const std::size_t steps[] = {0, 1, 7, 0, 4'096, 65'537};  // 0: record()
+  std::size_t done = 0;
+  for (std::size_t step = 0; done < trace.size(); ++step) {
+    const std::size_t len = steps[step % std::size(steps)];
+    if (len == 0) {
+      ASSERT_EQ(p.record(trace[done]), expected[done]) << "at " << done;
+    } else {
+      const std::size_t take = std::min(len, trace.size() - done);
+      p.record_batch(std::span<const LineAddress>(trace.data() + done, take));
+    }
+    const std::size_t end = done + std::max<std::size_t>(len, 1);
+    for (; done < std::min(end, trace.size()); ++done) {
+      const std::uint64_t d = expected[done];
+      if (d == kColdMiss) {
+        ++cold;
+        continue;
+      }
+      if (d >= histogram.size()) histogram.resize(d + 1, 0);
+      ++histogram[d];
+    }
+    ASSERT_EQ(p.references(), done) << "after step " << step;
+    ASSERT_EQ(p.cold_misses(), cold) << "after step " << step;
+    ASSERT_EQ(p.histogram(), histogram) << "after step " << step;
+  }
+  EXPECT_EQ(p.beyond_tracked(), 0u);
+
+  // A batch past the capacity left, or one holding the reserved address,
+  // throws and records nothing.
+  const std::vector<LineAddress> too_long(78, 3);
+  EXPECT_THROW(p.record_batch(too_long), coloc::runtime_error);
+  const std::vector<LineAddress> reserved = {4, ~LineAddress{0}, 6};
+  EXPECT_THROW(p.record_batch(reserved), coloc::runtime_error);
+  EXPECT_EQ(p.references(), trace.size());
+  EXPECT_EQ(p.histogram(), histogram);
+}
+
 TEST(StackDistance, ManyDistinctLinesSurviveMapGrowth) {
   // Enough distinct lines to force several open-addressing map rehashes;
   // distances must still match the brute-force oracle.
@@ -176,6 +271,33 @@ TEST(StackDistance, ManyDistinctLinesSurviveMapGrowth) {
   StackDistanceProfiler p(trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     ASSERT_EQ(p.record(trace[i]), expected[i]) << "at index " << i;
+  }
+}
+
+TEST(StackDistance, DistinctLinesBoundLeavesDistancesUnchanged) {
+  // The bound only sizes the map and histogram up front: a tight, a loose
+  // and a too-small bound (the map must still grow twice) all give the
+  // unbounded profiler's distances, in batches and one reference at a
+  // time.
+  coloc::Rng rng(17);
+  std::vector<LineAddress> trace;
+  for (int i = 0; i < 40'000; ++i) {
+    trace.push_back(rng.uniform_index(16'000) * (1ULL << 26));
+  }
+  StackDistanceProfiler unbounded(trace.size());
+  std::vector<std::uint64_t> expected;
+  for (const LineAddress a : trace) expected.push_back(unbounded.record(a));
+  ASSERT_GT(unbounded.cold_misses(), 12'000u);
+  for (const std::size_t bound : {16'000u, 1'000'000u, 100u}) {
+    StackDistanceProfiler batched(trace.size(), bound);
+    batched.record_batch(trace);
+    EXPECT_EQ(batched.histogram(), unbounded.histogram()) << bound;
+    EXPECT_EQ(batched.cold_misses(), unbounded.cold_misses()) << bound;
+    StackDistanceProfiler scalar(trace.size(), bound);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      ASSERT_EQ(scalar.record(trace[i]), expected[i])
+          << "bound " << bound << " at index " << i;
+    }
   }
 }
 
