@@ -45,7 +45,6 @@
 #include "serve/demo_fleet.hpp"
 #include "serve/event_sim.hpp"
 #include "serve/placement_service.hpp"
-#include "store/file_ops.hpp"
 #include "store/zoo_store.hpp"
 
 namespace {
@@ -278,11 +277,10 @@ int run(const coloc::CliArgs& args) {
       !config.zoo_out.empty() ? config.zoo_out
                               : std::string("BENCH_placement_zoo");
   const std::string model_name = pipeline.predictor.id().name();
-  store::save_zoo(store::FileOps::real(), bundle_dir,
-                  {{model_name, &pipeline.predictor.model()}},
+  store::save_zoo(bundle_dir, {{model_name, &pipeline.predictor.model()}},
                   {{"machine", machine.name}});
-  const core::ColocationPredictor reloaded = serve::load_bundle_predictor(
-      store::FileOps::real(), bundle_dir, pipeline.predictor.id());
+  const core::ColocationPredictor reloaded =
+      serve::load_bundle_predictor(bundle_dir, pipeline.predictor.id());
   const serve::ReplayOutcome warm =
       replay_small(serve::ServiceOptions{}, &reloaded);
   add_gate("zoo_warm_start_identical", same_outcomes(cached, warm),

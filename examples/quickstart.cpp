@@ -50,7 +50,6 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
-#include "store/file_ops.hpp"
 
 int main(int argc, char** argv) {
   using namespace coloc;
@@ -139,7 +138,6 @@ int main(int argc, char** argv) {
   // that model) and predicts with the reloaded nn-F instead of training.
   const std::string zoo_out = args.get("zoo-out", "");
   const std::string zoo_in = args.get("zoo-in", "");
-  store::FileOps& files = store::FileOps::real();
   const auto provenance = [&] {
     return std::vector<std::pair<std::string, std::string>>{
         {"machine", machine.name},
@@ -149,7 +147,7 @@ int main(int argc, char** argv) {
   ml::RegressorPtr reloaded_nn_f;
   if (!zoo_in.empty()) {
     core::ZooLoadOutcome outcome = core::load_or_repair_zoo(
-        files, zoo_in, campaign.dataset, zoo, core::all_model_ids(),
+        zoo_in, campaign.dataset, zoo, core::all_model_ids(),
         provenance());
     std::printf("  zoo bundle %s: %s%s\n", zoo_in.c_str(),
                 outcome.report.summary().c_str(),
@@ -162,7 +160,7 @@ int main(int argc, char** argv) {
     const core::TrainedZoo full_zoo =
         core::train_full_zoo(campaign.dataset, zoo);
     const store::ZooSaveResult saved =
-        core::save_trained_zoo(files, zoo_out, full_zoo, provenance());
+        core::save_trained_zoo(zoo_out, full_zoo, provenance());
     std::printf("  zoo bundle saved to %s (12 models, digest %s)\n",
                 zoo_out.c_str(), saved.bundle_digest.c_str());
     obs::add_manifest_extra("zoo_bundle_digest", saved.bundle_digest);

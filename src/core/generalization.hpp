@@ -37,8 +37,6 @@ struct GeneralizationOptions {
   /// Number of random scenarios per category.
   std::size_t scenarios = 200;
   std::uint64_t seed = 31;
-  /// Repetition base for fresh measurement noise (offset from campaign).
-  std::uint64_t repetition_offset = 1000;
 };
 
 struct GeneralizationReport {

@@ -7,6 +7,7 @@
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 #include "store/digest.hpp"
+#include "store/file_ops.hpp"
 
 namespace coloc::core {
 
@@ -99,12 +100,12 @@ JournalState StageJournal::parse(const std::string& text) {
   return state;
 }
 
-StageJournal::StageJournal(store::FileOps& files, std::string path,
-                           bool resume)
-    : files_(files), path_(std::move(path)) {
+StageJournal::StageJournal(std::string path, bool resume)
+    : path_(std::move(path)) {
   COLOC_CHECK_MSG(!path_.empty(), "stage journal needs a path");
   if (resume) {
-    if (const std::optional<std::string> raw = files_.read_if_exists(path_)) {
+    if (const std::optional<std::string> raw =
+            store::read_file_if_exists(path_)) {
       state_ = parse(*raw);
     }
     // A resumed run is live again: drop any clean-stop marker.
@@ -127,11 +128,11 @@ void StageJournal::rewrite() {
     os << "done " << s.name << '\n';
   }
   if (state_.clean_stop) os << "stop\n";
-  files_.write_atomic(path_, os.str());
+  store::write_file_atomic(path_, os.str());
 }
 
 void StageJournal::append(const std::string& line) {
-  files_.append_durable(path_, line + "\n");
+  store::append_file_durable(path_, line + "\n");
 }
 
 void StageJournal::record_start(const std::string& stage) {
@@ -175,8 +176,7 @@ const char* to_string(StageOutcome outcome) {
 }
 
 PipelineSupervisor::PipelineSupervisor(Options options)
-    : files_(store::FileOps::real()),
-      journal_(files_, options.journal_path, options.resume),
+    : journal_(options.journal_path, options.resume),
       resume_(options.resume), handle_signals_(options.handle_signals) {
   if (handle_signals_) {
     old_term_ = std::signal(SIGTERM, stop_signal_handler);
@@ -218,7 +218,8 @@ StageOutcome PipelineSupervisor::run_stage(
     std::string why;
     for (const JournalArtifact& a : record->artifacts) {
       if (!valid) break;
-      const std::optional<std::string> bytes = files_.read_if_exists(a.path);
+      const std::optional<std::string> bytes =
+          store::read_file_if_exists(a.path);
       if (!bytes.has_value()) {
         valid = false;
         why = "artifact missing: " + a.path;
@@ -251,7 +252,7 @@ StageOutcome PipelineSupervisor::run_stage(
   std::vector<JournalArtifact> recorded;
   recorded.reserve(artifacts.size());
   for (const std::string& path : artifacts) {
-    const std::optional<std::string> bytes = files_.read_if_exists(path);
+    const std::optional<std::string> bytes = store::read_file_if_exists(path);
     COLOC_CHECK_MSG(bytes.has_value(), "stage '" + stage +
                                            "' did not produce promised "
                                            "artifact: " +

@@ -31,8 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "store/file_ops.hpp"
-
 namespace coloc::core {
 
 /// One artifact recorded at a stage boundary.
@@ -65,7 +63,7 @@ class StageJournal {
   /// header is committed. When true, the existing file is parsed
   /// (tolerating a torn tail) and compacted: the surviving records are
   /// rewritten atomically so later appends start from a clean prefix.
-  StageJournal(store::FileOps& files, std::string path, bool resume);
+  StageJournal(std::string path, bool resume);
 
   const JournalState& state() const { return state_; }
 
@@ -84,7 +82,6 @@ class StageJournal {
   void rewrite();
   void append(const std::string& line);
 
-  store::FileOps& files_;
   std::string path_;
   JournalState state_;
 };
@@ -143,7 +140,6 @@ class PipelineSupervisor {
   const StageJournal& journal() const { return journal_; }
 
  private:
-  store::FileOps& files_;
   StageJournal journal_;
   bool resume_ = false;
   bool handle_signals_ = false;

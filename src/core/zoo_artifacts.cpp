@@ -85,7 +85,7 @@ TrainedZoo train_full_zoo(const ml::Dataset& dataset,
 }
 
 store::ZooSaveResult save_trained_zoo(
-    store::FileOps& files, const std::string& dir, const TrainedZoo& zoo,
+    const std::string& dir, const TrainedZoo& zoo,
     std::vector<std::pair<std::string, std::string>> provenance) {
   std::vector<store::ZooModel> models;
   models.reserve(zoo.models.size());
@@ -94,16 +94,15 @@ store::ZooSaveResult save_trained_zoo(
   }
   provenance.emplace_back("format", "coloc-zoo");
   provenance.emplace_back("models", std::to_string(models.size()));
-  return store::save_zoo(files, dir, models, provenance);
+  return store::save_zoo(dir, models, provenance);
 }
 
 ZooLoadOutcome load_or_repair_zoo(
-    store::FileOps& files, const std::string& dir,
-    const ml::Dataset& dataset, const ModelZooOptions& options,
-    const std::vector<ModelId>& ids,
+    const std::string& dir, const ml::Dataset& dataset,
+    const ModelZooOptions& options, const std::vector<ModelId>& ids,
     std::vector<std::pair<std::string, std::string>> provenance) {
   ZooLoadOutcome outcome;
-  outcome.report = store::load_zoo(files, dir);
+  outcome.report = store::load_zoo(dir);
   outcome.zoo.ids = ids;
 
   for (const ModelId& id : ids) {
@@ -127,7 +126,7 @@ ZooLoadOutcome load_or_repair_zoo(
     COLOC_LOG_WARN << "zoo bundle " << dir << ": retrained "
                    << outcome.retrained.size() << " of " << ids.size()
                    << " models after verification failures";
-    save_trained_zoo(files, dir, outcome.zoo, std::move(provenance));
+    save_trained_zoo(dir, outcome.zoo, std::move(provenance));
     outcome.repaired = true;
   }
   return outcome;

@@ -42,7 +42,7 @@ TrainedZoo train_full_zoo(const ml::Dataset& dataset,
 
 /// Persists a trained zoo as a store bundle under `dir`.
 store::ZooSaveResult save_trained_zoo(
-    store::FileOps& files, const std::string& dir, const TrainedZoo& zoo,
+    const std::string& dir, const TrainedZoo& zoo,
     std::vector<std::pair<std::string, std::string>> provenance = {});
 
 struct ZooLoadOutcome {
@@ -61,8 +61,8 @@ struct ZooLoadOutcome {
 /// bundle is re-saved so the on-disk state is whole again. Never returns
 /// a model whose bytes failed verification.
 ZooLoadOutcome load_or_repair_zoo(
-    store::FileOps& files, const std::string& dir,
-    const ml::Dataset& dataset, const ModelZooOptions& options = {},
+    const std::string& dir, const ml::Dataset& dataset,
+    const ModelZooOptions& options = {},
     const std::vector<ModelId>& ids = all_model_ids(),
     std::vector<std::pair<std::string, std::string>> provenance = {});
 

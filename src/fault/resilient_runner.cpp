@@ -154,10 +154,9 @@ double ResilientRunner::backoff_ms(const std::string& tag,
                                    std::size_t attempt) const {
   double delay = policy_.base_backoff_ms;
   for (std::size_t i = 0; i < attempt; ++i) {
-    delay = std::min(delay * policy_.backoff_multiplier,
-                     policy_.max_backoff_ms);
+    delay = std::min(delay * 2.0, policy_.max_backoff_ms);
   }
-  std::uint64_t h = policy_.jitter_seed;
+  std::uint64_t h = 77;  // jitter stream seed
   for (char c : tag) h = h * 0x100000001b3ULL + static_cast<unsigned char>(c);
   h ^= attempt * 0x9e3779b97f4a7c15ULL;
   Rng rng(splitmix64(h));
@@ -203,9 +202,9 @@ CellOutcome ResilientRunner::measure_outcome(const std::string& tag,
     if (attempt > 0) {
       ++outcome.retries;
       metrics.retries.inc();
-      // Jitter comes from an RNG constructed locally from
-      // (jitter_seed, tag, attempt): concurrent cells never share
-      // generator state, and the delay is a pure function of the cell.
+      // Jitter comes from an RNG constructed locally from (tag,
+      // attempt): concurrent cells never share generator state, and the
+      // delay is a pure function of the cell.
       const double delay_ms = backoff_ms(tag, attempt - 1);
       metrics.backoff_seconds.observe(delay_ms / 1e3);
       std::this_thread::sleep_for(

@@ -32,13 +32,12 @@ namespace coloc::fault {
 
 struct RetryPolicy {
   std::size_t max_attempts = 4;
+  /// Backoff doubles per retry from the base, capped at the max.
   double base_backoff_ms = 2.0;
-  double backoff_multiplier = 2.0;
   double max_backoff_ms = 250.0;
   /// Backoff is scaled by a factor uniform in [1 - jitter, 1 + jitter],
-  /// drawn deterministically from (seed, tag, attempt).
+  /// drawn deterministically from (tag, attempt).
   double jitter = 0.5;
-  std::uint64_t jitter_seed = 77;
   /// Per-attempt completion deadline. An attempt that returns or throws
   /// at or after it counts as an overrun, a transient fault: its result is
   /// discarded and the cell retried. Code inside the attempt can poll
@@ -164,10 +163,10 @@ class ResilientRunner {
 
   /// Phase 1: the retry/backoff/deadline loop, run on the calling thread
   /// and free of report side effects. Thread-safe and deterministic per
-  /// (tag, measure): backoff jitter derives from (jitter_seed, tag,
-  /// attempt) through a local RNG — no shared generator — and the attempt
-  /// index is the repetition seed, so the outcome is a pure function of
-  /// the cell, never of scheduling.
+  /// (tag, measure): backoff jitter derives from (tag, attempt) through a
+  /// local RNG — no shared generator — and the attempt index is the
+  /// repetition seed, so the outcome is a pure function of the cell,
+  /// never of scheduling.
   CellOutcome measure_outcome(const std::string& tag,
                               double reference_time_s,
                               const MeasureFn& measure);

@@ -51,11 +51,7 @@ KFoldResult kfold_cross_validation(const Dataset& data,
     fold_nrmse[fold] = normalized_rmse(pred, y_test);
   };
 
-  if (options.parallel) {
-    parallel_for(global_pool(), options.folds, run_fold, 1);
-  } else {
-    for (std::size_t fold = 0; fold < options.folds; ++fold) run_fold(fold);
-  }
+  parallel_for(global_pool(), options.folds, run_fold, 1);
 
   KFoldResult result;
   result.folds = options.folds;

@@ -14,7 +14,6 @@ struct KFoldOptions {
   std::size_t folds = 10;
   std::uint64_t seed = 7;
   bool shuffle = true;
-  bool parallel = true;
 };
 
 struct KFoldResult {

@@ -3,17 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 
 #include "common/error.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/trace.hpp"
 
 namespace coloc::ml {
 
 namespace {
+// Møller's initial scaling parameters: the finite-difference step sigma
+// and the damping lambda.
+constexpr double kSigma0 = 1e-5;
+constexpr double kLambda0 = 1e-7;
+// Consecutive below-value_tolerance improvements that count as converged.
+constexpr std::size_t kStallPatience = 8;
+
 struct ScgMetrics {
   obs::Counter& runs;
   obs::Counter& converged;
@@ -45,10 +50,6 @@ ScgResult scg_minimize(const ScgObjective& objective,
                   "objective callback not set");
 
   obs::ScopedSpan span("scg/minimize", "ml");
-  std::optional<obs::ProgressReporter> progress;
-  if (!options.progress_label.empty()) {
-    progress.emplace(options.progress_label, options.max_iterations);
-  }
 
   const std::size_t n = objective.dimension;
   std::vector<double> w(initial.begin(), initial.end());
@@ -63,7 +64,7 @@ ScgResult scg_minimize(const ScgObjective& objective,
   for (std::size_t i = 0; i < n; ++i) r[i] = -grad[i];
   p = r;
 
-  double lambda = options.lambda0;
+  double lambda = kLambda0;
   double lambda_bar = 0.0;
   bool success = true;
   double delta = 0.0;
@@ -75,7 +76,6 @@ ScgResult scg_minimize(const ScgObjective& objective,
 
   std::size_t k = 0;
   for (; k < options.max_iterations; ++k) {
-    if (progress) progress->tick();
     const double p_norm2 = linalg::dot(p, p);
     const double p_norm = std::sqrt(p_norm2);
     const double r_norm = linalg::norm2(r);
@@ -91,7 +91,7 @@ ScgResult scg_minimize(const ScgObjective& objective,
 
     if (success) {
       // Second-order information via a finite difference along p.
-      const double sigma = options.sigma0 / p_norm;
+      const double sigma = kSigma0 / p_norm;
       for (std::size_t i = 0; i < n; ++i) w_trial[i] = w[i] + sigma * p[i];
       objective.value_and_gradient(w_trial, grad_new);
       for (std::size_t i = 0; i < n; ++i)
@@ -143,7 +143,7 @@ ScgResult scg_minimize(const ScgObjective& objective,
       const double rel_impr =
           std::abs(f_prev - f) / std::max(1.0, std::abs(f_prev));
       stall = rel_impr < options.value_tolerance ? stall + 1 : 0;
-      if (stall >= options.stall_patience) {
+      if (stall >= kStallPatience) {
         result.converged = true;
         ++k;
         break;
@@ -189,10 +189,6 @@ std::vector<ScgResult> scg_minimize_batch(const ScgBatchObjective& objective,
                   "objective callbacks not set");
 
   obs::ScopedSpan span("scg/minimize_batch", "ml");
-  std::optional<obs::ProgressReporter> progress;
-  if (!options.progress_label.empty()) {
-    progress.emplace(options.progress_label, options.max_iterations);
-  }
 
   // Parameter planes: row j holds problem j's vector. Every per-problem
   // update below touches only row j, so each trajectory is the sequential
@@ -208,7 +204,7 @@ std::vector<ScgResult> scg_minimize_batch(const ScgBatchObjective& objective,
 
   std::vector<double> f(count, 0.0);
   std::vector<double> f_trial(count, 0.0);
-  std::vector<double> lambda(count, options.lambda0);
+  std::vector<double> lambda(count, kLambda0);
   std::vector<double> lambda_bar(count, 0.0);
   std::vector<double> delta(count, 0.0);
   std::vector<double> sigma(count, 0.0);
@@ -246,7 +242,6 @@ std::vector<ScgResult> scg_minimize_batch(const ScgBatchObjective& objective,
   std::size_t live = count;
   std::size_t k = 0;
   for (; k < options.max_iterations && live > 0; ++k) {
-    if (progress) progress->tick();
     probe_set.clear();
     trial_set.clear();
 
@@ -275,7 +270,7 @@ std::vector<ScgResult> scg_minimize_batch(const ScgBatchObjective& objective,
       p_norm2[j] = pn2;
       trial_set.push_back(j);
       if (success[j]) {
-        sigma[j] = options.sigma0 / p_norm;
+        sigma[j] = kSigma0 / p_norm;
         const double* wj = w.data() + j * n;
         const double* pj = p.data() + j * n;
         double* tj = w_trial.data() + j * n;
@@ -359,7 +354,7 @@ std::vector<ScgResult> scg_minimize_batch(const ScgBatchObjective& objective,
         const double rel_impr =
             std::abs(f_prev - f[j]) / std::max(1.0, std::abs(f_prev));
         stall[j] = rel_impr < options.value_tolerance ? stall[j] + 1 : 0;
-        if (stall[j] >= options.stall_patience) {
+        if (stall[j] >= kStallPatience) {
           // The sequential path breaks before the final damping update.
           done[j] = 1;
           converged[j] = 1;

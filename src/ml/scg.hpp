@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace coloc::ml {
@@ -26,15 +25,8 @@ struct ScgOptions {
   /// Stop when the gradient's 2-norm falls below this.
   double gradient_tolerance = 1e-7;
   /// Stop when |f_k - f_{k+1}| relative improvement stays below this for
-  /// `stall_patience` consecutive iterations.
+  /// 8 consecutive iterations.
   double value_tolerance = 1e-12;
-  std::size_t stall_patience = 8;
-  /// Initial scaling parameters (Møller's sigma and lambda).
-  double sigma0 = 1e-5;
-  double lambda0 = 1e-7;
-  /// When non-empty, epochs are reported through obs::ProgressReporter
-  /// under this label (throttled; silent for fast optimizations).
-  std::string progress_label;
 };
 
 struct ScgResult {

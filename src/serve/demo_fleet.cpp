@@ -4,7 +4,6 @@
 
 #include "core/zoo_artifacts.hpp"
 #include "sim/execution.hpp"
-#include "store/file_ops.hpp"
 
 namespace coloc::serve::demo {
 
@@ -88,7 +87,7 @@ DemoPipeline build_pipeline(sim::AppMrcLibrary& library,
     return DemoPipeline{std::move(campaign), std::move(predictor)};
   }
   core::ZooLoadOutcome outcome = core::load_or_repair_zoo(
-      store::FileOps::real(), zoo_dir, campaign.dataset, zoo, {id},
+      zoo_dir, campaign.dataset, zoo, {id},
       {{"machine", machine.name},
        {"nn_iters", std::to_string(nn_iterations)}});
   core::ColocationPredictor predictor = core::ColocationPredictor::from_model(

@@ -16,6 +16,9 @@ namespace coloc::serve {
 namespace {
 
 constexpr double kTimeEps = 1e-9;
+// A job's deadline is its arrival plus this many run-alone times at the
+// fleet's P-state.
+constexpr double kDeadlineSlack = 3.0;
 
 }  // namespace
 
@@ -361,8 +364,7 @@ ReplayOutcome EventSimulator::replay(const std::vector<Job>& jobs,
       const std::size_t job_index = order[next_arrival];
       ++next_arrival;
       deadlines[job_index] = jobs[job_index].arrival_s +
-                             config_.deadline_slack *
-                                 alone_time(jobs[job_index].app);
+                             kDeadlineSlack * alone_time(jobs[job_index].app);
       waiting.push_back(job_index);
       place_waiting();
     }

@@ -28,7 +28,8 @@
 //
 // kDvfsAware places like kInterferenceAware, then re-picks the chosen
 // node's P-state with sched::choose_pstate_for_deadline against the job's
-// deadline, so every node runs at its own P-state.
+// deadline (arrival + 3 x run-alone time at pstate_index), so every node
+// runs at its own P-state.
 //
 // Replays are deterministic: no wall clock, no randomness beyond the seeded
 // job stream, and all caches are pure memoization. The same jobs + seed
@@ -58,8 +59,6 @@ struct EventSimConfig {
   /// Fleet-wide operating P-state; also the slowdown/deadline reference.
   std::size_t pstate_index = 0;
   sim::ContentionOptions contention;
-  /// Deadline = arrival + deadline_slack x run-alone time at pstate_index.
-  double deadline_slack = 3.0;
   /// QoS bound on predicted slowdown for kInterferenceAware and
   /// kDvfsAware; 0 (the default) disables it. When positive, a job goes to
   /// the cheapest busy node where every resident, the new job included, is

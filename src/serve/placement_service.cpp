@@ -24,10 +24,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-core::ColocationPredictor load_bundle_predictor(store::FileOps& files,
-                                                const std::string& dir,
+core::ColocationPredictor load_bundle_predictor(const std::string& dir,
                                                 const core::ModelId& id) {
-  store::LoadReport report = store::load_zoo(files, dir);
+  store::LoadReport report = store::load_zoo(dir);
   COLOC_CHECK_MSG(report.manifest_ok,
                   "zoo bundle " + dir + " unusable: " + report.error);
   const std::string name = id.name();

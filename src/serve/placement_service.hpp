@@ -48,7 +48,6 @@
 #include "core/model_zoo.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/metrics.hpp"
-#include "store/file_ops.hpp"
 
 namespace coloc::serve {
 
@@ -66,8 +65,7 @@ struct ServiceOptions {
 /// missing entry throws coloc::runtime_error naming the damage (use
 /// core::load_or_repair_zoo instead when a training dataset is available
 /// for targeted retraining).
-core::ColocationPredictor load_bundle_predictor(store::FileOps& files,
-                                                const std::string& dir,
+core::ColocationPredictor load_bundle_predictor(const std::string& dir,
                                                 const core::ModelId& id);
 
 class PlacementService {

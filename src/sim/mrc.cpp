@@ -20,11 +20,11 @@ MissRatioCurve MissRatioCurve::from_profiler(
                                 profiler.cold_misses());
   COLOC_CHECK_MSG(denom > 0.0, "trace has no reuse at all");
 
-  // misses(C) = refs with distance >= C (plus the beyond-tracked pool), for
-  // C up to the histogram size; none past it. Capacities are sampled
-  // geometrically in ascending order, so a running prefix over the
-  // histogram answers each one without a second histogram-sized array.
-  std::uint64_t warm_total = profiler.beyond_tracked();
+  // misses(C) = refs with distance >= C, for C up to the histogram size;
+  // none past it. Capacities are sampled geometrically in ascending order,
+  // so a running prefix over the histogram answers each one without a
+  // second histogram-sized array.
+  std::uint64_t warm_total = 0;
   for (std::uint64_t count : hist) warm_total += count;
   std::size_t summed = 0;        // histogram buckets below `summed` ...
   std::uint64_t warm_below = 0;  // ... hold this many references
@@ -58,7 +58,7 @@ MissRatioCurve MissRatioCurve::from_profiler(
     curve.ratios_.push_back(misses_at(cap) / total);
   }
   // Exact terminal knot: a cache holding max_distance+1 lines captures
-  // every tracked reuse (only the beyond-tracked pool can still miss).
+  // every reuse, so only cold misses remain.
   if (last_cap <= max_distance) {
     curve.capacities_.push_back(static_cast<double>(max_distance + 1));
     curve.ratios_.push_back(misses_at(max_distance + 1) / total);

@@ -136,17 +136,11 @@ StackDistanceProfiler::StackDistanceProfiler(std::size_t max_references,
   const std::size_t distinct = std::min(max_distinct_lines, capacity_);
   if (distinct > 0) {
     while ((distinct + kChunk) * 10 >= slots * 7) slots <<= 1;
-    histogram_.reserve(std::min(distinct, max_tracked_));
+    histogram_.reserve(distinct);
   }
   map_keys_.assign(slots, kEmptySlot);
   map_pos_.assign(slots, kNoPosition);
   map_mask_ = slots - 1;
-}
-
-void StackDistanceProfiler::set_max_tracked_distance(std::size_t d) {
-  COLOC_CHECK_MSG(histogram_.empty() || d >= histogram_.size(),
-                  "cannot shrink histogram after recording");
-  max_tracked_ = d;
 }
 
 void StackDistanceProfiler::grow_map() {
@@ -205,12 +199,8 @@ void StackDistanceProfiler::record_chunk(std::span<const LineAddress> lines,
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::uint32_t distance = dist[i];
     if (distance == kNoPosition) continue;
-    if (distance < max_tracked_) {
-      if (distance >= histogram_.size()) histogram_.resize(distance + 1, 0);
-      ++histogram_[distance];
-    } else {
-      ++beyond_;
-    }
+    if (distance >= histogram_.size()) histogram_.resize(distance + 1, 0);
+    ++histogram_[distance];
   }
 }
 

@@ -23,7 +23,7 @@
 // map in reference order (prefetching slots ahead), the marker walk in one
 // vectorized kernel, then the histogram. Distances are exact integers, so
 // results are bit-identical to the Fenwick formulation (kept below as
-// FenwickTree for tests and oracle replicas).
+// FenwickTree, the tests' oracle).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,7 @@ namespace coloc::sim {
 
 /// Binary indexed tree over reference timestamps; supports point update and
 /// prefix sum in O(log n). No longer on the profiling hot path — retained
-/// as the reference formulation for tests and benchmark oracles.
+/// as the reference formulation the tests check the profiler against.
 class FenwickTree {
  public:
   explicit FenwickTree(std::size_t n) : tree_(n + 1, 0) {}
@@ -82,13 +82,10 @@ class StackDistanceProfiler {
   std::uint64_t cold_misses() const { return cold_; }
 
   /// Histogram of observed stack distances: bucket d counts references with
-  /// distance exactly d, truncated at max_tracked_distance (the tail plus
-  /// cold misses is available separately).
+  /// distance exactly d (cold misses are counted separately). A distance is
+  /// below the distinct lines seen, so the histogram is never longer than
+  /// the last-access map.
   const std::vector<std::uint64_t>& histogram() const { return histogram_; }
-  std::uint64_t beyond_tracked() const { return beyond_; }
-
-  /// Caps histogram resolution (distances above the cap are pooled).
-  void set_max_tracked_distance(std::size_t d);
 
  private:
   /// Throws unless `lines` fits the capacity left and avoids ~0.
@@ -117,10 +114,8 @@ class StackDistanceProfiler {
   std::size_t map_mask_ = 0;
   std::size_t map_used_ = 0;
   std::vector<std::uint64_t> histogram_;
-  std::size_t max_tracked_ = 1 << 22;
   std::uint64_t time_ = 0;
   std::uint64_t cold_ = 0;
-  std::uint64_t beyond_ = 0;
 };
 
 /// One-shot helper: profiles a whole trace.

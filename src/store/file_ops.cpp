@@ -68,12 +68,12 @@ std::string parent_directory(const std::string& path) {
   return path.substr(0, slash);
 }
 
-bool FileOps::exists(const std::string& path) const {
+bool file_exists(const std::string& path) {
   std::error_code ec;
   return std::filesystem::exists(path, ec);
 }
 
-std::string FileOps::read(const std::string& path) const {
+std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw coloc::runtime_error("cannot open for reading: " + path);
   std::ostringstream buffer;
@@ -82,13 +82,12 @@ std::string FileOps::read(const std::string& path) const {
   return buffer.str();
 }
 
-std::optional<std::string> FileOps::read_if_exists(
-    const std::string& path) const {
-  if (!exists(path)) return std::nullopt;
-  return read(path);
+std::optional<std::string> read_file_if_exists(const std::string& path) {
+  if (!file_exists(path)) return std::nullopt;
+  return read_file(path);
 }
 
-void FileOps::write_atomic(const std::string& path, std::string_view bytes) {
+void write_file_atomic(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
 #ifdef COLOC_STORE_POSIX
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -127,7 +126,7 @@ void FileOps::write_atomic(const std::string& path, std::string_view bytes) {
 #endif
 }
 
-void FileOps::append_durable(const std::string& path, std::string_view bytes) {
+void append_file_durable(const std::string& path, std::string_view bytes) {
 #ifdef COLOC_STORE_POSIX
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
@@ -151,7 +150,7 @@ void FileOps::append_durable(const std::string& path, std::string_view bytes) {
 #endif
 }
 
-void FileOps::remove(const std::string& path) {
+void remove_file(const std::string& path) {
   std::error_code ec;
   std::filesystem::remove(path, ec);
   if (ec) {
@@ -160,22 +159,13 @@ void FileOps::remove(const std::string& path) {
   }
 }
 
-void FileOps::create_directories(const std::string& path) {
+void create_directories(const std::string& path) {
   std::error_code ec;
   std::filesystem::create_directories(path, ec);
   if (ec) {
     throw coloc::runtime_error("cannot create directories " + path + ": " +
                                ec.message());
   }
-}
-
-FileOps& FileOps::real() {
-  static FileOps instance;
-  return instance;
-}
-
-void write_file_atomic(const std::string& path, std::string_view bytes) {
-  FileOps::real().write_atomic(path, bytes);
 }
 
 }  // namespace coloc::store

@@ -1,13 +1,13 @@
 // Durable file I/O for every artifact the pipeline persists.
 //
 // All artifact writes in the library (zoo bundles, campaign checkpoints,
-// stage journals) go through store::FileOps instead of raw iostream
-// calls, for crash consistency: write_atomic follows the write-temp ->
-// fsync(file) -> rename -> fsync(parent dir) discipline, so a power loss
-// at any instant leaves either the complete previous file or the complete
-// new file — never a torn mixture. A plain rename without the two fsyncs
-// only protects against process death, not against the page cache dying
-// with the machine.
+// stage journals) go through these functions instead of raw iostream
+// calls, for crash consistency: write_file_atomic follows the write-temp
+// -> fsync(file) -> rename -> fsync(parent dir) discipline, so a power
+// loss at any instant leaves either the complete previous file or the
+// complete new file — never a torn mixture. A plain rename without the two
+// fsyncs only protects against process death, not against the page cache
+// dying with the machine.
 //
 // Readers detect damaged bytes through digests (store/digest, the zoo
 // manifest, the stage journal); the tests that prove it corrupt files
@@ -20,43 +20,31 @@
 
 namespace coloc::store {
 
-/// Filesystem operations used by artifact writers/readers.
-class FileOps {
- public:
-  bool exists(const std::string& path) const;
+bool file_exists(const std::string& path);
 
-  /// Whole-file read. Throws coloc::runtime_error when the file cannot be
-  /// opened or read.
-  std::string read(const std::string& path) const;
+/// Whole-file read. Throws coloc::runtime_error when the file cannot be
+/// opened or read.
+std::string read_file(const std::string& path);
 
-  /// read() that maps "file absent" to nullopt instead of throwing.
-  std::optional<std::string> read_if_exists(const std::string& path) const;
+/// read_file() that maps "file absent" to nullopt instead of throwing.
+std::optional<std::string> read_file_if_exists(const std::string& path);
 
-  /// Durable atomic replacement of `path` with `bytes`:
-  /// write `path`.tmp, fsync it, rename over `path`, fsync the parent
-  /// directory. Throws coloc::runtime_error on any I/O failure; on
-  /// failure `path` still holds its previous content (or stays absent).
-  void write_atomic(const std::string& path, std::string_view bytes);
-
-  /// Durable append for write-ahead journals: appends `bytes` with
-  /// O_APPEND and fsyncs before returning, so a record that this call
-  /// acknowledged survives a crash. Appends are NOT atomic across
-  /// crashes — a torn tail line is possible and journal readers must
-  /// tolerate (ignore) an incomplete final record.
-  void append_durable(const std::string& path, std::string_view bytes);
-
-  void remove(const std::string& path);
-
-  void create_directories(const std::string& path);
-
-  /// Process-wide real-filesystem instance.
-  static FileOps& real();
-};
-
-/// Convenience: FileOps::real().write_atomic(path, bytes). This is the one
-/// helper legacy writers (e.g. the campaign checkpoint) call to get the
-/// full fsync discipline without threading a FileOps through their API.
+/// Durable atomic replacement of `path` with `bytes`:
+/// write `path`.tmp, fsync it, rename over `path`, fsync the parent
+/// directory. Throws coloc::runtime_error on any I/O failure; on
+/// failure `path` still holds its previous content (or stays absent).
 void write_file_atomic(const std::string& path, std::string_view bytes);
+
+/// Durable append for write-ahead journals: appends `bytes` with
+/// O_APPEND and fsyncs before returning, so a record that this call
+/// acknowledged survives a crash. Appends are NOT atomic across
+/// crashes — a torn tail line is possible and journal readers must
+/// tolerate (ignore) an incomplete final record.
+void append_file_durable(const std::string& path, std::string_view bytes);
+
+void remove_file(const std::string& path);
+
+void create_directories(const std::string& path);
 
 /// Directory component of `path` ("." when there is none).
 std::string parent_directory(const std::string& path);

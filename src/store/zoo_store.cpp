@@ -9,6 +9,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "store/digest.hpp"
+#include "store/file_ops.hpp"
 
 namespace coloc::store {
 
@@ -125,11 +126,10 @@ const ZooEntry* ZooManifest::find(const std::string& name) const {
 }
 
 ZooSaveResult save_zoo(
-    FileOps& files, const std::string& dir,
-    const std::vector<ZooModel>& models,
+    const std::string& dir, const std::vector<ZooModel>& models,
     const std::vector<std::pair<std::string, std::string>>& provenance) {
   COLOC_CHECK_MSG(!dir.empty(), "zoo bundle needs a directory");
-  files.create_directories(dir + "/models");
+  create_directories(dir + "/models");
 
   ZooManifest manifest;
   manifest.provenance = provenance;
@@ -163,12 +163,12 @@ ZooSaveResult save_zoo(
     entry.path = "models/" + m->name + ".model";
     entry.bytes = bytes.size();
     entry.digest = digest_hex(bytes);
-    files.write_atomic(dir + "/" + entry.path, bytes);
+    write_file_atomic(dir + "/" + entry.path, bytes);
     manifest.entries.push_back(std::move(entry));
   }
 
   const std::string rendered = manifest.to_json();
-  files.write_atomic(dir + "/" + kZooManifestName, rendered);
+  write_file_atomic(dir + "/" + kZooManifestName, rendered);
 
   ZooSaveResult result;
   result.manifest = std::move(manifest);
@@ -209,10 +209,10 @@ std::string LoadReport::summary() const {
   return os.str();
 }
 
-LoadReport load_zoo(FileOps& files, const std::string& dir) {
+LoadReport load_zoo(const std::string& dir) {
   LoadReport report;
   const std::string manifest_path = dir + "/" + kZooManifestName;
-  const std::optional<std::string> raw = files.read_if_exists(manifest_path);
+  const std::optional<std::string> raw = read_file_if_exists(manifest_path);
   if (!raw.has_value()) {
     // An absent manifest is a legitimate "no bundle here" — an interrupted
     // save never commits one — so it is not counted as corruption.
@@ -237,7 +237,7 @@ LoadReport load_zoo(FileOps& files, const std::string& dir) {
     ZooEntryReport er;
     er.name = entry.name;
     const std::optional<std::string> bytes =
-        files.read_if_exists(dir + "/" + entry.path);
+        read_file_if_exists(dir + "/" + entry.path);
     if (!bytes.has_value()) {
       er.state = ZooEntryState::kMissing;
       er.detail = "file absent: " + entry.path;

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "ml/model.hpp"
-#include "store/file_ops.hpp"
 
 namespace coloc::store {
 
@@ -73,12 +72,11 @@ struct ZooSaveResult {
 };
 
 /// Writes a zoo bundle into `dir` (created if needed). Entry files first,
-/// manifest last; every write is durable-atomic through `files`. Throws
-/// coloc::runtime_error on I/O failure (including injected ENOSPC) — the
-/// manifest is not committed in that case.
+/// manifest last; every write is durable-atomic (write_file_atomic).
+/// Throws coloc::runtime_error on I/O failure — the manifest is not
+/// committed in that case.
 ZooSaveResult save_zoo(
-    FileOps& files, const std::string& dir,
-    const std::vector<ZooModel>& models,
+    const std::string& dir, const std::vector<ZooModel>& models,
     const std::vector<std::pair<std::string, std::string>>& provenance = {});
 
 enum class ZooEntryState {
@@ -116,6 +114,6 @@ struct LoadReport {
 /// Loads a zoo bundle, verifying every entry. Never throws for corruption
 /// — damage is reported per entry (and counted in the
 /// store_corruption_detected_total metric); only programmer errors throw.
-LoadReport load_zoo(FileOps& files, const std::string& dir);
+LoadReport load_zoo(const std::string& dir);
 
 }  // namespace coloc::store

@@ -10,6 +10,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "sim/app_model.hpp"
+#include "sim/trace.hpp"
 
 namespace coloc::sim {
 namespace {
@@ -206,15 +208,31 @@ void expect_batch_matches_scalar(const CacheConfig& config,
   EXPECT_EQ(batched.stats().accesses, scalar.stats().accesses);
   EXPECT_EQ(batched.stats().hits, scalar.stats().hits);
   EXPECT_EQ(batched.stats().misses, scalar.stats().misses);
-  // Final contents must agree too: the same lines are resident.
+  // Final contents must agree too: the same lines are resident, among the
+  // low addresses and every line the trace touched.
   for (LineAddress a = 0; a < 512; ++a) {
+    ASSERT_EQ(batched.contains(a), scalar.contains(a)) << "line " << a;
+  }
+  for (const LineAddress a : trace) {
     ASSERT_EQ(batched.contains(a), scalar.contains(a)) << "line " << a;
   }
 }
 
+// 200k references of canneal's real trace through the Xeon E5649's L2
+// (256 KB, 8-way: 512 sets) and 12 MB 16-way LLC (12,288 sets).
+std::vector<LineAddress> canneal_trace() {
+  return TraceGenerator(find_application("canneal").trace, 99)
+      .generate(200'000);
+}
+const CacheConfig kL2{.name = "L2", .size_bytes = 256 << 10,
+                      .line_bytes = 64, .associativity = 8};
+const CacheConfig kLlc{.name = "LLC", .size_bytes = 12 << 20,
+                       .line_bytes = 64, .associativity = 16};
+
 TEST(CacheBatch, MatchesScalarPowerOfTwoSets) {
   const auto trace = zipf_trace(20000, 400, 17);
   expect_batch_matches_scalar(small_cache(256, 4), trace);
+  expect_batch_matches_scalar(kL2, canneal_trace());
 }
 
 TEST(CacheBatch, MatchesScalarNonPowerOfTwoSets) {
@@ -222,6 +240,7 @@ TEST(CacheBatch, MatchesScalarNonPowerOfTwoSets) {
   // indexing path rather than the pow2 mask.
   const auto trace = zipf_trace(20000, 300, 18);
   expect_batch_matches_scalar(small_cache(48, 4), trace);
+  expect_batch_matches_scalar(kLlc, canneal_trace());
 }
 
 TEST(CacheBatch, MatchesScalarFullyAssociative) {
@@ -241,18 +260,15 @@ TEST(CacheBatch, NullHitsPointerOnlyCountsStats) {
   EXPECT_EQ(batched.stats().hits, scalar.stats().hits);
 }
 
-TEST(CacheBatch, HierarchyMatchesScalarLevelByLevel) {
-  const auto trace = zipf_trace(20000, 600, 21);
-  CacheHierarchy batched({small_cache(16, 4), small_cache(48, 4),
-                          small_cache(256, 8)});
-  CacheHierarchy scalar({small_cache(16, 4), small_cache(48, 4),
-                         small_cache(256, 8)});
+void expect_hierarchy_matches_scalar(const std::vector<CacheConfig>& levels,
+                                     std::span<const LineAddress> trace) {
+  CacheHierarchy batched(levels);
+  CacheHierarchy scalar(levels);
   std::size_t scalar_dram = 0;
   for (const LineAddress a : trace) {
     scalar_dram += scalar.access(a) == scalar.num_levels() ? 1 : 0;
   }
-  const std::size_t batched_dram =
-      batched.access_batch(std::span<const LineAddress>(trace));
+  const std::size_t batched_dram = batched.access_batch(trace);
   EXPECT_EQ(batched_dram, scalar_dram);
   for (std::size_t l = 0; l < batched.num_levels(); ++l) {
     EXPECT_EQ(batched.level(l).stats().accesses,
@@ -264,6 +280,13 @@ TEST(CacheBatch, HierarchyMatchesScalarLevelByLevel) {
   }
   EXPECT_EQ(batched.llc_accesses(), scalar.llc_accesses());
   EXPECT_EQ(batched.llc_misses(), scalar.llc_misses());
+}
+
+TEST(CacheBatch, HierarchyMatchesScalarLevelByLevel) {
+  expect_hierarchy_matches_scalar(
+      {small_cache(16, 4), small_cache(48, 4), small_cache(256, 8)},
+      zipf_trace(20000, 600, 21));
+  expect_hierarchy_matches_scalar({kL2, kLlc}, canneal_trace());
 }
 
 }  // namespace

@@ -354,10 +354,9 @@ TEST_F(EventSimTest, ParallelPolicySweepMatchesSerialReplay) {
 
 TEST_F(EventSimTest, ReplayIdenticalAcrossZooSaveLoad) {
   const std::string dir = ::testing::TempDir() + "/event_sim_zoo";
-  store::save_zoo(store::FileOps::real(), dir,
-                  {{predictor_->id().name(), &predictor_->model()}});
-  const core::ColocationPredictor reloaded = load_bundle_predictor(
-      store::FileOps::real(), dir, predictor_->id());
+  store::save_zoo(dir, {{predictor_->id().name(), &predictor_->model()}});
+  const core::ColocationPredictor reloaded =
+      load_bundle_predictor(dir, predictor_->id());
   const std::vector<Job> jobs =
       make_job_stream(4, 120, mean_service_time() / 8.0, 19);
   const ReplayOutcome original = replay_fresh(

@@ -19,12 +19,11 @@ using testing_helpers::tiny_suite;
 // bundle back through the verifying loader and wraps the loaded model.
 ColocationPredictor round_trip_through_zoo(const ColocationPredictor& original,
                                            const std::string& dir_name) {
-  store::FileOps& files = store::FileOps::real();
   const std::string dir = ::testing::TempDir() + "/" + dir_name;
   std::filesystem::remove_all(dir);
   const std::string name = original.id().name();
-  store::save_zoo(files, dir, {{name, &original.model()}});
-  store::LoadReport report = store::load_zoo(files, dir);
+  store::save_zoo(dir, {{name, &original.model()}});
+  store::LoadReport report = store::load_zoo(dir);
   EXPECT_TRUE(report.complete()) << report.summary();
   ColocationPredictor loaded = ColocationPredictor::from_model(
       original.id(), std::move(report.models.at(name)));

@@ -2,7 +2,8 @@
 // fused multi-restart trainer) must reproduce, bit for bit, the sequential
 // restart loop over the rowwise MlpNetwork::loss_and_gradient that lives
 // below as the test-side reference, and batched prediction must match
-// per-row prediction.
+// per-row prediction. On the paper's validation protocol, fit must also
+// score like a trainer that evaluates std::tanh instead of fast_tanh.
 #include "ml/mlp.hpp"
 
 #include <gtest/gtest.h>
@@ -10,14 +11,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/campaign.hpp"
+#include "core/feature_sets.hpp"
+#include "core/model_zoo.hpp"
 #include "linalg/matrix.hpp"
 #include "ml/dataset.hpp"
 #include "ml/mlp_fused.hpp"
 #include "ml/scg.hpp"
+#include "ml/validation.hpp"
+#include "sim/execution.hpp"
+#include "sim/machine.hpp"
 
 namespace coloc::ml {
 namespace {
@@ -248,6 +256,166 @@ TEST(MlpBatchedTest, FitMatchesReferencePastBlockedBackwardLimit) {
   options.max_iterations = 12;
   options.restarts = kRestarts;
   expect_fit_matches_reference(x, y, options);
+}
+
+// The trainer MlpRegressor::fit replaced: one SCG run over a rowwise
+// loss/gradient that calls std::tanh, and a forward pass that does too.
+// Apart from the tanh it is MlpNetwork::loss_and_gradient verbatim, with
+// fit_reference's standardization, initialization and SCG options.
+double std_tanh_forward(const MlpNetwork& net, std::span<const double> x) {
+  const auto p = net.parameters();
+  const std::size_t inputs = net.num_inputs();
+  double out = p[net.b2_offset()];
+  for (std::size_t h = 0; h < net.num_hidden(); ++h) {
+    double a = p[net.b1_offset() + h];
+    const double* wrow = p.data() + net.w1_offset() + h * inputs;
+    for (std::size_t i = 0; i < inputs; ++i) a += wrow[i] * x[i];
+    out += p[net.w2_offset() + h] * std::tanh(a);
+  }
+  return out;
+}
+
+double std_tanh_loss_and_gradient(const MlpNetwork& net,
+                                  const linalg::Matrix& x,
+                                  std::span<const double> y,
+                                  double weight_decay,
+                                  std::span<double> grad) {
+  const std::size_t m = x.rows();
+  const std::size_t inputs = net.num_inputs();
+  const std::size_t hidden = net.num_hidden();
+  const auto params = net.parameters();
+  const double* w1 = params.data() + net.w1_offset();
+  const double* b1 = params.data() + net.b1_offset();
+  const double* w2 = params.data() + net.w2_offset();
+  double* g_w1 = grad.data() + net.w1_offset();
+  double* g_b1 = grad.data() + net.b1_offset();
+  double* g_w2 = grad.data() + net.w2_offset();
+  double& g_b2 = grad[net.b2_offset()];
+  std::fill(grad.begin(), grad.end(), 0.0);
+
+  std::vector<double> act(hidden);
+  double loss = 0.0;
+  const double inv_m = 1.0 / static_cast<double>(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    const auto row = x.row(r);
+    double out = params[net.b2_offset()];
+    for (std::size_t h = 0; h < hidden; ++h) {
+      double a = b1[h];
+      const double* wrow = w1 + h * inputs;
+      for (std::size_t i = 0; i < inputs; ++i) a += wrow[i] * row[i];
+      act[h] = std::tanh(a);
+      out += w2[h] * act[h];
+    }
+    const double err = out - y[r];
+    loss += 0.5 * err * err;
+    const double d_out = err * inv_m;
+    g_b2 += d_out;
+    for (std::size_t h = 0; h < hidden; ++h) {
+      g_w2[h] += d_out * act[h];
+      const double d_a = d_out * w2[h] * (1.0 - act[h] * act[h]);
+      g_b1[h] += d_a;
+      double* grow = g_w1 + h * inputs;
+      for (std::size_t i = 0; i < inputs; ++i) grow[i] += d_a * row[i];
+    }
+  }
+  loss *= inv_m;
+  if (weight_decay > 0.0) {
+    double wnorm = 0.0;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      wnorm += params[i] * params[i];
+      grad[i] += weight_decay * params[i];
+    }
+    loss += 0.5 * weight_decay * wnorm;
+  }
+  return loss;
+}
+
+class StdTanhMlp final : public Regressor {
+ public:
+  // One restart, as MlpOptions' default.
+  StdTanhMlp(const linalg::Matrix& x, std::span<const double> y,
+             const MlpOptions& options)
+      : net_(x.cols(), options.hidden_units) {
+    linalg::Matrix design = x;
+    scaler_ = Standardizer::fit(design);
+    scaler_.transform(design);
+    target_ = TargetScaler::fit(y);
+    const std::vector<double> z = target_.transform_all(y);
+    Rng rng(options.seed);
+    net_.initialize(rng);
+    const ScgObjective objective{
+        .dimension = net_.num_parameters(),
+        .value_and_gradient =
+            [&](std::span<const double> p, std::span<double> g) {
+              net_.set_parameters(p);
+              return std_tanh_loss_and_gradient(net_, design, z,
+                                                options.weight_decay, g);
+            },
+    };
+    const std::vector<double> initial(net_.parameters().begin(),
+                                      net_.parameters().end());
+    ScgOptions scg_options;
+    scg_options.max_iterations = options.max_iterations;
+    scg_options.gradient_tolerance = options.gradient_tolerance;
+    net_.set_parameters(scg_minimize(objective, initial, scg_options).solution);
+  }
+
+  double predict(std::span<const double> features) const override {
+    std::vector<double> row(features.begin(), features.end());
+    scaler_.transform_row(row);
+    return target_.inverse(std_tanh_forward(net_, row));
+  }
+  std::string describe() const override { return "std::tanh MLP"; }
+
+ private:
+  MlpNetwork net_;
+  Standardizer scaler_;
+  TargetScaler target_;
+};
+
+TEST(MlpBatchedTest, FitValidatesLikeTheStdTanhTrainer) {
+  // The paper protocol on the Xeon E5649 campaign (measurement seed 99):
+  // set F, 20 hidden units, 1500 SCG iterations, 30% held out. fast_tanh
+  // is within 1e-15 of std::tanh per call, yet the two trainers take
+  // different SCG paths, so their errors agree only on average: over the
+  // first two partitions the mean test MPE and NRMSE must stay within a
+  // quarter of a percentage point of each other. One partition alone
+  // reads a 0.31 pp NRMSE gap.
+  const sim::MachineConfig machine = sim::xeon_e5649();
+  const core::CampaignConfig campaign_config =
+      core::CampaignConfig::paper_defaults();
+  sim::AppMrcLibrary library;
+  sim::MeasurementOptions measurement;
+  measurement.seed = 99;
+  sim::Simulator testbed(machine, &library, measurement);
+  library.profile_all(campaign_config.targets);
+  const Dataset dataset = core::run_campaign(testbed, campaign_config).dataset;
+
+  MlpOptions mlp;
+  mlp.hidden_units = core::hidden_units_for(core::FeatureSet::kF);
+  mlp.max_iterations = 1500;
+  ASSERT_EQ(mlp.hidden_units, 20u);
+  ValidationOptions validation;
+  validation.partitions = 2;
+  validation.holdout_fraction = 0.3;
+  validation.jobs = 0;  // every global_pool() worker
+  const auto& columns = core::feature_set_columns(core::FeatureSet::kF);
+  const ValidationResult fused = repeated_subsampling_validation(
+      dataset, columns,
+      [&mlp](const linalg::Matrix& x,
+             std::span<const double> y) -> RegressorPtr {
+        return std::make_unique<MlpRegressor>(MlpRegressor::fit(x, y, mlp));
+      },
+      validation);
+  const ValidationResult std_tanh = repeated_subsampling_validation(
+      dataset, columns,
+      [&mlp](const linalg::Matrix& x,
+             std::span<const double> y) -> RegressorPtr {
+        return std::make_unique<StdTanhMlp>(x, y, mlp);
+      },
+      validation);
+  EXPECT_LE(std::abs(fused.test_mpe - std_tanh.test_mpe), 0.25);
+  EXPECT_LE(std::abs(fused.test_nrmse - std_tanh.test_nrmse), 0.25);
 }
 
 TEST(MlpBatchedTest, SingleRestartUnchangedByRestartCount) {

@@ -80,14 +80,11 @@ TEST(Mrc, AgreesWithFullyAssociativeCacheSimulation) {
 
 TEST(Mrc, KnotsAreHistogramSuffixSums) {
   // Each knot at capacity C <= the histogram size holds the references
-  // with distance >= C plus the beyond-tracked pool (plus cold misses in
-  // the raw curve) over the total; the terminal knot past the histogram
-  // holds none of them.
+  // with distance >= C (plus cold misses in the raw curve) over the total;
+  // the terminal knot past the histogram holds only the cold misses.
   coloc::Rng rng(23);
   StackDistanceProfiler p(60000);
-  p.set_max_tracked_distance(1500);
   for (std::size_t i = 0; i < 60000; ++i) p.record(rng.zipf(3000, 0.6));
-  ASSERT_GT(p.beyond_tracked(), 0u);
   const auto& hist = p.histogram();
   for (const bool include_cold : {false, true}) {
     const MissRatioCurve curve = MissRatioCurve::from_profiler(p, 8,
@@ -100,7 +97,7 @@ TEST(Mrc, KnotsAreHistogramSuffixSums) {
     EXPECT_EQ(curve.ratios().back(), cold / total);
     for (std::size_t k = 0; k + 1 < curve.capacities().size(); ++k) {
       const auto capacity = static_cast<std::size_t>(curve.capacities()[k]);
-      std::uint64_t warm = p.beyond_tracked();
+      std::uint64_t warm = 0;
       for (std::size_t d = capacity; d < hist.size(); ++d) warm += hist[d];
       EXPECT_EQ(curve.ratios()[k], (static_cast<double>(warm) + cold) / total)
           << "capacity " << capacity << " include_cold " << include_cold;

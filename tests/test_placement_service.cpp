@@ -438,10 +438,9 @@ TEST_F(PlacementServiceTest, PerCandidatePStatesMatchScalarOverload) {
 TEST_F(PlacementServiceTest, BundleReloadedPredictorAnswersIdentically) {
   const std::string dir =
       ::testing::TempDir() + "/placement_service_zoo";
-  store::save_zoo(store::FileOps::real(), dir,
-                  {{predictor_->id().name(), &predictor_->model()}});
+  store::save_zoo(dir, {{predictor_->id().name(), &predictor_->model()}});
   const core::ColocationPredictor reloaded =
-      load_bundle_predictor(store::FileOps::real(), dir, predictor_->id());
+      load_bundle_predictor(dir, predictor_->id());
 
   PlacementService original = make_service();
   PlacementService warm(&reloaded);
@@ -466,12 +465,11 @@ TEST_F(PlacementServiceTest, BundleReloadedPredictorAnswersIdentically) {
 TEST_F(PlacementServiceTest, MissingBundleEntryThrowsActionably) {
   const std::string dir =
       ::testing::TempDir() + "/placement_service_zoo_missing";
-  store::save_zoo(store::FileOps::real(), dir,
-                  {{predictor_->id().name(), &predictor_->model()}});
+  store::save_zoo(dir, {{predictor_->id().name(), &predictor_->model()}});
   const core::ModelId absent = {core::ModelTechnique::kLinear,
                                 core::FeatureSet::kA};
   try {
-    load_bundle_predictor(store::FileOps::real(), dir, absent);
+    load_bundle_predictor(dir, absent);
     FAIL() << "expected runtime_error";
   } catch (const coloc::runtime_error& e) {
     const std::string message = e.what();

@@ -10,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "sim/app_model.hpp"
 #include "sim/cache.hpp"
 #include "sim/trace.hpp"
 
@@ -122,18 +123,6 @@ TEST(StackDistance, CapacityExceededThrows) {
   EXPECT_THROW(p.record(3), coloc::runtime_error);
 }
 
-TEST(StackDistance, MaxTrackedPoolsTail) {
-  StackDistanceProfiler p(100);
-  p.set_max_tracked_distance(2);
-  // Create a reuse with distance 3: a x y z a.
-  p.record('a');
-  p.record('x');
-  p.record('y');
-  p.record('z');
-  p.record('a');
-  EXPECT_EQ(p.beyond_tracked(), 1u);
-}
-
 TEST(StackDistance, RecordBatchMatchesScalarRecord) {
   TraceSpec spec;
   spec.name = "batch-equiv";
@@ -161,16 +150,39 @@ TEST(StackDistance, RecordBatchMatchesScalarRecord) {
   }
   EXPECT_EQ(batched.references(), scalar.references());
   EXPECT_EQ(batched.cold_misses(), scalar.cold_misses());
-  EXPECT_EQ(batched.beyond_tracked(), scalar.beyond_tracked());
   EXPECT_EQ(batched.histogram(), scalar.histogram());
+}
+
+// The Bennett-Kruskal formulation on a Fenwick tree: the distinct lines
+// inside a reuse window are the markers strictly between the two accesses.
+std::vector<std::uint64_t> fenwick_distances(
+    std::span<const LineAddress> trace) {
+  std::vector<std::uint64_t> distances(trace.size(), kColdMiss);
+  FenwickTree markers(trace.size());
+  std::unordered_map<LineAddress, std::size_t> last;
+  for (std::size_t t = 0; t < trace.size(); ++t) {
+    const auto it = last.find(trace[t]);
+    if (it != last.end()) {
+      const std::size_t prev = it->second;
+      distances[t] = t > prev + 1 ? static_cast<std::uint64_t>(
+                                        markers.range_sum(prev + 1, t - 1))
+                                  : 0;
+      markers.add(prev, -1);
+      it->second = t;
+    } else {
+      last.emplace(trace[t], t);
+    }
+    markers.add(t, +1);
+  }
+  return distances;
 }
 
 // Past the first superblock (65,536 references) the kernel's prefix count
 // reads whole superblock, block and word windows; check it there against
-// the Bennett-Kruskal formulation on a Fenwick tree. The capacity is not a
-// multiple of a block or a superblock, the trace's long stream phase gives
-// reuse distances above 65,536, and batches of 1, 7, 4,096 and 65,537
-// references alternate with record() calls.
+// the Fenwick oracle. The capacity is not a multiple of a block or a
+// superblock, the trace's long stream phase gives reuse distances above
+// 65,536, and batches of 1, 7, 4,096 and 65,537 references alternate with
+// record() calls. Then canneal's real trace, profiled whole.
 TEST(StackDistance, RecordBatchMatchesFenwickOracleAcrossSuperblocks) {
   TraceSpec spec;
   spec.name = "superblocks";
@@ -189,27 +201,7 @@ TEST(StackDistance, RecordBatchMatchesFenwickOracleAcrossSuperblocks) {
   ASSERT_NE(capacity % 512, 0u);
   ASSERT_NE(capacity % 65'536, 0u);
 
-  // Oracle: the distinct lines inside a reuse window are the markers
-  // strictly between the two accesses.
-  std::vector<std::uint64_t> expected(trace.size(), kColdMiss);
-  {
-    FenwickTree markers(trace.size());
-    std::unordered_map<LineAddress, std::size_t> last;
-    for (std::size_t t = 0; t < trace.size(); ++t) {
-      const auto it = last.find(trace[t]);
-      if (it != last.end()) {
-        const std::size_t prev = it->second;
-        expected[t] = t > prev + 1 ? static_cast<std::uint64_t>(
-                                         markers.range_sum(prev + 1, t - 1))
-                                   : 0;
-        markers.add(prev, -1);
-        it->second = t;
-      } else {
-        last.emplace(trace[t], t);
-      }
-      markers.add(t, +1);
-    }
-  }
+  const std::vector<std::uint64_t> expected = fenwick_distances(trace);
   std::uint64_t longest = 0;
   for (const std::uint64_t d : expected) {
     if (d != kColdMiss) longest = std::max(longest, d);
@@ -247,7 +239,6 @@ TEST(StackDistance, RecordBatchMatchesFenwickOracleAcrossSuperblocks) {
     ASSERT_EQ(p.cold_misses(), cold) << "after step " << step;
     ASSERT_EQ(p.histogram(), histogram) << "after step " << step;
   }
-  EXPECT_EQ(p.beyond_tracked(), 0u);
 
   // A batch past the capacity left, or one holding the reserved address,
   // throws and records nothing.
@@ -257,6 +248,22 @@ TEST(StackDistance, RecordBatchMatchesFenwickOracleAcrossSuperblocks) {
   EXPECT_THROW(p.record_batch(reserved), coloc::runtime_error);
   EXPECT_EQ(p.references(), trace.size());
   EXPECT_EQ(p.histogram(), histogram);
+
+  const std::vector<LineAddress> canneal =
+      TraceGenerator(find_application("canneal").trace, 99).generate(500'000);
+  std::vector<std::uint64_t> canneal_histogram;
+  std::uint64_t canneal_cold = 0;
+  for (const std::uint64_t d : fenwick_distances(canneal)) {
+    if (d == kColdMiss) {
+      ++canneal_cold;
+      continue;
+    }
+    if (d >= canneal_histogram.size()) canneal_histogram.resize(d + 1, 0);
+    ++canneal_histogram[d];
+  }
+  const StackDistanceProfiler profiled = profile_trace(canneal);
+  EXPECT_EQ(profiled.cold_misses(), canneal_cold);
+  EXPECT_EQ(profiled.histogram(), canneal_histogram);
 }
 
 TEST(StackDistance, ManyDistinctLinesSurviveMapGrowth) {

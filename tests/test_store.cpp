@@ -1,4 +1,4 @@
-// The crash-safe artifact store: durable-atomic FileOps semantics, FNV-1a
+// The crash-safe artifact store: durable-atomic file writes, FNV-1a
 // digests, and the checksummed zoo bundle's save/load/quarantine protocol.
 #include <gtest/gtest.h>
 
@@ -32,13 +32,12 @@ TEST(Digest, HexIsSixteenCharsAndContentSensitive) {
 
 TEST(FileOps, WriteAtomicRoundTripAndOverwrite) {
   const std::string dir = fresh_dir("atomic");
-  FileOps& files = FileOps::real();
   const std::string path = dir + "/data.txt";
-  files.write_atomic(path, "first");
-  EXPECT_TRUE(files.exists(path));
-  EXPECT_EQ(files.read(path), "first");
-  files.write_atomic(path, "second, longer payload");
-  EXPECT_EQ(files.read(path), "second, longer payload");
+  write_file_atomic(path, "first");
+  EXPECT_TRUE(file_exists(path));
+  EXPECT_EQ(read_file(path), "first");
+  write_file_atomic(path, "second, longer payload");
+  EXPECT_EQ(read_file(path), "second, longer payload");
   // The atomic discipline must not strand temp files next to the target.
   std::size_t entries = 0;
   for ([[maybe_unused]] const auto& e :
@@ -50,28 +49,25 @@ TEST(FileOps, WriteAtomicRoundTripAndOverwrite) {
 
 TEST(FileOps, MissingFileBehaviour) {
   const std::string dir = fresh_dir("missing");
-  FileOps& files = FileOps::real();
-  EXPECT_FALSE(files.exists(dir + "/nope"));
-  EXPECT_FALSE(files.read_if_exists(dir + "/nope").has_value());
-  EXPECT_THROW(files.read(dir + "/nope"), coloc::runtime_error);
+  EXPECT_FALSE(file_exists(dir + "/nope"));
+  EXPECT_FALSE(read_file_if_exists(dir + "/nope").has_value());
+  EXPECT_THROW(read_file(dir + "/nope"), coloc::runtime_error);
 }
 
 TEST(FileOps, AppendDurableExtends) {
   const std::string dir = fresh_dir("append");
-  FileOps& files = FileOps::real();
   const std::string path = dir + "/log.wal";
-  files.append_durable(path, "one\n");
-  files.append_durable(path, "two\n");
-  EXPECT_EQ(files.read(path), "one\ntwo\n");
+  append_file_durable(path, "one\n");
+  append_file_durable(path, "two\n");
+  EXPECT_EQ(read_file(path), "one\ntwo\n");
 }
 
 TEST(FileOps, RemoveDeletes) {
   const std::string dir = fresh_dir("remove");
-  FileOps& files = FileOps::real();
   const std::string path = dir + "/gone.txt";
-  files.write_atomic(path, "x");
-  files.remove(path);
-  EXPECT_FALSE(files.exists(path));
+  write_file_atomic(path, "x");
+  remove_file(path);
+  EXPECT_FALSE(file_exists(path));
 }
 
 // --- zoo bundle -----------------------------------------------------------
@@ -90,13 +86,12 @@ std::vector<ZooModel> two_models(const ml::LinearModel& a,
 
 TEST(ZooStore, SaveLoadRoundTrip) {
   const std::string dir = fresh_dir("roundtrip");
-  FileOps& files = FileOps::real();
   const ml::LinearModel a = model_a();
   const ml::LinearModel b = model_b();
-  const ZooSaveResult saved = save_zoo(files, dir + "/zoo", two_models(a, b),
+  const ZooSaveResult saved = save_zoo(dir + "/zoo", two_models(a, b),
                                        {{"seed", "99"}});
 
-  const LoadReport report = load_zoo(files, dir + "/zoo");
+  const LoadReport report = load_zoo(dir + "/zoo");
   ASSERT_TRUE(report.manifest_ok) << report.error;
   EXPECT_TRUE(report.complete()) << report.summary();
   EXPECT_EQ(report.bundle_digest, saved.bundle_digest);
@@ -113,44 +108,41 @@ TEST(ZooStore, SaveLoadRoundTrip) {
 
 TEST(ZooStore, BundleDigestCoversManifestBytes) {
   const std::string dir = fresh_dir("digest");
-  FileOps& files = FileOps::real();
   const ml::LinearModel a = model_a();
   const ml::LinearModel b = model_b();
-  const ZooSaveResult saved = save_zoo(files, dir + "/zoo", two_models(a, b));
+  const ZooSaveResult saved = save_zoo(dir + "/zoo", two_models(a, b));
   EXPECT_EQ(saved.bundle_digest,
-            digest_hex(files.read(dir + "/zoo/MANIFEST.json")));
+            digest_hex(read_file(dir + "/zoo/MANIFEST.json")));
 }
 
 TEST(ZooStore, IdenticalZoosSerializeByteIdentically) {
   const std::string dir = fresh_dir("determinism");
-  FileOps& files = FileOps::real();
   const ml::LinearModel a = model_a();
   const ml::LinearModel b = model_b();
-  const ZooSaveResult first = save_zoo(files, dir + "/one", two_models(a, b));
-  const ZooSaveResult second = save_zoo(files, dir + "/two", two_models(a, b));
+  const ZooSaveResult first = save_zoo(dir + "/one", two_models(a, b));
+  const ZooSaveResult second = save_zoo(dir + "/two", two_models(a, b));
   EXPECT_EQ(first.bundle_digest, second.bundle_digest);
-  EXPECT_EQ(files.read(dir + "/one/MANIFEST.json"),
-            files.read(dir + "/two/MANIFEST.json"));
+  EXPECT_EQ(read_file(dir + "/one/MANIFEST.json"),
+            read_file(dir + "/two/MANIFEST.json"));
 }
 
 TEST(ZooStore, CorruptEntryIsQuarantinedAloneAndCounted) {
   const std::string dir = fresh_dir("quarantine");
-  FileOps& files = FileOps::real();
   const ml::LinearModel a = model_a();
   const ml::LinearModel b = model_b();
-  save_zoo(files, dir + "/zoo", two_models(a, b));
+  save_zoo(dir + "/zoo", two_models(a, b));
 
   // Flip one byte of one entry; the manifest digest must catch it.
   const std::string victim = dir + "/zoo/models/linear-C.model";
-  std::string bytes = files.read(victim);
+  std::string bytes = read_file(victim);
   bytes[bytes.size() / 2] ^= 0x01;
-  files.write_atomic(victim, bytes);
+  write_file_atomic(victim, bytes);
 
   auto& counter =
       obs::Registry::global().counter("store_corruption_detected_total",
                                       {{"reason", "digest"}});
   const std::uint64_t before = counter.value();
-  const LoadReport report = load_zoo(files, dir + "/zoo");
+  const LoadReport report = load_zoo(dir + "/zoo");
   ASSERT_TRUE(report.manifest_ok);
   EXPECT_FALSE(report.complete());
   EXPECT_EQ(report.names_in_state(ZooEntryState::kQuarantined),
@@ -164,13 +156,12 @@ TEST(ZooStore, CorruptEntryIsQuarantinedAloneAndCounted) {
 
 TEST(ZooStore, MissingEntryIsReportedMissing) {
   const std::string dir = fresh_dir("missing_entry");
-  FileOps& files = FileOps::real();
   const ml::LinearModel a = model_a();
   const ml::LinearModel b = model_b();
-  save_zoo(files, dir + "/zoo", two_models(a, b));
-  files.remove(dir + "/zoo/models/linear-A.model");
+  save_zoo(dir + "/zoo", two_models(a, b));
+  remove_file(dir + "/zoo/models/linear-A.model");
 
-  const LoadReport report = load_zoo(files, dir + "/zoo");
+  const LoadReport report = load_zoo(dir + "/zoo");
   ASSERT_TRUE(report.manifest_ok);
   EXPECT_EQ(report.names_in_state(ZooEntryState::kMissing),
             std::vector<std::string>{"linear-A"});
@@ -179,13 +170,12 @@ TEST(ZooStore, MissingEntryIsReportedMissing) {
 
 TEST(ZooStore, CorruptManifestFailsClosed) {
   const std::string dir = fresh_dir("bad_manifest");
-  FileOps& files = FileOps::real();
   const ml::LinearModel a = model_a();
   const ml::LinearModel b = model_b();
-  save_zoo(files, dir + "/zoo", two_models(a, b));
-  files.write_atomic(dir + "/zoo/MANIFEST.json", "{not json");
+  save_zoo(dir + "/zoo", two_models(a, b));
+  write_file_atomic(dir + "/zoo/MANIFEST.json", "{not json");
 
-  const LoadReport report = load_zoo(files, dir + "/zoo");
+  const LoadReport report = load_zoo(dir + "/zoo");
   EXPECT_FALSE(report.manifest_ok);
   EXPECT_FALSE(report.error.empty());
   EXPECT_TRUE(report.models.empty());
@@ -193,7 +183,7 @@ TEST(ZooStore, CorruptManifestFailsClosed) {
 
 TEST(ZooStore, AbsentBundleFailsClosed) {
   const LoadReport report =
-      load_zoo(FileOps::real(), ::testing::TempDir() + "/no_such_bundle");
+      load_zoo(::testing::TempDir() + "/no_such_bundle");
   EXPECT_FALSE(report.manifest_ok);
   EXPECT_TRUE(report.models.empty());
 }

@@ -32,7 +32,6 @@ class SupervisorTest : public ::testing::Test {
   }
 
   std::string dir_;
-  store::FileOps& files_ = store::FileOps::real();
 };
 
 TEST_F(SupervisorTest, ParseDropsTornTail) {
@@ -64,11 +63,11 @@ TEST_F(SupervisorTest, ParseRejectsForeignFile) {
 
 TEST_F(SupervisorTest, JournalRoundTripsThroughDisk) {
   {
-    StageJournal journal(files_, dir_ + "/journal.wal", /*resume=*/false);
+    StageJournal journal(dir_ + "/journal.wal", /*resume=*/false);
     journal.record_start("campaign");
     journal.record_done("campaign", {{"data.csv", 42, "deadbeefdeadbeef"}});
   }
-  StageJournal reloaded(files_, dir_ + "/journal.wal", /*resume=*/true);
+  StageJournal reloaded(dir_ + "/journal.wal", /*resume=*/true);
   const JournalStage* stage = reloaded.state().find("campaign");
   ASSERT_NE(stage, nullptr);
   ASSERT_EQ(stage->artifacts.size(), 1u);
@@ -77,7 +76,7 @@ TEST_F(SupervisorTest, JournalRoundTripsThroughDisk) {
 }
 
 TEST_F(SupervisorTest, ResetFromDropsThatStageAndLaterOnes) {
-  StageJournal journal(files_, dir_ + "/journal.wal", /*resume=*/false);
+  StageJournal journal(dir_ + "/journal.wal", /*resume=*/false);
   journal.record_start("a");
   journal.record_done("a", {});
   journal.record_start("b");
@@ -90,12 +89,12 @@ TEST_F(SupervisorTest, ResetFromDropsThatStageAndLaterOnes) {
   EXPECT_EQ(journal.state().find("c"), nullptr);
   // And the on-disk file agrees.
   const JournalState reloaded =
-      StageJournal::parse(files_.read(dir_ + "/journal.wal"));
+      StageJournal::parse(store::read_file(dir_ + "/journal.wal"));
   EXPECT_EQ(reloaded.completed.size(), 1u);
 }
 
 TEST_F(SupervisorTest, StageNamesWithWhitespaceAreRejected) {
-  StageJournal journal(files_, dir_ + "/journal.wal", /*resume=*/false);
+  StageJournal journal(dir_ + "/journal.wal", /*resume=*/false);
   EXPECT_THROW(journal.record_start("two words"), coloc::runtime_error);
 }
 
@@ -104,7 +103,7 @@ TEST_F(SupervisorTest, RunStageExecutesBodyAndJournalsArtifacts) {
   const std::string artifact = dir_ + "/out.txt";
   const StageOutcome outcome =
       supervisor.run_stage("build", {artifact}, [&] {
-        files_.write_atomic(artifact, "payload");
+        store::write_file_atomic(artifact, "payload");
       });
   EXPECT_EQ(outcome, StageOutcome::kRan);
   EXPECT_EQ(supervisor.stages_executed(), 1u);
@@ -126,7 +125,7 @@ TEST_F(SupervisorTest, ResumeSkipsStageWithVerifiedArtifacts) {
   {
     PipelineSupervisor first(options(/*resume=*/false));
     first.run_stage("build", {artifact},
-                    [&] { files_.write_atomic(artifact, "payload"); });
+                    [&] { store::write_file_atomic(artifact, "payload"); });
   }
   PipelineSupervisor resumed(options(/*resume=*/true));
   const StageOutcome outcome = resumed.run_stage(
@@ -140,14 +139,14 @@ TEST_F(SupervisorTest, CorruptedArtifactForcesReplay) {
   {
     PipelineSupervisor first(options(/*resume=*/false));
     first.run_stage("build", {artifact},
-                    [&] { files_.write_atomic(artifact, "payload"); });
+                    [&] { store::write_file_atomic(artifact, "payload"); });
   }
-  files_.write_atomic(artifact, "tampered");
+  store::write_file_atomic(artifact, "tampered");
   PipelineSupervisor resumed(options(/*resume=*/true));
   bool ran = false;
   const StageOutcome outcome = resumed.run_stage("build", {artifact}, [&] {
     ran = true;
-    files_.write_atomic(artifact, "payload");
+    store::write_file_atomic(artifact, "payload");
   });
   EXPECT_EQ(outcome, StageOutcome::kRan);
   EXPECT_TRUE(ran);
@@ -159,19 +158,19 @@ TEST_F(SupervisorTest, InvalidStageInvalidatesEverythingAfterIt) {
   const std::string b = dir_ + "/b.txt";
   {
     PipelineSupervisor first(options(/*resume=*/false));
-    first.run_stage("one", {a}, [&] { files_.write_atomic(a, "aaa"); });
-    first.run_stage("two", {b}, [&] { files_.write_atomic(b, "bbb"); });
+    first.run_stage("one", {a}, [&] { store::write_file_atomic(a, "aaa"); });
+    first.run_stage("two", {b}, [&] { store::write_file_atomic(b, "bbb"); });
   }
-  files_.remove(a);  // stage one's output vanishes
+  store::remove_file(a);  // stage one's output vanishes
   PipelineSupervisor resumed(options(/*resume=*/true));
   bool one_ran = false, two_ran = false;
   resumed.run_stage("one", {a}, [&] {
     one_ran = true;
-    files_.write_atomic(a, "aaa");
+    store::write_file_atomic(a, "aaa");
   });
   resumed.run_stage("two", {b}, [&] {
     two_ran = true;
-    files_.write_atomic(b, "bbb");
+    store::write_file_atomic(b, "bbb");
   });
   EXPECT_TRUE(one_ran);
   EXPECT_TRUE(two_ran) << "stage two consumed invalidated inputs; it must "
@@ -183,13 +182,13 @@ TEST_F(SupervisorTest, WithoutResumeEverythingReruns) {
   {
     PipelineSupervisor first(options(/*resume=*/false));
     first.run_stage("build", {artifact},
-                    [&] { files_.write_atomic(artifact, "payload"); });
+                    [&] { store::write_file_atomic(artifact, "payload"); });
   }
   PipelineSupervisor fresh(options(/*resume=*/false));
   bool ran = false;
   fresh.run_stage("build", {artifact}, [&] {
     ran = true;
-    files_.write_atomic(artifact, "payload");
+    store::write_file_atomic(artifact, "payload");
   });
   EXPECT_TRUE(ran);
 }
@@ -198,7 +197,7 @@ TEST_F(SupervisorTest, StopRequestHaltsBeforeTheNextStage) {
   PipelineSupervisor supervisor(options(/*resume=*/false));
   const std::string artifact = dir_ + "/out.txt";
   supervisor.run_stage("one", {artifact},
-                       [&] { files_.write_atomic(artifact, "x"); });
+                       [&] { store::write_file_atomic(artifact, "x"); });
   PipelineSupervisor::request_stop();
   bool ran = false;
   const StageOutcome outcome =
@@ -213,7 +212,7 @@ TEST_F(SupervisorTest, ResumeAfterCleanStopContinues) {
   const std::string a = dir_ + "/a.txt";
   {
     PipelineSupervisor first(options(/*resume=*/false));
-    first.run_stage("one", {a}, [&] { files_.write_atomic(a, "x"); });
+    first.run_stage("one", {a}, [&] { store::write_file_atomic(a, "x"); });
     PipelineSupervisor::request_stop();
     first.run_stage("two", {}, [] {});
   }
@@ -226,7 +225,7 @@ TEST_F(SupervisorTest, ResumeAfterCleanStopContinues) {
   EXPECT_EQ(resumed.run_stage("two", {b},
                               [&] {
                                 ran = true;
-                                files_.write_atomic(b, "y");
+                                store::write_file_atomic(b, "y");
                               }),
             StageOutcome::kRan);
   EXPECT_TRUE(ran);

@@ -5,6 +5,8 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "sim/app_model.hpp"
 
 namespace coloc::sim {
 namespace {
@@ -159,6 +161,19 @@ TEST(TraceBatch, MatchesScalarForEachArchetype) {
     for (std::size_t i = 0; i < out.size(); ++i) {
       ASSERT_EQ(scalar.next(), out[i]) << "at index " << i;
     }
+  }
+
+  // canneal's real spec mixes three archetypes over 786,432 lines, so its
+  // hot/cold draws reach Zipf ranks past the per-phase sampler's table,
+  // which next() never uses.
+  const ApplicationSpec canneal = find_application("canneal");
+  ASSERT_GT(canneal.trace.phases.front().working_set_lines,
+            ZipfSampler::kCachedRanks);
+  TraceGenerator scalar(canneal.trace, 99);
+  TraceGenerator batched(canneal.trace, 99);
+  const std::vector<LineAddress> out = batched.generate(200'000);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(scalar.next(), out[i]) << "canneal at index " << i;
   }
 }
 

@@ -85,14 +85,13 @@ TEST(ZooArtifacts, TrainingIsDeterministic) {
 TEST(ZooArtifacts, SaveThenLoadIsComplete) {
   const std::string dir = fresh_dir("save_load");
   const ml::Dataset dataset = synthetic_dataset();
-  store::FileOps& files = store::FileOps::real();
   const TrainedZoo zoo = train_full_zoo(dataset, fast_options(), small_ids());
   const store::ZooSaveResult saved =
-      save_trained_zoo(files, dir + "/zoo", zoo, {{"seed", "42"}});
+      save_trained_zoo(dir + "/zoo", zoo, {{"seed", "42"}});
   EXPECT_EQ(saved.manifest.entries.size(), 3u);
 
   const ZooLoadOutcome outcome = load_or_repair_zoo(
-      files, dir + "/zoo", dataset, fast_options(), small_ids());
+      dir + "/zoo", dataset, fast_options(), small_ids());
   EXPECT_TRUE(outcome.retrained.empty());
   EXPECT_FALSE(outcome.repaired);
   EXPECT_EQ(outcome.report.bundle_digest, saved.bundle_digest);
@@ -102,47 +101,45 @@ TEST(ZooArtifacts, SaveThenLoadIsComplete) {
 TEST(ZooArtifacts, CorruptEntryIsRetrainedToIdenticalBytes) {
   const std::string dir = fresh_dir("repair");
   const ml::Dataset dataset = synthetic_dataset();
-  store::FileOps& files = store::FileOps::real();
   const TrainedZoo zoo = train_full_zoo(dataset, fast_options(), small_ids());
-  save_trained_zoo(files, dir + "/zoo", zoo);
+  save_trained_zoo(dir + "/zoo", zoo);
 
   const std::string victim = dir + "/zoo/models/nn-A.model";
-  const std::string original_bytes = files.read(victim);
+  const std::string original_bytes = store::read_file(victim);
   std::string corrupted = original_bytes;
   corrupted[corrupted.size() / 3] ^= 0x40;
-  files.write_atomic(victim, corrupted);
+  store::write_file_atomic(victim, corrupted);
 
   auto& retrained_counter =
       obs::Registry::global().counter("zoo_models_retrained_total");
   const std::uint64_t before = retrained_counter.value();
 
   const ZooLoadOutcome outcome = load_or_repair_zoo(
-      files, dir + "/zoo", dataset, fast_options(), small_ids());
+      dir + "/zoo", dataset, fast_options(), small_ids());
   EXPECT_EQ(outcome.retrained, std::vector<std::string>{"nn-A"});
   EXPECT_TRUE(outcome.repaired);
   EXPECT_EQ(retrained_counter.value(), before + 1);
   // Deterministic retraining: the repaired file matches the original
   // byte for byte, so a warm restart stays bit-identical.
-  EXPECT_EQ(files.read(victim), original_bytes);
+  EXPECT_EQ(store::read_file(victim), original_bytes);
 
   // And the bundle on disk is whole again.
-  const store::LoadReport reloaded = store::load_zoo(files, dir + "/zoo");
+  const store::LoadReport reloaded = store::load_zoo(dir + "/zoo");
   EXPECT_TRUE(reloaded.complete()) << reloaded.summary();
 }
 
 TEST(ZooArtifacts, AbsentBundleRetrainsEverythingAndWritesIt) {
   const std::string dir = fresh_dir("absent");
   const ml::Dataset dataset = synthetic_dataset();
-  store::FileOps& files = store::FileOps::real();
 
   const ZooLoadOutcome outcome = load_or_repair_zoo(
-      files, dir + "/zoo", dataset, fast_options(), small_ids());
+      dir + "/zoo", dataset, fast_options(), small_ids());
   EXPECT_FALSE(outcome.report.manifest_ok);
   EXPECT_EQ(outcome.retrained.size(), 3u);
   EXPECT_TRUE(outcome.repaired);
   EXPECT_EQ(outcome.zoo.models.size(), 3u);
 
-  const store::LoadReport reloaded = store::load_zoo(files, dir + "/zoo");
+  const store::LoadReport reloaded = store::load_zoo(dir + "/zoo");
   EXPECT_TRUE(reloaded.complete()) << reloaded.summary();
 }
 
@@ -152,19 +149,18 @@ TEST(ZooArtifacts, NeverServesCorruptModelBytes) {
   // verify — retrained in memory if the disk copy is bad.
   const std::string dir = fresh_dir("chaos");
   const ml::Dataset dataset = synthetic_dataset();
-  store::FileOps& files = store::FileOps::real();
   const TrainedZoo zoo = train_full_zoo(dataset, fast_options(), small_ids());
-  save_trained_zoo(files, dir + "/zoo", zoo);
+  save_trained_zoo(dir + "/zoo", zoo);
 
   // Trash every model file a different way.
-  files.write_atomic(dir + "/zoo/models/linear-A.model", "");
-  files.remove(dir + "/zoo/models/linear-F.model");
-  std::string nn = files.read(dir + "/zoo/models/nn-A.model");
-  files.write_atomic(dir + "/zoo/models/nn-A.model",
-                     nn.substr(0, nn.size() / 2));
+  store::write_file_atomic(dir + "/zoo/models/linear-A.model", "");
+  store::remove_file(dir + "/zoo/models/linear-F.model");
+  std::string nn = store::read_file(dir + "/zoo/models/nn-A.model");
+  store::write_file_atomic(dir + "/zoo/models/nn-A.model",
+                           nn.substr(0, nn.size() / 2));
 
   const ZooLoadOutcome outcome = load_or_repair_zoo(
-      files, dir + "/zoo", dataset, fast_options(), small_ids());
+      dir + "/zoo", dataset, fast_options(), small_ids());
   EXPECT_EQ(outcome.retrained.size(), 3u);
   EXPECT_EQ(outcome.zoo.models.size(), 3u);
   // Every served model predicts exactly like a fresh deterministic train.

@@ -102,8 +102,7 @@ ml::Dataset load_dataset(const std::string& path) {
 }
 
 int run_pipeline(const std::string& dir, bool resume) {
-  store::FileOps& files = store::FileOps::real();
-  files.create_directories(dir);
+  store::create_directories(dir);
 
   // A deliberately tiny deterministic configuration: 2 targets x 2
   // co-runners x {1,2} copies x {lowest, highest} P-state = 16 cells.
@@ -155,7 +154,7 @@ int run_pipeline(const std::string& dir, bool resume) {
       }
       os << "\n";
     }
-    files.write_atomic(dir + "/baselines.csv", os.str());
+    store::write_file_atomic(dir + "/baselines.csv", os.str());
   });
 
   // Stage 2: the Table V sweep, checkpointing every cell so a SIGKILL
@@ -169,7 +168,7 @@ int run_pipeline(const std::string& dir, bool resume) {
         core::run_campaign(testbed, campaign_config, robustness);
     std::ostringstream os;
     campaign.dataset.to_csv().write(os);
-    files.write_atomic(dir + "/dataset.csv", os.str());
+    store::write_file_atomic(dir + "/dataset.csv", os.str());
   });
 
   // Stage 3: train the zoo subset FROM THE DATASET ARTIFACT (not the
@@ -186,8 +185,7 @@ int run_pipeline(const std::string& dir, bool resume) {
     }
     const core::TrainedZoo zoo =
         core::train_full_zoo(dataset, pipeline_zoo_options(), ids);
-    core::save_trained_zoo(files, dir + "/zoo", zoo,
-                           {{"harness", "crash"}});
+    core::save_trained_zoo(dir + "/zoo", zoo, {{"harness", "crash"}});
   });
 
   // Stage 4: the paper's repeated-subsampling protocol on nn-F.
@@ -205,23 +203,23 @@ int run_pipeline(const std::string& dir, bool resume) {
        << fmt_double(result.train_mpe) << ',' << fmt_double(result.test_mpe)
        << ',' << fmt_double(result.train_nrmse) << ','
        << fmt_double(result.test_nrmse) << ',' << result.partitions << "\n";
-    files.write_atomic(dir + "/validate.csv", os.str());
+    store::write_file_atomic(dir + "/validate.csv", os.str());
   });
 
   // Stage 5: human-readable summary stitched from the artifacts alone.
   supervisor.run_stage("report", {dir + "/report.txt"}, [&] {
-    const std::string dataset_csv = files.read(dir + "/dataset.csv");
+    const std::string dataset_csv = store::read_file(dir + "/dataset.csv");
     std::size_t rows = 0;
     for (char c : dataset_csv) rows += c == '\n' ? 1 : 0;
     if (rows > 0) --rows;  // header
-    const std::string manifest = files.read(dir + "/zoo/MANIFEST.json");
+    const std::string manifest = store::read_file(dir + "/zoo/MANIFEST.json");
     std::ostringstream os;
     os << "coloc crash-harness report v1\n"
        << "dataset_rows " << rows << "\n"
        << "zoo_bundle_digest " << store::digest_hex(manifest) << "\n"
        << "validation\n"
-       << files.read(dir + "/validate.csv");
-    files.write_atomic(dir + "/report.txt", os.str());
+       << store::read_file(dir + "/validate.csv");
+    store::write_file_atomic(dir + "/report.txt", os.str());
   });
 
   return supervisor.stopped_cleanly() ? 3 : 0;
@@ -308,11 +306,10 @@ ChildResult wait_to_completion(pid_t pid) {
 
 bool compare_artifacts(const std::string& ref_dir,
                        const std::string& work_dir) {
-  store::FileOps& files = store::FileOps::real();
   bool all_match = true;
   for (const std::string& name : artifact_names()) {
-    const auto expected = files.read_if_exists(ref_dir + "/" + name);
-    const auto actual = files.read_if_exists(work_dir + "/" + name);
+    const auto expected = store::read_file_if_exists(ref_dir + "/" + name);
+    const auto actual = store::read_file_if_exists(work_dir + "/" + name);
     if (!expected.has_value()) {
       std::fprintf(stderr, "crash_harness: reference artifact missing: %s\n",
                    name.c_str());
