@@ -314,16 +314,6 @@ int run(const coloc::CliArgs& args) {
     zoo_warm_identical = cold_bytes.str() == warm_bytes.str();
   }
 
-  const double end_to_end_serial_s = campaign_serial_s + zoo_serial_s;
-  const double end_to_end_parallel_s = campaign_s + zoo_parallel_s;
-  const double end_to_end_speedup =
-      end_to_end_parallel_s > 0.0
-          ? end_to_end_serial_s / end_to_end_parallel_s
-          : 0.0;
-  std::printf("end-to-end           : %8.3f s serial, %.3f s parallel "
-              "(%.2fx)\n",
-              end_to_end_serial_s, end_to_end_parallel_s, end_to_end_speedup);
-
   // --- Stage 4: the paper's set-F MLP validation through the one trainer.
   ml::MlpOptions mlp = config.evaluation().zoo.mlp;
   mlp.hidden_units = core::hidden_units_for(core::FeatureSet::kF);
@@ -415,8 +405,6 @@ int run(const coloc::CliArgs& args) {
        << "    \"zoo_parallel\": " << zoo_parallel_s << ",\n"
        << "    \"zoo_train_cold\": " << zoo_cold_s << ",\n"
        << "    \"zoo_load_warm\": " << zoo_warm_s << ",\n"
-       << "    \"end_to_end_serial\": " << end_to_end_serial_s << ",\n"
-       << "    \"end_to_end_parallel\": " << end_to_end_parallel_s << ",\n"
        << "    \"validation\": " << validation_s << "\n  },\n"
        << "  \"campaign_speedup\": " << campaign_speedup << ",\n";
     os << "  \"jobs_scaling\": [\n";
@@ -432,7 +420,6 @@ int run(const coloc::CliArgs& args) {
        << "  \"zoo_warm_start_speedup\": " << warm_speedup << ",\n"
        << "  \"zoo_bundle_digest\": \"" << saved.bundle_digest << "\",\n"
        << "  \"zoo_models_retrained\": " << warm.retrained.size() << ",\n"
-       << "  \"end_to_end_speedup\": " << end_to_end_speedup << ",\n"
        << "  \"validation\": {\"test_mpe\": " << set_f.test_mpe
        << ", \"test_nrmse\": " << set_f.test_nrmse << "},\n"
        << "  \"solve_cache\": {\"hits\": " << hits << ", \"misses\": "

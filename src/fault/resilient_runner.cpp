@@ -160,7 +160,8 @@ double ResilientRunner::backoff_ms(const std::string& tag,
   for (char c : tag) h = h * 0x100000001b3ULL + static_cast<unsigned char>(c);
   h ^= attempt * 0x9e3779b97f4a7c15ULL;
   Rng rng(splitmix64(h));
-  return delay * rng.uniform(1.0 - policy_.jitter, 1.0 + policy_.jitter);
+  return delay * rng.uniform(1.0 - RetryPolicy::kJitter,
+                             1.0 + RetryPolicy::kJitter);
 }
 
 void ResilientRunner::note_resumed_cell() {

@@ -35,9 +35,9 @@ struct RetryPolicy {
   /// Backoff doubles per retry from the base, capped at the max.
   double base_backoff_ms = 2.0;
   double max_backoff_ms = 250.0;
-  /// Backoff is scaled by a factor uniform in [1 - jitter, 1 + jitter],
+  /// Backoff is scaled by a factor uniform in [1 - kJitter, 1 + kJitter],
   /// drawn deterministically from (tag, attempt).
-  double jitter = 0.5;
+  static constexpr double kJitter = 0.5;
   /// Per-attempt completion deadline. An attempt that returns or throws
   /// at or after it counts as an overrun, a transient fault: its result is
   /// discarded and the cell retried. Code inside the attempt can poll

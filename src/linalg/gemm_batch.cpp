@@ -25,6 +25,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "linalg/lanes.hpp"
 
 namespace coloc::linalg {
 
@@ -46,6 +47,25 @@ namespace {
 #define COLOC_GEMM_INLINE inline
 #endif
 
+// W output columns [c, c + W) of one row, accumulators in one register.
+template <int INNER, int W>
+COLOC_GEMM_INLINE void chunk_cols(const double* xr, const double* w,
+                                  const double* bias, double* orow,
+                                  std::size_t cols, std::size_t c) {
+  detail::Lanes<W> acc{};
+  detail::load_lanes<W>(acc, bias + c);
+#pragma GCC unroll 8
+  for (int i = 0; i < INNER; ++i) {
+    detail::Lanes<W> wr{};
+    detail::load_lanes<W>(wr, w + static_cast<std::size_t>(i) * cols + c);
+    acc += xr[i] * wr;
+  }
+  detail::store_lanes<W>(orow + c, acc);
+}
+
+// Each row in 8-wide chunks, then one 4-, 2- and 1-wide chunk as the
+// width needs: the 10-20-wide hidden layers never fall back to one
+// scalar column at a time.
 template <int INNER>
 COLOC_GEMM_INLINE void chunk_rows(const double* x, const double* w,
                                   const double* bias, double* out,
@@ -54,30 +74,26 @@ COLOC_GEMM_INLINE void chunk_rows(const double* x, const double* w,
     const double* xr = x + r * INNER;
     double* orow = out + r * cols;
     std::size_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      double acc[8];
-      for (int k = 0; k < 8; ++k) acc[k] = bias[c + k];
-#pragma GCC unroll 8
-      for (int i = 0; i < INNER; ++i) {
-        const double xi = xr[i];
-        const double* wr = w + static_cast<std::size_t>(i) * cols + c;
-        for (int k = 0; k < 8; ++k) acc[k] += xi * wr[k];
-      }
-      for (int k = 0; k < 8; ++k) orow[c + k] = acc[k];
+    for (; c + 8 <= cols; c += 8)
+      chunk_cols<INNER, 8>(xr, w, bias, orow, cols, c);
+    if (c + 4 <= cols) {
+      chunk_cols<INNER, 4>(xr, w, bias, orow, cols, c);
+      c += 4;
     }
-    for (; c < cols; ++c) {
-      double a = bias[c];
-      for (int i = 0; i < INNER; ++i)
-        a += xr[i] * w[static_cast<std::size_t>(i) * cols + c];
-      orow[c] = a;
+    if (c + 2 <= cols) {
+      chunk_cols<INNER, 2>(xr, w, bias, orow, cols, c);
+      c += 2;
     }
+    if (c < cols) chunk_cols<INNER, 1>(xr, w, bias, orow, cols, c);
   }
 }
 
+}  // namespace
+
 COLOC_GEMM_BATCH_CLONES
-void gemm_chunk(const double* x, const double* w, const double* bias,
-                double* out, std::size_t m, std::size_t inner,
-                std::size_t cols) {
+void detail::gemm_chunk(const double* x, const double* w, const double* bias,
+                        double* out, std::size_t m, std::size_t inner,
+                        std::size_t cols) {
   switch (inner) {
     case 1: chunk_rows<1>(x, w, bias, out, m, cols); return;
     case 2: chunk_rows<2>(x, w, bias, out, m, cols); return;
@@ -92,9 +108,9 @@ void gemm_chunk(const double* x, const double* w, const double* bias,
 }
 
 COLOC_GEMM_BATCH_CLONES
-void gemm_stream(const double* x, const double* w, const double* bias,
-                 double* out, std::size_t m, std::size_t inner,
-                 std::size_t cols) {
+void detail::gemm_stream(const double* x, const double* w, const double* bias,
+                         double* out, std::size_t m, std::size_t inner,
+                         std::size_t cols) {
   std::size_t r = 0;
   for (; r + 2 <= m; r += 2) {
     const double* xr0 = x + r * inner;
@@ -159,13 +175,15 @@ void gemm_stream(const double* x, const double* w, const double* bias,
   }
 }
 
+namespace {
+
 inline void gemm_bias_kernel(const double* x, const double* w,
                              const double* bias, double* out, std::size_t m,
                              std::size_t inner, std::size_t cols) {
   if (cols <= 32 && inner >= 1 && inner <= 8) {
-    gemm_chunk(x, w, bias, out, m, inner, cols);
+    detail::gemm_chunk(x, w, bias, out, m, inner, cols);
   } else {
-    gemm_stream(x, w, bias, out, m, inner, cols);
+    detail::gemm_stream(x, w, bias, out, m, inner, cols);
   }
 }
 

@@ -11,6 +11,7 @@
 // element's accumulation chain).
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "linalg/matrix.hpp"
@@ -22,5 +23,21 @@ namespace coloc::linalg {
 /// Requires x.cols() == w.rows() and bias.size() == w.cols().
 void gemm_bias(const Matrix& x, const Matrix& w, std::span<const double> bias,
                Matrix& out);
+
+namespace detail {
+
+/// The two shapes gemm_bias picks between, on raw row-major buffers
+/// (x m x inner, w inner x cols, bias cols, out m x cols); exposed so
+/// tests can drive them against guard pages. gemm_chunk serves
+/// 1 <= inner <= 8 (any other inner writes nothing) and is what gemm_bias
+/// runs for cols <= 32; gemm_stream serves every shape.
+void gemm_chunk(const double* x, const double* w, const double* bias,
+                double* out, std::size_t m, std::size_t inner,
+                std::size_t cols);
+void gemm_stream(const double* x, const double* w, const double* bias,
+                 double* out, std::size_t m, std::size_t inner,
+                 std::size_t cols);
+
+}  // namespace detail
 
 }  // namespace coloc::linalg

@@ -10,16 +10,13 @@ namespace coloc::ml {
 
 std::vector<std::size_t> make_fold_assignment(std::size_t rows,
                                               std::size_t folds,
-                                              std::uint64_t seed,
-                                              bool shuffle) {
+                                              std::uint64_t seed) {
   COLOC_CHECK_MSG(folds >= 2, "need at least two folds");
   COLOC_CHECK_MSG(rows >= folds, "fewer rows than folds");
   std::vector<std::size_t> assignment(rows);
   for (std::size_t i = 0; i < rows; ++i) assignment[i] = i % folds;
-  if (shuffle) {
-    Rng rng(seed);
-    rng.shuffle(assignment);
-  }
+  Rng rng(seed);
+  rng.shuffle(assignment);
   return assignment;
 }
 
@@ -28,8 +25,8 @@ KFoldResult kfold_cross_validation(const Dataset& data,
                                    const ModelFactory& factory,
                                    const KFoldOptions& options) {
   COLOC_CHECK_MSG(!columns.empty(), "need at least one feature column");
-  const std::vector<std::size_t> assignment = make_fold_assignment(
-      data.num_rows(), options.folds, options.seed, options.shuffle);
+  const std::vector<std::size_t> assignment =
+      make_fold_assignment(data.num_rows(), options.folds, options.seed);
 
   std::vector<double> fold_mpe(options.folds);
   std::vector<double> fold_nrmse(options.folds);

@@ -13,7 +13,6 @@ namespace coloc::ml {
 struct KFoldOptions {
   std::size_t folds = 10;
   std::uint64_t seed = 7;
-  bool shuffle = true;
 };
 
 struct KFoldResult {
@@ -31,10 +30,10 @@ KFoldResult kfold_cross_validation(const Dataset& data,
                                    const KFoldOptions& options = {});
 
 /// Deterministic fold assignment helper (exposed for tests): returns a
-/// fold index in [0, folds) per row.
+/// fold index in [0, folds) per row, a seeded shuffle of the round-robin
+/// assignment so every fold holds floor or ceil(rows / folds) rows.
 std::vector<std::size_t> make_fold_assignment(std::size_t rows,
                                               std::size_t folds,
-                                              std::uint64_t seed,
-                                              bool shuffle);
+                                              std::uint64_t seed);
 
 }  // namespace coloc::ml

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "linalg/fast_math.hpp"
 #include "linalg/gemm_batch.hpp"
+#include "ml/mlp_fused.hpp"
 
 namespace coloc::ml {
 
@@ -90,14 +91,11 @@ void MlpNetwork::forward_all(const linalg::Matrix& x,
   linalg::Matrix& act = scratch.activations;
   linalg::gemm_bias(x, w1t, {params_.data() + b1_offset(), hidden_}, act);
   linalg::vector_tanh(act.data().data(), act.data().size());
-  const double* w2 = params_.data() + w2_offset();
-  const double b2 = params_[b2_offset()];
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto arow = act.row(r);
-    double o = b2;
-    for (std::size_t h = 0; h < hidden_; ++h) o += w2[h] * arow[h];
-    out[r] = o;
-  }
+  // The fused trainer's output sweep, one plane: each row's chain starts at
+  // b2 and adds w2[h] * a[h] in ascending h, as forward() does.
+  detail::forward_output_sweep(act.data().data(), params_.data() + w2_offset(),
+                               params_.data() + b2_offset(), out.data(),
+                               x.rows(), 1, hidden_);
 }
 
 double MlpNetwork::loss_and_gradient(const linalg::Matrix& x,

@@ -356,13 +356,36 @@ ReportResult render_report(const BundleData& bundle) {
     }
   }
 
+  // The training section also splits the objective's seconds
+  // (train_gemm_seconds) over train_kernel_seconds{kernel}; the rest of the
+  // objective is gathering and scattering the restart planes.
+  const MetricEntry* objective = bundle.metrics.find("train_gemm_seconds");
+  const double objective_s =
+      objective != nullptr ? objective->histogram.sum : 0.0;
   for (const char* section : {"recovery", "training"}) {
     const Values counters = surfaced(bundle.metrics, section);
-    if (counters.empty()) continue;
+    std::vector<const MetricEntry*> kernels;
+    if (std::string_view(section) == "training") {
+      for (const MetricEntry& e : bundle.metrics.entries) {
+        if (e.name == "train_kernel_seconds" && e.histogram.count > 0)
+          kernels.push_back(&e);
+      }
+    }
+    if (counters.empty() && kernels.empty()) continue;
     os << "\n== " << section << " ==\n";
     for (const auto& [name, value] : counters) {
       os << "  " << name << ": " << static_cast<std::uint64_t>(value)
          << "\n";
+    }
+    for (const MetricEntry* e : kernels) {
+      os << "  " << rendered_name(*e) << ": "
+         << format_seconds(e->histogram.sum);
+      if (objective_s > 0.0) {
+        os << " (" << static_cast<int>(e->histogram.sum / objective_s * 100.0 +
+                                       0.5)
+           << "% of train gemm)";
+      }
+      os << "\n";
     }
   }
 

@@ -1,8 +1,11 @@
 #include "sim/stack_distance.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <new>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -116,6 +119,22 @@ std::uint64_t walk_markers(std::uint64_t* bits, std::uint16_t* block_count,
 }
 }  // namespace
 
+void* detail::allocate_mapped(std::size_t bytes) {
+  if (bytes < kMinMappedBytes) return ::operator new(bytes);
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void detail::release_mapped(void* p, std::size_t bytes) noexcept {
+  if (bytes < kMinMappedBytes) {
+    ::operator delete(p);
+    return;
+  }
+  munmap(p, bytes);
+}
+
 StackDistanceProfiler::StackDistanceProfiler(std::size_t max_references,
                                              std::size_t max_distinct_lines)
     : capacity_(max_references) {
@@ -145,8 +164,8 @@ StackDistanceProfiler::StackDistanceProfiler(std::size_t max_references,
 
 void StackDistanceProfiler::grow_map() {
   const std::size_t new_slots = (map_mask_ + 1) * 2;
-  std::vector<LineAddress> keys(new_slots, kEmptySlot);
-  std::vector<std::uint32_t> pos(new_slots, kNoPosition);
+  detail::MappedVector<LineAddress> keys(new_slots, kEmptySlot);
+  detail::MappedVector<std::uint32_t> pos(new_slots, kNoPosition);
   const std::size_t new_mask = new_slots - 1;
   for (std::size_t i = 0; i <= map_mask_; ++i) {
     if (map_keys_[i] == kEmptySlot) continue;

@@ -26,6 +26,7 @@
 // FenwickTree, the tests' oracle).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -52,6 +53,41 @@ class FenwickTree {
  private:
   std::vector<std::int64_t> tree_;
 };
+
+namespace detail {
+
+/// Blocks of at least this many bytes (glibc's default mmap threshold) get
+/// their own page mapping; smaller ones come from operator new.
+inline constexpr std::size_t kMinMappedBytes = std::size_t{128} << 10;
+void* allocate_mapped(std::size_t bytes);
+void release_mapped(void* p, std::size_t bytes) noexcept;
+
+/// Allocator for the profiler's arrays. A large block is mapped and
+/// unmapped directly instead of coming from malloc: freeing a malloc block
+/// that large raises glibc's dynamic mmap threshold to its size, after
+/// which every later array below it comes from the brk heap and stays
+/// resident once freed.
+template <typename T>
+struct MappedAllocator {
+  using value_type = T;
+  MappedAllocator() = default;
+  template <typename U>
+  MappedAllocator(const MappedAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(allocate_mapped(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    release_mapped(p, n * sizeof(T));
+  }
+  friend bool operator==(const MappedAllocator&, const MappedAllocator&) {
+    return true;
+  }
+};
+
+template <typename T>
+using MappedVector = std::vector<T, MappedAllocator<T>>;
+
+}  // namespace detail
 
 /// Marker for a cold (first-touch) reference.
 inline constexpr std::uint64_t kColdMiss =
@@ -85,7 +121,7 @@ class StackDistanceProfiler {
   /// distance exactly d (cold misses are counted separately). A distance is
   /// below the distinct lines seen, so the histogram is never longer than
   /// the last-access map.
-  const std::vector<std::uint64_t>& histogram() const { return histogram_; }
+  std::span<const std::uint64_t> histogram() const { return histogram_; }
 
  private:
   /// Throws unless `lines` fits the capacity left and avoids ~0.
@@ -103,17 +139,17 @@ class StackDistanceProfiler {
   std::size_t capacity_ = 0;              // max record() calls
   // One marker bit per timestamp, with the popcount per 512-bit block and
   // per 128-block superblock; each padded for the fixed-width prefix sums.
-  std::vector<std::uint64_t> bits_;
-  std::vector<std::uint16_t> block_count_;
-  std::vector<std::uint32_t> super_count_;
+  detail::MappedVector<std::uint64_t> bits_;
+  detail::MappedVector<std::uint16_t> block_count_;
+  detail::MappedVector<std::uint32_t> super_count_;
   // Open-addressing last-access map (power-of-two, linear probing): flat
   // key/position arrays, whose slots pass 1 prefetches a fixed distance
   // ahead, instead of chasing std::unordered_map nodes.
-  std::vector<LineAddress> map_keys_;
-  std::vector<std::uint32_t> map_pos_;
+  detail::MappedVector<LineAddress> map_keys_;
+  detail::MappedVector<std::uint32_t> map_pos_;
   std::size_t map_mask_ = 0;
   std::size_t map_used_ = 0;
-  std::vector<std::uint64_t> histogram_;
+  detail::MappedVector<std::uint64_t> histogram_;
   std::uint64_t time_ = 0;
   std::uint64_t cold_ = 0;
 };

@@ -32,14 +32,14 @@ ModelFactory linear_factory() {
 }
 
 TEST(FoldAssignment, BalancedFolds) {
-  const auto assignment = make_fold_assignment(100, 10, 1, true);
+  const auto assignment = make_fold_assignment(100, 10, 1);
   std::vector<int> counts(10, 0);
   for (auto f : assignment) ++counts[f];
   for (int c : counts) EXPECT_EQ(c, 10);
 }
 
 TEST(FoldAssignment, UnevenRowsStayBalancedWithinOne) {
-  const auto assignment = make_fold_assignment(103, 10, 2, true);
+  const auto assignment = make_fold_assignment(103, 10, 2);
   std::vector<int> counts(10, 0);
   for (auto f : assignment) ++counts[f];
   for (int c : counts) {
@@ -49,20 +49,15 @@ TEST(FoldAssignment, UnevenRowsStayBalancedWithinOne) {
 }
 
 TEST(FoldAssignment, DeterministicPerSeed) {
-  EXPECT_EQ(make_fold_assignment(50, 5, 9, true),
-            make_fold_assignment(50, 5, 9, true));
-  EXPECT_NE(make_fold_assignment(50, 5, 9, true),
-            make_fold_assignment(50, 5, 10, true));
-}
-
-TEST(FoldAssignment, NoShuffleIsRoundRobin) {
-  const auto assignment = make_fold_assignment(6, 3, 0, false);
-  EXPECT_EQ(assignment, (std::vector<std::size_t>{0, 1, 2, 0, 1, 2}));
+  EXPECT_EQ(make_fold_assignment(50, 5, 9),
+            make_fold_assignment(50, 5, 9));
+  EXPECT_NE(make_fold_assignment(50, 5, 9),
+            make_fold_assignment(50, 5, 10));
 }
 
 TEST(FoldAssignment, RejectsBadInputs) {
-  EXPECT_THROW(make_fold_assignment(10, 1, 0, true), coloc::runtime_error);
-  EXPECT_THROW(make_fold_assignment(3, 5, 0, true), coloc::runtime_error);
+  EXPECT_THROW(make_fold_assignment(10, 1, 0), coloc::runtime_error);
+  EXPECT_THROW(make_fold_assignment(3, 5, 0), coloc::runtime_error);
 }
 
 TEST(KFold, NearZeroErrorOnNoiselessData) {

@@ -141,22 +141,28 @@ TEST(MlpBatchedTest, LossAndGradientMatchesWithZeroWeightDecay) {
 
 TEST(MlpBatchedTest, ForwardAllMatchesRowwiseForward) {
   // Up to 8 inputs and 32 hidden units take the batched GEMM's
-  // register-chunk kernel (20 = 8 + 8 + 4 exercises its column tail);
-  // 9 inputs take the streaming kernel.
+  // register-chunk kernel, whose column tails (hidden 10-20 leave 2, 3, 4,
+  // 6, 1 and 4 columns past the 8-wide chunks) run as 4-, 2- and 1-wide
+  // chunks; 9 inputs take the streaming kernel. Row counts 1-17 run the
+  // output sweep's 8-row lane chunks and every 4/2/1-row tail.
   Rng rng(105);
   const std::size_t shapes[][3] = {  // {rows, inputs, hidden}
       {37, 9, 13}, {64, 8, 20}, {5, 3, 7}, {1, 1, 1}};
-  for (const auto& s : shapes) {
-    SCOPED_TRACE(testing::Message() << s[0] << "/" << s[1] << "/" << s[2]);
-    const linalg::Matrix x = random_matrix(s[0], s[1], rng);
-    MlpNetwork net(s[1], s[2]);
+  auto check = [&](std::size_t rows, std::size_t inputs, std::size_t hidden) {
+    SCOPED_TRACE(testing::Message() << rows << "/" << inputs << "/"
+                                    << hidden);
+    const linalg::Matrix x = random_matrix(rows, inputs, rng);
+    MlpNetwork net(inputs, hidden);
     Rng init(206);
     net.initialize(init);
     std::vector<double> batched(x.rows());
     net.forward_all(x, batched);
     for (std::size_t r = 0; r < x.rows(); ++r)
       ASSERT_EQ(batched[r], net.forward(x.row(r))) << "row " << r;
-  }
+  };
+  for (const auto& s : shapes) check(s[0], s[1], s[2]);
+  for (std::size_t hidden = 10; hidden <= 20; ++hidden)
+    for (std::size_t rows = 1; rows <= 17; ++rows) check(rows, 3, hidden);
 }
 
 TEST(MlpBatchedTest, PredictAllMatchesPerRowPredict) {
@@ -175,6 +181,21 @@ TEST(MlpBatchedTest, PredictAllMatchesPerRowPredict) {
   ASSERT_EQ(batched.size(), queries.rows());
   for (std::size_t r = 0; r < queries.rows(); ++r)
     ASSERT_EQ(batched[r], model.predict(queries.row(r))) << "row " << r;
+
+  // The paper's 10-20 hidden units over 1-17 query rows: every lane chunk
+  // and tail of the GEMM columns and the output sweep's rows.
+  for (std::size_t hidden = 10; hidden <= 20; ++hidden) {
+    SCOPED_TRACE(hidden);
+    options.hidden_units = hidden;
+    options.max_iterations = 20;
+    const MlpRegressor net = MlpRegressor::fit(x, y, options);
+    for (std::size_t rows = 1; rows <= 17; ++rows) {
+      const linalg::Matrix q = random_matrix(rows, 6, rng);
+      const std::vector<double> all = net.predict_all(q);
+      for (std::size_t r = 0; r < rows; ++r)
+        ASSERT_EQ(all[r], net.predict(q.row(r))) << rows << " rows, row " << r;
+    }
+  }
 }
 
 TEST(MlpBatchedTest, FusedRestartsBitIdenticalToSequential) {
@@ -219,33 +240,45 @@ TEST(MlpBatchedTest, FusedEarlyStopMaskingMatchesSequential) {
 }
 
 TEST(MlpBatchedTest, FitMatchesReferenceAtEveryInputWidth) {
-  // Widths 1-8 take the register-blocked backward (one gw1t_rows<INNER>
-  // instantiation each); 9-11 take the one-pass backward_sweep. Five
-  // hidden units over three planes make the stacked width 15 = 8 + 4 + 3,
-  // so every column-chunk width (8, 4, 1) runs, and narrower backward
-  // subsets after rejected steps cover the other tails.
+  // Widths 1-8 take one gw1t_rows<INNER> instantiation each; 9-11 add a
+  // second input group. Five hidden units over three planes make the
+  // stacked width 15 = 8 + 4 + 2 + 1, so every column-chunk width runs,
+  // and narrower backward subsets after rejected steps cover the other
+  // tails.
   Rng rng(117);
-  for (std::size_t inputs = 1; inputs <= 11; ++inputs) {
-    SCOPED_TRACE(inputs);
-    const linalg::Matrix x = random_matrix(48, inputs, rng);
+  auto fit_at = [&](std::size_t rows, std::size_t inputs, std::size_t hidden,
+                    std::size_t restarts, std::size_t iterations) {
+    SCOPED_TRACE(testing::Message() << rows << " rows, " << inputs << "/"
+                                    << hidden << " x" << restarts);
+    const linalg::Matrix x = random_matrix(rows, inputs, rng);
     std::vector<double> y(x.rows());
     for (std::size_t r = 0; r < x.rows(); ++r) {
       for (std::size_t i = 0; i < inputs; ++i)
         y[r] += std::sin(static_cast<double>(i + 1) * x(r, i));
     }
     MlpOptions options;
-    options.hidden_units = 5;
-    options.max_iterations = 40;
-    options.restarts = 3;
+    options.hidden_units = hidden;
+    options.max_iterations = iterations;
+    options.restarts = restarts;
     expect_fit_matches_reference(x, y, options);
-  }
+  };
+  for (std::size_t inputs = 1; inputs <= 11; ++inputs)
+    fit_at(48, inputs, 5, 3, 40);
+  // The zoo's (inputs, hidden) pairs, at one and two planes, on a row count
+  // that leaves the output sweep a 4 + 2 + 1-row tail.
+  const std::size_t zoo_shapes[][2] = {{1, 10}, {2, 11}, {3, 12},
+                                       {4, 14}, {6, 17}, {8, 20}};
+  for (const auto& s : zoo_shapes)
+    for (const std::size_t restarts : {1u, 2u})
+      fit_at(95, s[0], s[1], restarts, 30);
 }
 
 TEST(MlpBatchedTest, FitMatchesReferencePastBlockedBackwardLimit) {
-  // 2100 rows x 20 hidden x 4 planes stage more d_a than the blocked
-  // backward keeps in cache, so fit takes the one-pass sweep at 8 inputs.
+  // 2100 rows x 20 hidden x 4 planes stage more d_a than one backward row
+  // block holds, so every chain continues across several row blocks.
   constexpr std::size_t kRows = 2100, kHidden = 20, kRestarts = 4;
-  static_assert(kRows * kHidden * kRestarts > detail::kBlockedBackwardLimit);
+  static_assert(kRows * kHidden * kRestarts >
+                4 * detail::kBackwardBlockDoubles);
   Rng rng(119);
   const linalg::Matrix x = random_matrix(kRows, 8, rng);
   std::vector<double> y(x.rows());

@@ -447,9 +447,10 @@ const obs::MetricEntry* find_rendered(const obs::MetricsDoc& doc,
   return doc.find(rendered.substr(0, brace), labels);
 }
 
-/// Records two stage walls, recovery and training counters and a
-/// train-GEMM histogram in the global registry, then writes them as a
-/// bundle through an ObsSession into a fresh directory and returns it.
+/// Records two stage walls, recovery and training counters, a train-GEMM
+/// histogram and two of its kernel timers in the global registry, then
+/// writes them as a bundle through an ObsSession into a fresh directory and
+/// returns it.
 std::string write_session_bundle(const std::string& name) {
   obs::Registry& registry = obs::Registry::global();
   registry.reset();
@@ -463,6 +464,10 @@ std::string write_session_bundle(const std::string& name) {
   registry.counter("scg_fused_restarts_total").inc(48);
   registry.histogram("train_gemm_seconds").observe(0.25);
   registry.histogram("train_gemm_seconds").observe(0.75);
+  registry.histogram("train_kernel_seconds", {{"kernel", "tanh"}})
+      .observe(0.375);
+  registry.histogram("train_kernel_seconds", {{"kernel", "backward"}})
+      .observe(0.0625);
 
   const std::string dir = testing::TempDir() + name;
   std::filesystem::remove_all(dir);
@@ -517,8 +522,8 @@ TEST(BundleReport, EveryPrintedNumberEqualsItsMetricsEntry) {
   const std::string text = obs::render_report(bundle).text;
 
   // Walk the report: each stage wall (and its call count), each surfaced
-  // counter and the train-GEMM histogram's count and sum must equal the
-  // metrics.json entry it came from.
+  // counter, each training kernel's seconds and the train-GEMM histogram's
+  // count and sum must equal the metrics.json entry it came from.
   std::size_t checked = 0;
   std::string section;
   std::istringstream lines(text);
@@ -549,9 +554,21 @@ TEST(BundleReport, EveryPrintedNumberEqualsItsMetricsEntry) {
         ++checked;
       }
     } else if (section == "== recovery ==" || section == "== training ==") {
-      const obs::MetricEntry* counter = find_rendered(bundle.metrics, name);
-      ASSERT_NE(counter, nullptr) << line;
-      EXPECT_EQ(std::stod(rest), counter->value) << line;
+      const obs::MetricEntry* entry = find_rendered(bundle.metrics, name);
+      ASSERT_NE(entry, nullptr) << line;
+      if (entry->type == "histogram") {
+        double tolerance = 0.0;
+        const double printed = parse_seconds(rest, tolerance);
+        EXPECT_NEAR(printed, entry->histogram.sum, tolerance) << line;
+        // Share of the 0.25 + 0.75 = 1 s objective.
+        const int share =
+            static_cast<int>(entry->histogram.sum * 100.0 + 0.5);
+        EXPECT_NE(rest.find("(" + std::to_string(share) + "% of train gemm)"),
+                  std::string::npos)
+            << line;
+      } else {
+        EXPECT_EQ(std::stod(rest), entry->value) << line;
+      }
       ++checked;
     } else if (name == "train gemm  ") {
       const obs::MetricEntry* gemm = bundle.metrics.find("train_gemm_seconds");
@@ -564,8 +581,9 @@ TEST(BundleReport, EveryPrintedNumberEqualsItsMetricsEntry) {
       checked += 2;
     }
   }
-  // Two walls, one call count, four counters, the GEMM count and sum.
-  EXPECT_EQ(checked, 9u) << text;
+  // Two walls, one call count, four counters, two kernel timers, the GEMM
+  // count and sum.
+  EXPECT_EQ(checked, 11u) << text;
 }
 
 TEST(ObsReport, AnyFlagPrintsUsageAndExitsSixtyFour) {
