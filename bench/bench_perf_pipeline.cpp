@@ -360,9 +360,14 @@ int run(const coloc::CliArgs& args) {
       hits + misses > 0
           ? static_cast<double>(hits) / static_cast<double>(hits + misses)
           : 0.0;
-  std::printf("solve cache          : %llu hits / %llu misses (%.1f%%)\n",
+  // Each miss runs one solve; these stopped at the iteration cap.
+  const std::uint64_t unconverged =
+      registry.counter("sim_contention_unconverged_total").value();
+  std::printf("solve cache          : %llu hits / %llu misses (%.1f%%), "
+              "%llu solves unconverged\n",
               static_cast<unsigned long long>(hits),
-              static_cast<unsigned long long>(misses), 100.0 * hit_rate);
+              static_cast<unsigned long long>(misses), 100.0 * hit_rate,
+              static_cast<unsigned long long>(unconverged));
   const std::uint64_t memo_hits =
       registry.counter("sim_profile_memo_hits_total").value();
   const std::uint64_t memo_misses =
@@ -423,7 +428,9 @@ int run(const coloc::CliArgs& args) {
        << "  \"validation\": {\"test_mpe\": " << set_f.test_mpe
        << ", \"test_nrmse\": " << set_f.test_nrmse << "},\n"
        << "  \"solve_cache\": {\"hits\": " << hits << ", \"misses\": "
-       << misses << ", \"hit_rate\": " << hit_rate << "},\n"
+       << misses << ", \"hit_rate\": " << hit_rate
+       << ", \"unconverged\": " << unconverged
+       << "},\n"
        << "  \"profile_memo\": {\"hits\": " << memo_hits << ", \"misses\": "
        << memo_misses << "},\n"
        << "  \"training\": {\"scg_fused_restarts_total\": " << batched_restarts

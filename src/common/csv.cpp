@@ -1,5 +1,7 @@
 #include "common/csv.hpp"
 
+#include <cctype>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -29,7 +31,23 @@ const std::string& CsvTable::at(std::size_t row, std::size_t col) const {
 }
 
 double CsvTable::at_double(std::size_t row, std::size_t col) const {
-  return std::stod(at(row, col));
+  const std::string& text = at(row, col);
+  // strtod alone would skip leading blanks and stop at trailing junk. Its
+  // ERANGE is ignored: it also flags subnormal results, which it returns
+  // correctly rounded, and an overflow returns an infinity.
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  const double v = text.empty() || std::isspace(static_cast<unsigned char>(
+                                       text.front()))
+                       ? 0.0
+                       : std::strtod(begin, &end);
+  if (end != begin + text.size()) {
+    throw data_error("CSV row " + std::to_string(row) + " column " +
+                     (col < header_.size() ? header_[col]
+                                           : std::to_string(col)) +
+                     ": '" + text + "' is not a number");
+  }
+  return v;
 }
 
 std::string csv_escape(const std::string& field) {
@@ -113,7 +131,13 @@ CsvTable CsvTable::parse(std::istream& is) {
   if (read_record(is, fields)) t.header_ = fields;
   while (read_record(is, fields)) {
     if (fields.size() == 1 && fields[0].empty()) continue;  // blank line
-    t.add_row(fields);
+    if (fields.size() != t.header_.size()) {
+      throw data_error("CSV row " + std::to_string(t.rows_.size()) +
+                       " has " + std::to_string(fields.size()) +
+                       " fields; the header has " +
+                       std::to_string(t.header_.size()));
+    }
+    t.rows_.push_back(fields);
   }
   return t;
 }

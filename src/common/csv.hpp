@@ -29,11 +29,16 @@ class CsvTable {
   std::size_t column(const std::string& name) const;
 
   const std::string& at(std::size_t row, std::size_t col) const;
+  /// The field parsed whole as a double ("nan" and "inf" included); a
+  /// field with anything else throws coloc::data_error naming the row and
+  /// column.
   double at_double(std::size_t row, std::size_t col) const;
 
   void write(std::ostream& os) const;
   void save(const std::string& path) const;
 
+  /// Reads a header and data rows; a row whose width differs from the
+  /// header's throws coloc::data_error.
   static CsvTable parse(std::istream& is);
   static CsvTable load(const std::string& path);
 

@@ -74,6 +74,9 @@ struct CellPlan {
   const sim::ApplicationSpec* target = nullptr;
   const sim::ApplicationSpec* coapp = nullptr;  // nullptr = run-alone cell
   std::size_t count = 0;
+  /// `count` copies of *coapp, shared by every cell of the sweep that runs
+  /// them; null for a run-alone cell.
+  const std::vector<sim::ApplicationSpec>* corunners = nullptr;
   std::size_t pstate = 0;
   std::vector<double> features;      // empty when skipped or resumed
   double reference_time_s = 0.0;
@@ -103,11 +106,11 @@ fault::CellOutcome measure_plan(sim::MeasurementSource& source,
                                 });
         });
   }
-  const std::vector<sim::ApplicationSpec> copies(plan.count, *plan.coapp);
+  const std::vector<sim::ApplicationSpec>& corunners = *plan.corunners;
   return runner.measure_outcome(
       plan.tag, plan.reference_time_s, [&](std::uint64_t attempt) {
         return confirmed_read(plan.tag, attempt, [&](std::uint64_t rep) {
-          return source.run_colocated(target, copies, p, rep);
+          return source.run_colocated(target, corunners, p, rep);
         });
       });
 }
@@ -203,6 +206,14 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
     plan.reference_time_s = target_baseline.time_at(plan.pstate);
   };
 
+  // The co-runner set of each (co-runner, count) pair, built once for the
+  // whole sweep: every target at every P-state runs against the same set.
+  std::vector<std::vector<sim::ApplicationSpec>> corunner_sets;
+  corunner_sets.reserve(config.coapps.size() * counts.size());
+  for (const auto& coapp : config.coapps) {
+    for (std::size_t count : counts) corunner_sets.emplace_back(count, coapp);
+  }
+
   const std::size_t cells_per_target =
       (config.include_alone_rows ? 1 : 0) + config.coapps.size() * counts.size();
   std::vector<CellPlan> plans;
@@ -217,6 +228,8 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
         resolve(plan);
         plans.push_back(std::move(plan));
       }
+      const std::vector<sim::ApplicationSpec>* corunners =
+          corunner_sets.data();
       for (const auto& coapp : config.coapps) {
         for (std::size_t count : counts) {
           CellPlan plan;
@@ -225,6 +238,7 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
           plan.target = &target;
           plan.coapp = &coapp;
           plan.count = count;
+          plan.corunners = corunners++;
           plan.pstate = p;
           resolve(plan);
           plans.push_back(std::move(plan));

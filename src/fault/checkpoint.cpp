@@ -35,6 +35,18 @@ std::string format_double(double v) {
                 std::numeric_limits<double>::max_digits10, v);
   return buffer;
 }
+
+/// The field at (row, col) as a finite double; anything else is a
+/// data_error naming the row and column.
+double finite_field(const CsvTable& table, std::size_t row, std::size_t col) {
+  const double v = table.at_double(row, col);
+  if (!std::isfinite(v)) {
+    throw data_error("CSV row " + std::to_string(row) + " column " +
+                     table.header()[col] + ": '" + table.at(row, col) +
+                     "' is not finite");
+  }
+  return v;
+}
 }  // namespace
 
 CampaignCheckpoint::CampaignCheckpoint(std::string path,
@@ -56,30 +68,28 @@ const CheckpointRow* CampaignCheckpoint::find(const std::string& tag) const {
 std::size_t CampaignCheckpoint::load() {
   std::ifstream is(path_);
   if (!is) return 0;  // no previous state: fresh run
-  const CsvTable table = CsvTable::parse(is);
   std::lock_guard<std::mutex> lock(mutex_);
-
-  std::vector<std::string> expected = {"tag", target_name_};
-  expected.insert(expected.end(), feature_names_.begin(),
-                  feature_names_.end());
-  if (table.header() != expected) {
-    throw data_error("checkpoint " + path_ +
-                     " has a mismatched header; refusing to resume an "
-                     "incompatible campaign");
-  }
-
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    CheckpointRow row;
-    row.target = table.at_double(r, 1);
-    row.features.reserve(feature_names_.size());
-    for (std::size_t c = 0; c < feature_names_.size(); ++c) {
-      row.features.push_back(table.at_double(r, c + 2));
+  CsvTable table;
+  try {
+    table = CsvTable::parse(is);
+    std::vector<std::string> expected = {"tag", target_name_};
+    expected.insert(expected.end(), feature_names_.begin(),
+                    feature_names_.end());
+    if (table.header() != expected) {
+      throw data_error(
+          "mismatched header; refusing to resume an incompatible campaign");
     }
-    if (!std::isfinite(row.target)) {
-      throw data_error("checkpoint " + path_ + " row " + std::to_string(r) +
-                       " has a non-finite target");
+    for (std::size_t r = 0; r < table.num_rows(); ++r) {
+      CheckpointRow row;
+      row.target = finite_field(table, r, 1);
+      row.features.reserve(feature_names_.size());
+      for (std::size_t c = 0; c < feature_names_.size(); ++c) {
+        row.features.push_back(finite_field(table, r, c + 2));
+      }
+      rows_[table.at(r, 0)] = std::move(row);
     }
-    rows_[table.at(r, 0)] = std::move(row);
+  } catch (const data_error& e) {
+    throw data_error("checkpoint " + path_ + ": " + e.what());
   }
   CheckpointMetrics::get().rows_loaded.inc(table.num_rows());
   COLOC_LOG_INFO << "resumed " << rows_.size() << " completed cells from "

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "sim/app_model.hpp"
@@ -37,7 +36,6 @@ struct ScheduledApp {
 
 /// Per-application steady-state solution.
 struct AppSolution {
-  std::string name;
   double llc_share_lines = 0.0;
   /// Misses per instruction at the solved occupancy (incl. compulsory).
   double misses_per_instruction = 0.0;
@@ -50,7 +48,7 @@ struct AppSolution {
 
 /// Whole-processor steady-state solution.
 struct ContentionSolution {
-  std::vector<AppSolution> apps;
+  std::vector<AppSolution> apps;  // one per input app, in input order
   double memory_latency_ns = 0.0;   // loaded latency seen by all apps
   double memory_utilization = 0.0;  // rho in [0, 1)
   std::size_t iterations = 0;
@@ -72,6 +70,10 @@ struct ContentionOptions {
 
 /// Solves the steady state for `apps` running together on `machine` at
 /// frequency `frequency_ghz`. Requires at most machine.cores apps.
+/// Consecutive apps with the same curve and per-instruction parameters are
+/// iterated as one run, so a cell of a target plus k copies of one
+/// co-runner costs two apps' work per iteration; the result is the one a
+/// loop over every instance computes, bit for bit (DESIGN §5).
 ContentionSolution solve_contention(const MachineConfig& machine,
                                     double frequency_ghz,
                                     const std::vector<ScheduledApp>& apps,

@@ -14,6 +14,7 @@ struct SimMetrics {
   obs::Counter& runs;
   obs::Counter& instructions;
   obs::Counter& contention_solves;
+  obs::Counter& contention_unconverged;
 
   static SimMetrics& get() {
     auto& registry = obs::Registry::global();
@@ -21,6 +22,7 @@ struct SimMetrics {
         registry.counter("sim_runs_total"),
         registry.counter("sim_instructions_total"),
         registry.counter("sim_contention_solves_total"),
+        registry.counter("sim_contention_unconverged_total"),
     };
     return metrics;
   }
@@ -50,30 +52,44 @@ std::uint64_t Simulator::run_seed(const ApplicationSpec& target,
   return h;
 }
 
-ContentionSolution Simulator::solve(const std::vector<ApplicationSpec>& apps,
-                                    std::size_t pstate_index) const {
+std::shared_ptr<const ContentionSolution> Simulator::solve(
+    const std::vector<ApplicationSpec>& apps, std::size_t pstate_index) const {
+  COLOC_CHECK_MSG(!apps.empty(), "need at least one application");
+  return solve(apps.front(), std::span(apps).subspan(1), pstate_index);
+}
+
+std::shared_ptr<const ContentionSolution> Simulator::solve(
+    const ApplicationSpec& first, std::span<const ApplicationSpec> rest,
+    std::size_t pstate_index) const {
   COLOC_CHECK_MSG(pstate_index < machine_.pstates.size(),
                   "P-state index out of range");
 
   // Memo key: P-state plus the ordered, length-prefixed app names.
   // Order-exact on purpose — see the solve() contract in execution.hpp.
+  std::size_t key_bytes = 2 * sizeof(std::uint64_t) + first.name.size();
+  for (const auto& app : rest)
+    key_bytes += sizeof(std::uint64_t) + app.name.size();
   std::string key;
+  key.reserve(key_bytes);
   memo_key::append_u64(key, pstate_index);
-  for (const auto& app : apps) memo_key::append_string(key, app.name);
+  memo_key::append_string(key, first.name);
+  for (const auto& app : rest) memo_key::append_string(key, app.name);
   if (auto cached = solve_cache_.lookup(key)) return *std::move(cached);
 
   obs::ScopedSpan span("sim/solve_contention", "sim");
-  SimMetrics::get().contention_solves.inc();
+  SimMetrics& metrics = SimMetrics::get();
+  metrics.contention_solves.inc();
   std::vector<ScheduledApp> scheduled;
-  scheduled.reserve(apps.size());
-  for (const auto& app : apps) {
-    scheduled.push_back(
-        ScheduledApp{&app, &library_->curve(app)});
+  scheduled.reserve(1 + rest.size());
+  scheduled.push_back(ScheduledApp{&first, &library_->curve(first)});
+  for (const auto& app : rest) {
+    scheduled.push_back(ScheduledApp{&app, &library_->curve(app)});
   }
-  return solve_cache_.store(
-      std::move(key),
+  auto solution = std::make_shared<const ContentionSolution>(
       solve_contention(machine_, machine_.pstates[pstate_index].frequency_ghz,
                        scheduled, options_.contention));
+  if (!solution->converged) metrics.contention_unconverged.inc();
+  return solve_cache_.store(std::move(key), std::move(solution));
 }
 
 RunMeasurement Simulator::measure(const ApplicationSpec& target,
@@ -88,12 +104,9 @@ RunMeasurement Simulator::measure(const ApplicationSpec& target,
   metrics.runs.inc();
   metrics.instructions.inc(static_cast<std::uint64_t>(target.instructions));
 
-  std::vector<ApplicationSpec> all;
-  all.reserve(coapps.size() + 1);
-  all.push_back(target);
-  all.insert(all.end(), coapps.begin(), coapps.end());
-  const ContentionSolution solution = solve(all, pstate_index);
-  const AppSolution& t = solution.apps.front();
+  const std::shared_ptr<const ContentionSolution> solution =
+      solve(target, coapps, pstate_index);
+  const AppSolution& t = solution->apps.front();
 
   RunMeasurement m;
   m.target = target.name;

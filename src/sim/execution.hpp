@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,19 +97,28 @@ class Simulator : public MeasurementSource {
 
   /// Direct access to the noise-free solver (diagnostics, ablations).
   /// Memoized in an ExactMemo: repeated requests for the same (P-state,
-  /// app sequence) return a copy of the first solution instead of
-  /// re-running the fixed-point iteration. Hits/misses are counted in the
-  /// obs registry (sim_solve_cache_{hits,misses}_total). The key is the
+  /// app sequence) share the first solution instead of re-running the
+  /// fixed-point iteration, so a hit copies no per-app data. Hits/misses
+  /// are counted in the obs registry (sim_solve_cache_{hits,misses}_total),
+  /// and every solve that ran, and every one that stopped at the iteration
+  /// cap, in sim_contention_{solves,unconverged}_total. The key is the
   /// P-state plus the ORDERED, length-prefixed app names, not a sorted
   /// multiset: the solver's reductions iterate in input order, so a
   /// canonicalized key could return a bit-different solution for a
   /// reordered request. The machine, MRC library, and contention options
   /// are fixed at construction, so cached entries never need invalidation
   /// for the simulator's lifetime.
-  ContentionSolution solve(const std::vector<ApplicationSpec>& apps,
-                           std::size_t pstate_index) const;
+  std::shared_ptr<const ContentionSolution> solve(
+      const std::vector<ApplicationSpec>& apps,
+      std::size_t pstate_index) const;
 
  private:
+  /// solve() over `first` followed by `rest`, so a measurement solves over
+  /// the specs it was given without concatenating them.
+  std::shared_ptr<const ContentionSolution> solve(
+      const ApplicationSpec& first, std::span<const ApplicationSpec> rest,
+      std::size_t pstate_index) const;
+
   RunMeasurement measure(const ApplicationSpec& target,
                          const std::vector<ApplicationSpec>& coapps,
                          std::size_t pstate_index, std::uint64_t repetition);
@@ -121,7 +132,7 @@ class Simulator : public MeasurementSource {
   AppMrcLibrary* library_;  // not owned
   MeasurementOptions options_;
   // One memo per Simulator, so the machine is implicit in every key.
-  mutable ExactMemo<ContentionSolution> solve_cache_;
+  mutable ExactMemo<std::shared_ptr<const ContentionSolution>> solve_cache_;
 };
 
 }  // namespace coloc::sim

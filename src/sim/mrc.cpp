@@ -67,6 +67,7 @@ MissRatioCurve MissRatioCurve::from_profiler(
   // artifacts at the tail).
   for (std::size_t i = 1; i < curve.ratios_.size(); ++i)
     curve.ratios_[i] = std::min(curve.ratios_[i], curve.ratios_[i - 1]);
+  curve.cache_log_knots();
   return curve;
 }
 
@@ -90,7 +91,14 @@ MissRatioCurve MissRatioCurve::from_points(std::vector<std::size_t> capacities,
     curve.capacities_.push_back(static_cast<double>(capacities[i]));
     curve.ratios_.push_back(ratios[i]);
   }
+  curve.cache_log_knots();
   return curve;
+}
+
+void MissRatioCurve::cache_log_knots() {
+  log_capacities_.resize(capacities_.size());
+  for (std::size_t i = 0; i < capacities_.size(); ++i)
+    log_capacities_[i] = std::log(capacities_[i]);
 }
 
 double MissRatioCurve::miss_ratio(double lines) const {
@@ -102,8 +110,8 @@ double MissRatioCurve::miss_ratio(double lines) const {
   const std::size_t hi = static_cast<std::size_t>(it - capacities_.begin());
   const std::size_t lo = hi - 1;
   // Log-linear in capacity: cache behaviour is closer to linear in log(C).
-  const double x0 = std::log(capacities_[lo]);
-  const double x1 = std::log(capacities_[hi]);
+  const double x0 = log_capacities_[lo];
+  const double x1 = log_capacities_[hi];
   const double t = (std::log(lines) - x0) / (x1 - x0);
   return ratios_[lo] + t * (ratios_[hi] - ratios_[lo]);
 }

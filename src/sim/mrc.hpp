@@ -5,7 +5,8 @@
 //   ( #refs with distance >= C  +  cold misses ) / total refs.
 // The contention model evaluates each co-runner's MRC at its current share
 // of the LLC, so evaluation must be cheap — we precompute the cumulative
-// tail and answer queries by interpolation in O(log k).
+// tail and the log of every knot, and answer queries by interpolation in
+// O(log k) with one std::log.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +48,12 @@ class MissRatioCurve {
   const std::vector<double>& ratios() const { return ratios_; }
 
  private:
-  std::vector<double> capacities_;  // ascending, in cache lines
-  std::vector<double> ratios_;      // nonincreasing, in [0, 1]
+  /// Fills log_capacities_ once the knots are final.
+  void cache_log_knots();
+
+  std::vector<double> capacities_;      // ascending, in cache lines
+  std::vector<double> ratios_;          // nonincreasing, in [0, 1]
+  std::vector<double> log_capacities_;  // std::log of each capacity
 };
 
 }  // namespace coloc::sim

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/campaign.hpp"
 #include "test_helpers.hpp"
 
@@ -31,18 +37,29 @@ TEST(CampaignCheckpoint, MissingFileLoadsEmpty) {
 TEST(CampaignCheckpoint, RoundTripsDoublesBitForBit) {
   const std::string path = temp_path("roundtrip.csv");
   std::filesystem::remove(path);
-  // Values chosen to break naive %.6g serialization.
-  const std::vector<double> features = {1.0 / 3.0, 6.02214076e23,
-                                        -7.25e-12, 279.4123456789012};
+  // Values chosen to break naive %.6g serialization, and the extremes:
+  // strtod flags a subnormal with ERANGE although it parses it exactly.
+  const std::vector<std::string> names = {"a", "b", "c", "d", "e",
+                                          "f", "g", "h", "i"};
+  const std::vector<double> features = {
+      1.0 / 3.0,
+      6.02214076e23,
+      -7.25e-12,
+      279.4123456789012,
+      std::numeric_limits<double>::denorm_min(),
+      -2.2250738585072009e-308,  // the largest subnormal, negated
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -0.0};
   const double target = 0.1 + 0.2;  // famously not 0.3
 
   {
-    CampaignCheckpoint checkpoint(path, {"a", "b", "c", "d"}, "colocExTime");
+    CampaignCheckpoint checkpoint(path, names, "colocExTime");
     checkpoint.record("canneal|cg|x4|p0", features, target);
     checkpoint.flush();
   }
 
-  CampaignCheckpoint reloaded(path, {"a", "b", "c", "d"}, "colocExTime");
+  CampaignCheckpoint reloaded(path, names, "colocExTime");
   EXPECT_EQ(reloaded.load(), 1u);
   ASSERT_TRUE(reloaded.has("canneal|cg|x4|p0"));
   const CheckpointRow* row = reloaded.find("canneal|cg|x4|p0");
@@ -51,6 +68,8 @@ TEST(CampaignCheckpoint, RoundTripsDoublesBitForBit) {
   ASSERT_EQ(row->features.size(), features.size());
   for (std::size_t i = 0; i < features.size(); ++i) {
     EXPECT_EQ(row->features[i], features[i]) << "feature " << i;
+    EXPECT_EQ(std::signbit(row->features[i]), std::signbit(features[i]))
+        << "feature " << i;
   }
   std::filesystem::remove(path);
 }
@@ -98,6 +117,146 @@ TEST(CampaignCheckpoint, MismatchedHeaderRejected) {
   CampaignCheckpoint wrong(path, {"new_feature"}, "t");
   EXPECT_THROW(wrong.load(), coloc::data_error);
   std::filesystem::remove(path);
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << bytes;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+// Every field must parse whole and finite; anything else is a data_error
+// that names the file, the row and the column, whether the bad text sits
+// in a feature or in the target.
+TEST(CampaignCheckpoint, RejectsMalformedFields) {
+  const std::string path = temp_path("malformed.csv");
+  for (const std::string bad : {"1.5u", "abc", "1e999", "nan", "-inf", "",
+                                " 1.5", "1.5 "}) {
+    for (const std::string column : {"t", "f1"}) {
+      const std::string target = column == "t" ? bad : "2.5";
+      const std::string feature = column == "f1" ? bad : "0.25";
+      write_bytes(path, "tag,t,f0,f1\nok,1.0,1.0,1.0\nbad," + target +
+                            ",0.5," + feature + "\n");
+      CampaignCheckpoint checkpoint(path, {"f0", "f1"}, "t");
+      try {
+        checkpoint.load();
+        ADD_FAILURE() << "'" << bad << "' in column " << column << " loaded";
+      } catch (const coloc::data_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find("row 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("column " + column), std::string::npos) << what;
+      }
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+// Seeded fuzzing of the checkpoint reader: a real campaign checkpoint
+// under bit flips, byte insertions and deletions, truncations, and
+// duplicated and swapped lines. A mutated file either loads rows that a
+// resumed campaign can replay into its dataset, or throws data_error;
+// nothing else may escape.
+TEST(CampaignCheckpoint, SeededMutationsLoadOrThrowDataError) {
+  const std::string path = temp_path("fuzz_source.csv");
+  std::filesystem::remove(path);
+  core::CampaignConfig config;
+  config.targets = tiny_suite();
+  config.coapps = {config.targets[0], config.targets[3]};
+  core::CampaignRobustness robustness;
+  robustness.checkpoint_path = path;
+  sim::AppMrcLibrary library;
+  sim::Simulator simulator(tiny_machine(), &library);
+  const core::CampaignResult campaign =
+      core::run_campaign(simulator, config, robustness);
+  const std::string original = read_bytes(path);
+  ASSERT_FALSE(original.empty());
+  std::filesystem::remove(path);
+
+  auto split_lines = [](const std::string& bytes) {
+    std::vector<std::string> lines;
+    std::istringstream is(bytes);
+    for (std::string line; std::getline(is, line);) lines.push_back(line);
+    return lines;
+  };
+  auto join_lines = [](const std::vector<std::string>& lines) {
+    std::string bytes;
+    for (const std::string& line : lines) bytes += line + "\n";
+    return bytes;
+  };
+
+  coloc::Rng rng(20261020);
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_index(n));
+  };
+  const std::string mutated_path = temp_path("fuzz_mutated.csv");
+  std::size_t loaded = 0, rejected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string bytes = original;
+    const std::size_t mutations = 1 + pick(3);
+    std::string applied;
+    for (std::size_t m = 0; m < mutations && !bytes.empty(); ++m) {
+      const std::size_t kind = pick(6);
+      applied += std::to_string(kind);
+      if (kind == 0) {  // bit flip
+        bytes[pick(bytes.size())] ^= static_cast<char>(1u << pick(8));
+      } else if (kind == 1) {  // byte insertion
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                         pick(bytes.size() + 1)),
+                     static_cast<char>(pick(256)));
+      } else if (kind == 2) {  // deletion of 1 to 8 bytes
+        const std::size_t at = pick(bytes.size());
+        bytes.erase(at, 1 + pick(8));
+      } else if (kind == 3) {  // truncation
+        bytes.resize(pick(bytes.size()));
+      } else {
+        std::vector<std::string> lines = split_lines(bytes);
+        if (lines.empty()) continue;
+        const std::size_t i = pick(lines.size());
+        const std::size_t j = pick(lines.size());
+        if (kind == 4) {  // duplicated line
+          lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(j),
+                       lines[i]);
+        } else {  // swapped lines
+          std::swap(lines[i], lines[j]);
+        }
+        bytes = join_lines(lines);
+      }
+    }
+    write_bytes(mutated_path, bytes);
+
+    CampaignCheckpoint checkpoint(mutated_path, core::feature_names(),
+                                  "colocExTime");
+    try {
+      checkpoint.load();
+    } catch (const coloc::data_error&) {
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "trial " << trial << " (mutations " << applied
+                    << ") threw a non-data error: " << e.what();
+      continue;
+    }
+    ++loaded;
+    // Replay every checkpointed cell of the sweep, as a resumed campaign
+    // commits it.
+    ml::Dataset replay(core::feature_names(), "colocExTime");
+    for (std::size_t r = 0; r < campaign.dataset.num_rows(); ++r) {
+      const std::string& tag = campaign.dataset.tag(r);
+      if (const CheckpointRow* row = checkpoint.find(tag)) {
+        EXPECT_NO_THROW(replay.add_row(row->features, row->target, tag))
+            << "trial " << trial << " (mutations " << applied << "), " << tag;
+      }
+    }
+  }
+  std::filesystem::remove(mutated_path);
+  // The mutations reach both outcomes.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 class CampaignResumeTest : public ::testing::Test {

@@ -2,10 +2,168 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace coloc::sim {
 namespace {
+
+// The per-instance fixed point: every iteration visits every app instance.
+// solve_contention iterates runs of identical instances once each and must
+// return exactly what this loop returns.
+ContentionSolution solve_per_instance(const MachineConfig& machine,
+                                      double frequency_ghz,
+                                      const std::vector<ScheduledApp>& apps,
+                                      const ContentionOptions& options) {
+  const std::size_t n = apps.size();
+  const double llc_lines = static_cast<double>(machine.llc_lines());
+  const double private_lines = static_cast<double>(machine.private_lines());
+  const double line_bytes = static_cast<double>(machine.line_bytes);
+  const double hz = frequency_ghz * 1e9;
+
+  std::vector<double> llc_apis(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& a = apps[i];
+    llc_apis[i] = a.spec->refs_per_instruction *
+                      a.mrc->miss_ratio(private_lines) +
+                  a.spec->compulsory_misses_per_instruction;
+  }
+
+  std::vector<double> share(n, llc_lines / static_cast<double>(n));
+  std::vector<double> mpi(n, 0.0);
+  std::vector<double> cpi(n, 1.0);
+  double latency_ns = machine.memory_latency_ns;
+
+  ContentionSolution solution;
+  bool converged = false;
+  std::size_t iter = 0;
+
+  for (; iter < options.max_iterations; ++iter) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& a = apps[i];
+      const double eff_share = std::max(share[i], private_lines);
+      const double warm_mpi =
+          a.spec->refs_per_instruction * a.mrc->miss_ratio(eff_share);
+      mpi[i] = std::min(warm_mpi + a.spec->compulsory_misses_per_instruction,
+                        llc_apis[i]);
+    }
+
+    double max_rel_change = 0.0;
+    std::vector<double> ips(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& a = apps[i];
+      const double stall_cycles_per_miss =
+          latency_ns * frequency_ghz / a.spec->mlp;
+      const double new_cpi = a.spec->cpi_base + mpi[i] * stall_cycles_per_miss;
+      max_rel_change =
+          std::max(max_rel_change, std::abs(new_cpi - cpi[i]) / new_cpi);
+      cpi[i] = new_cpi;
+      ips[i] = hz / new_cpi;
+    }
+
+    double bytes_per_second = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      bytes_per_second += mpi[i] * ips[i] * line_bytes;
+    const double rho = std::min(
+        bytes_per_second / (machine.memory_bandwidth_gbs * 1e9),
+        options.max_utilization);
+    double target_latency = machine.memory_latency_ns;
+    if (!options.disable_queueing) {
+      target_latency *= 1.0 + machine.memory_queue_sensitivity * rho /
+                                  (1.0 - rho);
+    }
+    latency_ns += options.damping * (target_latency - latency_ns);
+    solution.memory_utilization = rho;
+
+    if (!options.static_equal_partition && n > 1) {
+      double total_miss_rate = 0.0;
+      std::vector<double> miss_rate(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        miss_rate[i] = mpi[i] * ips[i];
+        total_miss_rate += miss_rate[i];
+      }
+      if (total_miss_rate > 0.0) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const double target =
+              std::max(llc_lines * miss_rate[i] / total_miss_rate,
+                       llc_lines / static_cast<double>(
+                                       machine.llc_associativity));
+          share[i] += options.damping * (target - share[i]);
+        }
+        double sum = 0.0;
+        for (double v : share) sum += v;
+        for (double& v : share) v *= llc_lines / sum;
+      }
+    } else if (n == 1) {
+      share[0] = llc_lines;
+    }
+
+    if (max_rel_change < options.tolerance && iter > 2) {
+      converged = true;
+      ++iter;
+      break;
+    }
+  }
+
+  solution.apps.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    AppSolution& out = solution.apps[i];
+    out.llc_share_lines = share[i];
+    out.misses_per_instruction = mpi[i];
+    out.accesses_per_instruction = llc_apis[i];
+    out.cpi = cpi[i];
+    out.instructions_per_second = hz / cpi[i];
+    out.execution_time_s = apps[i].spec->instructions /
+                           out.instructions_per_second;
+  }
+  solution.memory_latency_ns = latency_ns;
+  solution.iterations = iter;
+  solution.converged = converged;
+  return solution;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The first field where `got` and `want` differ in any bit, or "".
+std::string first_difference(const ContentionSolution& got,
+                             const ContentionSolution& want) {
+  std::ostringstream os;
+  os.precision(17);
+  auto check = [&os](const char* field, double g, double w) {
+    if (os.tellp() == 0 && !same_bits(g, w))
+      os << field << ": " << g << " vs " << w;
+  };
+  if (got.apps.size() != want.apps.size()) return "app count";
+  if (got.iterations != want.iterations) return "iterations";
+  if (got.converged != want.converged) return "converged";
+  check("memory_latency_ns", got.memory_latency_ns, want.memory_latency_ns);
+  check("memory_utilization", got.memory_utilization,
+        want.memory_utilization);
+  for (std::size_t i = 0; i < got.apps.size(); ++i) {
+    const AppSolution& g = got.apps[i];
+    const AppSolution& w = want.apps[i];
+    const std::size_t before = static_cast<std::size_t>(os.tellp());
+    check("llc_share_lines", g.llc_share_lines, w.llc_share_lines);
+    check("misses_per_instruction", g.misses_per_instruction,
+          w.misses_per_instruction);
+    check("accesses_per_instruction", g.accesses_per_instruction,
+          w.accesses_per_instruction);
+    check("cpi", g.cpi, w.cpi);
+    check("instructions_per_second", g.instructions_per_second,
+          w.instructions_per_second);
+    check("execution_time_s", g.execution_time_s, w.execution_time_s);
+    if (before == 0 && os.tellp() != 0) os << " (app " << i << ")";
+  }
+  return os.str();
+}
 
 // Controlled synthetic application: explicit MRC knots, no trace profiling.
 struct TestApp {
@@ -229,6 +387,101 @@ TEST(Contention, TableVICannealSlowsWithEveryCg) {
       }
     }
   }
+}
+
+// The grouped iteration against the per-instance loop above, every field
+// bit for bit: every Table V cell on both Table IV presets (the co-runner
+// copies are distinct specs sharing one curve, as in a campaign), each
+// ablation, and orders where identical apps are not all adjacent.
+TEST(Contention, GroupedIterationMatchesPerInstanceReference) {
+  AppMrcLibrary library;
+  const std::vector<ApplicationSpec> suite = benchmark_suite();
+  std::vector<ApplicationSpec> coapps;
+  for (const std::string& name : training_coapp_names())
+    coapps.push_back(find_application(name));
+  library.profile_all(suite);
+
+  std::size_t solves = 0;
+  auto expect_matches = [&](const MachineConfig& machine, double ghz,
+                            const std::vector<ScheduledApp>& apps,
+                            const ContentionOptions& options,
+                            const std::string& what) {
+    const std::string diff =
+        first_difference(solve_contention(machine, ghz, apps, options),
+                         solve_per_instance(machine, ghz, apps, options));
+    EXPECT_EQ(diff, "") << machine.name << " " << ghz << " GHz: " << what;
+    ++solves;
+  };
+  auto scheduled = [&](const ApplicationSpec& app) {
+    return ScheduledApp{&app, &library.curve(app)};
+  };
+
+  ContentionOptions static_partition;
+  static_partition.static_equal_partition = true;
+  ContentionOptions no_queueing;
+  no_queueing.disable_queueing = true;
+  const std::vector<std::pair<std::string, ContentionOptions>> ablations = {
+      {"static partition", static_partition}, {"no queueing", no_queueing}};
+
+  for (const MachineConfig& machine : {xeon_e5649(), xeon_e5_2697v2()}) {
+    for (const PState& pstate : machine.pstates.states()) {
+      const double ghz = pstate.frequency_ghz;
+      for (const ApplicationSpec& target : suite) {
+        for (const ApplicationSpec& co : coapps) {
+          for (std::size_t count = 1; count < machine.cores; ++count) {
+            const std::vector<ApplicationSpec> copies(count, co);
+            std::vector<ScheduledApp> apps = {scheduled(target)};
+            for (const ApplicationSpec& copy : copies)
+              apps.push_back(scheduled(copy));
+            const std::string cell =
+                target.name + " + " + std::to_string(count) + " " + co.name;
+            expect_matches(machine, ghz, apps, {}, cell);
+            if (machine.name == xeon_e5649().name) {
+              for (const auto& [name, options] : ablations)
+                expect_matches(machine, ghz, apps, options, cell + ", " + name);
+            }
+          }
+        }
+      }
+
+      // Heterogeneous orders. Identical apps apart ([a, b, a]); one copy
+      // that differs only in length (grouped, its own time); equal
+      // parameters over a different curve object (not grouped).
+      const ApplicationSpec& a = suite.front();
+      const ApplicationSpec& b = suite.back();
+      ApplicationSpec longer = a;
+      longer.instructions *= 2.0;
+      const MissRatioCurve a_curve_copy = library.curve(a);
+      const std::vector<ScheduledApp> mixed = {
+          scheduled(a), scheduled(b), scheduled(a), scheduled(longer),
+          ScheduledApp{&a, &a_curve_copy}};
+      expect_matches(machine, ghz, mixed, {}, "[a, b, a, a', a'']");
+      expect_matches(machine, ghz, {scheduled(a), scheduled(b), scheduled(a)},
+                     {}, "[a, b, a]");
+      for (const ApplicationSpec& app : suite)
+        expect_matches(machine, ghz, {scheduled(app)}, {}, app.name + " alone");
+      for (const auto& [name, options] : ablations) {
+        expect_matches(machine, ghz, mixed, options, "[a, b, a, a', a''], " + name);
+        expect_matches(machine, ghz, {scheduled(a)}, options, "alone, " + name);
+      }
+    }
+  }
+
+  // The whole suite together on the 12-core preset, in suite order and
+  // reversed, with and without each ablation.
+  const MachineConfig big = xeon_e5_2697v2();
+  std::vector<ScheduledApp> all;
+  for (const ApplicationSpec& app : suite) all.push_back(scheduled(app));
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const PState& pstate : big.pstates.states()) {
+      expect_matches(big, pstate.frequency_ghz, all, {}, "11-app suite");
+      for (const auto& [name, options] : ablations)
+        expect_matches(big, pstate.frequency_ghz, all, options,
+                       "11-app suite, " + name);
+    }
+    std::reverse(all.begin(), all.end());
+  }
+  EXPECT_GT(solves, 1320u + 2904u);
 }
 
 }  // namespace

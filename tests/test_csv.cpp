@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -53,12 +55,26 @@ TEST(Csv, ColumnLookup) {
 TEST(Csv, RowWidthMismatchThrows) {
   CsvTable t({"a", "b"});
   EXPECT_THROW(t.add_row({"only one"}), coloc::runtime_error);
+  // Parsed bytes are outside input: a ragged row is a data error.
+  std::istringstream short_row("a,b\n1,2\n3\n");
+  EXPECT_THROW(CsvTable::parse(short_row), coloc::data_error);
+  std::istringstream long_row("a,b\n1,2,3\n");
+  EXPECT_THROW(CsvTable::parse(long_row), coloc::data_error);
 }
 
 TEST(Csv, AtDoubleParses) {
   CsvTable t({"v"});
-  t.add_row({"2.5"});
+  for (const char* text : {"2.5", "4.9406564584124654e-324", "nan", "1e999",
+                           "1.5u", "abc", "", " 1", "1 "})
+    t.add_row({text});
   EXPECT_DOUBLE_EQ(t.at_double(0, 0), 2.5);
+  // A subnormal parses although strtod flags it with ERANGE.
+  EXPECT_EQ(t.at_double(1, 0), std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(std::isnan(t.at_double(2, 0)));
+  EXPECT_TRUE(std::isinf(t.at_double(3, 0)));
+  // The whole field must parse.
+  for (std::size_t row = 4; row < t.num_rows(); ++row)
+    EXPECT_THROW(t.at_double(row, 0), coloc::data_error) << t.at(row, 0);
 }
 
 TEST(Csv, ParsesCrlfLineEndings) {

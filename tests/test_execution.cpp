@@ -125,10 +125,25 @@ TEST_F(SimulatorTest, NoNoiseModeIsExact) {
 }
 
 TEST_F(SimulatorTest, SolveExposesRawSolution) {
-  const ContentionSolution s = simulator_.solve({hungry_, quiet_}, 0);
-  EXPECT_EQ(s.apps.size(), 2u);
-  EXPECT_EQ(s.apps[0].name, "hungry");
-  EXPECT_TRUE(s.converged);
+  // Apps align with input order: an app's LLC accesses per instruction
+  // depend on that app alone, so they identify which app sits where.
+  const double private_lines =
+      static_cast<double>(simulator_.machine().private_lines());
+  auto accesses = [&](const ApplicationSpec& app) {
+    return app.refs_per_instruction *
+               library_.curve(app).miss_ratio(private_lines) +
+           app.compulsory_misses_per_instruction;
+  };
+  ASSERT_NE(accesses(hungry_), accesses(quiet_));
+  for (const auto& [first, second] : {std::pair{&hungry_, &quiet_},
+                                      std::pair{&quiet_, &hungry_}}) {
+    const auto s = simulator_.solve({*first, *second}, 0);
+    ASSERT_NE(s, nullptr);
+    ASSERT_EQ(s->apps.size(), 2u);
+    EXPECT_EQ(s->apps[0].accesses_per_instruction, accesses(*first));
+    EXPECT_EQ(s->apps[1].accesses_per_instruction, accesses(*second));
+    EXPECT_TRUE(s->converged);
+  }
 }
 
 TEST_F(SimulatorTest, MemoryIntensityMatchesCounters) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/cache.hpp"
@@ -130,6 +136,55 @@ TEST(Mrc, FromPointsValidation) {
                coloc::runtime_error);  // ratio out of range
   EXPECT_THROW(MissRatioCurve::from_points({}, {}),
                coloc::runtime_error);  // empty
+}
+
+// The lookup with the log of both bracketing knots computed inline.
+double miss_ratio_inline_logs(const MissRatioCurve& curve, double lines) {
+  const std::vector<double>& caps = curve.capacities();
+  const std::vector<double>& ratios = curve.ratios();
+  if (lines <= caps.front()) return ratios.front();
+  if (lines >= caps.back()) return ratios.back();
+  const auto hi = static_cast<std::size_t>(
+      std::lower_bound(caps.begin(), caps.end(), lines) - caps.begin());
+  const std::size_t lo = hi - 1;
+  const double x0 = std::log(caps[lo]);
+  const double x1 = std::log(caps[hi]);
+  const double t = (std::log(lines) - x0) / (x1 - x0);
+  return ratios[lo] + t * (ratios[hi] - ratios[lo]);
+}
+
+TEST(Mrc, LogKnotLookupMatchesInlineLogs) {
+  coloc::Rng rng(29);
+  StackDistanceProfiler p(40000);
+  for (std::size_t i = 0; i < 40000; ++i) p.record(rng.zipf(5000, 0.8));
+  const std::vector<MissRatioCurve> curves = {
+      MissRatioCurve::from_points({1000, 10000, 100000, 1000000},
+                                  {0.9, 0.6, 0.3, 0.05}),
+      MissRatioCurve::from_points({7}, {0.25}),
+      MissRatioCurve::from_profiler(p),
+      MissRatioCurve::from_profiler(p, 3, /*include_cold=*/true),
+  };
+  for (std::size_t c = 0; c < curves.size(); ++c) {
+    const MissRatioCurve& curve = curves[c];
+    const std::vector<double>& caps = curve.capacities();
+    std::vector<double> queries = {0.0, 0.5, caps.front() * 0.5,
+                                   caps.back() * 2.0, 1e300};
+    for (std::size_t k = 0; k < caps.size(); ++k) {
+      queries.push_back(caps[k]);
+      queries.push_back(std::nextafter(caps[k], 0.0));
+      queries.push_back(std::nextafter(caps[k], 1e300));
+      if (k + 1 < caps.size()) {
+        queries.push_back(0.5 * (caps[k] + caps[k + 1]));
+        queries.push_back(std::sqrt(caps[k] * caps[k + 1]));
+      }
+    }
+    for (double lines : queries) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(curve.miss_ratio(lines)),
+                std::bit_cast<std::uint64_t>(
+                    miss_ratio_inline_logs(curve, lines)))
+          << "curve " << c << " at " << lines << " lines";
+    }
+  }
 }
 
 TEST(Mrc, EmptyCurveQueriesThrow) {
