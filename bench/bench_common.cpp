@@ -33,10 +33,6 @@ HarnessConfig HarnessConfig::from_cli(const CliArgs& args) {
   if (args.has("fault-rate")) {
     fault::validate_fault_rate(config.fault_rate, "--fault-rate");
   }
-  config.fault_kinds = args.get("fault-kinds", "");
-  if (!config.fault_kinds.empty()) {
-    fault::parse_fault_kinds(config.fault_kinds);  // reject bad tokens early
-  }
   config.checkpoint = args.get("checkpoint", "");
   config.checkpoint_every =
       args.get_int("checkpoint-every", config.checkpoint_every);
@@ -97,7 +93,6 @@ obs::ObsOptions HarnessConfig::run_session() const {
 fault::FaultPlanConfig HarnessConfig::fault_plan() const {
   fault::FaultPlanConfig plan = fault::FaultPlanConfig::from_env();
   if (fault_rate >= 0.0) plan.rate = fault_rate;
-  if (!fault_kinds.empty()) plan.kinds = fault::parse_fault_kinds(fault_kinds);
   return plan;
 }
 

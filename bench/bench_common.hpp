@@ -60,7 +60,6 @@ struct HarnessConfig {
   std::string bundle_out;  // --bundle-out (run-bundle directory)
   std::string program = "bench";
   double fault_rate = -1.0;  // --fault-rate; < 0 defers to COLOC_FAULT_RATE
-  std::string fault_kinds;   // --fault-kinds; "" defers to COLOC_FAULT_KINDS
   std::string checkpoint;    // --checkpoint; "" disables checkpointing
   std::size_t checkpoint_every = 25;  // --checkpoint-every
   bool resume = false;                // --resume

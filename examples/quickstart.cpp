@@ -27,8 +27,6 @@
 // Robustness flags (see the Robustness section in README.md):
 //   --fault-rate=P         inject measurement faults at rate P (also
 //                          settable via COLOC_FAULT_RATE; must be in [0,1])
-//   --fault-kinds=LIST     restrict injected kinds (transient,corrupt,
-//                          outlier,hang)
 //   --checkpoint=FILE      checkpoint completed campaign cells to FILE
 //   --checkpoint-every=N   cells between periodic checkpoint flushes
 //   --resume               load FILE first and skip measured cells
@@ -73,15 +71,10 @@ int main(int argc, char** argv) {
     fault_config = fault::FaultPlanConfig::from_env();
     fault_config.rate = fault::validate_fault_rate(
         args.get_double("fault-rate", fault_config.rate), "--fault-rate");
-    if (const std::string kinds = args.get("fault-kinds", "");
-        !kinds.empty()) {
-      fault_config.kinds = fault::parse_fault_kinds(kinds);
-    }
     robustness.retry = fault::RetryPolicy::from_env();
     robustness.checkpoint_path = args.get("checkpoint", "");
     robustness.checkpoint_every = args.get_int("checkpoint-every", 25);
     robustness.resume = args.get_bool("resume", false);
-    robustness.abort_after_cells = args.get_int("abort-after-cells", 0);
     restarts = args.get_int("restarts", restarts);
     if (restarts < 1 || restarts > 64) {
       throw invalid_argument_error("--restarts must be in [1, 64], got " +

@@ -1,6 +1,7 @@
 #include "common/csv.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -34,18 +35,21 @@ double CsvTable::at_double(std::size_t row, std::size_t col) const {
   const std::string& text = at(row, col);
   // strtod alone would skip leading blanks and stop at trailing junk. Its
   // ERANGE is ignored: it also flags subnormal results, which it returns
-  // correctly rounded, and an overflow returns an infinity.
+  // correctly rounded, and an overflow returns an infinity, which the
+  // finiteness check rejects.
   const char* begin = text.c_str();
   char* end = nullptr;
   const double v = text.empty() || std::isspace(static_cast<unsigned char>(
                                        text.front()))
                        ? 0.0
                        : std::strtod(begin, &end);
-  if (end != begin + text.size()) {
+  const bool parsed = end == begin + text.size();
+  if (!parsed || !std::isfinite(v)) {
     throw data_error("CSV row " + std::to_string(row) + " column " +
                      (col < header_.size() ? header_[col]
                                            : std::to_string(col)) +
-                     ": '" + text + "' is not a number");
+                     ": '" + text + "' is " +
+                     (parsed ? "not finite" : "not a number"));
   }
   return v;
 }

@@ -29,9 +29,9 @@ class CsvTable {
   std::size_t column(const std::string& name) const;
 
   const std::string& at(std::size_t row, std::size_t col) const;
-  /// The field parsed whole as a double ("nan" and "inf" included); a
-  /// field with anything else throws coloc::data_error naming the row and
-  /// column.
+  /// The field parsed whole as a finite double. Anything else — trailing
+  /// text, a blank, "nan", "inf" or a value that overflows — throws
+  /// coloc::data_error naming the row and column.
   double at_double(std::size_t row, std::size_t col) const;
 
   void write(std::ostream& os) const;

@@ -19,7 +19,6 @@ namespace coloc::core {
 namespace {
 // Resolved once; references stay valid for the process lifetime.
 struct CampaignMetrics {
-  obs::Counter& cells_alone;
   obs::Counter& cells_colocated;
   obs::Counter& baselines;
   obs::Counter& tasks_queued;
@@ -29,7 +28,6 @@ struct CampaignMetrics {
   static CampaignMetrics& get() {
     auto& registry = obs::Registry::global();
     static CampaignMetrics metrics{
-        registry.counter("campaign_cells_total", {{"phase", "alone"}}),
         registry.counter("campaign_cells_total", {{"phase", "colocated"}}),
         registry.counter("campaign_baselines_total"),
         registry.counter("orchestrator_tasks_queued_total",
@@ -72,10 +70,10 @@ namespace {
 struct CellPlan {
   std::string tag;
   const sim::ApplicationSpec* target = nullptr;
-  const sim::ApplicationSpec* coapp = nullptr;  // nullptr = run-alone cell
+  const sim::ApplicationSpec* coapp = nullptr;
   std::size_t count = 0;
   /// `count` copies of *coapp, shared by every cell of the sweep that runs
-  /// them; null for a run-alone cell.
+  /// them.
   const std::vector<sim::ApplicationSpec>* corunners = nullptr;
   std::size_t pstate = 0;
   std::vector<double> features;      // empty when skipped or resumed
@@ -90,22 +88,12 @@ struct CellPlan {
 /// Runs one planned cell's retry loop, every reading confirmed (see
 /// confirmed_read). Pure in (plan, attempt): the repetition seeds are
 /// functions of the cell identity alone, so this is safe — and
-/// bit-reproducible — from any worker thread in any order. Alone rows
-/// read at attempt + 1, the historical repetition numbering (DESIGN §8).
+/// bit-reproducible — from any worker thread in any order.
 fault::CellOutcome measure_plan(sim::MeasurementSource& source,
                                 fault::ResilientRunner& runner,
                                 const CellPlan& plan) {
   const sim::ApplicationSpec& target = *plan.target;
   const std::size_t p = plan.pstate;
-  if (plan.coapp == nullptr) {
-    return runner.measure_outcome(
-        plan.tag, plan.reference_time_s, [&](std::uint64_t attempt) {
-          return confirmed_read(plan.tag, attempt + 1,
-                                [&](std::uint64_t rep) {
-                                  return source.run_alone(target, p, rep);
-                                });
-        });
-  }
   const std::vector<sim::ApplicationSpec>& corunners = *plan.corunners;
   return runner.measure_outcome(
       plan.tag, plan.reference_time_s, [&](std::uint64_t attempt) {
@@ -147,7 +135,7 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
   result.dataset = ml::Dataset(feature_names(), "colocExTime");
 
   const std::size_t jobs = config.jobs != 0 ? config.jobs : configured_jobs();
-  fault::ResilientRunner runner(robustness.retry, robustness.bounds);
+  fault::ResilientRunner runner(robustness.retry);
 
   std::unique_ptr<fault::CampaignCheckpoint> checkpoint;
   if (!robustness.checkpoint_path.empty()) {
@@ -179,8 +167,7 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
     const std::string* missing = nullptr;
     if (result.baselines.count(plan.target->name) == 0) {
       missing = &plan.target->name;
-    } else if (plan.coapp != nullptr &&
-               result.baselines.count(plan.coapp->name) == 0) {
+    } else if (result.baselines.count(plan.coapp->name) == 0) {
       missing = &plan.coapp->name;
     }
     if (missing != nullptr) {
@@ -196,10 +183,8 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
     }
     const BaselineProfile& target_baseline =
         result.baselines.at(plan.target->name);
-    std::vector<const BaselineProfile*> co_profiles;
-    if (plan.coapp != nullptr) {
-      co_profiles.assign(plan.count, &result.baselines.at(plan.coapp->name));
-    }
+    const std::vector<const BaselineProfile*> co_profiles(
+        plan.count, &result.baselines.at(plan.coapp->name));
     const auto features =
         compute_features(target_baseline, co_profiles, plan.pstate);
     plan.features.assign(features.begin(), features.end());
@@ -214,20 +199,11 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
     for (std::size_t count : counts) corunner_sets.emplace_back(count, coapp);
   }
 
-  const std::size_t cells_per_target =
-      (config.include_alone_rows ? 1 : 0) + config.coapps.size() * counts.size();
   std::vector<CellPlan> plans;
-  plans.reserve(pstates.size() * config.targets.size() * cells_per_target);
+  plans.reserve(pstates.size() * config.targets.size() *
+                corunner_sets.size());
   for (std::size_t p : pstates) {
     for (const auto& target : config.targets) {
-      if (config.include_alone_rows) {
-        CellPlan plan;
-        plan.tag = CampaignResult::make_tag(target.name, "-", 0, p);
-        plan.target = &target;
-        plan.pstate = p;
-        resolve(plan);
-        plans.push_back(std::move(plan));
-      }
       const std::vector<sim::ApplicationSpec>* corunners =
           corunner_sets.data();
       for (const auto& coapp : config.coapps) {
@@ -339,8 +315,7 @@ CampaignResult run_campaign(sim::MeasurementSource& source,
         checkpoint->record(plan.tag, plan.features,
                            measurement->execution_time_s);
       }
-      (plan.coapp == nullptr ? metrics.cells_alone : metrics.cells_colocated)
-          .inc();
+      metrics.cells_colocated.inc();
       if (i % span_stride == 0) {
         metrics.cell_seconds.observe(measure_seconds[i]);
       }

@@ -35,8 +35,6 @@ struct CampaignConfig {
   std::vector<std::size_t> colocation_counts;
   /// P-state indices to sweep; empty = all states of the machine.
   std::vector<std::size_t> pstate_indices;
-  /// Also include the zero-co-runner baseline rows in the dataset.
-  bool include_alone_rows = false;
   /// The most global_pool() workers that measure cells at once.
   /// 0 = coloc::configured_jobs() (the --jobs / COLOC_JOBS knob); 1 =
   /// serial, on the calling thread. Any value produces a bit-identical
@@ -54,7 +52,6 @@ struct CampaignConfig {
 /// as the unwrapped loops did.
 struct CampaignRobustness {
   fault::RetryPolicy retry;
-  fault::PlausibilityBounds bounds;
   /// CSV state file for completed cells ("" disables checkpointing).
   std::string checkpoint_path;
   /// Cells between periodic checkpoint flushes (a final flush always runs).

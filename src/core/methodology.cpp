@@ -58,12 +58,7 @@ ColocationPredictor ColocationPredictor::train(const ml::Dataset& dataset,
                                                const ModelId& id,
                                                const ModelZooOptions& options) {
   const auto& columns = feature_set_columns(id.feature_set);
-  std::vector<std::size_t> rows(dataset.num_rows());
-  std::iota(rows.begin(), rows.end(), 0);
-  const linalg::Matrix x = dataset.design_matrix(rows, columns);
-  const std::vector<double> y = dataset.target_subset(rows);
-  ml::RegressorPtr model = make_model_factory(id, options)(x, y);
-  return ColocationPredictor(id, std::move(model),
+  return ColocationPredictor(id, train_on_all_rows(dataset, id, options),
                              {columns.begin(), columns.end()});
 }
 

@@ -1,6 +1,7 @@
 #include "core/model_zoo.hpp"
 
 #include <memory>
+#include <numeric>
 
 namespace coloc::core {
 
@@ -36,6 +37,16 @@ ml::ModelFactory make_model_factory(const ModelId& id,
                std::span<const double> y) -> ml::RegressorPtr {
     return std::make_unique<ml::MlpRegressor>(ml::MlpRegressor::fit(x, y, mlp));
   };
+}
+
+ml::RegressorPtr train_on_all_rows(const ml::Dataset& dataset,
+                                   const ModelId& id,
+                                   const ModelZooOptions& options) {
+  const auto& columns = feature_set_columns(id.feature_set);
+  std::vector<std::size_t> rows(dataset.num_rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  const linalg::Matrix x = dataset.design_matrix(rows, columns);
+  return make_model_factory(id, options)(x, dataset.targets());
 }
 
 }  // namespace coloc::core

@@ -50,4 +50,11 @@ ml::ModelFactory make_model_factory(const ModelId& id,
                                     const ModelZooOptions& options = {},
                                     std::uint64_t seed_salt = 0);
 
+/// Trains one model identity on every row of `dataset`: the feature set's
+/// columns over all rows, fitted by make_model_factory(id, options). The
+/// deployable ColocationPredictor and the stored zoo both train here.
+ml::RegressorPtr train_on_all_rows(const ml::Dataset& dataset,
+                                   const ModelId& id,
+                                   const ModelZooOptions& options = {});
+
 }  // namespace coloc::core

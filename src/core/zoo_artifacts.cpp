@@ -1,7 +1,5 @@
 #include "core/zoo_artifacts.hpp"
 
-#include <numeric>
-
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
@@ -10,16 +8,6 @@
 namespace coloc::core {
 
 namespace {
-
-ml::RegressorPtr train_one(const ml::Dataset& dataset, const ModelId& id,
-                           const ModelZooOptions& options) {
-  const auto& columns = feature_set_columns(id.feature_set);
-  std::vector<std::size_t> rows(dataset.num_rows());
-  std::iota(rows.begin(), rows.end(), 0);
-  const linalg::Matrix x = dataset.design_matrix(rows, columns);
-  const std::vector<double> y = dataset.target_subset(rows);
-  return make_model_factory(id, options)(x, y);
-}
 
 obs::Counter& retrained_counter() {
   return obs::Registry::global().counter("zoo_models_retrained_total");
@@ -75,7 +63,7 @@ TrainedZoo train_full_zoo(const ml::Dataset& dataset,
   // order, so the zoo is byte-identical to the historical serial loop.
   std::vector<ml::RegressorPtr> trained(ids.size());
   auto train_task = [&](std::size_t i) {
-    trained[i] = train_one(dataset, ids[i], options);
+    trained[i] = train_on_all_rows(dataset, ids[i], options);
   };
   parallel_for(global_pool(), ids.size(), train_task, 1);
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -116,7 +104,7 @@ ZooLoadOutcome load_or_repair_zoo(
     // no manifest at all: retrain exactly this identity. Training is
     // deterministic, so the repaired entry is bit-identical to what an
     // undamaged save would have produced.
-    outcome.zoo.models.emplace(name, train_one(dataset, id, options));
+    outcome.zoo.models.emplace(name, train_on_all_rows(dataset, id, options));
     outcome.retrained.push_back(name);
     retrained_counter().inc();
   }

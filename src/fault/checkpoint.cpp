@@ -1,14 +1,12 @@
 #include "fault/checkpoint.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "store/file_ops.hpp"
 
@@ -28,25 +26,6 @@ struct CheckpointMetrics {
     return metrics;
   }
 };
-
-std::string format_double(double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.*g",
-                std::numeric_limits<double>::max_digits10, v);
-  return buffer;
-}
-
-/// The field at (row, col) as a finite double; anything else is a
-/// data_error naming the row and column.
-double finite_field(const CsvTable& table, std::size_t row, std::size_t col) {
-  const double v = table.at_double(row, col);
-  if (!std::isfinite(v)) {
-    throw data_error("CSV row " + std::to_string(row) + " column " +
-                     table.header()[col] + ": '" + table.at(row, col) +
-                     "' is not finite");
-  }
-  return v;
-}
 }  // namespace
 
 CampaignCheckpoint::CampaignCheckpoint(std::string path,
@@ -81,10 +60,10 @@ std::size_t CampaignCheckpoint::load() {
     }
     for (std::size_t r = 0; r < table.num_rows(); ++r) {
       CheckpointRow row;
-      row.target = finite_field(table, r, 1);
+      row.target = table.at_double(r, 1);
       row.features.reserve(feature_names_.size());
       for (std::size_t c = 0; c < feature_names_.size(); ++c) {
-        row.features.push_back(finite_field(table, r, c + 2));
+        row.features.push_back(table.at_double(r, c + 2));
       }
       rows_[table.at(r, 0)] = std::move(row);
     }
@@ -121,8 +100,8 @@ void CampaignCheckpoint::flush_locked() {
   for (const auto& name : feature_names_) os << ',' << csv_escape(name);
   os << '\n';
   for (const auto& [tag, row] : rows_) {
-    os << csv_escape(tag) << ',' << format_double(row.target);
-    for (double v : row.features) os << ',' << format_double(v);
+    os << csv_escape(tag) << ',' << obs::format_double(row.target);
+    for (double v : row.features) os << ',' << obs::format_double(v);
     os << '\n';
   }
   // Durable atomic replace: the old rename-only path could publish a

@@ -79,10 +79,9 @@ void FaultInjector::corrupt(const std::string& cell_key, std::uint64_t attempt,
 
 template <typename MeasureFn>
 sim::RunMeasurement FaultInjector::inject(const std::string& cell_key,
-                                          MeasurePhase phase,
                                           std::uint64_t attempt,
                                           MeasureFn&& measure) {
-  const FaultKind kind = plan_.decide(cell_key, attempt, phase);
+  const FaultKind kind = plan_.decide(cell_key, attempt);
   if (kind == FaultKind::kNone) return measure();
   note(kind);
   switch (kind) {
@@ -116,10 +115,9 @@ sim::RunMeasurement FaultInjector::inject(const std::string& cell_key,
 sim::RunMeasurement FaultInjector::run_alone(const sim::ApplicationSpec& app,
                                              std::size_t pstate_index,
                                              std::uint64_t repetition) {
-  return inject(alone_key(app.name, pstate_index), MeasurePhase::kBaseline,
-                repetition, [&] {
-                  return inner_.run_alone(app, pstate_index, repetition);
-                });
+  return inject(alone_key(app.name, pstate_index), repetition, [&] {
+    return inner_.run_alone(app, pstate_index, repetition);
+  });
 }
 
 sim::RunMeasurement FaultInjector::run_colocated(
@@ -129,7 +127,7 @@ sim::RunMeasurement FaultInjector::run_colocated(
   const std::string& co_name = coapps.empty() ? "-" : coapps.front().name;
   return inject(
       colocated_key(target.name, co_name, coapps.size(), pstate_index),
-      MeasurePhase::kCampaign, repetition, [&] {
+      repetition, [&] {
         return inner_.run_colocated(target, coapps, pstate_index, repetition);
       });
 }

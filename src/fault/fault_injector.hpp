@@ -40,7 +40,7 @@ class FaultInjector : public sim::MeasurementSource {
 
  private:
   template <typename MeasureFn>
-  sim::RunMeasurement inject(const std::string& cell_key, MeasurePhase phase,
+  sim::RunMeasurement inject(const std::string& cell_key,
                              std::uint64_t attempt, MeasureFn&& measure);
   void note(FaultKind kind);
   void corrupt(const std::string& cell_key, std::uint64_t attempt,

@@ -93,20 +93,6 @@ FaultPlanConfig FaultPlanConfig::from_env() {
   if (const char* kinds = std::getenv("COLOC_FAULT_KINDS")) {
     config.kinds = parse_fault_kinds(kinds);
   }
-  if (const char* phases = std::getenv("COLOC_FAULT_PHASES")) {
-    config.inject_baseline = false;
-    config.inject_campaign = false;
-    for (std::string_view item : detail::split_csv(phases)) {
-      if (item == "baseline") {
-        config.inject_baseline = true;
-      } else if (item == "campaign") {
-        config.inject_campaign = true;
-      } else {
-        throw invalid_argument_error("unknown fault phase: '" +
-                                     std::string(item) + "'");
-      }
-    }
-  }
   config.hang_cap_ms =
       detail::env_double("COLOC_FAULT_HANG_MS", config.hang_cap_ms);
   return config;
@@ -123,9 +109,6 @@ double validate_fault_rate(double rate, const std::string& origin) {
 FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {
   COLOC_CHECK_MSG(config_.rate >= 0.0 && config_.rate <= 1.0,
                   "fault rate must be in [0, 1]");
-  COLOC_CHECK_MSG(config_.outlier_min_factor > 1.0 &&
-                      config_.outlier_max_factor >= config_.outlier_min_factor,
-                  "outlier factor range must be > 1 and ordered");
   enabled_kinds_ = config_.kinds;
   if (enabled_kinds_.empty()) {
     enabled_kinds_ = {FaultKind::kTransient, FaultKind::kCorruptedReading,
@@ -133,13 +116,9 @@ FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {
   }
 }
 
-FaultKind FaultPlan::decide(std::string_view cell_key, std::uint64_t attempt,
-                            MeasurePhase phase) const {
+FaultKind FaultPlan::decide(std::string_view cell_key,
+                            std::uint64_t attempt) const {
   if (!enabled()) return FaultKind::kNone;
-  if (phase == MeasurePhase::kBaseline && !config_.inject_baseline)
-    return FaultKind::kNone;
-  if (phase == MeasurePhase::kCampaign && !config_.inject_campaign)
-    return FaultKind::kNone;
   Rng rng(detail::mix(config_.seed, cell_key, attempt, 0x1));
   if (!rng.bernoulli(config_.rate)) return FaultKind::kNone;
   return enabled_kinds_[rng.uniform_index(enabled_kinds_.size())];
@@ -148,7 +127,7 @@ FaultKind FaultPlan::decide(std::string_view cell_key, std::uint64_t attempt,
 double FaultPlan::outlier_factor(std::string_view cell_key,
                                  std::uint64_t attempt) const {
   Rng rng(detail::mix(config_.seed, cell_key, attempt, 0x2));
-  return rng.uniform(config_.outlier_min_factor, config_.outlier_max_factor);
+  return rng.uniform(kOutlierMinFactor, kOutlierMaxFactor);
 }
 
 std::uint64_t FaultPlan::corruption_variant(std::string_view cell_key,

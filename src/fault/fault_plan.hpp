@@ -13,7 +13,6 @@
 //   COLOC_FAULT_KINDS   comma list of transient,corrupt,outlier,hang
 //                       (default transient,corrupt,outlier — hangs are
 //                       opt-in because each one costs a cell deadline)
-//   COLOC_FAULT_PHASES  comma list of baseline,campaign       (default both)
 //   COLOC_FAULT_HANG_MS longest stall of an injected hang     (default 250)
 #pragma once
 
@@ -42,24 +41,20 @@ enum class FaultKind : std::uint32_t {
 
 const char* to_string(FaultKind kind);
 
-/// Which measurement pass a fault may target.
-enum class MeasurePhase { kBaseline, kCampaign };
+/// Outlier faults scale wall time by a factor uniform in this range. It
+/// sits far above any real co-location slowdown, so the plausibility
+/// check (kMaxPlausibleSlowdown) separates signal from injection.
+inline constexpr double kOutlierMinFactor = 25.0;
+inline constexpr double kOutlierMaxFactor = 60.0;
 
 struct FaultPlanConfig {
   double rate = 0.0;          // probability per (cell, attempt)
   std::uint64_t seed = 1234;  // plan seed; independent of testbed noise
   /// Enabled kinds; empty means the default set (everything but kHang).
   std::vector<FaultKind> kinds;
-  bool inject_baseline = true;
-  bool inject_campaign = true;
   /// Injected hangs stall at most this long even with no deadline to end
   /// them, so an un-deadlined call site still terminates.
   double hang_cap_ms = 250.0;
-  /// Outlier faults scale wall time by a factor uniform in this range;
-  /// the default sits far above any real co-location slowdown so the
-  /// plausibility validator can separate signal from injection.
-  double outlier_min_factor = 25.0;
-  double outlier_max_factor = 60.0;
 
   /// Reads the COLOC_FAULT_* variables; unset variables keep defaults.
   /// Throws coloc::invalid_argument_error on unparseable values and on a
@@ -83,11 +78,11 @@ class FaultPlan {
   bool enabled() const { return config_.rate > 0.0; }
 
   /// The fault (or kNone) for one measurement attempt of one cell.
-  /// Deterministic in (seed, cell_key, attempt, phase).
-  FaultKind decide(std::string_view cell_key, std::uint64_t attempt,
-                   MeasurePhase phase) const;
+  /// Deterministic in (seed, cell_key, attempt).
+  FaultKind decide(std::string_view cell_key, std::uint64_t attempt) const;
 
-  /// Deterministic outlier multiplier for the same coordinates.
+  /// Deterministic outlier multiplier for the same coordinates, uniform in
+  /// [kOutlierMinFactor, kOutlierMaxFactor].
   double outlier_factor(std::string_view cell_key,
                         std::uint64_t attempt) const;
 

@@ -92,8 +92,7 @@ bool DeadlineScope::current_expired() {
 }
 
 void validate_measurement(const sim::RunMeasurement& m,
-                          double reference_time_s,
-                          const PlausibilityBounds& bounds) {
+                          double reference_time_s) {
   if (!std::isfinite(m.execution_time_s) || m.execution_time_s <= 0.0) {
     throw MeasurementError(ErrorClass::kCorruptedData,
                            "non-finite or non-positive wall time");
@@ -113,10 +112,10 @@ void validate_measurement(const sim::RunMeasurement& m,
   }
   if (reference_time_s > 0.0) {
     const double slowdown = m.execution_time_s / reference_time_s;
-    if (slowdown < bounds.min_slowdown || slowdown > bounds.max_slowdown) {
+    if (slowdown < kMinPlausibleSlowdown || slowdown > kMaxPlausibleSlowdown) {
       std::ostringstream os;
       os << "implausible slowdown " << slowdown << " vs reference (bounds "
-         << bounds.min_slowdown << ".." << bounds.max_slowdown << ")";
+         << kMinPlausibleSlowdown << ".." << kMaxPlausibleSlowdown << ")";
       throw MeasurementError(ErrorClass::kCorruptedData, os.str());
     }
   }
@@ -140,8 +139,7 @@ std::string CompletenessReport::summary() const {
   return os.str();
 }
 
-ResilientRunner::ResilientRunner(RetryPolicy policy, PlausibilityBounds bounds)
-    : policy_(policy), bounds_(bounds) {
+ResilientRunner::ResilientRunner(RetryPolicy policy) : policy_(policy) {
   COLOC_CHECK_MSG(policy_.max_attempts > 0, "need at least one attempt");
   const std::optional<Clock::duration> deadline =
       deadline_duration(policy_.deadline_ms);
@@ -240,7 +238,7 @@ CellOutcome ResilientRunner::measure_outcome(const std::string& tag,
 
     try {
       if (failure) std::rethrow_exception(failure);
-      validate_measurement(reading, reference_time_s, bounds_);
+      validate_measurement(reading, reference_time_s);
     } catch (const classified_error& e) {
       outcome.failure_reason = e.what();
       if (e.error_class() == ErrorClass::kPermanent) break;

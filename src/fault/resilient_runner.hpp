@@ -71,23 +71,19 @@ class DeadlineScope {
   std::chrono::steady_clock::time_point previous_;
 };
 
-/// Sanity bounds for a reading measured against a reference (usually the
-/// target's run-alone baseline at the same P-state).
-struct PlausibilityBounds {
-  /// Accepted range for measured_time / reference_time. Co-location can
-  /// only slow the target down, but noise allows slightly-below-1 ratios;
-  /// the upper bound sits above any real slowdown yet far below the
-  /// injected outlier factors.
-  double min_slowdown = 0.5;
-  double max_slowdown = 20.0;
-};
+/// Accepted range for measured_time / reference_time, where the reference
+/// is usually the target's run-alone baseline at the same P-state.
+/// Co-location can only slow the target down, but noise allows
+/// slightly-below-1 ratios; the upper bound sits above any real slowdown
+/// yet far below the injected outlier factors (kOutlierMinFactor).
+inline constexpr double kMinPlausibleSlowdown = 0.5;
+inline constexpr double kMaxPlausibleSlowdown = 20.0;
 
 /// Validates one reading: finite positive wall time, finite non-negative
 /// counters, positive instruction count, and (when reference_time_s > 0)
 /// the plausibility ratio. Throws MeasurementError(kCorruptedData).
 void validate_measurement(const sim::RunMeasurement& m,
-                          double reference_time_s,
-                          const PlausibilityBounds& bounds);
+                          double reference_time_s);
 
 struct QuarantinedCell {
   std::string tag;
@@ -142,8 +138,7 @@ class ResilientRunner {
   /// Throws coloc::runtime_error unless the policy allows at least one
   /// attempt and its deadline passes the check RetryPolicy::from_env
   /// applies.
-  explicit ResilientRunner(RetryPolicy policy = {},
-                           PlausibilityBounds bounds = {});
+  explicit ResilientRunner(RetryPolicy policy = {});
 
   /// The measurement closure; `attempt` doubles as the repetition seed so
   /// retries draw fresh noise instead of replaying the failed run.
@@ -195,7 +190,6 @@ class ResilientRunner {
   double backoff_ms(const std::string& tag, std::size_t attempt) const;
 
   RetryPolicy policy_;
-  PlausibilityBounds bounds_;
   std::chrono::steady_clock::duration deadline_;
   std::mutex report_mutex_;
   CompletenessReport report_;

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "obs/json.hpp"
 
 namespace coloc::ml {
 
@@ -37,13 +38,6 @@ void Dataset::append_unchecked(std::span<const double> features,
   values_.insert(values_.end(), features.begin(), features.end());
   targets_.push_back(target);
   tags_.push_back(std::move(tag));
-}
-
-bool Dataset::row_is_finite(std::size_t row) const {
-  for (double v : features(row)) {
-    if (!std::isfinite(v)) return false;
-  }
-  return std::isfinite(targets_[row]);
 }
 
 std::span<const double> Dataset::features(std::size_t row) const {
@@ -79,8 +73,7 @@ Dataset Dataset::subset(std::span<const std::size_t> rows) const {
   Dataset out(feature_names_, target_name_);
   for (std::size_t r : rows) {
     COLOC_CHECK(r < num_rows());
-    // Preserve rows verbatim, including non-finite ones a kKeep load let
-    // in: subsetting must not be stricter than the source dataset.
+    // Every stored row was checked on the way in.
     out.append_unchecked(features(r), targets_[r], tags_[r]);
   }
   return out;
@@ -100,51 +93,43 @@ CsvTable Dataset::to_csv() const {
   for (std::size_t r = 0; r < num_rows(); ++r) {
     std::vector<std::string> row;
     row.reserve(num_features() + 2);
-    for (double v : features(r)) row.push_back(std::to_string(v));
-    row.push_back(std::to_string(targets_[r]));
+    for (double v : features(r)) row.push_back(obs::format_double(v));
+    row.push_back(obs::format_double(targets_[r]));
     row.push_back(tags_[r]);
     table.add_row(std::move(row));
   }
   return table;
 }
 
-Dataset Dataset::from_csv(const CsvTable& table, const std::string& target,
-                          const std::string& tag_column,
-                          NonFinitePolicy policy) {
-  const std::size_t target_col = table.column(target);
-  std::size_t tag_col = static_cast<std::size_t>(-1);
-  bool has_tag = false;
-  for (std::size_t c = 0; c < table.header().size(); ++c) {
-    if (table.header()[c] == tag_column) {
-      tag_col = c;
-      has_tag = true;
-    }
-  }
+Dataset Dataset::from_csv(const CsvTable& table, const std::string& target) {
+  const std::vector<std::string>& header = table.header();
+  // A column's index, or header.size() when the header lacks it.
+  auto find = [&header](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), name) - header.begin());
+  };
+  const std::size_t target_col = find(target);
+  const std::size_t tag_col = find("tag");
   std::vector<std::string> feature_names;
   std::vector<std::size_t> feature_cols;
-  for (std::size_t c = 0; c < table.header().size(); ++c) {
-    if (c == target_col || (has_tag && c == tag_col)) continue;
-    feature_names.push_back(table.header()[c]);
+  for (std::size_t c = 0; c < header.size(); ++c) {
+    if (c == target_col || c == tag_col) continue;
+    feature_names.push_back(header[c]);
     feature_cols.push_back(c);
+  }
+  if (target_col == header.size() || feature_cols.empty()) {
+    throw data_error("CSV header needs the target column " + target +
+                     " and at least one feature column");
   }
   Dataset ds(std::move(feature_names), target);
   std::vector<double> feats(feature_cols.size());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    // at_double throws on a field that is not a finite number.
     for (std::size_t i = 0; i < feature_cols.size(); ++i)
       feats[i] = table.at_double(r, feature_cols[i]);
     const double y = table.at_double(r, target_col);
-    std::string tag = has_tag ? table.at(r, tag_col) : "";
-    const bool finite =
-        std::isfinite(y) &&
-        std::all_of(feats.begin(), feats.end(),
-                    [](double v) { return std::isfinite(v); });
-    if (finite || policy == NonFinitePolicy::kKeep) {
-      ds.append_unchecked(feats, y, std::move(tag));
-    } else if (policy == NonFinitePolicy::kReject) {
-      throw data_error("CSV row " + std::to_string(r) + " ('" + tag +
-                       "') contains non-finite values");
-    }
-    // kSkip: drop the row.
+    ds.append_unchecked(feats, y,
+                        tag_col < header.size() ? table.at(r, tag_col) : "");
   }
   return ds;
 }

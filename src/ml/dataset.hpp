@@ -37,11 +37,6 @@ class Dataset {
   void add_row(std::span<const double> features, double target,
                std::string tag = "");
 
-  /// True when every feature and the target of `row` are finite. Always
-  /// true for rows ingested through add_row; can be false after from_csv
-  /// with NonFinitePolicy::kKeep.
-  bool row_is_finite(std::size_t row) const;
-
   std::span<const double> features(std::size_t row) const;
   double target(std::size_t row) const { return targets_[row]; }
   const std::string& tag(std::size_t row) const { return tags_[row]; }
@@ -61,18 +56,17 @@ class Dataset {
   /// Column index for a named feature; throws if absent.
   std::size_t feature_index(const std::string& name) const;
 
-  /// What to do with rows whose features/target are not finite when
-  /// loading external data.
-  enum class NonFinitePolicy {
-    kReject,  // throw coloc::data_error (default: fail loudly)
-    kSkip,    // drop the offending row, keep the rest
-    kKeep,    // load as-is; downstream consumers must tolerate the rows
-  };
-
+  /// One column per feature, then the target, then "tag". Every double
+  /// is written by obs::format_double, so from_csv reads it back bit for
+  /// bit.
   CsvTable to_csv() const;
-  static Dataset from_csv(const CsvTable& table, const std::string& target,
-                          const std::string& tag_column = "tag",
-                          NonFinitePolicy policy = NonFinitePolicy::kReject);
+  /// Loads a table such as to_csv writes: `target` is the target column,
+  /// a "tag" column (if any) the row tags, and every other column a
+  /// feature. A field that is not a finite number throws
+  /// coloc::data_error naming its row and column, so a loaded Dataset
+  /// holds only finite values, like one built through add_row; so does a
+  /// header without the target column or without a feature column.
+  static Dataset from_csv(const CsvTable& table, const std::string& target);
 
  private:
   void append_unchecked(std::span<const double> features, double target,

@@ -4,12 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "common/memo.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -28,7 +28,6 @@ struct ValidationMetrics {
   obs::Counter& tasks_completed;
   obs::Histogram& partition_seconds;
   obs::Gauge& last_test_mpe;
-  obs::Counter& rows_skipped;
 
   static ValidationMetrics& get() {
     auto& registry = obs::Registry::global();
@@ -40,7 +39,6 @@ struct ValidationMetrics {
                          {{"stage", "validation"}}),
         registry.histogram("validation_partition_seconds"),
         registry.gauge("validation_last_test_mpe"),
-        registry.counter("validation_rows_skipped_total"),
     };
     return metrics;
   }
@@ -72,12 +70,12 @@ std::vector<double> gather(std::span<const double> src,
   return out;
 }
 
-/// Per-job working set: the design matrix over the usable rows is built
-/// once, then every partition row-gathers its splits from it.
+/// Per-job working set: the design matrix over every row is built once,
+/// then every partition row-gathers its splits from it.
 struct JobState {
   const ValidationJob* job = nullptr;
-  linalg::Matrix x_full;       // usable rows x job->columns
-  std::vector<double> y_full;  // usable rows
+  linalg::Matrix x_full;       // every row x job->columns
+  std::vector<double> y_full;  // every row
   std::vector<double> train_mpe, test_mpe, train_nrmse, test_nrmse;
   std::vector<std::vector<TaggedPrediction>> collected;
 };
@@ -112,29 +110,18 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
   obs::StageTimer stage_timer("validation");
   ValidationMetrics& metrics = ValidationMetrics::get();
 
-  // Quarantined campaigns and kKeep CSV loads can leave non-finite rows in
-  // a dataset; tolerate them by validating on the finite subset instead of
-  // letting one NaN poison every partition's training run.
-  std::vector<std::size_t> usable;
-  usable.reserve(data.num_rows());
-  for (std::size_t r = 0; r < data.num_rows(); ++r) {
-    if (data.row_is_finite(r)) usable.push_back(r);
-  }
-  if (usable.size() < data.num_rows()) {
-    const std::size_t skipped = data.num_rows() - usable.size();
-    metrics.rows_skipped.inc(skipped);
-    COLOC_LOG_WARN << "validation skipping " << skipped
-                   << " non-finite rows of " << data.num_rows();
-  }
-  COLOC_CHECK_MSG(usable.size() >= 10, "dataset too small to validate");
+  const std::size_t n = data.num_rows();
+  COLOC_CHECK_MSG(n >= 10, "dataset too small to validate");
+  std::vector<std::size_t> all_rows(n);
+  std::iota(all_rows.begin(), all_rows.end(), 0);
 
   std::vector<JobState> states(jobs.size());
   std::size_t total_tasks = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     JobState& state = states[j];
     state.job = &jobs[j];
-    state.x_full = data.design_matrix(usable, state.job->columns);
-    state.y_full = data.target_subset(usable);
+    state.x_full = data.design_matrix(all_rows, state.job->columns);
+    state.y_full = data.targets();
     const std::size_t P = state.job->options.partitions;
     state.train_mpe.resize(P);
     state.test_mpe.resize(P);
@@ -169,7 +156,7 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
   // and MLP arms of one feature set) gather the exact same train/test split
   // from byte-identical x_full matrices. The memo shares one gathered copy
   // instead of rebuilding it per job. It is an ExactMemo keyed on a byte
-  // serialization of columns + seed + holdout fraction + usable-row count +
+  // serialization of columns + seed + holdout fraction + row count +
   // partition, so no hash collision can alias two splits. The memo is
   // invisible: the gather is deterministic, so a shared copy is
   // byte-identical to a job gathering its own (tested against each job
@@ -202,13 +189,13 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
     for (std::size_t col : state.job->columns) memo_key::append_u64(key, col);
     memo_key::append_u64(key, options.seed);
     memo_key::append_double(key, options.holdout_fraction);
-    memo_key::append_u64(key, usable.size());
+    memo_key::append_u64(key, n);
     memo_key::append_u64(key, ref.partition);
     std::shared_ptr<const GatheredSplit> gathered =
         memo.lookup(key).value_or(nullptr);
     if (!gathered) {
       auto fresh = std::make_shared<GatheredSplit>();
-      fresh->split = random_split(usable.size(), options.holdout_fraction, seed);
+      fresh->split = random_split(n, options.holdout_fraction, seed);
       fresh->x_train = gather_rows(state.x_full, fresh->split.train);
       fresh->y_train = gather(state.y_full, fresh->split.train);
       fresh->x_test = gather_rows(state.x_full, fresh->split.test);
@@ -245,8 +232,8 @@ std::vector<ValidationResult> repeated_subsampling_validation_batch(
       auto& bucket = state.collected[ref.partition];
       bucket.reserve(split.test.size());
       for (std::size_t i = 0; i < split.test.size(); ++i) {
-        bucket.push_back(TaggedPrediction{data.tag(usable[split.test[i]]),
-                                          y_test[i], pred_test[i]});
+        bucket.push_back(TaggedPrediction{data.tag(split.test[i]), y_test[i],
+                                          pred_test[i]});
       }
     }
 

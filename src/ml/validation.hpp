@@ -77,7 +77,7 @@ struct ValidationJob {
 /// parallel_for on global_pool(), capped at the largest `jobs` among the
 /// requests. Compared with validating each model in turn, the tail of
 /// one model's slow partitions overlaps the next model's work, and the
-/// per-job design matrix over the usable rows is materialized once — each
+/// per-job design matrix over every row is materialized once — each
 /// partition then row-gathers its train/test splits from it (bit-identical
 /// values, no per-partition feature re-indexing). Results are returned in
 /// job order; every number matches repeated_subsampling_validation run

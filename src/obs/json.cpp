@@ -314,4 +314,10 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+std::string format_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
 }  // namespace coloc::obs

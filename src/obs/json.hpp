@@ -51,4 +51,10 @@ JsonValue json_parse_file(const std::string& path);
 /// included in the result).
 std::string json_escape(std::string_view s);
 
+/// `v` with 17 significant digits (%.17g, max_digits10): strtod reads the
+/// text back as the same double, -0.0, subnormals and DBL_MAX included.
+/// The one formatter behind metrics.json, manifest.json and every CSV of
+/// doubles the library writes.
+std::string format_double(double v);
+
 }  // namespace coloc::obs

@@ -63,12 +63,6 @@ double process_cpu_seconds() {
 
 namespace {
 
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::string hex16(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx",

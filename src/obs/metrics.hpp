@@ -8,7 +8,7 @@
 //      Registry stay valid for the registry's lifetime, even across
 //      reset() (which zeroes values but never deallocates instruments).
 //   2. Labeled families. The same metric name may carry different label
-//      sets (e.g. campaign_cells_total{phase="alone"} vs {phase="colocated"}),
+//      sets (e.g. resilient_cells_total{result="ok"} vs {result="resumed"}),
 //      each backed by an independent instrument.
 //   3. Exportable snapshots. snapshot() copies a consistent-enough view
 //      (per-instrument atomicity; no global stop-the-world) that renders

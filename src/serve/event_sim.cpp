@@ -82,7 +82,7 @@ EventSimulator::EventSimulator(EventSimConfig config,
     const std::vector<sim::ScheduledApp> alone = {
         sim::ScheduledApp{&spec, &library_->curve(spec)}};
     const sim::ContentionSolution solution =
-        sim::solve_contention(config_.node, ghz, alone, config_.contention);
+        sim::solve_contention(config_.node, ghz, alone);
     alone_time_s_.push_back(solution.apps[0].execution_time_s);
   }
 }
@@ -125,7 +125,7 @@ void EventSimulator::resolve_node(NodeState& node, std::uint32_t node_index,
     }
     const sim::ContentionSolution solution = sim::solve_contention(
         config_.node, config_.node.pstates[node.pstate].frequency_ghz,
-        solve_scratch_, config_.contention);
+        solve_scratch_);
     std::vector<double> solved(node.residents.size());
     for (std::size_t i = 0; i < solved.size(); ++i) {
       solved[i] = solution.apps[i].instructions_per_second;

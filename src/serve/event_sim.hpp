@@ -58,7 +58,6 @@ struct EventSimConfig {
   std::size_t nodes = 64;
   /// Fleet-wide operating P-state; also the slowdown/deadline reference.
   std::size_t pstate_index = 0;
-  sim::ContentionOptions contention;
   /// QoS bound on predicted slowdown for kInterferenceAware and
   /// kDvfsAware; 0 (the default) disables it. When positive, a job goes to
   /// the cheapest busy node where every resident, the new job included, is

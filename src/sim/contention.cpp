@@ -103,7 +103,7 @@ ContentionSolution solve_contention(const MachineConfig& machine,
   bool converged = false;
   std::size_t iter = 0;
 
-  for (; iter < options.max_iterations; ++iter) {
+  for (; iter < kContentionMaxIterations; ++iter) {
     double max_rel_change = 0.0;
     double bytes_per_second = 0.0;
     double total_miss_rate = 0.0;
@@ -135,13 +135,13 @@ ContentionSolution solve_contention(const MachineConfig& machine,
     // Total DRAM demand gives the loaded latency for the next iteration.
     const double rho = std::min(
         bytes_per_second / (machine.memory_bandwidth_gbs * 1e9),
-        options.max_utilization);
+        kContentionMaxUtilization);
     double target_latency = machine.memory_latency_ns;
     if (!options.disable_queueing) {
       target_latency *= 1.0 + machine.memory_queue_sensitivity * rho /
                                   (1.0 - rho);
     }
-    latency_ns += options.damping * (target_latency - latency_ns);
+    latency_ns += kContentionDamping * (target_latency - latency_ns);
     solution.memory_utilization = rho;
 
     // (1) Occupancy proportional to insertion (miss) rates.
@@ -154,7 +154,7 @@ ContentionSolution solve_contention(const MachineConfig& machine,
           const double target =
               std::max(llc_lines * r.miss_rate / total_miss_rate,
                        share_floor);
-          r.share += options.damping * (target - r.share);
+          r.share += kContentionDamping * (target - r.share);
           add_per_instance(sum, r.share, r.count);
         }
         // Renormalize so shares sum to the LLC capacity.
@@ -164,7 +164,7 @@ ContentionSolution solve_contention(const MachineConfig& machine,
       runs.front().share = llc_lines;
     }
 
-    if (max_rel_change < options.tolerance && iter > 2) {
+    if (max_rel_change < kContentionTolerance && iter > 2) {
       converged = true;
       ++iter;
       break;

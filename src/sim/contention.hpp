@@ -55,12 +55,18 @@ struct ContentionSolution {
   bool converged = false;
 };
 
-/// Tunable solver knobs; the ablation benches toggle the mechanisms.
+/// Fixed-point iteration cap; a solve that reaches it returns its last
+/// iterate with converged == false.
+inline constexpr std::size_t kContentionMaxIterations = 200;
+/// Convergence test: the largest relative CPI change of one iteration.
+inline constexpr double kContentionTolerance = 1e-9;
+/// Under-relaxation applied to each occupancy and latency step.
+inline constexpr double kContentionDamping = 0.5;
+/// Clamp on DRAM utilization rho, keeping the queueing term finite.
+inline constexpr double kContentionMaxUtilization = 0.98;
+
+/// The mechanisms the ablation benches switch off.
 struct ContentionOptions {
-  std::size_t max_iterations = 200;
-  double tolerance = 1e-9;   // relative change in CPI across iterations
-  double damping = 0.5;      // under-relaxation for occupancy/latency
-  double max_utilization = 0.98;
   /// Ablation: give every app an equal static LLC partition instead of
   /// solving occupancy (DESIGN.md §5 ablation 1).
   bool static_equal_partition = false;

@@ -97,20 +97,6 @@ TEST_F(CampaignTest, CustomPStatesRespected) {
   EXPECT_EQ(result.dataset.num_rows(), 1u * 4u * 2u * 3u);
 }
 
-TEST_F(CampaignTest, AloneRowsOptIn) {
-  config_.include_alone_rows = true;
-  config_.colocation_counts = {1};
-  config_.pstate_indices = {0};
-  const CampaignResult result = run_campaign(simulator_, config_);
-  // 4 targets x (1 alone + 2 coapps x 1 count).
-  EXPECT_EQ(result.dataset.num_rows(), 4u * 3u);
-  std::size_t alone_rows = 0;
-  for (std::size_t r = 0; r < result.dataset.num_rows(); ++r) {
-    if (result.dataset.features(r)[1] == 0.0) ++alone_rows;
-  }
-  EXPECT_EQ(alone_rows, 4u);
-}
-
 TEST_F(CampaignTest, OverCountRejected) {
   config_.colocation_counts = {4};  // 4 co-apps + target > 4 cores
   EXPECT_THROW(run_campaign(simulator_, config_), coloc::runtime_error);
@@ -130,7 +116,6 @@ TEST(CampaignDefaults, PaperDefaultsMatchSectionIVB3) {
   EXPECT_EQ(config.coapps[2].name, "fluidanimate");
   EXPECT_EQ(config.coapps[3].name, "ep");
   EXPECT_TRUE(config.colocation_counts.empty());  // 1..cores-1 at runtime
-  EXPECT_FALSE(config.include_alone_rows);
 }
 
 TEST(CampaignTags, RoundTrip) {

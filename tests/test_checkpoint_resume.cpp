@@ -8,7 +8,6 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -177,57 +176,13 @@ TEST(CampaignCheckpoint, SeededMutationsLoadOrThrowDataError) {
   ASSERT_FALSE(original.empty());
   std::filesystem::remove(path);
 
-  auto split_lines = [](const std::string& bytes) {
-    std::vector<std::string> lines;
-    std::istringstream is(bytes);
-    for (std::string line; std::getline(is, line);) lines.push_back(line);
-    return lines;
-  };
-  auto join_lines = [](const std::vector<std::string>& lines) {
-    std::string bytes;
-    for (const std::string& line : lines) bytes += line + "\n";
-    return bytes;
-  };
-
   coloc::Rng rng(20261020);
-  auto pick = [&rng](std::size_t n) {
-    return static_cast<std::size_t>(rng.uniform_index(n));
-  };
   const std::string mutated_path = temp_path("fuzz_mutated.csv");
   std::size_t loaded = 0, rejected = 0;
   for (int trial = 0; trial < 600; ++trial) {
-    std::string bytes = original;
-    const std::size_t mutations = 1 + pick(3);
     std::string applied;
-    for (std::size_t m = 0; m < mutations && !bytes.empty(); ++m) {
-      const std::size_t kind = pick(6);
-      applied += std::to_string(kind);
-      if (kind == 0) {  // bit flip
-        bytes[pick(bytes.size())] ^= static_cast<char>(1u << pick(8));
-      } else if (kind == 1) {  // byte insertion
-        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
-                                         pick(bytes.size() + 1)),
-                     static_cast<char>(pick(256)));
-      } else if (kind == 2) {  // deletion of 1 to 8 bytes
-        const std::size_t at = pick(bytes.size());
-        bytes.erase(at, 1 + pick(8));
-      } else if (kind == 3) {  // truncation
-        bytes.resize(pick(bytes.size()));
-      } else {
-        std::vector<std::string> lines = split_lines(bytes);
-        if (lines.empty()) continue;
-        const std::size_t i = pick(lines.size());
-        const std::size_t j = pick(lines.size());
-        if (kind == 4) {  // duplicated line
-          lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(j),
-                       lines[i]);
-        } else {  // swapped lines
-          std::swap(lines[i], lines[j]);
-        }
-        bytes = join_lines(lines);
-      }
-    }
-    write_bytes(mutated_path, bytes);
+    write_bytes(mutated_path,
+                testing_helpers::mutate_bytes(original, rng, applied));
 
     CampaignCheckpoint checkpoint(mutated_path, core::feature_names(),
                                   "colocExTime");

@@ -44,7 +44,7 @@ ContentionSolution solve_per_instance(const MachineConfig& machine,
   bool converged = false;
   std::size_t iter = 0;
 
-  for (; iter < options.max_iterations; ++iter) {
+  for (; iter < kContentionMaxIterations; ++iter) {
     for (std::size_t i = 0; i < n; ++i) {
       const auto& a = apps[i];
       const double eff_share = std::max(share[i], private_lines);
@@ -72,13 +72,13 @@ ContentionSolution solve_per_instance(const MachineConfig& machine,
       bytes_per_second += mpi[i] * ips[i] * line_bytes;
     const double rho = std::min(
         bytes_per_second / (machine.memory_bandwidth_gbs * 1e9),
-        options.max_utilization);
+        kContentionMaxUtilization);
     double target_latency = machine.memory_latency_ns;
     if (!options.disable_queueing) {
       target_latency *= 1.0 + machine.memory_queue_sensitivity * rho /
                                   (1.0 - rho);
     }
-    latency_ns += options.damping * (target_latency - latency_ns);
+    latency_ns += kContentionDamping * (target_latency - latency_ns);
     solution.memory_utilization = rho;
 
     if (!options.static_equal_partition && n > 1) {
@@ -94,7 +94,7 @@ ContentionSolution solve_per_instance(const MachineConfig& machine,
               std::max(llc_lines * miss_rate[i] / total_miss_rate,
                        llc_lines / static_cast<double>(
                                        machine.llc_associativity));
-          share[i] += options.damping * (target - share[i]);
+          share[i] += kContentionDamping * (target - share[i]);
         }
         double sum = 0.0;
         for (double v : share) sum += v;
@@ -104,7 +104,7 @@ ContentionSolution solve_per_instance(const MachineConfig& machine,
       share[0] = llc_lines;
     }
 
-    if (max_rel_change < options.tolerance && iter > 2) {
+    if (max_rel_change < kContentionTolerance && iter > 2) {
       converged = true;
       ++iter;
       break;

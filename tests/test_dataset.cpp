@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "core/campaign.hpp"
+#include "test_helpers.hpp"
 
 namespace coloc::ml {
 namespace {
+
+using testing_helpers::expect_datasets_identical;
 
 Dataset make_dataset() {
   Dataset ds({"f0", "f1", "f2"}, "y");
@@ -69,14 +75,16 @@ TEST(DatasetTest, FeatureIndexLookup) {
 }
 
 TEST(DatasetTest, CsvRoundTrip) {
-  const Dataset ds = make_dataset();
-  const CsvTable csv = ds.to_csv();
-  const Dataset back = Dataset::from_csv(csv, "y");
-  EXPECT_EQ(back.num_rows(), 3u);
-  EXPECT_EQ(back.num_features(), 3u);
-  EXPECT_DOUBLE_EQ(back.target(2), 30.0);
-  EXPECT_EQ(back.tag(0), "a");
-  EXPECT_DOUBLE_EQ(back.features(0)[1], 2.0);
+  Dataset ds = make_dataset();
+  // Values six fixed decimals would zero or round, and the extremes.
+  ds.add_row(std::vector<double>{3.2e-7, 279.41234567, 1.0 / 3.0},
+             0.1 + 0.2, "small,rounded");
+  ds.add_row(std::vector<double>{std::numeric_limits<double>::denorm_min(),
+                                 std::numeric_limits<double>::max(), -0.0},
+             -7.25e-12, "extremes");
+  const Dataset back = testing_helpers::through_csv_text(ds);
+  EXPECT_EQ(back.num_rows(), 5u);
+  expect_datasets_identical(back, ds);
 }
 
 TEST(StandardizerTest, ZeroMeanUnitVariance) {
@@ -138,43 +146,76 @@ TEST(DatasetTest, NonFiniteTargetRejectedAtIngestion) {
   EXPECT_EQ(ds.num_rows(), 0u);
 }
 
-TEST(DatasetTest, RowIsFiniteForCleanRows) {
-  const Dataset ds = make_dataset();
-  for (std::size_t r = 0; r < ds.num_rows(); ++r) {
-    EXPECT_TRUE(ds.row_is_finite(r));
+// Every field must be a finite number: nan, inf or -inf in a feature or
+// in the target is a data_error naming the row and the column.
+TEST(DatasetTest, FromCsvRejectsNonFiniteByDefault) {
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    for (const std::string column : {"f0", "y"}) {
+      CsvTable table({"f0", "y", "tag"});
+      table.add_row({"1.0", "10.0", "good"});
+      table.add_row({column == "f0" ? bad : "2.0",
+                     column == "y" ? bad : "20.0", "bad"});
+      try {
+        Dataset::from_csv(table, "y");
+        ADD_FAILURE() << bad << " in " << column << " loaded";
+      } catch (const data_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("row 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("column " + column), std::string::npos) << what;
+      }
+    }
   }
 }
 
-CsvTable csv_with_nan_row() {
-  CsvTable table({"f0", "y", "tag"});
-  table.add_row({"1.0", "10.0", "good"});
-  table.add_row({"nan", "20.0", "bad"});
-  table.add_row({"3.0", "30.0", "also_good"});
-  return table;
+TEST(DatasetTest, FromCsvRejectsATableWithoutItsColumns) {
+  EXPECT_THROW(Dataset::from_csv(CsvTable({"f0", "tag"}), "y"), data_error);
+  EXPECT_THROW(Dataset::from_csv(CsvTable({"y", "tag"}), "y"), data_error);
+  EXPECT_THROW(Dataset::from_csv(CsvTable(), "y"), data_error);
 }
 
-TEST(DatasetTest, FromCsvRejectsNonFiniteByDefault) {
-  EXPECT_THROW(Dataset::from_csv(csv_with_nan_row(), "y"), data_error);
-}
+// Seeded fuzzing of the dataset CSV reader: a real campaign dataset.csv
+// written by to_csv, under the checkpoint fuzzer's byte and line
+// mutations. A mutated file either loads rows that are all finite or
+// throws data_error; nothing else may escape.
+TEST(DatasetCsv, SeededMutationsLoadOrThrowDataError) {
+  core::CampaignConfig config;
+  config.targets = testing_helpers::tiny_suite();
+  config.coapps = {config.targets[0], config.targets[3]};
+  sim::AppMrcLibrary library;
+  sim::Simulator simulator(testing_helpers::tiny_machine(), &library);
+  std::ostringstream os;
+  core::run_campaign(simulator, config).dataset.to_csv().write(os);
+  const std::string original = os.str();
+  ASSERT_FALSE(original.empty());
 
-TEST(DatasetTest, FromCsvSkipPolicyDropsBadRows) {
-  const Dataset ds = Dataset::from_csv(csv_with_nan_row(), "y", "tag",
-                                       Dataset::NonFinitePolicy::kSkip);
-  EXPECT_EQ(ds.num_rows(), 2u);
-  EXPECT_EQ(ds.tag(0), "good");
-  EXPECT_EQ(ds.tag(1), "also_good");
-}
-
-TEST(DatasetTest, FromCsvKeepPolicyLoadsVerbatim) {
-  const Dataset ds = Dataset::from_csv(csv_with_nan_row(), "y", "tag",
-                                       Dataset::NonFinitePolicy::kKeep);
-  EXPECT_EQ(ds.num_rows(), 3u);
-  EXPECT_TRUE(ds.row_is_finite(0));
-  EXPECT_FALSE(ds.row_is_finite(1));
-  EXPECT_TRUE(ds.row_is_finite(2));
-  // subset() must not re-validate kKeep rows.
-  const std::vector<std::size_t> rows = {1};
-  EXPECT_FALSE(ds.subset(rows).row_is_finite(0));
+  coloc::Rng rng(20261021);
+  std::size_t loaded = 0, rejected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string applied;
+    std::istringstream is(
+        testing_helpers::mutate_bytes(original, rng, applied));
+    try {
+      const Dataset ds =
+          Dataset::from_csv(CsvTable::parse(is), "colocExTime");
+      ++loaded;
+      for (std::size_t r = 0; r < ds.num_rows(); ++r) {
+        EXPECT_TRUE(std::isfinite(ds.target(r)))
+            << "trial " << trial << " (mutations " << applied << ")";
+        for (double v : ds.features(r)) {
+          EXPECT_TRUE(std::isfinite(v))
+              << "trial " << trial << " (mutations " << applied << ")";
+        }
+      }
+    } catch (const coloc::data_error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "trial " << trial << " (mutations " << applied
+                    << ") threw a non-data error: " << e.what();
+    }
+  }
+  // The mutations reach both outcomes.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -42,8 +42,7 @@ TEST(FaultPlan, DeterministicUnderFixedSeed) {
   const FaultPlan b(config_with(0.3, 42));
   for (const std::string& key : sample_keys(500)) {
     for (std::uint64_t attempt = 0; attempt < 3; ++attempt) {
-      EXPECT_EQ(a.decide(key, attempt, MeasurePhase::kCampaign),
-                b.decide(key, attempt, MeasurePhase::kCampaign))
+      EXPECT_EQ(a.decide(key, attempt), b.decide(key, attempt))
           << key << " attempt " << attempt;
       EXPECT_DOUBLE_EQ(a.outlier_factor(key, attempt),
                        b.outlier_factor(key, attempt));
@@ -58,10 +57,7 @@ TEST(FaultPlan, DifferentSeedsGiveDifferentPlans) {
   const FaultPlan b(config_with(0.3, 2));
   std::size_t differing = 0;
   for (const std::string& key : sample_keys(500)) {
-    if (a.decide(key, 0, MeasurePhase::kCampaign) !=
-        b.decide(key, 0, MeasurePhase::kCampaign)) {
-      ++differing;
-    }
+    if (a.decide(key, 0) != b.decide(key, 0)) ++differing;
   }
   EXPECT_GT(differing, 0u);
 }
@@ -70,15 +66,14 @@ TEST(FaultPlan, ZeroRateNeverFaults) {
   const FaultPlan plan(config_with(0.0));
   EXPECT_FALSE(plan.enabled());
   for (const std::string& key : sample_keys(200)) {
-    EXPECT_EQ(plan.decide(key, 0, MeasurePhase::kCampaign), FaultKind::kNone);
-    EXPECT_EQ(plan.decide(key, 0, MeasurePhase::kBaseline), FaultKind::kNone);
+    EXPECT_EQ(plan.decide(key, 0), FaultKind::kNone);
   }
 }
 
 TEST(FaultPlan, UnitRateAlwaysFaults) {
   const FaultPlan plan(config_with(1.0));
   for (const std::string& key : sample_keys(200)) {
-    EXPECT_NE(plan.decide(key, 0, MeasurePhase::kCampaign), FaultKind::kNone);
+    EXPECT_NE(plan.decide(key, 0), FaultKind::kNone);
   }
 }
 
@@ -88,8 +83,7 @@ TEST(FaultPlan, EmpiricalRateTracksConfiguredRate) {
   const auto keys = sample_keys(4000);
   std::size_t faults = 0;
   for (const std::string& key : keys) {
-    if (plan.decide(key, 0, MeasurePhase::kCampaign) != FaultKind::kNone)
-      ++faults;
+    if (plan.decide(key, 0) != FaultKind::kNone) ++faults;
   }
   const double observed = static_cast<double>(faults) /
                           static_cast<double>(keys.size());
@@ -103,10 +97,8 @@ TEST(FaultPlan, RetriesDrawIndependentDecisions) {
   bool cleared = false;
   bool refired = false;
   for (const std::string& key : sample_keys(500)) {
-    const bool f0 = plan.decide(key, 0, MeasurePhase::kCampaign) !=
-                    FaultKind::kNone;
-    const bool f1 = plan.decide(key, 1, MeasurePhase::kCampaign) !=
-                    FaultKind::kNone;
+    const bool f0 = plan.decide(key, 0) != FaultKind::kNone;
+    const bool f1 = plan.decide(key, 1) != FaultKind::kNone;
     if (f0 && !f1) cleared = true;
     if (f0 && f1) refired = true;
   }
@@ -119,25 +111,14 @@ TEST(FaultPlan, KindFilterRestrictsInjection) {
   config.kinds = {FaultKind::kTransient};
   const FaultPlan plan(config);
   for (const std::string& key : sample_keys(200)) {
-    EXPECT_EQ(plan.decide(key, 0, MeasurePhase::kCampaign),
-              FaultKind::kTransient);
+    EXPECT_EQ(plan.decide(key, 0), FaultKind::kTransient);
   }
 }
 
 TEST(FaultPlan, DefaultKindSetExcludesHangs) {
   const FaultPlan plan(config_with(1.0));
   for (const std::string& key : sample_keys(500)) {
-    EXPECT_NE(plan.decide(key, 0, MeasurePhase::kCampaign), FaultKind::kHang);
-  }
-}
-
-TEST(FaultPlan, PhaseFilterRespected) {
-  FaultPlanConfig config = config_with(1.0);
-  config.inject_baseline = false;
-  const FaultPlan plan(config);
-  for (const std::string& key : sample_keys(100)) {
-    EXPECT_EQ(plan.decide(key, 0, MeasurePhase::kBaseline), FaultKind::kNone);
-    EXPECT_NE(plan.decide(key, 0, MeasurePhase::kCampaign), FaultKind::kNone);
+    EXPECT_NE(plan.decide(key, 0), FaultKind::kHang);
   }
 }
 
@@ -145,8 +126,8 @@ TEST(FaultPlan, OutlierFactorStaysInConfiguredRange) {
   const FaultPlan plan(config_with(1.0));
   for (const std::string& key : sample_keys(200)) {
     const double f = plan.outlier_factor(key, 0);
-    EXPECT_GE(f, plan.config().outlier_min_factor);
-    EXPECT_LE(f, plan.config().outlier_max_factor);
+    EXPECT_GE(f, kOutlierMinFactor);
+    EXPECT_LE(f, kOutlierMaxFactor);
   }
 }
 
@@ -193,7 +174,7 @@ class FaultEnvTest : public ::testing::Test {
   void TearDown() override {
     for (const char* name :
          {"COLOC_FAULT_RATE", "COLOC_FAULT_SEED", "COLOC_FAULT_KINDS",
-          "COLOC_FAULT_PHASES", "COLOC_FAULT_HANG_MS"}) {
+          "COLOC_FAULT_HANG_MS"}) {
       ::unsetenv(name);
     }
   }
@@ -203,13 +184,10 @@ TEST_F(FaultEnvTest, ReadsConfigurationFromEnvironment) {
   ::setenv("COLOC_FAULT_RATE", "0.25", 1);
   ::setenv("COLOC_FAULT_SEED", "99", 1);
   ::setenv("COLOC_FAULT_KINDS", "transient,corrupt", 1);
-  ::setenv("COLOC_FAULT_PHASES", "campaign", 1);
   const FaultPlanConfig config = FaultPlanConfig::from_env();
   EXPECT_DOUBLE_EQ(config.rate, 0.25);
   EXPECT_EQ(config.seed, 99u);
   ASSERT_EQ(config.kinds.size(), 2u);
-  EXPECT_FALSE(config.inject_baseline);
-  EXPECT_TRUE(config.inject_campaign);
 }
 
 TEST_F(FaultEnvTest, UnsetEnvironmentKeepsDefaults) {
@@ -217,8 +195,6 @@ TEST_F(FaultEnvTest, UnsetEnvironmentKeepsDefaults) {
   EXPECT_DOUBLE_EQ(config.rate, 0.0);
   EXPECT_EQ(config.seed, 1234u);
   EXPECT_TRUE(config.kinds.empty());
-  EXPECT_TRUE(config.inject_baseline);
-  EXPECT_TRUE(config.inject_campaign);
 }
 
 TEST_F(FaultEnvTest, RejectsUnparseableRate) {
@@ -288,8 +264,7 @@ TEST_F(FaultInjectorTest, CorruptedReadingFailsValidation) {
   // check; sweep several cells to hit multiple variants.
   for (std::size_t p = 0; p < 3; ++p) {
     const sim::RunMeasurement m = injector.run_alone(apps_[0], p, 0);
-    EXPECT_THROW(validate_measurement(m, 0.0, PlausibilityBounds{}),
-                 MeasurementError);
+    EXPECT_THROW(validate_measurement(m, 0.0), MeasurementError);
   }
   EXPECT_EQ(injector.injected(FaultKind::kCorruptedReading), 3u);
 }
@@ -302,12 +277,10 @@ TEST_F(FaultInjectorTest, OutlierScalesWallTimeBeyondPlausibility) {
   const sim::RunMeasurement clean = simulator_.run_alone(apps_[0], 0, 0);
   const sim::RunMeasurement noisy = injector.run_alone(apps_[0], 0, 0);
   EXPECT_GE(noisy.execution_time_s,
-            clean.execution_time_s * plan.config().outlier_min_factor * 0.99);
+            clean.execution_time_s * kOutlierMinFactor * 0.99);
   // The plausibility bound (reference = clean time) must catch it.
-  EXPECT_THROW(
-      validate_measurement(noisy, clean.execution_time_s,
-                           PlausibilityBounds{}),
-      MeasurementError);
+  EXPECT_THROW(validate_measurement(noisy, clean.execution_time_s),
+               MeasurementError);
 }
 
 TEST_F(FaultInjectorTest, InjectionIsDeterministicAcrossInstances) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "core/methodology.hpp"
 #include "core/report.hpp"
@@ -157,11 +159,17 @@ TEST_F(IntegrationTest, SchedulerUsesTrainedPredictorEndToEnd) {
 }
 
 TEST_F(IntegrationTest, DatasetRoundTripsThroughCsv) {
-  const CsvTable csv = campaign_->dataset.to_csv();
-  const ml::Dataset back = ml::Dataset::from_csv(csv, "colocExTime");
-  EXPECT_EQ(back.num_rows(), campaign_->dataset.num_rows());
-  EXPECT_EQ(back.num_features(), campaign_->dataset.num_features());
-  EXPECT_NEAR(back.target(10), campaign_->dataset.target(10), 1e-6);
+  // The campaign's rows, plus one of values six fixed decimals would zero
+  // or round and the extremes, through dataset.csv text bit for bit.
+  ml::Dataset data = campaign_->dataset;
+  const std::vector<double> extremes = {
+      3.2e-7, std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(), -0.0, 279.41234567, 1.0 / 3.0,
+      -2.2250738585072009e-308, 6.02214076e23};
+  ASSERT_EQ(extremes.size(), data.num_features());
+  data.add_row(extremes, 0.1 + 0.2, "extremes");
+  testing_helpers::expect_datasets_identical(
+      testing_helpers::through_csv_text(data), data);
 }
 
 TEST_F(IntegrationTest, PcaIdentifiesInformativeFeatures) {

@@ -28,6 +28,7 @@
 namespace coloc::core {
 namespace {
 
+using testing_helpers::expect_datasets_identical;
 using testing_helpers::tiny_machine;
 using testing_helpers::tiny_suite;
 
@@ -67,23 +68,6 @@ CampaignResult run_with(std::size_t jobs, double fault_rate = 0.0,
     return run_campaign(injector, config, robustness);
   }
   return run_campaign(simulator, config, robustness);
-}
-
-void expect_datasets_identical(const ml::Dataset& got,
-                               const ml::Dataset& want) {
-  ASSERT_EQ(got.num_rows(), want.num_rows());
-  for (std::size_t r = 0; r < got.num_rows(); ++r) {
-    EXPECT_EQ(got.tag(r), want.tag(r)) << "row " << r;
-    EXPECT_EQ(got.target(r), want.target(r))
-        << "row " << r << " (" << got.tag(r) << ")";
-    const auto a = got.features(r);
-    const auto b = want.features(r);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t c = 0; c < a.size(); ++c) {
-      EXPECT_EQ(a[c], b[c])
-          << "row " << r << " col " << c << " (" << got.tag(r) << ")";
-    }
-  }
 }
 
 void expect_reports_identical(const fault::CompletenessReport& got,
@@ -300,12 +284,11 @@ TEST(ParallelCampaign, ExportsStagePoolGaugesFromItsOwnCall) {
 }
 
 TEST(ParallelCampaign, AloneRowsAndExplicitSubsweepStayIdentical) {
-  // Exercise the alone-row branch and a non-default sweep shape.
+  // A non-default sweep shape: some co-runner counts, some P-states.
   auto run_shaped = [&](std::size_t jobs) {
     sim::AppMrcLibrary library;
     sim::Simulator simulator(tiny_machine(), &library);
     CampaignConfig config = tiny_config(jobs);
-    config.include_alone_rows = true;
     config.colocation_counts = {1, 3};
     config.pstate_indices = {0, 2};
     return run_campaign(simulator, config);

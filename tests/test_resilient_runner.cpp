@@ -39,54 +39,46 @@ RetryPolicy fast_policy(std::size_t max_attempts = 4) {
 }
 
 TEST(ValidateMeasurement, AcceptsHealthyReading) {
-  EXPECT_NO_THROW(
-      validate_measurement(good_measurement(), 8.0, PlausibilityBounds{}));
+  EXPECT_NO_THROW(validate_measurement(good_measurement(), 8.0));
 }
 
 TEST(ValidateMeasurement, RejectsNonFiniteWallTime) {
   sim::RunMeasurement m = good_measurement();
   m.execution_time_s = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(validate_measurement(m, 0.0, PlausibilityBounds{}),
-               MeasurementError);
+  EXPECT_THROW(validate_measurement(m, 0.0), MeasurementError);
   m.execution_time_s = -3.0;
-  EXPECT_THROW(validate_measurement(m, 0.0, PlausibilityBounds{}),
-               MeasurementError);
+  EXPECT_THROW(validate_measurement(m, 0.0), MeasurementError);
 }
 
 TEST(ValidateMeasurement, RejectsNegativeCounter) {
   sim::RunMeasurement m = good_measurement();
   m.counters.set(sim::PresetEvent::kLlcMisses, -1.0);
-  EXPECT_THROW(validate_measurement(m, 0.0, PlausibilityBounds{}),
-               MeasurementError);
+  EXPECT_THROW(validate_measurement(m, 0.0), MeasurementError);
 }
 
 TEST(ValidateMeasurement, RejectsZeroInstructionCount) {
   sim::RunMeasurement m = good_measurement();
   m.counters.set(sim::PresetEvent::kTotalInstructions, 0.0);
-  EXPECT_THROW(validate_measurement(m, 0.0, PlausibilityBounds{}),
-               MeasurementError);
+  EXPECT_THROW(validate_measurement(m, 0.0), MeasurementError);
 }
 
 TEST(ValidateMeasurement, RejectsImplausibleSlowdown) {
   const sim::RunMeasurement m = good_measurement(10.0);
   // Slowdown 100x against a 0.1 s reference: outlier territory.
-  EXPECT_THROW(validate_measurement(m, 0.1, PlausibilityBounds{}),
-               MeasurementError);
-  // Speedup below min_slowdown: equally implausible.
-  EXPECT_THROW(validate_measurement(m, 100.0, PlausibilityBounds{}),
-               MeasurementError);
+  EXPECT_THROW(validate_measurement(m, 0.1), MeasurementError);
+  // Speedup below kMinPlausibleSlowdown: equally implausible.
+  EXPECT_THROW(validate_measurement(m, 100.0), MeasurementError);
 }
 
 TEST(ValidateMeasurement, ZeroReferenceDisablesPlausibility) {
-  EXPECT_NO_THROW(
-      validate_measurement(good_measurement(), 0.0, PlausibilityBounds{}));
+  EXPECT_NO_THROW(validate_measurement(good_measurement(), 0.0));
 }
 
 TEST(ValidateMeasurement, ClassifiesAsCorruptedData) {
   sim::RunMeasurement m = good_measurement();
   m.execution_time_s = std::numeric_limits<double>::infinity();
   try {
-    validate_measurement(m, 0.0, PlausibilityBounds{});
+    validate_measurement(m, 0.0);
     FAIL() << "expected MeasurementError";
   } catch (const MeasurementError& e) {
     EXPECT_EQ(e.error_class(), ErrorClass::kCorruptedData);
@@ -277,7 +269,7 @@ TEST(ResilientRunner, AccountsResumedAndSkippedCells) {
 }
 
 TEST(ResilientRunner, MeasureOutcomeIsPureAndCommitFoldsExplicitly) {
-  ResilientRunner runner(fast_policy(), PlausibilityBounds{});
+  ResilientRunner runner(fast_policy());
   auto flaky_once = [](std::uint64_t attempt) -> sim::RunMeasurement {
     if (attempt == 0) {
       throw MeasurementError(ErrorClass::kTransient, "flaky first read");
@@ -310,7 +302,7 @@ TEST(ResilientRunner, ConcurrentCellsAccountExactly) {
   // campaign's usage); tallies must come out exact, not approximately —
   // this test doubles as the TSan coverage for the concurrent runner.
   constexpr int kCells = 24;
-  ResilientRunner runner(fast_policy(), PlausibilityBounds{});
+  ResilientRunner runner(fast_policy());
   ThreadPool pool(4);
   std::vector<std::future<void>> inflight;
   std::atomic<int> ok{0};

@@ -47,6 +47,7 @@
 #include "core/supervisor.hpp"
 #include "core/zoo_artifacts.hpp"
 #include "ml/validation.hpp"
+#include "obs/json.hpp"
 #include "sim/app_model.hpp"
 #include "sim/execution.hpp"
 #include "sim/machine.hpp"
@@ -60,13 +61,6 @@ using namespace coloc;
 // ---------------------------------------------------------------------------
 // Pipeline mode: the supervised five-stage run.
 // ---------------------------------------------------------------------------
-
-// Full precision so recomputed and resumed runs serialize identically.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 // The zoo subset the train stage persists: both techniques, smallest and
 // largest feature set. Small enough to keep a trial under a second, rich
@@ -146,11 +140,11 @@ int run_pipeline(const std::string& dir, bool resume) {
     }
     os << "\n";
     for (const auto& [name, profile] : baselines) {  // map: sorted by name
-      os << name << ',' << fmt_double(profile.memory_intensity) << ','
-         << fmt_double(profile.cm_per_ca) << ','
-         << fmt_double(profile.ca_per_ins);
+      os << name << ',' << obs::format_double(profile.memory_intensity) << ','
+         << obs::format_double(profile.cm_per_ca) << ','
+         << obs::format_double(profile.ca_per_ins);
       for (std::size_t p : campaign_config.pstate_indices) {
-        os << ',' << fmt_double(profile.time_at(p));
+        os << ',' << obs::format_double(profile.time_at(p));
       }
       os << "\n";
     }
@@ -200,9 +194,11 @@ int run_pipeline(const std::string& dir, bool resume) {
         core::make_model_factory(id, pipeline_zoo_options()), validation);
     std::ostringstream os;
     os << "train_mpe,test_mpe,train_nrmse,test_nrmse,partitions\n"
-       << fmt_double(result.train_mpe) << ',' << fmt_double(result.test_mpe)
-       << ',' << fmt_double(result.train_nrmse) << ','
-       << fmt_double(result.test_nrmse) << ',' << result.partitions << "\n";
+       << obs::format_double(result.train_mpe) << ','
+       << obs::format_double(result.test_mpe) << ','
+       << obs::format_double(result.train_nrmse) << ','
+       << obs::format_double(result.test_nrmse) << ',' << result.partitions
+       << "\n";
     store::write_file_atomic(dir + "/validate.csv", os.str());
   });
 
