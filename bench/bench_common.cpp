@@ -71,17 +71,18 @@ obs::ObsOptions HarnessConfig::run_session() const {
   options.manifest.program = program;
   options.manifest.seed = seed;
   options.manifest.jobs = jobs != 0 ? jobs : configured_jobs();
-  options.manifest.fault_rate = fault_rate >= 0.0 ? fault_rate : 0.0;
+  const fault::FaultPlanConfig plan = fault_plan();
+  options.manifest.fault_rate = plan.rate;
   options.manifest.extra.emplace_back("partitions",
                                       std::to_string(partitions));
   options.manifest.extra.emplace_back("nn_iters",
                                       std::to_string(nn_iterations));
   options.manifest.extra.emplace_back("quick", quick ? "1" : "0");
-  // Recovery provenance: which fault plan (if any) shaped this run. The
-  // zoo bundle digest joins these via obs::add_manifest_extra when a
-  // bundle is saved or loaded.
+  // Recovery provenance: which fault plan (if any) shaped this run.
+  // bench_perf_pipeline adds the digest of the zoo bundle it saves through
+  // ObsSession::add_manifest_extra.
   options.manifest.extra.emplace_back("fault_seed",
-                                      std::to_string(fault_plan().seed));
+                                      std::to_string(plan.seed));
   if (!zoo_out.empty()) options.manifest.extra.emplace_back("zoo_out", zoo_out);
   if (!zoo_in.empty()) options.manifest.extra.emplace_back("zoo_in", zoo_in);
   // Let workers retire their open spans before the session writes the

@@ -102,7 +102,7 @@ bool datasets_bit_identical(const ml::Dataset& a, const ml::Dataset& b) {
 int run(const coloc::CliArgs& args) {
   using namespace coloc;
   const bench::HarnessConfig config = bench::HarnessConfig::from_cli(args);
-  const obs::ObsSession session(config.run_session());
+  obs::ObsSession session(config.run_session());
   const std::string out_path = args.get("out", "BENCH_pipeline.json");
 
   // --- Stage 1: collection campaign (Table V sweep on the 6-core Xeon),
@@ -288,7 +288,7 @@ int run(const coloc::CliArgs& args) {
       {{"seed", std::to_string(config.seed)},
        {"machine", machine.name},
        {"nn_iters", std::to_string(zoo_config.zoo.mlp.max_iterations)}});
-  obs::add_manifest_extra("zoo_bundle_digest", saved.bundle_digest);
+  session.add_manifest_extra("zoo_bundle_digest", saved.bundle_digest);
 
   t0 = std::chrono::steady_clock::now();
   const core::ZooLoadOutcome warm = core::load_or_repair_zoo(

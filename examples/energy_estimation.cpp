@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     const double coloc_j =
         sched::energy_j(machine, p, active_cores, coloc_s) /
         static_cast<double>(active_cores);
-    table.add_row({"P" + std::to_string(p),
+    table.add_row({std::string("P").append(std::to_string(p)),
                    TextTable::num(machine.pstates[p].frequency_ghz, 2),
                    TextTable::num(alone_s, 0), TextTable::num(coloc_s, 0),
                    TextTable::num(alone_j / 1000.0, 1),

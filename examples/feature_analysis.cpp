@@ -57,12 +57,10 @@ int main(int argc, char** argv) {
   pca_table.print(std::cout);
 
   // ---- 2. Forward selection with the linear model (fast). ---------------
-  ml::ForwardSelectionOptions fs_options;
-  fs_options.validation.partitions = partitions;
   const ml::ModelFactory linear_factory = core::make_model_factory(
       {core::ModelTechnique::kLinear, core::FeatureSet::kF});
   const auto selection = ml::forward_select_features(
-      campaign.dataset, linear_factory, fs_options);
+      campaign.dataset, linear_factory, {.partitions = partitions});
   TextTable fs_table("Greedy forward selection (linear model, test MPE)");
   fs_table.set_columns({"step", "feature added", "test MPE (%)"});
   for (std::size_t i = 0; i < selection.steps.size(); ++i) {

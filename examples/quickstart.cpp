@@ -145,8 +145,8 @@ int main(int argc, char** argv) {
     std::printf("  zoo bundle %s: %s%s\n", zoo_in.c_str(),
                 outcome.report.summary().c_str(),
                 outcome.repaired ? " (repaired on disk)" : "");
-    obs::add_manifest_extra("zoo_bundle_digest",
-                            outcome.report.bundle_digest);
+    session->add_manifest_extra("zoo_bundle_digest",
+                                outcome.report.bundle_digest);
     reloaded_nn_f = std::move(outcome.zoo.models.at(model_id.name()));
   }
   if (!zoo_out.empty()) {
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
         core::save_trained_zoo(zoo_out, full_zoo, provenance());
     std::printf("  zoo bundle saved to %s (12 models, digest %s)\n",
                 zoo_out.c_str(), saved.bundle_digest.c_str());
-    obs::add_manifest_extra("zoo_bundle_digest", saved.bundle_digest);
+    session->add_manifest_extra("zoo_bundle_digest", saved.bundle_digest);
   }
 
   const core::ColocationPredictor predictor =

@@ -3,6 +3,8 @@
 #include <memory>
 #include <numeric>
 
+#include "ml/linear_model.hpp"
+
 namespace coloc::core {
 
 std::string to_string(ModelTechnique technique) {
@@ -19,11 +21,9 @@ ml::ModelFactory make_model_factory(const ModelId& id,
                                     const ModelZooOptions& options,
                                     std::uint64_t seed_salt) {
   if (id.technique == ModelTechnique::kLinear) {
-    const ml::LinearModelOptions linear = options.linear;
-    return [linear](const linalg::Matrix& x,
-                    std::span<const double> y) -> ml::RegressorPtr {
-      return std::make_unique<ml::LinearModel>(
-          ml::LinearModel::fit(x, y, linear));
+    return [](const linalg::Matrix& x,
+              std::span<const double> y) -> ml::RegressorPtr {
+      return std::make_unique<ml::LinearModel>(ml::LinearModel::fit(x, y));
     };
   }
 

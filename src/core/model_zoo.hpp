@@ -8,7 +8,6 @@
 #include <string>
 
 #include "core/feature_sets.hpp"
-#include "ml/linear_model.hpp"
 #include "ml/mlp.hpp"
 #include "ml/validation.hpp"
 
@@ -32,7 +31,6 @@ struct ModelId {
 };
 
 struct ModelZooOptions {
-  ml::LinearModelOptions linear;
   ml::MlpOptions mlp;  // hidden_units is overridden by the 10-20 rule
   /// Disable the width rule and use mlp.hidden_units verbatim.
   bool fixed_hidden_units = false;

@@ -154,10 +154,9 @@ double ResilientRunner::backoff_ms(const std::string& tag,
   for (std::size_t i = 0; i < attempt; ++i) {
     delay = std::min(delay * 2.0, policy_.max_backoff_ms);
   }
-  std::uint64_t h = 77;  // jitter stream seed
-  for (char c : tag) h = h * 0x100000001b3ULL + static_cast<unsigned char>(c);
-  h ^= attempt * 0x9e3779b97f4a7c15ULL;
-  Rng rng(splitmix64(h));
+  // The hash behind every FaultPlan decision; salt 0 keeps the jitter
+  // stream apart from the plan's decisions (salts 1-3).
+  Rng rng(detail::mix(77, tag, attempt, 0));
   return delay * rng.uniform(1.0 - RetryPolicy::kJitter,
                              1.0 + RetryPolicy::kJitter);
 }

@@ -1,6 +1,5 @@
 #include "ml/feature_selection.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/error.hpp"
@@ -9,18 +8,14 @@ namespace coloc::ml {
 
 ForwardSelectionResult forward_select_features(
     const Dataset& data, const ModelFactory& factory,
-    const ForwardSelectionOptions& options) {
+    const ValidationOptions& validation) {
   const std::size_t total = data.num_features();
   COLOC_CHECK_MSG(total > 0, "dataset has no features");
-  const std::size_t budget =
-      options.max_features == 0 ? total
-                                : std::min(options.max_features, total);
 
   ForwardSelectionResult result;
   std::vector<bool> used(total, false);
-  double best_so_far = std::numeric_limits<double>::infinity();
 
-  while (result.selected.size() < budget) {
+  while (result.selected.size() < total) {
     std::size_t best_column = total;
     double best_mpe = std::numeric_limits<double>::infinity();
 
@@ -29,7 +24,7 @@ ForwardSelectionResult forward_select_features(
       std::vector<std::size_t> columns = result.selected;
       columns.push_back(candidate);
       const ValidationResult r = repeated_subsampling_validation(
-          data, columns, factory, options.validation);
+          data, columns, factory, validation);
       if (r.test_mpe < best_mpe) {
         best_mpe = r.test_mpe;
         best_column = candidate;
@@ -37,15 +32,10 @@ ForwardSelectionResult forward_select_features(
     }
     COLOC_CHECK(best_column < total);
 
-    if (options.min_improvement > 0.0 && !result.selected.empty() &&
-        best_so_far - best_mpe < options.min_improvement) {
-      break;  // no candidate improves enough
-    }
     used[best_column] = true;
     result.selected.push_back(best_column);
     result.steps.push_back(SelectionStep{
         best_column, data.feature_names()[best_column], best_mpe});
-    best_so_far = std::min(best_so_far, best_mpe);
   }
   return result;
 }

@@ -15,16 +15,6 @@
 
 namespace coloc::ml {
 
-struct ForwardSelectionOptions {
-  /// Stop after selecting this many features (0 = all).
-  std::size_t max_features = 0;
-  /// Stop early when the best addition improves MPE by less than this
-  /// (absolute percentage points). 0 disables early stopping: all
-  /// features are ranked even when later ones add nothing.
-  double min_improvement = 0.0;
-  ValidationOptions validation;
-};
-
 struct SelectionStep {
   std::size_t feature_column = 0;
   std::string feature_name;
@@ -34,14 +24,15 @@ struct SelectionStep {
 struct ForwardSelectionResult {
   /// Chosen columns in selection order.
   std::vector<std::size_t> selected;
-  /// One entry per accepted feature, in order.
+  /// One entry per selected feature, in order.
   std::vector<SelectionStep> steps;
 };
 
 /// Greedily grows a feature set from empty, at each step adding the
-/// candidate column that minimizes validated test MPE.
+/// candidate column that minimizes test MPE under `validation`, until
+/// every feature is ranked (later steps may add nothing).
 ForwardSelectionResult forward_select_features(
     const Dataset& data, const ModelFactory& factory,
-    const ForwardSelectionOptions& options = {});
+    const ValidationOptions& validation = {});
 
 }  // namespace coloc::ml

@@ -50,16 +50,11 @@ double KnnRegressor::predict(std::span<const double> features) const {
   double value_sum = 0.0;
   for (std::size_t j = 0; j < k; ++j) {
     const auto [d2, idx] = distances[j];
-    if (options_.distance_weighted) {
-      // Exact match dominates; otherwise inverse-distance weights.
-      if (d2 < 1e-24) return targets_[idx];
-      const double w = 1.0 / std::sqrt(d2);
-      weight_sum += w;
-      value_sum += w * targets_[idx];
-    } else {
-      weight_sum += 1.0;
-      value_sum += targets_[idx];
-    }
+    // Exact match dominates; otherwise inverse-distance weights.
+    if (d2 < 1e-24) return targets_[idx];
+    const double w = 1.0 / std::sqrt(d2);
+    weight_sum += w;
+    value_sum += w * targets_[idx];
   }
   return value_sum / weight_sum;
 }
@@ -67,7 +62,7 @@ double KnnRegressor::predict(std::span<const double> features) const {
 std::string KnnRegressor::describe() const {
   std::ostringstream os;
   os << "KnnRegressor(k=" << options_.k << ", points=" << targets_.size()
-     << (options_.distance_weighted ? ", weighted" : ", uniform") << ")";
+     << ")";
   return os.str();
 }
 

@@ -17,14 +17,13 @@ namespace coloc::ml {
 
 struct KnnOptions {
   std::size_t k = 5;
-  /// Weight neighbours by inverse distance instead of uniformly.
-  bool distance_weighted = true;
 };
 
 class KnnRegressor final : public Regressor {
  public:
-  /// Stores the (standardized) training set; prediction is a weighted
-  /// average of the k nearest training targets.
+  /// Stores the (standardized) training set; prediction is the
+  /// inverse-distance weighted average of the k nearest training targets
+  /// (an exact match returns its stored target).
   static KnnRegressor fit(const linalg::Matrix& x, std::span<const double> y,
                           const KnnOptions& options = {});
 

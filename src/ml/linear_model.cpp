@@ -9,20 +9,21 @@
 
 namespace coloc::ml {
 
+namespace {
+// The ridge penalty of the retry on a singular system.
+constexpr double kSingularRidge = 1e-8;
+}  // namespace
+
 LinearModel LinearModel::fit(const linalg::Matrix& x,
-                             std::span<const double> y,
-                             const LinearModelOptions& options) {
+                             std::span<const double> y) {
   COLOC_CHECK_MSG(x.rows() == y.size(), "row/target count mismatch");
   COLOC_CHECK_MSG(x.rows() > x.cols(),
                   "need more observations than features");
   const std::size_t n = x.cols();
 
   linalg::Matrix design = x;
-  Standardizer scaler;
-  if (options.standardize) {
-    scaler = Standardizer::fit(design);
-    scaler.transform(design);
-  }
+  const Standardizer scaler = Standardizer::fit(design);
+  scaler.transform(design);
 
   // Augment with an intercept column of ones.
   linalg::Matrix aug(design.rows(), n + 1);
@@ -33,50 +34,38 @@ LinearModel LinearModel::fit(const linalg::Matrix& x,
     dst[n] = 1.0;
   }
 
-  // Ridge on feature coefficients only: augment rows sqrt(lambda)*e_i for
-  // i < n so the intercept stays unpenalized.
-  auto solve_with_ridge = [&aug, &y, n](double lambda) {
+  // The paper uses SciPy's linear least squares, which resolves rank
+  // deficiency via a minimum-norm (SVD) solution. We approximate that by
+  // retrying with a tiny ridge when plain QR reports a singular system —
+  // e.g. when co-runner feature columns are exactly collinear because a
+  // sweep used few distinct co-runner applications.
+  linalg::Vector beta;
+  try {
+    linalg::Matrix copy = aug;
+    beta = linalg::QR(std::move(copy)).solve(y);
+  } catch (const coloc::runtime_error&) {
+    // Ridge on feature coefficients only: augment rows sqrt(lambda)*e_i
+    // for i < n so the intercept stays unpenalized.
     const std::size_t m = aug.rows();
     linalg::Matrix raug(m + n, n + 1, 0.0);
     for (std::size_t r = 0; r < m; ++r)
       for (std::size_t c = 0; c <= n; ++c) raug(r, c) = aug(r, c);
-    const double s = std::sqrt(lambda);
+    const double s = std::sqrt(kSingularRidge);
     for (std::size_t i = 0; i < n; ++i) raug(m + i, i) = s;
     linalg::Vector rhs(m + n, 0.0);
     for (std::size_t r = 0; r < m; ++r) rhs[r] = y[r];
-    return linalg::QR(std::move(raug)).solve(rhs);
-  };
-
-  linalg::Vector beta;
-  if (options.ridge_lambda > 0.0) {
-    beta = solve_with_ridge(options.ridge_lambda);
-  } else {
-    // The paper uses SciPy's linear least squares, which resolves rank
-    // deficiency via a minimum-norm (SVD) solution. We approximate that by
-    // retrying with a tiny ridge when plain QR reports a singular system —
-    // e.g. when co-runner feature columns are exactly collinear because a
-    // sweep used few distinct co-runner applications.
-    try {
-      linalg::Matrix copy = aug;
-      beta = linalg::QR(std::move(copy)).solve(y);
-    } catch (const coloc::runtime_error&) {
-      beta = solve_with_ridge(1e-8);
-    }
+    beta = linalg::QR(std::move(raug)).solve(rhs);
   }
 
+  // Map standardized-space coefficients back to raw feature units:
+  //   y = sum b_i (x_i - mu_i)/sd_i + b0
+  //     = sum (b_i/sd_i) x_i + (b0 - sum b_i mu_i / sd_i).
   LinearModel model;
   model.coef_.assign(n, 0.0);
   model.intercept_ = beta[n];
-  if (options.standardize) {
-    // Map standardized-space coefficients back to raw feature units:
-    //   y = sum b_i (x_i - mu_i)/sd_i + b0
-    //     = sum (b_i/sd_i) x_i + (b0 - sum b_i mu_i / sd_i).
-    for (std::size_t i = 0; i < n; ++i) {
-      model.coef_[i] = beta[i] / scaler.stddevs()[i];
-      model.intercept_ -= beta[i] * scaler.means()[i] / scaler.stddevs()[i];
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) model.coef_[i] = beta[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    model.coef_[i] = beta[i] / scaler.stddevs()[i];
+    model.intercept_ -= beta[i] * scaler.means()[i] / scaler.stddevs()[i];
   }
   return model;
 }

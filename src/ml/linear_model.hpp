@@ -1,9 +1,10 @@
 // Linear regression model (Section III-C, Eq. 1):
 //   co-located execution time = sum_i coefficient_i * feature_i + constant
 //
-// Coefficients are fitted by linear least squares (Householder QR), the
-// numerical equivalent of the SciPy routine the paper used. An optional
-// ridge penalty stabilizes nearly collinear feature sets.
+// Coefficients are fitted by ordinary least squares (Householder QR on
+// standardized features), the numerical equivalent of the SciPy routine
+// the paper used. A system that QR reports singular — exactly collinear
+// co-runner columns — is refitted with a tiny ridge penalty.
 #pragma once
 
 #include <span>
@@ -12,20 +13,13 @@
 
 namespace coloc::ml {
 
-struct LinearModelOptions {
-  /// Ridge penalty on the standardized coefficients; 0 = plain OLS.
-  double ridge_lambda = 0.0;
-  /// Standardize features before fitting (recommended; the intercept and
-  /// coefficients reported by coefficients() are mapped back to raw units).
-  bool standardize = true;
-};
-
 class LinearModel final : public Regressor {
  public:
   /// Fits on a design matrix of raw features (no intercept column; the
-  /// model adds its own constant term, as in Eq. 1).
-  static LinearModel fit(const linalg::Matrix& x, std::span<const double> y,
-                         const LinearModelOptions& options = {});
+  /// model adds its own constant term, as in Eq. 1). Features are
+  /// standardized for the solve; coefficients() and intercept() are in raw
+  /// units.
+  static LinearModel fit(const linalg::Matrix& x, std::span<const double> y);
 
   double predict(std::span<const double> features) const override;
   /// Row-wise dot products straight into the caller's buffer — the linear

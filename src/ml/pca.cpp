@@ -9,7 +9,7 @@
 
 namespace coloc::ml {
 
-PcaResult pca_fit(const linalg::Matrix& x, const PcaOptions& options) {
+PcaResult pca_fit(const linalg::Matrix& x) {
   COLOC_CHECK_MSG(x.rows() >= 2, "PCA needs at least two observations");
   const std::size_t n = x.cols();
   COLOC_CHECK_MSG(n >= 1, "PCA needs at least one feature");
@@ -21,13 +21,11 @@ PcaResult pca_fit(const linalg::Matrix& x, const PcaOptions& options) {
     RunningStats rs;
     for (std::size_t r = 0; r < x.rows(); ++r) rs.add(x(r, c));
     result.means[c] = rs.mean();
-    if (options.standardize) {
-      const double sd = rs.stddev();
-      result.scales[c] = sd > 1e-12 ? sd : 1.0;
-    }
+    const double sd = rs.stddev();
+    result.scales[c] = sd > 1e-12 ? sd : 1.0;
   }
 
-  // Covariance (or correlation) matrix of the centered/scaled data.
+  // Correlation matrix: the covariance of the standardized data.
   linalg::Matrix cov(n, n, 0.0);
   const double denom = static_cast<double>(x.rows() - 1);
   std::vector<double> row(n);

@@ -3,7 +3,9 @@
 // The paper selected its eight model features by running PCA over the
 // collected data and ranking features "according to variance of their
 // output". We provide both the decomposition and the per-feature importance
-// score used for that ranking.
+// score used for that ranking. The decomposition is correlation PCA: each
+// column is standardized first, because the paper's features span orders
+// of magnitude.
 #pragma once
 
 #include <string>
@@ -15,24 +17,19 @@
 namespace coloc::ml {
 
 struct PcaResult {
-  /// Eigenvalues of the (standardized) covariance matrix, descending.
+  /// Eigenvalues of the correlation matrix, descending.
   std::vector<double> explained_variance;
   /// explained_variance normalized to sum to 1.
   std::vector<double> explained_variance_ratio;
   /// Column i is the i-th principal axis (loadings per feature).
   linalg::Matrix components;
-  /// Feature means/stddevs used for centering (and scaling if standardized).
+  /// Feature means and stddevs used to standardize each column (a
+  /// constant column keeps scale 1).
   std::vector<double> means;
   std::vector<double> scales;
 };
 
-struct PcaOptions {
-  /// Correlation PCA (standardize columns) rather than covariance PCA.
-  /// Recommended here: the paper's features span orders of magnitude.
-  bool standardize = true;
-};
-
-PcaResult pca_fit(const linalg::Matrix& x, const PcaOptions& options = {});
+PcaResult pca_fit(const linalg::Matrix& x);
 
 /// Per-feature importance: sum over components of
 /// |loading| * explained_variance_ratio. This is the ranking the paper uses

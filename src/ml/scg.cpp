@@ -16,7 +16,10 @@ namespace {
 // and the damping lambda.
 constexpr double kSigma0 = 1e-5;
 constexpr double kLambda0 = 1e-7;
-// Consecutive below-value_tolerance improvements that count as converged.
+// A successful step whose relative value improvement falls below
+// kValueTolerance stalls; kStallPatience consecutive stalls count as
+// converged.
+constexpr double kValueTolerance = 1e-12;
 constexpr std::size_t kStallPatience = 8;
 
 struct ScgMetrics {
@@ -142,7 +145,7 @@ ScgResult scg_minimize(const ScgObjective& objective,
 
       const double rel_impr =
           std::abs(f_prev - f) / std::max(1.0, std::abs(f_prev));
-      stall = rel_impr < options.value_tolerance ? stall + 1 : 0;
+      stall = rel_impr < kValueTolerance ? stall + 1 : 0;
       if (stall >= kStallPatience) {
         result.converged = true;
         ++k;
@@ -353,7 +356,7 @@ std::vector<ScgResult> scg_minimize_batch(const ScgBatchObjective& objective,
 
         const double rel_impr =
             std::abs(f_prev - f[j]) / std::max(1.0, std::abs(f_prev));
-        stall[j] = rel_impr < options.value_tolerance ? stall[j] + 1 : 0;
+        stall[j] = rel_impr < kValueTolerance ? stall[j] + 1 : 0;
         if (stall[j] >= kStallPatience) {
           // The sequential path breaks before the final damping update.
           done[j] = 1;

@@ -22,11 +22,10 @@ struct ScgObjective {
 
 struct ScgOptions {
   std::size_t max_iterations = 300;
-  /// Stop when the gradient's 2-norm falls below this.
+  /// Stop when the gradient's 2-norm falls below this. A run also stops,
+  /// converged, once the relative value improvement stays below 1e-12 for
+  /// 8 consecutive successful steps (constants in scg.cpp).
   double gradient_tolerance = 1e-7;
-  /// Stop when |f_k - f_{k+1}| relative improvement stays below this for
-  /// 8 consecutive iterations.
-  double value_tolerance = 1e-12;
 };
 
 struct ScgResult {

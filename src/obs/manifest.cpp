@@ -1,10 +1,7 @@
 #include "obs/manifest.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -70,32 +67,7 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-std::mutex& extras_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::map<std::string, std::string>& extras_registry() {
-  static std::map<std::string, std::string> registry;
-  return registry;
-}
-
 }  // namespace
-
-void add_manifest_extra(const std::string& key, const std::string& value) {
-  std::lock_guard<std::mutex> lock(extras_mutex());
-  extras_registry()[key] = value;
-}
-
-std::vector<std::pair<std::string, std::string>> manifest_extras() {
-  std::lock_guard<std::mutex> lock(extras_mutex());
-  return {extras_registry().begin(), extras_registry().end()};
-}
-
-void clear_manifest_extras() {
-  std::lock_guard<std::mutex> lock(extras_mutex());
-  extras_registry().clear();
-}
 
 Manifest Manifest::collect(const ManifestInfo& info,
                            const MetricsSnapshot& snapshot,
@@ -110,13 +82,6 @@ Manifest Manifest::collect(const ManifestInfo& info,
   m.cpu_seconds = process_cpu_seconds();
   // Qualified: the data member of the same name shadows the free function.
   m.peak_rss_kb = coloc::obs::peak_rss_kb();
-  // Fold in the process-global extras; explicit info.extra entries win.
-  for (const auto& [k, v] : manifest_extras()) {
-    const bool present = std::any_of(
-        m.info.extra.begin(), m.info.extra.end(),
-        [&k = k](const auto& kv) { return kv.first == k; });
-    if (!present) m.info.extra.emplace_back(k, v);
-  }
   m.metrics_digest = hex16(fnv1a64(coloc::obs::to_json(snapshot)));
   return m;
 }

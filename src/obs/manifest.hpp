@@ -43,22 +43,11 @@ struct ManifestInfo {
   std::uint64_t seed = 0;
   std::size_t jobs = 0;
   double fault_rate = 0.0;
-  /// Free-form extra key/value pairs (CLI flags worth recording).
+  /// Free-form extra key/value pairs (CLI flags worth recording, and
+  /// results such as the zoo bundle digest via
+  /// ObsSession::add_manifest_extra), in insertion order.
   std::vector<std::pair<std::string, std::string>> extra;
 };
-
-/// Registers a process-global extra key/value recorded into every
-/// subsequently collected manifest (deduplicated by key, last write
-/// wins). Lets deep layers (store, supervisor) annotate the run manifest
-/// — e.g. the zoo bundle digest — without threading the ManifestInfo
-/// through every call chain.
-void add_manifest_extra(const std::string& key, const std::string& value);
-
-/// Snapshot of the registered extras, sorted by key (mainly for tests).
-std::vector<std::pair<std::string, std::string>> manifest_extras();
-
-/// Clears the registered extras (tests).
-void clear_manifest_extras();
 
 struct Manifest {
   ManifestInfo info;

@@ -29,6 +29,18 @@ ObsSession::ObsSession(ObsOptions options)
 
 ObsSession::~ObsSession() { finalize(); }
 
+void ObsSession::add_manifest_extra(const std::string& key,
+                                    const std::string& value) {
+  auto& extra = options_.manifest.extra;
+  for (auto& [k, v] : extra) {
+    if (k == key) {
+      v = value;
+      return;
+    }
+  }
+  extra.emplace_back(key, value);
+}
+
 double ObsSession::elapsed_seconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start_)

@@ -51,6 +51,11 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
+  /// Records `key` = `value` in the manifest's extras, written at
+  /// finalize: a new key is appended after the existing extras, and a
+  /// repeated key keeps its place and takes the last value.
+  void add_manifest_extra(const std::string& key, const std::string& value);
+
   /// Flushes everything once (idempotent; also run by the destructor):
   /// uninstalls the trace sink, writes the bundle, prints the resource
   /// report.

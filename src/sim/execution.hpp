@@ -30,7 +30,7 @@ struct MeasurementOptions {
   double time_noise_sigma = 0.01;
   double counter_noise_sigma = 0.003;
   std::uint64_t seed = 99;
-  ContentionOptions contention;
+  ContentionOptions contention{};
 };
 
 /// What one profiled run of a target application yields.

@@ -32,11 +32,7 @@ ModelFactory linear_factory() {
   };
 }
 
-ForwardSelectionOptions quick_options() {
-  ForwardSelectionOptions options;
-  options.validation.partitions = 8;
-  return options;
-}
+ValidationOptions quick_options() { return {.partitions = 8}; }
 
 TEST(ForwardSelection, PicksStrongFeatureFirst) {
   const Dataset ds = tiered_dataset(200, 1);
@@ -53,24 +49,6 @@ TEST(ForwardSelection, ErrorsAreNonincreasingIsh) {
       forward_select_features(ds, linear_factory(), quick_options());
   ASSERT_GE(result.steps.size(), 2u);
   EXPECT_LE(result.steps[1].test_mpe, result.steps[0].test_mpe * 1.05);
-}
-
-TEST(ForwardSelection, RespectsMaxFeatures) {
-  const Dataset ds = tiered_dataset(150, 3);
-  ForwardSelectionOptions options = quick_options();
-  options.max_features = 2;
-  const auto result =
-      forward_select_features(ds, linear_factory(), options);
-  EXPECT_EQ(result.selected.size(), 2u);
-}
-
-TEST(ForwardSelection, MinImprovementStopsEarly) {
-  const Dataset ds = tiered_dataset(200, 4);
-  ForwardSelectionOptions options = quick_options();
-  options.min_improvement = 50.0;  // nothing after the first can add 50pp
-  const auto result =
-      forward_select_features(ds, linear_factory(), options);
-  EXPECT_EQ(result.selected.size(), 1u);
 }
 
 TEST(ForwardSelection, SelectsAllWhenUnconstrained) {

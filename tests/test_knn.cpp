@@ -24,19 +24,10 @@ TEST(Knn, OneNeighborReturnsNearestTarget) {
   EXPECT_DOUBLE_EQ(m.predict(std::vector<double>{8.0}), 2.0);
 }
 
-TEST(Knn, UniformWeightsAverageNeighbors) {
-  linalg::Matrix x{{0.0}, {1.0}, {100.0}};
-  const std::vector<double> y = {0.0, 10.0, 99.0};
-  const KnnRegressor m = KnnRegressor::fit(
-      x, y, {.k = 2, .distance_weighted = false});
-  EXPECT_DOUBLE_EQ(m.predict(std::vector<double>{0.5}), 5.0);
-}
-
 TEST(Knn, DistanceWeightingFavorsCloserPoint) {
   linalg::Matrix x{{0.0}, {10.0}};
   const std::vector<double> y = {0.0, 10.0};
-  const KnnRegressor m = KnnRegressor::fit(
-      x, y, {.k = 2, .distance_weighted = true});
+  const KnnRegressor m = KnnRegressor::fit(x, y, {.k = 2});
   // Query at 2: distance 2 vs 8 -> prediction below the midpoint 5.
   EXPECT_LT(m.predict(std::vector<double>{2.0}), 5.0);
   EXPECT_GT(m.predict(std::vector<double>{2.0}), 0.0);
@@ -76,8 +67,8 @@ TEST(Knn, StandardizationMakesScalesComparable) {
 TEST(Knn, KLargerThanDatasetClamps) {
   linalg::Matrix x{{0.0}, {1.0}};
   const std::vector<double> y = {2.0, 4.0};
-  const KnnRegressor m = KnnRegressor::fit(
-      x, y, {.k = 50, .distance_weighted = false});
+  const KnnRegressor m = KnnRegressor::fit(x, y, {.k = 50});
+  // Both points are equidistant, so their inverse-distance weights match.
   EXPECT_DOUBLE_EQ(m.predict(std::vector<double>{0.5}), 3.0);
 }
 

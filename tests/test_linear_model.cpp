@@ -24,23 +24,6 @@ TEST(LinearModelTest, RecoversExactLinearRelation) {
   EXPECT_NEAR(m.predict(std::vector<double>{1.0, 1.0}), 8.0, 1e-9);
 }
 
-TEST(LinearModelTest, StandardizedAndRawGiveSamePredictions) {
-  coloc::Rng rng(2);
-  linalg::Matrix x(40, 2);
-  std::vector<double> y(40);
-  for (std::size_t i = 0; i < 40; ++i) {
-    x(i, 0) = rng.uniform(1000, 2000);  // large-scale feature
-    x(i, 1) = rng.uniform(0, 1e-3);     // tiny-scale feature
-    y[i] = 0.01 * x(i, 0) + 500.0 * x(i, 1) + rng.normal(0, 0.01);
-  }
-  const LinearModel std_m =
-      LinearModel::fit(x, y, {.ridge_lambda = 0.0, .standardize = true});
-  const LinearModel raw_m =
-      LinearModel::fit(x, y, {.ridge_lambda = 0.0, .standardize = false});
-  const std::vector<double> probe = {1500.0, 5e-4};
-  EXPECT_NEAR(std_m.predict(probe), raw_m.predict(probe), 1e-6);
-}
-
 TEST(LinearModelTest, NoisyFitHasSmallError) {
   coloc::Rng rng(3);
   linalg::Matrix x(200, 3);
@@ -54,33 +37,22 @@ TEST(LinearModelTest, NoisyFitHasSmallError) {
   EXPECT_LT(mean_percent_error(pred, y), 1.0);
 }
 
-TEST(LinearModelTest, RidgeShrinks) {
+TEST(LinearModelTest, CollinearColumnsFitThroughTheRidgeRetry) {
+  // Two identical columns make the QR system singular; the fit retries
+  // with a tiny ridge, which splits the slope evenly between them.
   coloc::Rng rng(4);
-  linalg::Matrix x(50, 2);
-  std::vector<double> y(50);
-  for (std::size_t i = 0; i < 50; ++i) {
-    x(i, 0) = rng.normal();
-    x(i, 1) = rng.normal();
-    y[i] = 2.0 * x(i, 0) + 2.0 * x(i, 1);
+  linalg::Matrix x(40, 2);
+  std::vector<double> y(40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    x(i, 0) = rng.uniform(0, 10);
+    x(i, 1) = x(i, 0);
+    y[i] = 3.0 * x(i, 0) + 7.0;
   }
-  const LinearModel ols = LinearModel::fit(x, y);
-  const LinearModel ridge = LinearModel::fit(x, y, {.ridge_lambda = 1000.0});
-  EXPECT_LT(std::abs(ridge.coefficients()[0]),
-            std::abs(ols.coefficients()[0]));
-}
-
-TEST(LinearModelTest, RidgeDoesNotPenalizeIntercept) {
-  // With a huge ridge penalty, coefficients go to ~0 but the intercept
-  // should still approach the target mean.
-  coloc::Rng rng(5);
-  linalg::Matrix x(50, 1);
-  std::vector<double> y(50);
-  for (std::size_t i = 0; i < 50; ++i) {
-    x(i, 0) = rng.normal();
-    y[i] = 50.0 + x(i, 0);
-  }
-  const LinearModel m = LinearModel::fit(x, y, {.ridge_lambda = 1e9});
-  EXPECT_NEAR(m.predict(std::vector<double>{0.0}), 50.0, 1.0);
+  const LinearModel m = LinearModel::fit(x, y);  // must not throw
+  EXPECT_NEAR(m.coefficients()[0], 1.5, 1e-6);
+  EXPECT_NEAR(m.coefficients()[1], 1.5, 1e-6);
+  EXPECT_NEAR(m.intercept(), 7.0, 1e-6);
+  EXPECT_NEAR(m.predict(std::vector<double>{2.0, 2.0}), 13.0, 1e-6);
 }
 
 TEST(LinearModelTest, PredictWidthMismatchThrows) {

@@ -497,6 +497,24 @@ TEST(ObsSession, BundleHoldsExactlyManifestMetricsAndTrace) {
                   .is_array());
 }
 
+TEST(ObsSession, ManifestExtrasKeepTheirOrderAndTakeTheLastWrite) {
+  const std::string dir = testing::TempDir() + "coloc_session_extras";
+  std::filesystem::remove_all(dir);
+  obs::ObsOptions options;
+  options.bundle_dir = dir;
+  options.manifest.extra = {{"partitions", "6"}, {"quick", "0"}};
+  {
+    obs::ObsSession session(options);
+    session.add_manifest_extra("zoo_bundle_digest", "00aa");
+    session.add_manifest_extra("partitions", "7");
+    session.add_manifest_extra("zoo_bundle_digest", "00bb");
+  }
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"partitions", "7"}, {"quick", "0"}, {"zoo_bundle_digest", "00bb"}};
+  EXPECT_EQ(obs::Manifest::from_json_file(dir + "/manifest.json").info.extra,
+            want);
+}
+
 TEST(ObsSession, UncreatableBundleDirectoryThrowsNamingIt) {
   // A regular file cannot hold a directory: the session refuses at
   // construction, before the run, and names the path.

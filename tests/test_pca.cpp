@@ -42,7 +42,7 @@ TEST(Pca, FindsDominantDirection) {
     x(r, 0) = t + n;
     x(r, 1) = t - n;
   }
-  const PcaResult pca = pca_fit(x, {.standardize = false});
+  const PcaResult pca = pca_fit(x);
   EXPECT_GT(pca.explained_variance_ratio[0], 0.99);
   // First component is (1,1)/sqrt(2) up to sign.
   EXPECT_NEAR(std::abs(pca.components(0, 0)), 1.0 / std::sqrt(2.0), 1e-2);
@@ -56,7 +56,7 @@ TEST(Pca, StandardizedIgnoresScale) {
     x(r, 0) = rng.normal(0, 1e6);  // huge scale, independent
     x(r, 1) = rng.normal(0, 1e-6);
   }
-  const PcaResult pca = pca_fit(x, {.standardize = true});
+  const PcaResult pca = pca_fit(x);
   // With standardization, independent features share variance ~equally.
   EXPECT_LT(pca.explained_variance_ratio[0], 0.7);
 }
@@ -90,7 +90,7 @@ TEST(Pca, TransformedVarianceMatchesEigenvalues) {
     x(r, 0) = rng.normal(0, 2.0);
     x(r, 1) = rng.normal(0, 1.0);
   }
-  const PcaResult pca = pca_fit(x, {.standardize = false});
+  const PcaResult pca = pca_fit(x);
   const linalg::Matrix z = scores(pca, x);
   for (std::size_t c = 0; c < 2; ++c) {
     double var = 0.0;

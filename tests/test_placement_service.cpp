@@ -142,7 +142,7 @@ TEST_F(PlacementServiceTest, PredictBatchMatchesPredictTime) {
 
   for (std::size_t pstate = 0; pstate < tiny_machine().pstates.size();
        ++pstate) {
-    for (const std::string& name : {"quiet", "light", "hog"}) {
+    for (const char* name : {"quiet", "light", "hog"}) {
       const AppId target = service.id_of(name);
       double out = 0.0;
       service.predict_batch({&target, 1},

@@ -58,7 +58,6 @@ TEST(Scg, RosenbrockReachesValley) {
       }};
   ScgOptions options;
   options.max_iterations = 5000;
-  options.value_tolerance = 0.0;
   const ScgResult r = scg_minimize(obj, std::vector<double>{-1.2, 1.0},
                                    options);
   EXPECT_LT(r.value, 1e-3);
