@@ -13,8 +13,10 @@
 //      rate, energy, and replay wall time.
 //
 // Writes a machine-readable BENCH_placement.json (override with
-// --out=FILE). The exit status reflects ONLY the correctness gates —
-// never timing — so CI can run this on noisy shared runners:
+// --out=FILE). Its `zoo_bundle_digest`, also a --bundle-out manifest
+// extra, names the zoo bundle the warm-start gate served. The exit status
+// reflects ONLY the correctness gates — never timing — so CI can run this
+// on noisy shared runners:
 //   gate interference_beats_first_fit    IA mean slowdown < first-fit
 //   gate interference_beats_least_loaded IA mean slowdown < least-loaded
 //   gate replay_deterministic            IA replayed twice (inside the
@@ -104,7 +106,7 @@ int run(const coloc::CliArgs& args) {
   const std::size_t arrivals =
       args.get_int("arrivals", config.quick ? 20'000 : 1'000'000);
   const double utilization = args.get_double("utilization", 0.5);
-  const obs::ObsSession session(config.run_session());
+  obs::ObsSession session(config.run_session());
   const std::string out_path = args.get("out", "BENCH_placement.json");
 
   // --- Pipeline: quick campaign -> deployable nn-F predictor.
@@ -277,8 +279,10 @@ int run(const coloc::CliArgs& args) {
       !config.zoo_out.empty() ? config.zoo_out
                               : std::string("BENCH_placement_zoo");
   const std::string model_name = pipeline.predictor.id().name();
-  store::save_zoo(bundle_dir, {{model_name, &pipeline.predictor.model()}},
-                  {{"machine", machine.name}});
+  const store::ZooSaveResult saved = store::save_zoo(
+      bundle_dir, {{model_name, &pipeline.predictor.model()}},
+      {{"machine", machine.name}});
+  session.add_manifest_extra("zoo_bundle_digest", saved.bundle_digest);
   const core::ColocationPredictor reloaded =
       serve::load_bundle_predictor(bundle_dir, pipeline.predictor.id());
   const serve::ReplayOutcome warm =
@@ -302,6 +306,7 @@ int run(const coloc::CliArgs& args) {
      << "  \"query_latency_p50_s\": " << p50 << ",\n"
      << "  \"query_latency_p99_s\": " << p99 << ",\n"
      << "  \"replay_total_seconds\": " << replay_total_s << ",\n"
+     << "  \"zoo_bundle_digest\": \"" << saved.bundle_digest << "\",\n"
      << "  \"policies\": {\n";
   for (std::size_t i = 0; i < policies.size(); ++i) {
     const serve::ReplayOutcome& r = results[i];

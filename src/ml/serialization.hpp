@@ -25,7 +25,11 @@ namespace coloc::ml {
 /// types without serialization support.
 void save_model(std::ostream& os, const Regressor& model);
 
-/// Reads a model written by save_model.
+/// Reads a model written by save_model. A malformed stream throws
+/// coloc::data_error naming the key: a bad token or count, a non-finite
+/// value, or a count other than the one the MLP topology implies. Values
+/// are read one token at a time, so no count read from the stream sizes an
+/// allocation.
 RegressorPtr load_model(std::istream& is);
 
 }  // namespace coloc::ml

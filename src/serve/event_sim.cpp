@@ -1,6 +1,7 @@
 #include "serve/event_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -21,6 +22,45 @@ constexpr double kTimeEps = 1e-9;
 constexpr double kDeadlineSlack = 3.0;
 
 }  // namespace
+
+namespace detail {
+
+void CompletionIndex::reset(std::size_t nodes) {
+  leaves_ = std::bit_ceil(std::max<std::size_t>(nodes, 1));
+  time_s_.assign(leaves_, std::numeric_limits<double>::infinity());
+  seq_.assign(leaves_, std::numeric_limits<std::uint64_t>::max());
+  job_index_.assign(leaves_, 0);
+  winner_.assign(2 * leaves_, 0);
+  for (std::size_t n = 0; n < leaves_; ++n) {
+    winner_[leaves_ + n] = static_cast<std::uint32_t>(n);
+  }
+  // All leaves tie, so every subtree's winner is its leftmost leaf.
+  for (std::size_t i = leaves_ - 1; i >= 1; --i) winner_[i] = winner_[2 * i];
+}
+
+void CompletionIndex::set(std::uint32_t node, double time_s,
+                          std::uint64_t seq, std::size_t job_index) {
+  time_s_[node] = time_s;
+  seq_[node] = seq;
+  job_index_[node] = job_index;
+  update_path(node);
+}
+
+void CompletionIndex::clear(std::uint32_t node) {
+  time_s_[node] = std::numeric_limits<double>::infinity();
+  seq_[node] = std::numeric_limits<std::uint64_t>::max();
+  update_path(node);
+}
+
+void CompletionIndex::update_path(std::uint32_t node) {
+  for (std::size_t i = (leaves_ + node) / 2; i >= 1; i /= 2) {
+    const std::uint32_t left = winner_[2 * i];
+    const std::uint32_t right = winner_[2 * i + 1];
+    winner_[i] = before(right, left) ? right : left;
+  }
+}
+
+}  // namespace detail
 
 std::vector<Job> make_job_stream(std::size_t num_apps, std::size_t count,
                                  double mean_interarrival_s,
@@ -106,9 +146,9 @@ void EventSimulator::advance_node(NodeState& node, double now) {
 
 void EventSimulator::resolve_node(NodeState& node, std::uint32_t node_index,
                                   double now, ReplayOutcome& outcome) {
-  ++node.epoch;  // invalidate any completion event still in the heap
   if (node.residents.empty()) {
     node.pstate = config_.pstate_index;  // idle nodes return to the default
+    completions_.clear(node_index);
     return;
   }
   const std::uint64_t key =
@@ -137,18 +177,24 @@ void EventSimulator::resolve_node(NodeState& node, std::uint32_t node_index,
   // interchangeable, so positional assignment is well-defined.
   COLOC_CHECK_MSG(rates->size() == node.residents.size(),
                   "rate cache entry does not match node membership");
+  double first_s = 0.0;
+  std::uint64_t first_seq = 0;
+  std::size_t first_job = 0;
   for (std::size_t i = 0; i < node.residents.size(); ++i) {
     Resident& r = node.residents[i];
     r.rate = (*rates)[i];
     COLOC_CHECK_MSG(r.rate > 0.0, "non-positive instruction rate");
-    Event ev;
-    ev.time_s = now + std::max(r.remaining_instructions, 0.0) / r.rate;
-    ev.seq = next_seq_++;
-    ev.node = node_index;
-    ev.epoch = node.epoch;
-    ev.job_index = r.job_index;
-    heap_.push(ev);
+    const double finish_s =
+        now + std::max(r.remaining_instructions, 0.0) / r.rate;
+    const std::uint64_t seq = next_seq_++;
+    // Strict <: among equal times the lowest seq, the first resident, wins.
+    if (i == 0 || finish_s < first_s) {
+      first_s = finish_s;
+      first_seq = seq;
+      first_job = r.job_index;
+    }
   }
+  completions_.set(node_index, first_s, first_seq, first_job);
 }
 
 std::size_t EventSimulator::pick_node(const Job& job,
@@ -240,7 +286,7 @@ ReplayOutcome EventSimulator::replay(const std::vector<Job>& jobs,
   NodeState fresh;
   fresh.pstate = config_.pstate_index;
   nodes_.assign(config_.nodes, fresh);
-  heap_ = {};
+  completions_.reset(config_.nodes);
   next_seq_ = 0;
   service_->reset_fleet(config_.nodes);
 
@@ -318,46 +364,38 @@ ReplayOutcome EventSimulator::replay(const std::vector<Job>& jobs,
   };
 
   while (done < jobs.size()) {
-    // Drop stale completion events (their node changed since the push).
-    while (!heap_.empty() &&
-           heap_.top().epoch != nodes_[heap_.top().node].epoch) {
-      heap_.pop();
-      ++outcome.events_processed;
-    }
     const double arrival_t =
         next_arrival < order.size() ? jobs[order[next_arrival]].arrival_s
                                     : std::numeric_limits<double>::infinity();
-    const double completion_t =
-        heap_.empty() ? std::numeric_limits<double>::infinity()
-                      : heap_.top().time_s;
+    const std::uint32_t next_node = completions_.top();
+    const double completion_t = completions_.time_s(next_node);
     COLOC_CHECK_MSG(std::isfinite(std::min(arrival_t, completion_t)),
                     "event simulation stalled");
 
     if (completion_t <= arrival_t) {
-      const Event ev = heap_.top();
-      heap_.pop();
+      const std::size_t job_index = completions_.job_index(next_node);
       ++outcome.events_processed;
-      now = std::max(now, ev.time_s);
-      NodeState& node = nodes_[ev.node];
+      now = std::max(now, completion_t);
+      NodeState& node = nodes_[next_node];
       advance_node(node, now);
       auto it = std::find_if(node.residents.begin(), node.residents.end(),
-                             [&ev](const Resident& r) {
-                               return r.job_index == ev.job_index;
+                             [job_index](const Resident& r) {
+                               return r.job_index == job_index;
                              });
       COLOC_CHECK_MSG(it != node.residents.end(),
-                      "completion event for a job not on its node");
-      JobOutcome& record = outcome.jobs[ev.job_index];
+                      "completion entry for a job not on its node");
+      JobOutcome& record = outcome.jobs[job_index];
       record.finish_s = now;
       const double elapsed = now - record.start_s;
       record.slowdown = elapsed / alone_time(it->app);
-      record.deadline_met = now <= deadlines[ev.job_index] + kTimeEps;
+      record.deadline_met = now <= deadlines[job_index] + kTimeEps;
       if (!record.deadline_met) ++deadline_misses;
       slowdown_sum += record.slowdown;
       outcome.max_slowdown = std::max(outcome.max_slowdown, record.slowdown);
-      service_->remove_resident(ev.node, it->app);
+      service_->remove_resident(next_node, it->app);
       node.residents.erase(it);
       ++done;
-      resolve_node(node, ev.node, now, outcome);
+      resolve_node(node, next_node, now, outcome);
       place_waiting();
     } else {
       now = std::max(now, arrival_t);

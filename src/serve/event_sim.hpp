@@ -5,12 +5,13 @@
 // node's contention fixed point (processor sharing), and a node draws
 // package energy while residents are present. Rescanning every node's
 // residents for the next completion would cost O(nodes x residents) per
-// step, so the replay runs on an event heap:
+// step, so the replay keeps one completion entry per node:
 //
-//   * Completions live in a min-heap ordered by (time, seq). Each node
-//     carries an epoch counter; any membership change bumps it, so stale
-//     completion events pop and are discarded in O(log E) instead of being
-//     searched for. Only the touched node is re-solved.
+//   * Each re-solve of a node sets the node's entry to its earliest
+//     resident completion, keyed by (time, seq). A tournament tree over the
+//     nodes (detail::CompletionIndex) holds the fleet's next completion at
+//     its root, so a node change costs one O(log nodes) path update and no
+//     entry can go stale. Only the touched node is re-solved.
 //   * Contention fixed points are memoized by (P-state, the service's
 //     interned membership id) — a bounded application catalog means a long
 //     replay revisits the same co-locations constantly, so steady-state
@@ -40,7 +41,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/memo.hpp"
@@ -102,10 +102,56 @@ struct ReplayOutcome {
   double mean_wait_s = 0.0;
   double total_energy_j = 0.0;
   double deadline_miss_rate = 0.0;
-  std::uint64_t events_processed = 0;   // heap pops, incl. stale
+  std::uint64_t events_processed = 0;   // completions replayed: one per job
   std::uint64_t contention_solves = 0;  // fixed points actually run
   std::uint64_t rate_cache_hits = 0;    // memoized fixed points reused
 };
+
+namespace detail {
+
+/// The fleet's next resident completion, declared here so tests can drive
+/// it. A tournament tree over nodes: leaf n holds node n's earliest
+/// completion as (time, seq) and the job it finishes, and every internal
+/// slot holds the node whose key is least by time, then seq, in its
+/// subtree, so the root names the next completion. Setting or clearing a
+/// node replays its O(log nodes) path to the root. The keys live in flat
+/// per-node arrays, so a comparison reads two keys, not node state.
+class CompletionIndex {
+ public:
+  /// Sizes the index for `nodes` nodes, none holding an entry.
+  void reset(std::size_t nodes);
+  /// Sets `node`'s entry to its earliest resident completion.
+  void set(std::uint32_t node, double time_s, std::uint64_t seq,
+           std::size_t job_index);
+  /// Removes `node`'s entry (the node has no residents).
+  void clear(std::uint32_t node);
+
+  /// The node whose entry comes first; its time is +inf when no node holds
+  /// an entry.
+  std::uint32_t top() const { return winner_[1]; }
+  double time_s(std::uint32_t node) const { return time_s_[node]; }
+  std::size_t job_index(std::uint32_t node) const { return job_index_[node]; }
+
+ private:
+  bool before(std::uint32_t a, std::uint32_t b) const {
+    return time_s_[a] < time_s_[b] ||
+           (time_s_[a] == time_s_[b] && seq_[a] < seq_[b]);
+  }
+  /// Recomputes the winners on `node`'s path from its leaf to the root.
+  void update_path(std::uint32_t node);
+
+  std::size_t leaves_ = 0;  // node count rounded up to a power of two
+  // Per leaf; a leaf without an entry (or past the last node) holds +inf
+  // and the largest seq.
+  std::vector<double> time_s_;
+  std::vector<std::uint64_t> seq_;
+  std::vector<std::size_t> job_index_;
+  // winner_[i] for i in [1, leaves_) is the winning leaf of subtree i, whose
+  // children are 2i and 2i + 1; winner_[leaves_ + n] is leaf n itself.
+  std::vector<std::uint32_t> winner_;
+};
+
+}  // namespace detail
 
 class EventSimulator {
  public:
@@ -139,28 +185,14 @@ class EventSimulator {
   struct NodeState {
     std::vector<Resident> residents;  // sorted by (app, job_index)
     std::size_t pstate = 0;
-    std::uint64_t epoch = 0;   // bumps on every membership/P-state change
     double last_update_s = 0.0;
     double energy_j = 0.0;
-  };
-  struct Event {
-    double time_s = 0.0;
-    std::uint64_t seq = 0;  // tie-break: FIFO among equal-time events
-    std::uint32_t node = 0;
-    std::uint64_t epoch = 0;
-    std::size_t job_index = 0;
-  };
-  struct EventAfter {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time_s != b.time_s) return a.time_s > b.time_s;
-      return a.seq > b.seq;
-    }
   };
 
   /// Advances one node's residents (and energy) to `now`.
   void advance_node(NodeState& node, double now);
-  /// Re-solves the node's contention fixed point (memoized) and pushes
-  /// fresh completion events under a new epoch.
+  /// Re-solves the node's contention fixed point (memoized) and sets its
+  /// completion entry to the earliest resident completion.
   void resolve_node(NodeState& node, std::uint32_t node_index, double now,
                     ReplayOutcome& outcome);
   /// Picks a node for `job` under `policy`; returns config_.nodes when no
@@ -175,7 +207,9 @@ class EventSimulator {
   std::vector<const core::BaselineProfile*> baseline_by_app_;
 
   std::vector<NodeState> nodes_;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> heap_;
+  detail::CompletionIndex completions_;
+  // Advances once per resident at every re-solve; among equal completion
+  // times the lower seq comes first.
   std::uint64_t next_seq_ = 0;
 
   /// Fixed-point memo keyed by membership_id << 8 | P-state. The service

@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <queue>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/campaign.hpp"
 #include "sim/execution.hpp"
@@ -721,6 +724,122 @@ TEST_F(SchedulerTest, NodeBudgetEnforced) {
   }
   EXPECT_EQ(groups(out, 1)[0].size(), tiny_machine().cores);
   EXPECT_EQ(queued, jobs.size() - tiny_machine().cores);
+}
+
+// The lazy-deletion event heap that detail::CompletionIndex replaced, as a
+// reference: each update pushes every resident's completion under the
+// node's epoch, any update or clear bumps the epoch, and a pop first
+// discards entries whose node changed since their push.
+class LazyDeletionHeap {
+ public:
+  struct Event {
+    double time_s = 0.0;
+    std::uint64_t seq = 0;
+    std::uint32_t node = 0;
+    std::uint64_t epoch = 0;
+    std::size_t job_index = 0;
+  };
+
+  explicit LazyDeletionHeap(std::size_t nodes) : epoch_(nodes, 0) {}
+
+  void update(std::uint32_t node, double time_s, std::uint64_t seq,
+              std::size_t job_index) {
+    heap_.push(Event{time_s, seq, node, epoch_[node], job_index});
+  }
+  void bump(std::uint32_t node) { ++epoch_[node]; }
+
+  /// The earliest live event, or null when none is left.
+  const Event* top() {
+    while (!heap_.empty() && heap_.top().epoch != epoch_[heap_.top().node]) {
+      heap_.pop();
+    }
+    return heap_.empty() ? nullptr : &heap_.top();
+  }
+
+ private:
+  struct After {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time_s != b.time_s) return a.time_s > b.time_s;
+      return a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Event, std::vector<Event>, After> heap_;
+  std::vector<std::uint64_t> epoch_;
+};
+
+TEST(CompletionIndex, MatchesLazyDeletionHeapReference) {
+  // Times come from a handful of values, so equal times within a node and
+  // across nodes are common; seq then decides, as in the heap.
+  const double kTimes[] = {1.0, 2.0, 3.0, 4.0};
+  std::size_t pops = 0, cross_node_ties = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    coloc::Rng rng(seed);
+    // 1 to 9 nodes: single-leaf and non-power-of-two trees included.
+    const std::size_t nodes = 1 + rng.uniform_index(9);
+    detail::CompletionIndex index;
+    index.reset(nodes);
+    LazyDeletionHeap reference(nodes);
+    std::uint64_t next_seq = 0;
+    std::size_t next_job = 0;
+
+    // Re-solving a node: 1 to 4 residents, each pushed to the reference;
+    // the index gets the strict-< minimum in resident order, as
+    // EventSimulator::resolve_node sets it. A clear empties the node.
+    const auto resolve = [&](std::uint32_t node) {
+      reference.bump(node);
+      if (rng.uniform_index(5) == 0) {
+        index.clear(node);
+        return;
+      }
+      const std::size_t residents = 1 + rng.uniform_index(4);
+      double first_s = 0.0;
+      std::uint64_t first_seq = 0;
+      std::size_t first_job = 0;
+      for (std::size_t i = 0; i < residents; ++i) {
+        const double time_s = kTimes[rng.uniform_index(4)];
+        const std::uint64_t seq = next_seq++;
+        const std::size_t job = next_job++;
+        reference.update(node, time_s, seq, job);
+        if (i == 0 || time_s < first_s) {
+          first_s = time_s;
+          first_seq = seq;
+          first_job = job;
+        }
+      }
+      index.set(node, first_s, first_seq, first_job);
+    };
+
+    for (int op = 0; op < 400; ++op) {
+      if (rng.uniform_index(2) == 0) {
+        resolve(static_cast<std::uint32_t>(rng.uniform_index(nodes)));
+        continue;
+      }
+      // A pop: the next completion, after which its node is re-solved.
+      const LazyDeletionHeap::Event* want = reference.top();
+      const std::uint32_t node = index.top();
+      if (want == nullptr) {
+        EXPECT_EQ(index.time_s(node), std::numeric_limits<double>::infinity())
+            << "seed " << seed << " op " << op;
+        continue;
+      }
+      ++pops;
+      ASSERT_EQ(node, want->node) << "seed " << seed << " op " << op;
+      ASSERT_EQ(index.job_index(node), want->job_index)
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(index.time_s(node), want->time_s)
+          << "seed " << seed << " op " << op;
+      for (std::uint32_t n = 0; n < nodes; ++n) {
+        if (n != node && index.time_s(n) == want->time_s) {
+          ++cross_node_ties;
+          break;
+        }
+      }
+      resolve(node);
+    }
+  }
+  // The sequences pop often and tie across nodes often.
+  EXPECT_GT(pops, 4000u);
+  EXPECT_GT(cross_node_ties, 1000u);
 }
 
 }  // namespace

@@ -5,12 +5,15 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "ml/knn.hpp"
 #include "ml/linear_model.hpp"
 #include "ml/mlp.hpp"
+#include "test_helpers.hpp"
 
 namespace coloc::ml {
 namespace {
@@ -90,7 +93,7 @@ TEST(Serialization, BadHeaderRejected) {
 TEST(Serialization, UnknownTypeRejected) {
   std::stringstream ss;
   ss << "coloc-model v1\ntype forest\nend\n";
-  EXPECT_THROW(load_model(ss), invalid_argument_error);
+  EXPECT_THROW(load_model(ss), coloc::data_error);
 }
 
 TEST(Serialization, TruncatedStreamRejected) {
@@ -168,6 +171,77 @@ TEST(Serialization, TruncatedCoefficientListRejected) {
   std::stringstream ss;
   ss << "coloc-model v1\ntype linear\ncoefficients 5 1.0 2.0\n";
   EXPECT_THROW(load_model(ss), coloc::runtime_error);
+}
+
+TEST(Serialization, NonFiniteValuesRejected) {
+  // A linear model and a 1-input, 1-hidden MLP (4 parameters), each value
+  // slot given as text.
+  const auto linear = [](const std::string& coefficient,
+                         const std::string& intercept) {
+    return "coloc-model v1\ntype linear\ncoefficients 2 1.5 " +
+           coefficient + "\nintercept 1 " + intercept + "\nend\n";
+  };
+  const auto mlp = [](const std::string& parameter, const std::string& mean,
+                      const std::string& sd, const std::string& target) {
+    return "coloc-model v1\ntype mlp\ntopology 1 1\nparameters 4 0.5 " +
+           parameter + " -0.75 0.125\ninput_means 1 " + mean +
+           "\ninput_stddevs 1 " + sd + "\ntarget 2 " + target + " 5\nend\n";
+  };
+  const auto load = [](const std::string& text) {
+    std::stringstream ss(text);
+    return load_model(ss);
+  };
+  ASSERT_NO_THROW(load(linear("2", "0")));
+  ASSERT_NO_THROW(load(mlp("0.25", "2", "3", "4")));
+  for (const std::string bad : {"nan", "-nan", "NaN", "inf", "-inf",
+                                "infinity", "1e999", "-1e999"}) {
+    EXPECT_THROW(load(linear(bad, "0")), coloc::data_error) << bad;
+    EXPECT_THROW(load(linear("2", bad)), coloc::data_error) << bad;
+    EXPECT_THROW(load(mlp(bad, "2", "3", "4")), coloc::data_error) << bad;
+    EXPECT_THROW(load(mlp("0.25", bad, "3", "4")), coloc::data_error) << bad;
+    EXPECT_THROW(load(mlp("0.25", "2", bad, "4")), coloc::data_error) << bad;
+    EXPECT_THROW(load(mlp("0.25", "2", "3", bad)), coloc::data_error) << bad;
+  }
+}
+
+TEST(Serialization, SeededMutationsLoadOrThrowDataError) {
+  coloc::Rng train_rng(5);
+  std::stringstream linear, mlp;
+  save_model(linear, trained_linear(train_rng));
+  save_model(mlp, trained_mlp(train_rng));
+  coloc::Rng rng(20261021);
+  for (const std::string& original : {linear.str(), mlp.str()}) {
+    std::size_t loaded = 0, rejected = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+      std::string applied;
+      std::stringstream mutated(
+          testing_helpers::mutate_bytes(original, rng, applied));
+      RegressorPtr model;
+      try {
+        model = load_model(mutated);
+      } catch (const coloc::data_error&) {
+        ++rejected;
+        continue;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "trial " << trial << " (mutations " << applied
+                      << ") threw a non-data error: " << e.what();
+        continue;
+      }
+      ++loaded;
+      // Whatever loaded is a model: it saves, reloads and saves the same
+      // bytes.
+      std::stringstream first;
+      save_model(first, *model);
+      std::stringstream copy(first.str());
+      std::stringstream second;
+      save_model(second, *load_model(copy));
+      EXPECT_EQ(first.str(), second.str())
+          << "trial " << trial << " (mutations " << applied << ")";
+    }
+    // The mutations reach both outcomes.
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 }  // namespace
